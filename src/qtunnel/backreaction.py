@@ -82,15 +82,15 @@ class GaussianAverageResiduals:
     cross_moment: float
 
 
-def q_factors(mode: EnvMode, bg: TanhBackground, mfs: list[ModeFunction]) -> QFactors:
-    """Q1(x), Q2(x) from a mode-function trajectory.
+def q_factors(mode: EnvMode, bg: TanhBackground, mf: ModeFunction) -> QFactors:
+    """Q1(x), Q2(x) from the mode function on a time grid.
 
     Points where the trajectory velocity has effectively stalled
     (x outside [eps*a, (2-eps)*a], eps = 1e-3) are trimmed and flagged.
     """
-    if not mfs:
+    ts = np.atleast_1d(mf.t)
+    if ts.size == 0:
         raise DomainError("empty mode-function trajectory")
-    ts = np.array([mf.t for mf in mfs])
     xs = bg.position(ts)
     keep = (xs >= _EDGE_TRIM * bg.amplitude_a) & (
         xs <= (2.0 - _EDGE_TRIM) * bg.amplitude_a
@@ -98,19 +98,11 @@ def q_factors(mode: EnvMode, bg: TanhBackground, mfs: list[ModeFunction]) -> QFa
     trimmed = bool(np.any(~keep))
     if not np.any(keep):
         raise DomainError("trajectory entirely outside the usable window")
-    q1 = np.empty(int(np.sum(keep)))
-    q2 = np.empty_like(q1)
-    out_i = 0
-    for mf, x, ok in zip(mfs, xs, keep):
-        if not ok:
-            continue
-        dln = mf.log_derivative()
-        d2ln = log_derivative_2(mode, bg, mf)
-        xdot = float(bg.velocity(mf.t))
-        denom = xdot * dln.imag
-        q1[out_i] = d2ln.real / denom
-        q2[out_i] = (d2ln.imag / (2.0 * denom)) ** 2
-        out_i += 1
+    dln = np.atleast_1d(mf.log_derivative())[keep]
+    d2ln = np.atleast_1d(log_derivative_2(mode, bg, mf))[keep]
+    denom = bg.velocity(ts[keep]) * dln.imag
+    q1 = d2ln.real / denom
+    q2 = (d2ln.imag / (2.0 * denom)) ** 2
     return QFactors(xs=xs[keep], q1=q1, q2=q2, trimmed=trimmed)
 
 

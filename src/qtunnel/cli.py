@@ -11,13 +11,15 @@ sweep.  Output is a CSV with one comment header line
 
 followed by a column-name row and numeric rows at 12 significant digits.
 Reruns with identical configs are byte-identical.  Exit codes: 0 success,
-2 configuration error, 3 numerical/domain error (no partial output file is
-left behind in either failure mode).
+2 configuration error or unwritable output path, 3 numerical/domain error
+(no partial output file is left behind in either failure mode).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -32,18 +34,21 @@ from .config import ConfigError, RunConfig
 from .errors import QTunnelError
 
 _FORMAT = "%.12g"
+# rows formatted per batch: bounds how many Python floats are alive at once
+_CHUNK_ROWS = 4096
 
 
-def _fmt(value: float) -> str:
-    return _FORMAT % float(value)
-
-
-def _csv_text(cfg: RunConfig, columns: list[str], rows) -> str:
-    lines = [f"# qtunnel v1, scenario={cfg.scenario}, params={cfg.canonical()}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(cfg: RunConfig, columns: dict) -> str:
+    """Header, column names and one row per grid point; scalar columns repeat."""
+    n = max(np.size(v) for v in columns.values())
+    cols = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in columns.values()]
+    row_format = ",".join([_FORMAT] * len(cols))
+    parts = [f"# qtunnel v1, scenario={cfg.scenario}, params={cfg.canonical()}",
+             ",".join(columns)]
+    for start in range(0, n, _CHUNK_ROWS):
+        chunk = [col[start:start + _CHUNK_ROWS].tolist() for col in cols]
+        parts.append("\n".join(row_format % row for row in zip(*chunk)))
+    return "\n".join(parts) + "\n"
 
 
 def _run_fig1(cfg: RunConfig) -> str:
@@ -52,8 +57,8 @@ def _run_fig1(cfg: RunConfig) -> str:
     sol = rect_mod.solve_rect(params, barrier)
     xs = np.linspace(float(cfg["x_min"]), float(cfg["x_max"]), int(cfg["grid_points"]))
     prof = rect_mod.potential_profile(sol, xs)
-    rows = zip(prof.xs, prof.v, prof.v_tot, [params.energy_E] * len(xs))
-    return _csv_text(cfg, ["x", "V", "V_tot", "E"], rows)
+    return _csv_text(cfg, {"x": prof.xs, "V": prof.v, "V_tot": prof.v_tot,
+                           "E": params.energy_E})
 
 
 def _run_fig2(cfg: RunConfig, emit_rho: bool) -> str:
@@ -64,26 +69,27 @@ def _run_fig2(cfg: RunConfig, emit_rho: bool) -> str:
     prof = wkb_mod.wkb_total_potential(
         potential, E, params, turning_points=tps, num_points=int(cfg["grid_points"])
     )
-    columns = ["x", "V", "V_tot", "E"]
-    base = [prof.xs, [potential(float(x)) for x in prof.xs], prof.v_tot,
-            [E] * len(prof.xs)]
+    columns = {"x": prof.xs, "V": [potential(float(x)) for x in prof.xs],
+               "V_tot": prof.v_tot, "E": E}
     if emit_rho:
-        rho = wkb_mod.rho_general(potential, E, params, turning_points=tps)
-        columns.append("rho_general")
-        base.append([rho] * len(prof.xs))
-    return _csv_text(cfg, columns, zip(*base))
+        columns["rho_general"] = wkb_mod.rho_general(potential, E, params, turning_points=tps)
+    return _csv_text(cfg, columns)
 
 
-def _run_fig3(cfg: RunConfig) -> str:
-    params = cfg.physical_params()
-    sol = rect_mod.solve_rect(params, cfg.rect_barrier())
+def _mode_backreaction(cfg: RunConfig) -> tuple[rect_mod.RectSolution, br.BackreactionProfile]:
+    """Rect solution and the back-reaction profile summed over the config's modes."""
+    sol = rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier())
     profs = [
         br.rect_mode_backreaction(sol, mode, num_points=int(cfg["grid_points"]))
         for mode in cfg.env_modes()
     ]
-    prof = profs[0] if len(profs) == 1 else br.multi_mode_superpose(profs)
-    rows = zip(prof.xs, prof.v, prof.v_eff, prof.q1, prof.q2)
-    return _csv_text(cfg, ["x", "V", "V_eff", "Q1", "Q2"], rows)
+    return sol, profs[0] if len(profs) == 1 else br.multi_mode_superpose(profs)
+
+
+def _run_fig3(cfg: RunConfig) -> str:
+    _, prof = _mode_backreaction(cfg)
+    return _csv_text(cfg, {"x": prof.xs, "V": prof.v, "V_eff": prof.v_eff,
+                           "Q1": prof.q1, "Q2": prof.q2})
 
 
 def _run_rect(cfg: RunConfig) -> str:
@@ -102,7 +108,7 @@ def _run_rect(cfg: RunConfig) -> str:
         "A_re", "A_im", "B_re", "B_im", "C_re", "C_im",
         "F_re", "F_im", "G_re", "G_im",
     ]
-    return _csv_text(cfg, columns, [row])
+    return _csv_text(cfg, dict(zip(columns, row)))
 
 
 def _run_mode_evolve(cfg: RunConfig) -> str:
@@ -119,46 +125,31 @@ def _run_mode_evolve(cfg: RunConfig) -> str:
         mode, bg, modes_mod.vacuum_state(mode, t0), t0, ts[-1],
         t_eval=ts, vacuum_start=True,
     )
-    rows = []
-    for i, t in enumerate(ts):
-        st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, float(t)))
-        rows.append([
-            t, traj.alpha[i] ** 2, traj.beta[i], st.alpha**2, st.beta,
-        ])
-    return _csv_text(
-        cfg, ["t", "alpha2_ode", "beta_ode", "alpha2_xi", "beta_xi"], rows
-    )
+    st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, ts))
+    return _csv_text(cfg, {"t": ts, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
+                           "alpha2_xi": st.alpha**2, "beta_xi": st.beta})
 
 
 def _run_backreaction(cfg: RunConfig) -> str:
-    params = cfg.physical_params()
-    sol = rect_mod.solve_rect(params, cfg.rect_barrier())
-    profs = [
-        br.rect_mode_backreaction(sol, mode, num_points=int(cfg["grid_points"]))
-        for mode in cfg.env_modes()
-    ]
-    prof = profs[0] if len(profs) == 1 else br.multi_mode_superpose(profs)
-    p_mod = br.modified_probability(sol, prof.delta_v_bar)
-    n = len(prof.xs)
-    rows = zip(
-        prof.xs, prof.v, prof.v_eff, prof.delta_v, prof.q1, prof.q2, prof.p0,
-        [prof.delta_v_bar] * n, [p_mod] * n,
-    )
-    columns = ["x", "V", "V_eff", "delta_V", "Q1", "Q2", "p0", "delta_V_bar", "P_modified"]
-    return _csv_text(cfg, columns, rows)
+    sol, prof = _mode_backreaction(cfg)
+    return _csv_text(cfg, {
+        "x": prof.xs, "V": prof.v, "V_eff": prof.v_eff, "delta_V": prof.delta_v,
+        "Q1": prof.q1, "Q2": prof.q2, "p0": prof.p0, "delta_V_bar": prof.delta_v_bar,
+        "P_modified": br.modified_probability(sol, prof.delta_v_bar),
+    })
 
 
 def _run_sweep(cfg: RunConfig) -> str:
     key, vals = cfg.sweep()
-    rows = []
+    ps, t_rolls = [], []
     for val in vals:
         values = dict(cfg.values)
         values[key] = val
         sub = RunConfig(scenario="rect", values=values)
         sol = rect_mod.solve_rect(sub.physical_params(), sub.rect_barrier())
-        rows.append([val, rect_mod.transmission_probability(sol).closed_form,
-                     rect_mod.rolling_time(sol)])
-    return _csv_text(cfg, [key, "P", "t_roll"], rows)
+        ps.append(rect_mod.transmission_probability(sol).closed_form)
+        t_rolls.append(rect_mod.rolling_time(sol))
+    return _csv_text(cfg, {key: vals, "P": ps, "t_roll": t_rolls})
 
 
 _RUNNERS = {
@@ -175,9 +166,22 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig, out_path: str | Path) -> None:
-    """Execute one scenario and write its CSV atomically (all or nothing)."""
+    """Execute one scenario and write its CSV atomically (all or nothing).
+
+    The text goes to a temporary file in the target directory, which then
+    replaces the target.  An OSError propagates and leaves no file behind.
+    """
     text = _RUNNERS[cfg.scenario](cfg)
-    Path(out_path).write_text(text, encoding="utf-8")
+    out_path = Path(out_path)
+    tmp = out_path.parent / f".{out_path.name}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, out_path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     except QTunnelError as exc:
         print(f"{cfg.scenario} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

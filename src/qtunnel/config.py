@@ -10,11 +10,12 @@ V0 = 4, a = 1, m = 1, omega0 = 1, c = 0.15 in hbar = M = 1 units).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
-from .errors import AboveBarrierError, DomainError
+from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, wave_numbers
+from .errors import DomainError
 
 SCENARIOS = (
     "fig1a",
@@ -245,41 +246,43 @@ def diagnostics(cfg: RunConfig) -> list[str]:
 
     def check(fn, label: str):
         try:
-            fn()
-        except (DomainError, ConfigError, AboveBarrierError) as exc:
+            return fn()
+        except (DomainError, ConfigError) as exc:
             problems.append(f"{label}: {type(exc).__name__}: {exc}")
+            return None
 
-    check(cfg.physical_params, "params")
-    rect_like = cfg.scenario in ("fig1a", "fig1b", "fig3", "rect", "backreaction", "sweep", "mode-evolve")
-    if rect_like:
-        check(cfg.rect_barrier, "barrier")
-        try:
-            E, V0 = float(cfg["E"]), float(cfg["V0"])
-            if E >= V0 > 0:
-                problems.append(
-                    f"barrier: AboveBarrierError: E = {E} >= V0 = {V0}"
-                )
-        except (TypeError, ValueError):
-            problems.append("barrier: bad E/V0 values")
+    def check_rect(run_cfg: RunConfig, where: str = "") -> None:
+        params = check(run_cfg.physical_params, "params" + where)
+        barrier = check(run_cfg.rect_barrier, "barrier" + where)
+        if params is not None and barrier is not None:
+            check(lambda: wave_numbers(params, barrier), "barrier" + where)
+
+    if cfg.scenario in ("fig1a", "fig1b", "fig3", "rect", "backreaction", "sweep",
+                        "mode-evolve"):
+        check_rect(cfg)
+    else:
+        check(cfg.physical_params, "params")
     if cfg.scenario in ("fig3", "backreaction", "mode-evolve"):
-        check(cfg.env_modes, "modes")
-        try:
-            for mode in cfg.env_modes():
-                om2_min = min(
-                    mode.omega0**2,
-                    mode.omega0**2 + 4.0 * mode.coupling_c * float(cfg["a"]) / mode.mass_m,
+        for mode in check(cfg.env_modes, "modes") or []:
+            om2_min = min(
+                mode.omega0**2,
+                mode.omega0**2 + 4.0 * mode.coupling_c * float(cfg["a"]) / mode.mass_m,
+            )
+            if om2_min <= 0:
+                problems.append(
+                    f"modes: TachyonicModeError: omega^2 reaches {om2_min:.3g}"
                 )
-                if om2_min <= 0:
-                    problems.append(
-                        f"modes: TachyonicModeError: omega^2 reaches {om2_min:.3g}"
-                    )
-        except Exception:
-            pass
     if cfg.scenario in ("fig2", "wkb"):
         check(cfg.smooth_potential, "potential")
         check(cfg.bracket, "bracket")
     if cfg.scenario == "sweep":
-        check(cfg.sweep, "sweep")
+        key, vals = check(cfg.sweep, "sweep") or (None, [])
+        for val in vals:
+            check_rect(RunConfig(scenario="rect", values={**cfg.values, key: val}),
+                       f" ({key} = {val:g})")
+    for key in ("x_min", "x_max", "t_min", "t_max", "rho"):
+        if cfg[key] is not None and not math.isfinite(float(cfg[key])):
+            problems.append(f"grid: DomainError: {key} must be finite, got {cfg[key]}")
     if cfg["grid_points"] is not None and int(cfg["grid_points"]) < 16:
         problems.append("grid: DomainError: grid_points must be at least 16")
     return problems

@@ -15,6 +15,13 @@ from typing import Callable
 from .errors import AboveBarrierError, DomainError
 
 
+def _require_positive(**values: float) -> None:
+    """DomainError unless every value is finite and positive (NaN fails too)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """System-particle parameters: the unit anchor of every formula."""
@@ -24,12 +31,7 @@ class PhysicalParams:
     mass_M: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
-        if self.mass_M <= 0:
-            raise DomainError(f"mass_M must be positive, got {self.mass_M}")
-        if self.energy_E <= 0:
-            raise DomainError(f"energy_E must be positive, got {self.energy_E}")
+        _require_positive(hbar=self.hbar, mass_M=self.mass_M, energy_E=self.energy_E)
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,7 @@ class RectBarrier:
     width_a: float
 
     def __post_init__(self):
-        if self.height_V0 <= 0:
-            raise DomainError(f"height_V0 must be positive, got {self.height_V0}")
-        if self.width_a <= 0:
-            raise DomainError(f"width_a must be positive, got {self.width_a}")
+        _require_positive(height_V0=self.height_V0, width_a=self.width_a)
 
 
 class SmoothPotential:
@@ -113,10 +112,9 @@ class EnvMode:
     coupling_c: float
 
     def __post_init__(self):
-        if self.mass_m <= 0:
-            raise DomainError(f"mass_m must be positive, got {self.mass_m}")
-        if self.omega0 <= 0:
-            raise DomainError(f"omega0 must be positive, got {self.omega0}")
+        _require_positive(mass_m=self.mass_m, omega0=self.omega0)
+        if not math.isfinite(self.coupling_c):
+            raise DomainError(f"coupling_c must be finite, got {self.coupling_c}")
 
 
 def wave_numbers(params: PhysicalParams, barrier: RectBarrier) -> tuple[float, float]:

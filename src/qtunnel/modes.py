@@ -37,27 +37,38 @@ _VACUUM_SATURATION = 12.0  # |rho t0| for vacuum starts: tanh saturated to ~1e-1
 
 @dataclass(frozen=True)
 class GaussianModeState:
-    """Width/phase pair of one mode: wavefunction ~ exp[(-alpha^2 + i beta) y^2 / 2 hbar]."""
+    """Width/phase pair of one mode: wavefunction ~ exp[(-alpha^2 + i beta) y^2 / 2 hbar].
 
-    alpha: float
-    beta: float
-    t: float
+    Fields are scalars at one instant, or arrays over a time grid.
+    """
+
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    t: float | np.ndarray
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not np.all(np.asarray(self.alpha) > 0.0):
+            raise DomainError(f"alpha must be positive, got {np.min(self.alpha)}")
 
 
 @dataclass(frozen=True)
 class ModeFunction:
-    """Complex mode function and its time derivative at one instant."""
+    """Complex mode function and its time derivative on a time grid.
 
-    xi: complex
-    xi_dot: complex
-    t: float
+    Fields are arrays of the grid's shape, or scalars at one instant.
+    ``dln`` is d ln xi/dt as the analytic route evaluates it; when it is
+    not given, ``log_derivative`` divides xi_dot by xi.
+    """
 
-    def log_derivative(self) -> complex:
-        if self.xi == 0:
+    xi: complex | np.ndarray
+    xi_dot: complex | np.ndarray
+    t: float | np.ndarray
+    dln: complex | np.ndarray | None = None
+
+    def log_derivative(self) -> complex | np.ndarray:
+        if self.dln is not None:
+            return self.dln
+        if np.any(np.asarray(self.xi) == 0):
             raise DomainError("xi = 0: log-derivative undefined")
         return self.xi_dot / self.xi
 
@@ -73,20 +84,14 @@ class GaussianTrajectory:
     alpha: np.ndarray
     beta: np.ndarray
 
-    def states(self) -> list[GaussianModeState]:
-        return [
-            GaussianModeState(alpha=float(a), beta=float(b), t=float(t))
-            for t, a, b in zip(self.ts, self.alpha, self.beta)
-        ]
 
-
-def _sigmoid_pair(u: float) -> tuple[float, float]:
-    """(z, 1-z) with z = (1 + tanh u)/2, both to full relative precision."""
-    if u >= 0.0:
-        e = math.exp(-2.0 * u)
-        return 1.0 / (1.0 + e), e / (1.0 + e)
-    e = math.exp(2.0 * u)
-    return e / (1.0 + e), 1.0 / (1.0 + e)
+def _sigmoid_pair(u):
+    """(z, 1-z, e) with z = (1 + tanh u)/2, both to full relative precision,
+    and e = exp(-2|u|)."""
+    e = np.exp(-2.0 * np.abs(u))
+    small, large = e / (1.0 + e), 1.0 / (1.0 + e)
+    pos = u >= 0.0
+    return np.where(pos, large, small), np.where(pos, small, large), e
 
 
 def omega_t(mode: EnvMode, bg: TanhBackground, t) -> float | np.ndarray:
@@ -176,41 +181,44 @@ def evolve_gaussian(
     return GaussianTrajectory(ts=res.t, alpha=res.y[0], beta=res.y[1])
 
 
-def xi_analytic(mode: EnvMode, bg: TanhBackground, t: float) -> ModeFunction:
+def xi_analytic(mode: EnvMode, bg: TanhBackground, t) -> ModeFunction:
     """Exact vacuum-matched mode function over the tanh background.
 
     xi(t) = (2 omega0)^(-1/2) exp[i omega_+ t + i omega_- ln(2 cosh rho t)/rho]
             * 2F1(1 - i w_-/rho, -i w_-/rho; 1 + i w_0/rho; z),
-    z = (1 + tanh rho t)/2.  The time derivative follows from the chain rule
-    through z; the identity  d^2 ln xi/dt^2 = -omega^2 - (d ln xi/dt)^2  is
-    available to callers through ``log_derivative_2``.
+    z = (1 + tanh rho t)/2.  ``t`` is one instant or a whole grid, evaluated
+    by one 2F1 kernel call.  d ln xi/dt follows from the chain rule through
+    z with dF/dz from the same kernel; the identity
+    d^2 ln xi/dt^2 = -omega^2 - (d ln xi/dt)^2  is available to callers
+    through ``log_derivative_2``.
     """
     rho = bg.rho
     om0 = mode.omega0
     om_p, om_m = omega_pm(mode, bg)
+    t = np.asarray(t, dtype=float)
     u = rho * t
-    z, w = _sigmoid_pair(u)
-    if w <= 0.0:
-        raise DomainError(f"trajectory argument saturated at t = {t}")
+    z, w, e = _sigmoid_pair(u)
+    if np.any(w <= 0.0):
+        raise DomainError(f"trajectory argument saturated at t = {np.max(t)}")
     a = 1.0 - 1j * om_m / rho
     b = -1j * om_m / rho
     c = 1.0 + 1j * om0 / rho
-    F = specfun.hyp2f1(a, b, c, z, one_minus_z=w)
-    dF = specfun.hyp2f1_dz(a, b, c, z, one_minus_z=w)
+    res = specfun.hyp2f1_ex(a, b, c, z, one_minus_z=w)
+    F, dF = res.value, res.dz
     # ln(2 cosh u) evaluated without overflow
-    log2cosh = abs(u) + math.log1p(math.exp(-2.0 * abs(u)))
+    log2cosh = np.abs(u) + np.log1p(e)
     phase = 1j * (om_p * t + om_m * log2cosh / rho)
     xi = F * np.exp(phase) / math.sqrt(2.0 * om0)
     dln = 1j * om0 + 2j * om_m * z + 2.0 * rho * z * w * dF / F
-    return ModeFunction(xi=complex(xi), xi_dot=complex(xi * dln), t=t)
+    return ModeFunction(xi=xi[()], xi_dot=(xi * dln)[()], t=t[()], dln=dln[()])
 
 
-def xi_trajectory(mode: EnvMode, bg: TanhBackground, ts) -> list[ModeFunction]:
-    """Mode function sampled along a time grid."""
-    return [xi_analytic(mode, bg, float(t)) for t in np.asarray(ts, dtype=float)]
+def xi_trajectory(mode: EnvMode, bg: TanhBackground, ts) -> ModeFunction:
+    """Mode function sampled along a time grid (always array fields)."""
+    return xi_analytic(mode, bg, np.atleast_1d(np.asarray(ts, dtype=float)))
 
 
-def log_derivative_2(mode: EnvMode, bg: TanhBackground, mf: ModeFunction) -> complex:
+def log_derivative_2(mode: EnvMode, bg: TanhBackground, mf: ModeFunction):
     """d^2 ln xi / dt^2 from the oscillator equation, avoiding second derivatives."""
     om = omega_t(mode, bg, mf.t)
     dln = mf.log_derivative()
@@ -220,9 +228,12 @@ def log_derivative_2(mode: EnvMode, bg: TanhBackground, mf: ModeFunction) -> com
 def state_from_xi(mode: EnvMode, mf: ModeFunction) -> GaussianModeState:
     """Map the mode function to (alpha, beta): d ln xi/dt = (beta + i alpha^2)/m."""
     dln = mf.log_derivative()
-    a2 = mode.mass_m * dln.imag
-    if a2 <= 0.0:
+    a2 = mode.mass_m * np.imag(dln)
+    bad = np.asarray(a2 <= 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise InconsistentBranchError(
-            f"Im d ln xi/dt = {dln.imag} <= 0 at t = {mf.t}: not a normalizable Gaussian"
+            f"Im d ln xi/dt = {np.ravel(dln)[i].imag} <= 0 at t = {np.ravel(mf.t)[i]}: "
+            "not a normalizable Gaussian"
         )
-    return GaussianModeState(alpha=math.sqrt(a2), beta=mode.mass_m * dln.real, t=mf.t)
+    return GaussianModeState(alpha=np.sqrt(a2), beta=mode.mass_m * np.real(dln), t=mf.t)

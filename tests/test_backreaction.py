@@ -32,6 +32,17 @@ def test_q_factors_vanish_when_decoupled():
     assert np.max(np.abs(qf.q2)) <= 1e-12
 
 
+def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
+    # b = 0 makes 2F1 exactly 1, so d ln xi/dt = i omega0 and Q1 = Q2 = 0
+    # with no rounding, on both sides of the z = 1/2 seam
+    free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
+    bg = TanhBackground(amplitude_a=1.0, rho=2.0)
+    qf = br.q_factors(free, bg, modes.xi_trajectory(free, bg, np.linspace(-1.5, 1.5, 31)))
+    assert not qf.trimmed
+    assert np.all(qf.q1 == 0.0)
+    assert np.all(qf.q2 == 0.0)
+
+
 def test_q_factors_trim_flag():
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
     ts = np.array([-20.0, -1.0, 0.0, 20.0])  # edges stalled at both ends

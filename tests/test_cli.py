@@ -187,3 +187,45 @@ def test_multi_mode_config(tmp_path):
     ]) == 0
     columns, rows = read_csv(out)
     assert np.all(rows[:, columns.index("V_eff")] >= rows[:, columns.index("V")])
+
+
+@pytest.mark.parametrize("flags", [
+    ["rect", "--E", "nan"],
+    ["rect", "--a", "inf"],
+    ["fig1a", "--V0", "nan"],
+    ["fig3", "--c", "inf"],
+    ["fig1a", "--x-max", "nan"],
+])
+def test_nonfinite_input_is_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "nf.csv"
+    assert main([*flags, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.csv"
+    assert main(["rect", "--out", str(out)]) == 2
+    assert "output error" in capsys.readouterr().err
+    assert not out.parent.exists()
+    # a directory as target: the temporary file is removed again
+    assert main(["rect", "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_replaces_existing_file(tmp_path):
+    out = tmp_path / "r.csv"
+    out.write_text("stale\n")
+    assert main(["rect", "--out", str(out)]) == 0
+    assert out.read_text().startswith("# qtunnel v1, scenario=rect")
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_validate_checks_every_sweep_point(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("scenario = sweep\nsweep_key = E\nsweep_values = 1,5\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "E = 5" in capsys.readouterr().out
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()

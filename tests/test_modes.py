@@ -78,6 +78,20 @@ def test_xi_decoupled_mode():
         assert state.beta == pytest.approx(0.0, abs=1e-12)
 
 
+def test_xi_trajectory_matches_pointwise_calls():
+    # one kernel call over the grid, both 2F1 branches (z crosses 1/2 at t = 0)
+    ts = np.linspace(-4.0, 4.0, 17)
+    grid = modes.xi_trajectory(FIG3_MODE, FIG3_BG, ts)
+    states = modes.state_from_xi(FIG3_MODE, grid)
+    for i, t in enumerate(ts):
+        mf = modes.xi_analytic(FIG3_MODE, FIG3_BG, float(t))
+        assert grid.xi[i] == pytest.approx(mf.xi, rel=1e-14)
+        assert grid.xi_dot[i] == pytest.approx(mf.xi_dot, rel=1e-14)
+        st = modes.state_from_xi(FIG3_MODE, mf)
+        assert states.alpha[i] == pytest.approx(st.alpha, rel=1e-14)
+        assert states.beta[i] == pytest.approx(st.beta, rel=1e-12, abs=1e-15)
+
+
 def test_xi_satisfies_oscillator_equation():
     # second time derivative by finite differences of the analytic xi
     h = 1e-4

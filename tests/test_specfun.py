@@ -118,6 +118,68 @@ def test_hyp2f1_convergence_error():
         specfun.hyp2f1(5000.0, 5000.0, 1.0, 0.5)
 
 
+# --- array z ----------------------------------------------------------------
+
+# crosses the z = 1/2 seam between the series and the transformed branch and
+# runs up to z = 1 - 1e-12, with 1 - z given exactly
+SEAM_W = np.concatenate([np.geomspace(1e-12, 0.45, 12), [0.5, 0.5 + 1e-12],
+                         np.linspace(0.55, 1.0, 6)])
+SEAM_Z = 1.0 - SEAM_W
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1 - 0.3j, -0.3j, 1 + 0.5j),
+    (1 - 0.066j, -0.066j, 1 + 0.5j),
+    (0.4 + 0.2j, -1.1j, 1.9 - 0.3j),
+])
+def test_hyp2f1_array_matches_oracle_across_seam(a, b, c):
+    res = specfun.hyp2f1_ex(a, b, c, SEAM_Z, one_minus_z=SEAM_W)
+    assert res.value.shape == res.dz.shape == SEAM_Z.shape
+    assert not res.degraded
+    for z, w, f, df in zip(SEAM_Z, SEAM_W, res.value, res.dz):
+        zm = 1 - mp.mpf(float(w))
+        ref = complex(mp.hyp2f1(a, b, c, zm))
+        ref_dz = complex(mp.mpf(1) * a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, zm))
+        assert f == pytest.approx(ref, rel=1e-10), f"z = {z}"
+        assert df == pytest.approx(ref_dz, rel=1e-10), f"z = {z}"
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1 - 0.3j, -0.3j, 1 + 0.5j),
+    (0.7, 0.3, 2.0000003),  # degenerate c-a-b on the z > 1/2 points
+])
+def test_hyp2f1_array_equals_scalar_calls(a, b, c):
+    res = specfun.hyp2f1_ex(a, b, c, SEAM_Z, one_minus_z=SEAM_W)
+    scalars = [specfun.hyp2f1_ex(a, b, c, float(z), one_minus_z=float(w))
+               for z, w in zip(SEAM_Z, SEAM_W)]
+    assert [r.value for r in scalars] == res.value.tolist()
+    assert [r.dz for r in scalars] == res.dz.tolist()
+    assert sum(r.terms for r in scalars) == res.terms
+    assert any(r.degraded for r in scalars) == res.degraded
+    assert np.all(specfun.hyp2f1(a, b, c, SEAM_Z, SEAM_W) == res.value)
+    assert np.all(specfun.hyp2f1_dz(a, b, c, SEAM_Z, SEAM_W) == res.dz)
+
+
+def test_hyp2f1_array_vanishing_parameter_is_exact():
+    res = specfun.hyp2f1_ex(1.0 + 0.3j, 0.0, 1.0 + 0.5j, SEAM_Z, one_minus_z=SEAM_W)
+    assert np.all(res.value == 1.0)
+    assert np.all(res.dz == 0.0)
+    assert res.terms == 0
+
+
+def test_hyp2f1_array_errors():
+    with pytest.raises(DomainError):
+        specfun.hyp2f1(1.0, 1.0, 2.0, np.array([0.1, -0.1, 0.3]))
+    with pytest.raises(DomainError):
+        specfun.hyp2f1(1.0, 1.0, 2.0, np.array([0.1, 1.0]))
+    with pytest.raises(DomainError):
+        specfun.hyp2f1(1.0, 1.0, 2.0, np.array([0.2, 0.9]), one_minus_z=np.array([0.8, 0.3]))
+    with pytest.raises(DomainError):
+        specfun.hyp2f1_dz(1.0, 1.0, -2.0, np.array([0.1, 0.3]))
+    with pytest.raises(ConvergenceError):
+        specfun.hyp2f1(5000.0, 5000.0, 1.0, np.array([0.1, 0.5]))
+
+
 # --- hyp2f1_dz ------------------------------------------------------------
 
 def test_hyp2f1_dz_first_term():
