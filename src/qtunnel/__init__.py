@@ -7,8 +7,8 @@ particle rolls through the barrier in real time; environment oscillators
 parametrically excited by that motion raise the effective potential and
 suppress the transmission probability.
 
-Subpackages: ``core`` (parameter records), ``specfun`` (hypergeometric /
-Airy / log-Gamma kernel), ``rect`` (exact rectangular barrier), ``wkb``
+Subpackages: ``core`` (parameter records), ``specfun`` (complex-parameter
+hypergeometric kernel), ``rect`` (exact rectangular barrier), ``wkb``
 (patched semiclassical profiles), ``modes`` (Gaussian environment modes),
 ``backreaction`` (effective potential and modified rate), ``cli`` (driver).
 """

@@ -69,7 +69,7 @@ def _run_fig2(cfg: RunConfig, emit_rho: bool) -> str:
     prof = wkb_mod.wkb_total_potential(
         potential, E, params, turning_points=tps, num_points=int(cfg["grid_points"])
     )
-    columns = {"x": prof.xs, "V": [potential(float(x)) for x in prof.xs],
+    columns = {"x": prof.xs, "V": potential(prof.xs),
                "V_tot": prof.v_tot, "E": E}
     if emit_rho:
         columns["rho_general"] = wkb_mod.rho_general(potential, E, params, turning_points=tps)

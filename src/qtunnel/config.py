@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, wave_numbers
 from .errors import DomainError
 
@@ -131,15 +133,25 @@ class RunConfig:
             raise ConfigError(f"poly must be comma-separated numbers: {exc}") from exc
         if not coeffs:
             raise ConfigError("poly needs at least one coefficient")
+        if not all(math.isfinite(ci) for ci in coeffs):
+            raise ConfigError(f"poly coefficients must be finite, got {coeffs}")
         return coeffs
 
     def smooth_potential(self) -> SmoothPotential:
+        """The ``poly`` barrier sum(ci * x**i), on floats or numpy arrays.
+
+        Floats go through numpy too: Python's float power and numpy's array
+        power differ in the last bit, and a float call must return exactly
+        the element an array call returns.
+        """
         coeffs = self.polynomial()
 
-        def value(x: float) -> float:
+        def value(x):
+            x = np.asarray(x, dtype=float)
             return sum(ci * x**i for i, ci in enumerate(coeffs))
 
-        def derivative(x: float) -> float:
+        def derivative(x):
+            x = np.asarray(x, dtype=float)
             return sum(i * ci * x ** (i - 1) for i, ci in enumerate(coeffs) if i > 0)
 
         return SmoothPotential(value, derivative)
@@ -149,6 +161,8 @@ class RunConfig:
             lo, hi = (float(v) for v in str(self.values["bracket"]).split(","))
         except ValueError as exc:
             raise ConfigError(f"bracket must be 'lo,hi': {exc}") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError(f"bracket must be finite with lo < hi, got {lo},{hi}")
         return lo, hi
 
     def sweep(self) -> tuple[str, list[float]]:
@@ -283,6 +297,13 @@ def diagnostics(cfg: RunConfig) -> list[str]:
     for key in ("x_min", "x_max", "t_min", "t_max", "rho"):
         if cfg[key] is not None and not math.isfinite(float(cfg[key])):
             problems.append(f"grid: DomainError: {key} must be finite, got {cfg[key]}")
+    if cfg["rho"] is not None and float(cfg["rho"]) <= 0:
+        problems.append(f"grid: DomainError: rho must be positive, got {cfg['rho']}")
+    if (cfg["t_min"] is not None and cfg["t_max"] is not None
+            and float(cfg["t_min"]) >= float(cfg["t_max"])):
+        problems.append(
+            f"grid: DomainError: t_min = {cfg['t_min']} must be below t_max = {cfg['t_max']}"
+        )
     if cfg["grid_points"] is not None and int(cfg["grid_points"]) < 16:
         problems.append("grid: DomainError: grid_points must be at least 16")
     return problems

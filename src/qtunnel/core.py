@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import AboveBarrierError, DomainError
 
 
@@ -48,8 +50,11 @@ class RectBarrier:
 class SmoothPotential:
     """A smooth barrier V(x) with a consistent derivative.
 
-    If no analytic derivative is supplied, a centered finite difference with
-    step h = max(1e-6, 1e-6*|x|) is used; the step balances truncation and
+    Both callables must work elementwise on numpy arrays as well as on
+    floats: the smooth-barrier code evaluates whole grids in one call and
+    scalars only inside root finding and quadrature.  If no analytic
+    derivative is supplied, a centered finite difference with step
+    h = max(1e-6, 1e-6*|x|) is used; the step balances truncation and
     rounding at double precision.
     """
 
@@ -63,13 +68,16 @@ class SmoothPotential:
         self._value = value
         self._derivative = derivative
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return self._value(x)
 
-    def derivative(self, x: float) -> float:
+    def derivative(self, x):
         if self._derivative is not None:
             return self._derivative(x)
-        h = max(self._FD_SCALE, self._FD_SCALE * abs(x))
+        return self._finite_difference(x)
+
+    def _finite_difference(self, x):
+        h = np.maximum(self._FD_SCALE, self._FD_SCALE * np.abs(x))
         return (self._value(x + h) - self._value(x - h)) / (2.0 * h)
 
     def check_derivative(self, xs, rel_tol: float = 1e-6) -> float:
@@ -82,15 +90,10 @@ class SmoothPotential:
         """
         if self._derivative is None:
             return 0.0
-        scale = max(abs(self._derivative(float(x))) for x in xs)
-        if scale == 0.0:
-            scale = 1.0
-        worst = 0.0
-        for x in xs:
-            x = float(x)
-            h = max(self._FD_SCALE, self._FD_SCALE * abs(x))
-            fd = (self._value(x + h) - self._value(x - h)) / (2.0 * h)
-            worst = max(worst, abs(fd - self._derivative(x)) / scale)
+        xs = np.asarray(xs, dtype=float)
+        supplied = self._derivative(xs)
+        scale = float(np.max(np.abs(supplied))) or 1.0
+        worst = float(np.max(np.abs(self._finite_difference(xs) - supplied))) / scale
         if worst > rel_tol:
             raise DomainError(
                 f"supplied derivative inconsistent with value: relative "

@@ -167,28 +167,27 @@ def _region_of(sol: RectSolution, x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, _REGION_I, np.where(x <= a, _REGION_II, _REGION_III))
 
 
-def wavefunction(sol: RectSolution, x):
-    """Stationary wavefunction at x, scalar or array."""
+def _piecewise(sol: RectSolution, x, region_form):
+    """Evaluate ``region_form`` (``_phi_region`` or ``_dphi_region``) on the
+    region each x falls in; scalar or array."""
     x = np.asarray(x, dtype=float)
     regions = _region_of(sol, x)
     out = np.empty(x.shape, dtype=complex)
     for region in (_REGION_I, _REGION_II, _REGION_III):
         mask = regions == region
         if np.any(mask):
-            out[mask] = _phi_region(sol, x[mask], region)
+            out[mask] = region_form(sol, x[mask], region)
     return out if out.shape else complex(out)
+
+
+def wavefunction(sol: RectSolution, x):
+    """Stationary wavefunction at x, scalar or array."""
+    return _piecewise(sol, x, _phi_region)
 
 
 def wavefunction_dx(sol: RectSolution, x):
     """Spatial derivative of the wavefunction at x."""
-    x = np.asarray(x, dtype=float)
-    regions = _region_of(sol, x)
-    out = np.empty(x.shape, dtype=complex)
-    for region in (_REGION_I, _REGION_II, _REGION_III):
-        mask = regions == region
-        if np.any(mask):
-            out[mask] = _dphi_region(sol, x[mask], region)
-    return out if out.shape else complex(out)
+    return _piecewise(sol, x, _dphi_region)
 
 
 def amplitude(sol: RectSolution, x):

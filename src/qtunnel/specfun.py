@@ -1,15 +1,13 @@
-"""Self-contained special-function kernel.
+"""Gauss hypergeometric kernel for complex parameters.
 
-Provides exactly what the rest of the library needs and nothing more:
+scipy has no 2F1 with complex a, b, c, so the library carries its own:
 
-* Gauss hypergeometric 2F1 with complex parameters on real z in [0, 1),
-  for one (a, b, c) over a whole array of z at once, via the direct Gauss
-  series for z <= 1/2 and the two-term z -> 1-z linear transformation (with
-  log-Gamma prefactors) for z > 1/2, so convergence stays geometric with
-  ratio <= 1/2 (DLMF 15.2, 15.8),
-* its z-derivative, summed term by term from the same series,
-* the Airy function Ai on |x| <= 30,
-* principal-branch log-Gamma (Lanczos) and Gamma.
+* 2F1 on real z in [0, 1), for one (a, b, c) over a whole array of z at
+  once, via the direct Gauss series for z <= 1/2 and the two-term
+  z -> 1-z linear transformation (with log-Gamma prefactors from
+  ``scipy.special.loggamma``) for z > 1/2, so convergence stays geometric
+  with ratio <= 1/2 (DLMF 15.2, 15.8),
+* its z-derivative, summed term by term from the same series.
 
 Pure functions, no state; thread-safe.
 """
@@ -17,10 +15,10 @@ Pure functions, no state; thread-safe.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import loggamma
 
 from .errors import ConvergenceError, DomainError
 
@@ -31,61 +29,12 @@ _REL_EPS = 1e-16
 _DEGENERATE_TOL = 1e-6
 _PERTURB = 1e-6
 
-# Lanczos g=7, n=9 coefficients (double precision, ~15 significant digits).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_TWO_PI = 0.9189385332046727417803297364  # ln(sqrt(2 pi))
-
 
 def _is_nonpositive_int(z: complex, tol: float = 1e-14) -> bool:
     if abs(z.imag) > tol:
         return False
     r = round(z.real)
     return r <= 0 and abs(z.real - r) <= tol * max(1.0, abs(z.real))
-
-
-def log_gamma(z: complex) -> complex:
-    """Principal-branch log-Gamma for complex z off the pole set.
-
-    Left of Re(z) = 0.5 the recurrence Gamma(z+1) = z Gamma(z) is unwound
-    with principal logs, which keeps exp(log_gamma) exact everywhere the
-    library needs it.
-    """
-    z = complex(z)
-    if _is_nonpositive_int(z):
-        raise DomainError(f"log_gamma pole at z = {z}")
-    if z.real < 0.5:
-        shift = complex(0.0)
-        n = math.ceil(0.5 - z.real)
-        for i in range(n):
-            shift += cmath.log(z + i)
-        return log_gamma(z + n) - shift
-    zm = z - 1.0
-    x = complex(_LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[i] / (zm + i)
-    t = zm + _LANCZOS_G + 0.5
-    return _LN_SQRT_TWO_PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(x)
-
-
-def gamma(z: complex) -> complex:
-    """Gamma function via exp(log_gamma); real output for real positive z."""
-    val = cmath.exp(log_gamma(z))
-    if isinstance(z, (int, float)) or (abs(complex(z).imag) == 0.0):
-        if complex(z).real > 0:
-            return complex(val.real, 0.0)
-    return val
 
 
 @dataclass(frozen=True)
@@ -157,17 +106,18 @@ def _hyp2f1_transformed(a: complex, b: complex, c: complex,
     value = np.zeros(w.size, dtype=complex)
     deriv = np.zeros(w.size, dtype=complex)
     terms = 0
-    lg_c = log_gamma(c)
+    # only exp() of the log-Gamma sums is used, so the branch does not matter
+    lg_c = loggamma(c)
     # coefficient of the analytic term; vanishes when c-a or c-b is a
     # non-positive integer (1/Gamma pole)
     if not (_is_nonpositive_int(c - a) or _is_nonpositive_int(c - b)):
-        coeff1 = cmath.exp(lg_c + log_gamma(s) - log_gamma(c - a) - log_gamma(c - b))
+        coeff1 = cmath.exp(lg_c + loggamma(s) - loggamma(c - a) - loggamma(c - b))
         f1, d1, n1 = _gauss_series(a, b, a + b - c + 1.0, w)
         value += coeff1 * f1
         deriv -= coeff1 * d1
         terms += n1
     if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
-        coeff2 = cmath.exp(lg_c + log_gamma(-s) - log_gamma(a) - log_gamma(b))
+        coeff2 = cmath.exp(lg_c + loggamma(-s) - loggamma(a) - loggamma(b))
         f2, d2, n2 = _gauss_series(c - a, c - b, s + 1.0, w)
         w_s = np.exp(s * np.log(w))
         value += coeff2 * w_s * f2
@@ -240,78 +190,3 @@ def hyp2f1(a: complex, b: complex, c: complex, z, one_minus_z=None):
 def hyp2f1_dz(a: complex, b: complex, c: complex, z, one_minus_z=None):
     """d/dz of 2F1, summed term by term alongside the value."""
     return hyp2f1_ex(a, b, c, z, one_minus_z).dz
-
-
-# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3)
-_AI0 = 0.35502805388781723926
-_AIP0 = -0.25881940379280679840
-# Maclaurin pair below this |x|, asymptotic expansion beyond.  The pair loses
-# ~e^(2 sqrt(|x|^3/9)) digits to cancellation on the oscillatory side while
-# the asymptotic error floor falls like e^(-4/3 |x|^(3/2)); both meet the
-# 1e-10 absolute contract only for a crossover near |x| = 7.
-_AIRY_SWITCH = 7.0
-_AIRY_RANGE = 30.0
-
-
-def _airy_u_coeffs(n: int) -> list[float]:
-    us = [1.0]
-    for k in range(1, n):
-        us.append(us[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1)))
-    return us
-
-
-_AIRY_US = _airy_u_coeffs(40)
-
-
-def _airy_series(x: float) -> float:
-    f_term, g_term = 1.0, x
-    f_sum, g_sum = f_term, g_term
-    x3 = x * x * x
-    for k in range(1, 200):
-        f_term *= x3 / ((3 * k) * (3 * k - 1))
-        g_term *= x3 / ((3 * k + 1) * (3 * k))
-        f_sum += f_term
-        g_sum += g_term
-        if abs(f_term) < _REL_EPS * abs(f_sum) and abs(g_term) < _REL_EPS * abs(g_sum):
-            break
-    return _AI0 * f_sum + _AIP0 * g_sum
-
-
-def _airy_asymptotic_decay(x: float) -> float:
-    zeta = (2.0 / 3.0) * x * math.sqrt(x)
-    total, prev = 1.0, 1.0
-    for k in range(1, len(_AIRY_US)):
-        term = (-1) ** k * _AIRY_US[k] / zeta**k
-        if abs(term) > abs(prev):
-            break
-        total += term
-        prev = term
-    return math.exp(-zeta) * total / (2.0 * math.sqrt(math.pi) * x**0.25)
-
-
-def _airy_asymptotic_oscillatory(x: float) -> float:
-    y = -x
-    zeta = (2.0 / 3.0) * y * math.sqrt(y)
-    c_sum, s_sum = 0.0, 0.0
-    prev = math.inf
-    for k in range(len(_AIRY_US) // 2 - 1):
-        tc = (-1) ** k * _AIRY_US[2 * k] / zeta ** (2 * k)
-        ts = (-1) ** k * _AIRY_US[2 * k + 1] / zeta ** (2 * k + 1)
-        mag = max(abs(tc), abs(ts))
-        if mag > prev:
-            break
-        c_sum += tc
-        s_sum += ts
-        prev = mag
-    arg = zeta + math.pi / 4.0
-    return (math.sin(arg) * c_sum - math.cos(arg) * s_sum) / (math.sqrt(math.pi) * y**0.25)
-
-
-def airy_ai(x: float) -> float:
-    """Airy function Ai(x) on |x| <= 30, absolute accuracy 1e-10."""
-    x = float(x)
-    if abs(x) > _AIRY_RANGE:
-        raise DomainError(f"airy_ai supports |x| <= {_AIRY_RANGE}, got {x}")
-    if abs(x) <= _AIRY_SWITCH:
-        return _airy_series(x)
-    return _airy_asymptotic_decay(x) if x > 0 else _airy_asymptotic_oscillatory(x)

@@ -8,12 +8,13 @@ E - V_tot of the effective classical system positive through the barrier.
 Near each turning point the semiclassical forms are replaced, inside a
 window sized by a linearization budget and a validity floor on the scaled
 Airy argument, with the exact solution of the locally linearized problem
-(an Airy-type basis integrated numerically), least-squares matched to the
-semiclassical wavefunction at both window edges.
+(Ai and Bi of the scaled distance to the turning point, DLMF 9.2),
+least-squares matched to the semiclassical wavefunction at both window
+edges.  The semiclassical forms, the windows and the potential are
+evaluated on whole grid segments at once.
 
 Also provides the tanh-trajectory steepness parameter for general barriers,
-built from the slope at the exit turning point and the Gamma constants of
-the special-function kernel.
+built from the slope at the exit turning point and Gamma(1/3), Gamma(2/3).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, solve_ivp
+from scipy.integrate import cumulative_simpson, quad
+from scipy.special import airy
 
-from . import specfun
 from .core import PhysicalParams, SmoothPotential
 from .errors import (
     DegenerateTurningPointError,
@@ -80,18 +81,13 @@ def find_turning_points(
     if hi <= lo:
         raise DomainError("bracket must satisfy lo < hi")
     xs = np.linspace(lo, hi, scan_points)
-    fs = np.array([potential(float(x)) - E for x in xs])
-    signs = np.sign(fs)
-    crossings = [
-        (xs[i], xs[i + 1])
-        for i in range(scan_points - 1)
-        if signs[i] != signs[i + 1] and signs[i] != 0
-    ]
-    if len(crossings) != 2:
+    signs = np.sign(potential(xs) - E)
+    starts = np.flatnonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0))
+    if starts.size != 2:
         raise TurningPointTopologyError(
-            f"expected exactly 2 roots of V=E in {bracket}, found {len(crossings)}"
+            f"expected exactly 2 roots of V=E in {bracket}, found {starts.size}"
         )
-    roots = [_refine_root(potential, E, a, b, hi - lo) for a, b in crossings]
+    roots = [_refine_root(potential, E, xs[i], xs[i + 1], hi - lo) for i in starts]
     x0, a = sorted(roots)
     s0, sa = potential.derivative(x0), potential.derivative(a)
     scale = max(abs(s0), abs(sa), 1e-300)
@@ -131,6 +127,18 @@ def _refine_root(potential, E, a, b, scale) -> float:
     return x
 
 
+def _airy_scale(params: PhysicalParams, slope: float) -> float:
+    """Real cube root s of 2 M V'(x_t)/hbar^2, negative where V' < 0.
+
+    Near a turning point x_t the linearized problem y'' = s^3 (x - x_t) y
+    is solved exactly by Ai and Bi of s (x - x_t); |s| is the inverse
+    length scale of the Airy region.
+    """
+    return math.copysign(
+        (2.0 * params.mass_M * abs(slope) / params.hbar**2) ** (1.0 / 3.0), slope
+    )
+
+
 def _window_width(potential: SmoothPotential, x_t: float, slope: float,
                   w_max: float, params: PhysicalParams,
                   edge_argument: float) -> float:
@@ -165,8 +173,7 @@ def _window_width(potential: SmoothPotential, x_t: float, slope: float,
             else:
                 hi = mid
         w_lin = lo
-    gamma = (2.0 * params.mass_M * abs(slope) / params.hbar**2) ** (1.0 / 3.0)
-    w_floor = edge_argument / gamma
+    w_floor = edge_argument / abs(_airy_scale(params, slope))
     return min(max(w_lin, w_floor), w_max)
 
 
@@ -193,105 +200,18 @@ def rho_general(
             f"right turning point must have V'(a) < 0, got {slope}"
         )
     beta = -slope
-    g13 = specfun.gamma(1.0 / 3.0).real
-    g23 = specfun.gamma(2.0 / 3.0).real
-    prefactor = 3.0 ** (5.0 / 6.0) * g23 / (2.0 * g13)
+    prefactor = 3.0 ** (5.0 / 6.0) * math.gamma(2.0 / 3.0) / (2.0 * math.gamma(1.0 / 3.0))
     return prefactor * params.hbar * beta ** (1.0 / 3.0) / (params.mass_M * a)
 
 
-class _WkbForms:
-    """Analytic semiclassical wavefunction pieces outside the patch windows."""
-
-    def __init__(self, potential, E, params, x_ii_end, theta_parts,
-                 include_decaying_term):
-        self.potential = potential
-        self.E = E
-        self.params = params
-        self.x_ii_end = x_ii_end  # right seam of the mid-barrier segment
-        self.tail_L, self.cum_II, self.tail_R = theta_parts
-        self.theta = self.tail_L + self.cum_II(x_ii_end) + self.tail_R
-        self.include_decaying = include_decaying_term
-
-    def _p(self, x):
-        v = self.potential(x)
-        arg = 2.0 * self.params.mass_M * (self.E - v)
-        if arg <= 0:
-            raise DomainError(f"p(x) evaluated under the barrier at x = {x}")
-        return math.sqrt(arg) / self.params.hbar
-
-    def _q(self, x):
-        v = self.potential(x)
-        arg = 2.0 * self.params.mass_M * (v - self.E)
-        if arg <= 0:
-            raise DomainError(f"q(x) evaluated outside the barrier at x = {x}")
-        return math.sqrt(arg) / self.params.hbar
-
-    def _dp(self, x, p):
-        return -self.params.mass_M * self.potential.derivative(x) / (
-            self.params.hbar**2 * p
-        )
-
-    def _dq(self, x, q):
-        return self.params.mass_M * self.potential.derivative(x) / (
-            self.params.hbar**2 * q
-        )
-
-    def s_r(self, x):
-        """Action integral from x to the right turning point."""
-        return self.cum_II(self.x_ii_end) - self.cum_II(x) + self.tail_R
-
-    def value_II(self, x):
-        q = self._q(x)
-        s = self.s_r(x)
-        grow = math.exp(s)
-        decay = 0.5j * math.exp(-s) if self.include_decaying else 0.0
-        phi = (grow + decay) / math.sqrt(q)
-        dphi = -self._dq(x, q) / (2.0 * q) * phi + math.sqrt(q) * (-grow + decay)
-        return phi, dphi
-
-    def value_III(self, x, theta_r):
-        p = self._p(x)
-        if self.include_decaying:
-            phase = np.exp(1j * (theta_r + math.pi / 4.0))
-            phi = phase / math.sqrt(p)
-            dphi = (1j * p - self._dp(x, p) / (2.0 * p)) * phi
-        else:
-            phi = math.cos(theta_r + math.pi / 4.0) / math.sqrt(p)
-            dphi = -self._dp(x, p) / (2.0 * p) * phi - math.sqrt(p) * math.sin(
-                theta_r + math.pi / 4.0
-            )
-        return phi, dphi
-
-    def value_I(self, x, theta_l):
-        p = self._p(x)
-        arg = theta_l + math.pi / 4.0
-        big = 2.0 * math.exp(self.theta) * math.sin(arg)
-        small = 0.5j * math.exp(-self.theta) * math.cos(arg) if self.include_decaying else 0.0
-        phi = (big + small) / math.sqrt(p)
-        # d theta_l/dx = -p
-        dbig = -2.0 * math.exp(self.theta) * math.cos(arg) * p
-        dsmall = (0.5j * math.exp(-self.theta) * math.sin(arg) * p
-                  if self.include_decaying else 0.0)
-        dphi = -self._dp(x, p) / (2.0 * p) * phi + (dbig + dsmall) / math.sqrt(p)
-        return phi, dphi
-
-
-def _airy_window_basis(potential, E, params, x_t, slope, x_lo, x_hi):
-    """Two numeric solutions of the linearized problem across the window."""
-    scale = (2.0 * params.mass_M * abs(slope) / params.hbar**2) ** (1.0 / 3.0)
-    coeff = 2.0 * params.mass_M * slope / params.hbar**2
-
-    def rhs(x, y):
-        return [y[1], coeff * (x - x_t) * y[0]]
-
-    sols = []
-    for ic in ([1.0, 0.0], [0.0, scale]):
-        res = solve_ivp(rhs, (x_lo, x_hi), ic, method="DOP853",
-                        rtol=1e-12, atol=1e-14, dense_output=True)
-        if not res.success:
-            raise DomainError(f"Airy window integration failed: {res.message}")
-        sols.append(res.sol)
-    return sols, scale
+def _airy_window_basis(params: PhysicalParams, x_t: float, slope: float,
+                       xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exact solutions Ai, Bi of the linearized problem on the window grid
+    (DLMF 9.2).  Returns their values and x-derivatives, each of shape
+    (2, len(xs)), and the scale |s|."""
+    s = _airy_scale(params, slope)
+    ai, aip, bi, bip = airy(s * (xs - x_t))
+    return np.array([ai, bi]), s * np.array([aip, bip]), abs(s)
 
 
 def wkb_total_potential(
@@ -324,8 +244,8 @@ def wkb_total_potential(
     x0, a = tps.left_x0, tps.right_a
     gap = a - x0
 
-    gamma_l = (2.0 * params.mass_M * abs(tps.slope_left) / params.hbar**2) ** (1.0 / 3.0)
-    gamma_r = (2.0 * params.mass_M * abs(tps.slope_right) / params.hbar**2) ** (1.0 / 3.0)
+    gamma_l = abs(_airy_scale(params, tps.slope_left))
+    gamma_r = abs(_airy_scale(params, tps.slope_right))
     if edge_argument * window_shrink * (1.0 / gamma_l + 1.0 / gamma_r) >= gap:
         raise ThinBarrierError(
             "patch windows overlap: barrier too thin for WKB; "
@@ -362,85 +282,100 @@ def wkb_total_potential(
             )
 
     # action pieces: singular sqrt tails by quadrature, the regular middle
-    # by cumulative Simpson on the grid
+    # by cumulative Simpson on the grid; q and p take scalars (for quad)
+    # and arrays, and read 0 on the wrong side of a turning point
     M, hbar = params.mass_M, params.hbar
 
     def q_of(x):
-        return math.sqrt(max(2.0 * M * (potential(float(x)) - E), 0.0)) / hbar
+        return np.sqrt(np.maximum(2.0 * M * (potential(x) - E), 0.0)) / hbar
 
     def p_of(x):
-        return math.sqrt(max(2.0 * M * (E - potential(float(x))), 0.0)) / hbar
+        return np.sqrt(np.maximum(2.0 * M * (E - potential(x)), 0.0)) / hbar
 
-    tail_l = quad(q_of, x0, xs[i_l1], epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-    tail_r = quad(q_of, xs[i_r0], a, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-    xs_ii = xs[i_l1:i_r0 + 1]
-    q_ii = np.array([q_of(x) for x in xs_ii])
+    def amplitude_slope(x, k, sign):
+        """k'/(2k), the slope of ln sqrt(k), for k = q (sign 1) or p (sign -1)."""
+        return sign * M * potential.derivative(x) / (hbar**2 * k) / (2.0 * k)
+
+    quad_opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    xs_i, xs_ii, xs_iii = xs[:i_l0 + 1], xs[i_l1:i_r0 + 1], xs[i_r1:]
+    p_i, q_ii, p_iii = p_of(xs_i), q_of(xs_ii), p_of(xs_iii)
+    for xs_k, k in ((xs_i, p_i), (xs_ii, q_ii), (xs_iii, p_iii)):
+        flat = ~(k > 0.0)
+        if flat.any():
+            raise DomainError(
+                f"V - E changes sign inside a semiclassical region at x = "
+                f"{xs_k[np.argmax(flat)]}"
+            )
+    tail_l = quad(q_of, x0, xs[i_l1], **quad_opts)[0]
+    tail_r = quad(q_of, xs[i_r0], a, **quad_opts)[0]
     cum_ii = cumulative_simpson(q_ii, x=xs_ii, initial=0.0)
-
-    def cum_II(x):
-        return float(np.interp(x, xs_ii, cum_ii))
-
-    forms = _WkbForms(
-        potential, E, params, xs[i_r0],
-        (tail_l, cum_II, tail_r),
-        include_decaying_term,
-    )
+    theta = tail_l + cum_ii[-1] + tail_r
 
     # oscillatory phases outside the barrier
-    xs_i = xs[: i_l0 + 1]
-    p_i = np.array([p_of(x) for x in xs_i])
     cum_i = cumulative_simpson(p_i, x=xs_i, initial=0.0)
-    tail_i = quad(p_of, xs[i_l0], x0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-    theta_l_grid = tail_i + (cum_i[i_l0] - cum_i)
-
-    xs_iii = xs[i_r1:]
-    p_iii = np.array([p_of(x) for x in xs_iii])
+    tail_i = quad(p_of, xs[i_l0], x0, **quad_opts)[0]
+    theta_l = tail_i + (cum_i[-1] - cum_i)
     cum_iii = cumulative_simpson(p_iii, x=xs_iii, initial=0.0)
-    tail_iii = quad(p_of, a, xs[i_r1], epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-    theta_r_grid = tail_iii + cum_iii
+    tail_iii = quad(p_of, a, xs[i_r1], **quad_opts)[0]
+    theta_r = tail_iii + cum_iii
 
     phi = np.empty(num_points, dtype=complex)
     dphi = np.empty(num_points, dtype=complex)
-    for j, x in enumerate(xs_i):
-        phi[j], dphi[j] = forms.value_I(float(x), float(theta_l_grid[j]))
-    for j in range(i_l1, i_r0 + 1):
-        phi[j], dphi[j] = forms.value_II(float(xs[j]))
-    for j, x in enumerate(xs_iii):
-        phi[i_r1 + j], dphi[i_r1 + j] = forms.value_III(float(x), float(theta_r_grid[j]))
+
+    # region I: the connected incident-plus-reflected wave; d theta_l/dx = -p
+    arg = theta_l + math.pi / 4.0
+    big = 2.0 * math.exp(theta) * np.sin(arg)
+    dbig = -2.0 * math.exp(theta) * np.cos(arg) * p_i
+    if include_decaying_term:
+        small = 0.5j * math.exp(-theta) * np.cos(arg)
+        dsmall = 0.5j * math.exp(-theta) * np.sin(arg) * p_i
+    else:
+        small = dsmall = 0.0
+    phi_i = (big + small) / np.sqrt(p_i)
+    phi[:i_l0 + 1] = phi_i
+    dphi[:i_l0 + 1] = (-amplitude_slope(xs_i, p_i, -1.0) * phi_i
+                       + (dbig + dsmall) / np.sqrt(p_i))
+
+    # region II: growing exponential plus the i/2-weighted decaying one,
+    # with s_r the action from x to the right turning point
+    s_r = cum_ii[-1] - cum_ii + tail_r
+    grow = np.exp(s_r)
+    decay = 0.5j * np.exp(-s_r) if include_decaying_term else 0.0
+    phi_ii = (grow + decay) / np.sqrt(q_ii)
+    phi[i_l1:i_r0 + 1] = phi_ii
+    dphi[i_l1:i_r0 + 1] = (-amplitude_slope(xs_ii, q_ii, 1.0) * phi_ii
+                           + np.sqrt(q_ii) * (-grow + decay))
+
+    # region III: the purely outgoing wave (its real part without the
+    # decaying term)
+    arg = theta_r + math.pi / 4.0
+    slope_iii = amplitude_slope(xs_iii, p_iii, -1.0)
+    if include_decaying_term:
+        phi_iii = np.exp(1j * arg) / np.sqrt(p_iii)
+        dphi[i_r1:] = (1j * p_iii - slope_iii) * phi_iii
+    else:
+        phi_iii = np.cos(arg) / np.sqrt(p_iii)
+        dphi[i_r1:] = -slope_iii * phi_iii - np.sqrt(p_iii) * np.sin(arg)
+    phi[i_r1:] = phi_iii
 
     mismatch = 0.0
-    window_phi = {}
+    window_r = {}
     for (x_t, slope, i0, i1) in (
         (x0, tps.slope_left, i_l0, i_l1),
         (a, tps.slope_right, i_r0, i_r1),
     ):
-        basis, scale = _airy_window_basis(
-            potential, E, params, x_t, slope, xs[i0], xs[i1]
-        )
-        rows, rhs_vec = [], []
-        for edge in (i0, i1):
-            y = [b(xs[edge]) for b in basis]
-            rows.append([y[0][0], y[1][0]])
-            rows.append([y[0][1] / scale, y[1][1] / scale])
-            rhs_vec.append(phi[edge])
-            rhs_vec.append(dphi[edge] / scale)
-        A_mat = np.array(rows, dtype=complex)
-        b_vec = np.array(rhs_vec, dtype=complex)
+        ys, dys, scale = _airy_window_basis(params, x_t, slope, xs[i0:i1 + 1])
+        A_mat = np.array([ys[:, 0], dys[:, 0] / scale, ys[:, -1], dys[:, -1] / scale],
+                         dtype=complex)
+        b_vec = np.array([phi[i0], dphi[i0] / scale, phi[i1], dphi[i1] / scale])
         coeffs, *_ = np.linalg.lstsq(A_mat, b_vec, rcond=None)
         resid = A_mat @ coeffs - b_vec
-        norm = max(abs(v) for v in rhs_vec)
-        mismatch = max(mismatch, float(np.max(np.abs(resid)) / norm))
+        mismatch = max(mismatch, float(np.max(np.abs(resid)) / np.max(np.abs(b_vec))))
         # patch solution over the whole window including the seam points; the
         # assembled profile keeps the seam values from the WKB side, but the
         # window's own finite differences must not see that jump
-        vals = np.empty(i1 - i0 + 1, dtype=complex)
-        dvals = np.empty(i1 - i0 + 1, dtype=complex)
-        for j in range(i0, i1 + 1):
-            y0 = basis[0](xs[j])
-            y1 = basis[1](xs[j])
-            vals[j - i0] = coeffs[0] * y0[0] + coeffs[1] * y1[0]
-            dvals[j - i0] = coeffs[0] * y0[1] + coeffs[1] * y1[1]
-        window_phi[(i0, i1)] = (vals, dvals)
+        vals, dvals = coeffs @ ys, coeffs @ dys
+        window_r[i0] = np.abs(vals)
         phi[i0 + 1:i1] = vals[1:-1]
         dphi[i0 + 1:i1] = dvals[1:-1]
 
@@ -450,15 +385,12 @@ def wkb_total_potential(
 
     # quantum potential per segment: no finite-difference stencil crosses a
     # seam, and window segments difference their own (patch) amplitude
-    v_bare = np.array([potential(float(x)) for x in xs])
+    v_bare = potential(xs)
     v_tot = np.empty(num_points)
     bounds = [0, i_l0, i_l1, i_r0, i_r1, num_points - 1]
     for seg in range(5):
         s, e = bounds[seg], bounds[seg + 1]
-        if seg in (1, 3):
-            r_seg = np.abs(window_phi[(s, e)][0])
-        else:
-            r_seg = r[s:e + 1]
+        r_seg = window_r[s] if seg in (1, 3) else r[s:e + 1]
         vq = quantum_potential(r_seg, h, params, x0=xs[s])
         sl = slice(s if seg == 0 else s + 1, e + 1)
         off = 0 if seg == 0 else 1
@@ -478,7 +410,7 @@ def wkb_total_potential(
         v_tot=v_tot,
         e_minus_vtot=E - v_tot,
         turning_points=tps,
-        barrier_action=forms.theta,
+        barrier_action=theta,
         windows=((xs[i_l0], xs[i_l1]), (xs[i_r0], xs[i_r1])),
         boundary_mismatch=mismatch,
         flux_drift=flux_drift,

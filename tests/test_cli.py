@@ -229,3 +229,36 @@ def test_validate_checks_every_sweep_point(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["wkb", "--poly", "nan,8,-8"],
+    ["fig2", "--poly", "1,inf,-8"],
+    ["fig2", "--bracket", "nan,1.5"],
+    ["wkb", "--bracket", "1.5,-0.5"],
+    ["fig2", "--bracket", "0.5,0.5"],
+    ["mode-evolve", "--rho", "0"],
+    ["mode-evolve", "--rho", "-1"],
+    ["mode-evolve", "--t-min", "5", "--t-max", "-5"],
+    ["mode-evolve", "--t-min", "0", "--t-max", "0"],
+])
+def test_bad_smooth_barrier_and_time_inputs_are_config_errors(tmp_path, capsys, flags):
+    out = tmp_path / "bad.csv"
+    assert main([*flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    # validate catches the same value in a config file
+    cfg = tmp_path / "bad.cfg"
+    pairs = zip(flags[1::2], flags[2::2])
+    cfg.write_text(f"scenario = {flags[0]}\n" + "".join(
+        f"{key[2:].replace('-', '_')} = {value}\n" for key, value in pairs))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "invariant violation" in capsys.readouterr().out
+
+
+def test_config_polynomial_array_equals_scalar_calls():
+    xs = np.linspace(-3.0, 4.0, 2001)
+    for poly in ("1,8,-8", "0.3,-1.7,2.9,-0.45,0.125"):
+        pot = RunConfig(scenario="fig2", values={"poly": poly}).smooth_potential()
+        assert pot(xs).tolist() == [pot(float(x)) for x in xs]
+        assert pot.derivative(xs).tolist() == [pot.derivative(float(x)) for x in xs]

@@ -2,9 +2,10 @@
 
 For every input, ``main`` returns 0, 2 or 3 and never raises, and a non-zero
 exit leaves no output file.  The inputs include NaN and infinite values,
-non-positive values, sweeps with bad points and unwritable ``--out`` paths.
-Barriers thicker than beta*a = 355 are left out: their closed forms
-overflow double range until they are evaluated in log space.
+non-positive values, sweeps with bad points, reversed time ranges and
+brackets, smooth barriers with bad coefficients and unwritable ``--out``
+paths.  Barriers thicker than beta*a = 355 are left out: their closed
+forms overflow double range until they are evaluated in log space.
 """
 
 import math
@@ -19,7 +20,8 @@ from qtunnel.cli import main
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
 POSITIVE = st.floats(min_value=0.05, max_value=8.0)
 ONE_IN_THREE = st.integers(0, 2).map(lambda i: i == 0)
-SCENARIOS = ["rect", "fig1a", "sweep", "fig3", "backreaction", "mode-evolve"]
+SMOOTH = ["fig2", "wkb"]
+SCENARIOS = ["rect", "fig1a", "sweep", "fig3", "backreaction", "mode-evolve"] + SMOOTH
 THICK = 355.0
 
 
@@ -29,39 +31,67 @@ def too_thick(E: float, V0: float, a: float) -> bool:
             and math.sqrt(2.0 * (V0 - E)) * a > THICK)
 
 
+def text(value) -> str:
+    """A flag or config value: a float, or a tuple as comma-separated floats."""
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
 @st.composite
 def runs(draw):
-    """(scenario, flag values, optional sweep, writable --out); at most one
-    flag and one sweep point carry a special value, so clean runs are common."""
+    """(scenario, flag values, optional sweep, writable --out, validated
+    scenario); at most one flag, one entry of ``poly`` or ``bracket``, and
+    one sweep point carry a special value, so clean runs are common."""
     scenario = draw(st.sampled_from(SCENARIOS + ["validate"]))
-    values = {key: draw(POSITIVE) for key in ("E", "a", "m", "omega0")}
-    # mostly below the barrier top, sometimes above it
-    values["V0"] = values["E"] + draw(st.floats(min_value=-1.0, max_value=6.0))
-    values["c"] = draw(st.floats(min_value=-0.5, max_value=0.5))
+    target = draw(st.sampled_from(SCENARIOS)) if scenario == "validate" else scenario
+    if target in SMOOTH:
+        # around the default barrier 1 + 8x - 8x^2 (top V = 3) and bracket
+        values = {
+            "E": draw(st.floats(min_value=0.2, max_value=3.5)),
+            "poly": (draw(st.floats(0.5, 1.5)), draw(st.floats(6.0, 10.0)),
+                     draw(st.floats(-10.0, -6.0))),
+            "bracket": (draw(st.floats(-1.0, -0.3)), draw(st.floats(1.3, 2.0))),
+        }
+    else:
+        values = {key: draw(POSITIVE) for key in ("E", "a", "m", "omega0")}
+        # mostly below the barrier top, sometimes above it
+        values["V0"] = values["E"] + draw(st.floats(min_value=-1.0, max_value=6.0))
+        values["c"] = draw(st.floats(min_value=-0.5, max_value=0.5))
+    if target == "mode-evolve":
+        # t_max sometimes at or below t_min
+        values["t_min"] = draw(st.floats(-10.0, 0.0))
+        values["t_max"] = draw(st.floats(-2.0, 10.0))
+        values["rho"] = draw(st.floats(0.5, 4.0))
     if draw(ONE_IN_THREE):
-        values[draw(st.sampled_from(sorted(values)))] = draw(SPECIAL)
+        key = draw(st.sampled_from(sorted(values)))
+        if isinstance(values[key], tuple):
+            parts = list(values[key])
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(SPECIAL)
+            values[key] = tuple(parts)
+        else:
+            values[key] = draw(SPECIAL)
     sweep = None
-    if scenario in ("sweep", "validate") and draw(st.booleans()):
+    if target == "sweep" and draw(st.booleans()):
         points = draw(st.lists(POSITIVE, min_size=1, max_size=3))
         if draw(ONE_IN_THREE):
             points[-1] = draw(SPECIAL)
         sweep = (draw(st.sampled_from(["a", "V0", "E"])), points)
-    sets = [values] + [dict(values, **{sweep[0]: v}) for v in (sweep[1] if sweep else [])]
-    assume(not any(too_thick(p["E"], p["V0"], p["a"]) for p in sets))
-    return scenario, values, sweep, not draw(ONE_IN_THREE)
+    if target not in SMOOTH:
+        sets = [values] + [dict(values, **{sweep[0]: v}) for v in (sweep[1] if sweep else [])]
+        assume(not any(too_thick(p["E"], p["V0"], p["a"]) for p in sets))
+    return scenario, values, sweep, not draw(ONE_IN_THREE), target
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 def test_main_exit_codes_and_no_partial_output(run):
-    scenario, values, sweep, writable = run
+    scenario, values, sweep, writable, target = run
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         out = (tmp if writable else tmp / "missing") / "out.csv"
         if scenario == "validate":
-            lines = [f"{k} = {v!r}" for k, v in values.items()]
-            lines.append(f"scenario = {'sweep' if sweep else 'rect'}")
+            lines = [f"{k} = {text(v)}" for k, v in values.items()]
+            lines.append(f"scenario = {target}")
             if sweep:
                 lines += [f"sweep_key = {sweep[0]}",
                           "sweep_values = " + ",".join(repr(v) for v in sweep[1])]
@@ -69,9 +99,12 @@ def test_main_exit_codes_and_no_partial_output(run):
             cfg.write_text("\n".join(lines) + "\n")
             argv = ["validate", "--config", str(cfg)]
         else:
-            argv = [scenario, "--grid-points", "32", "--out", str(out)]
+            # the smooth-barrier windows need more than 32 points
+            points = "200" if scenario in SMOOTH else "32"
+            argv = [scenario, "--grid-points", points, "--out", str(out)]
             # --key=value, so argparse reads "-inf" as a value, not a flag
-            argv += [f"--{key}={value!r}" for key, value in values.items()]
+            argv += [f"--{key.replace('_', '-')}={text(value)}"
+                     for key, value in values.items()]
             if sweep:
                 argv += ["--sweep-key", sweep[0],
                          "--sweep-values=" + ",".join(repr(v) for v in sweep[1])]

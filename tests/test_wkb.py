@@ -114,8 +114,8 @@ def test_profile_flux_positive(quadratic_profile):
 def test_thin_barrier_error():
     # extremely curved walls force the linearization windows to overlap
     spike = SmoothPotential(
-        lambda x: 2.0 * math.exp(-((x / 0.05) ** 2)),
-        lambda x: 2.0 * math.exp(-((x / 0.05) ** 2)) * (-2.0 * x / 0.05**2),
+        lambda x: 2.0 * np.exp(-((x / 0.05) ** 2)),
+        lambda x: 2.0 * np.exp(-((x / 0.05) ** 2)) * (-2.0 * x / 0.05**2),
     )
     with pytest.raises(ThinBarrierError):
         wkb.wkb_total_potential(spike, 1.0, PARAMS_E1, bracket=(-0.2, 0.2),
@@ -140,6 +140,27 @@ def test_quartic_cross_check_with_rect():
     rect_mid = rect.kinetic_density_region2(sol, width / 2.0)
     ratio = prof.e_minus_vtot[mid] / rect_mid
     assert 0.5 <= ratio <= 2.0
+
+
+@pytest.mark.parametrize("x_t, slope", [(0.0, 8.0), (1.0, -8.0), (0.3, 0.7)])
+def test_window_basis_solves_linearized_problem(x_t, slope):
+    # y'' = kappa (x - x_t) y with kappa = 2 M V'(x_t)/hbar^2, by 5-point
+    # differences of the basis on a grid past |s (x - x_t)| = 2
+    params = PhysicalParams(energy_E=1.0, hbar=0.8, mass_M=1.3)
+    kappa = 2.0 * params.mass_M * slope / params.hbar**2
+    half = 2.0 / abs(kappa) ** (1.0 / 3.0)
+    xs = np.linspace(x_t - half, x_t + half, 2001)
+    h = xs[1] - xs[0]
+    ys, dys, scale = wkb._airy_window_basis(params, x_t, slope, xs)
+    assert scale == pytest.approx(abs(kappa) ** (1.0 / 3.0), rel=1e-14)
+    d2 = (-ys[:, :-4] + 16 * ys[:, 1:-3] - 30 * ys[:, 2:-2] + 16 * ys[:, 3:-1]
+          - ys[:, 4:]) / (12 * h * h)
+    assert np.max(np.abs(d2 - kappa * (xs[2:-2] - x_t) * ys[:, 2:-2])) <= 1e-7 * scale**2
+    d1 = (ys[:, :-4] - 8 * ys[:, 1:-3] + 8 * ys[:, 3:-1] - ys[:, 4:]) / (12 * h)
+    assert np.max(np.abs(d1 - dys[:, 2:-2])) <= 1e-7 * scale
+    # Wronskian Ai Bi' - Bi Ai' = 1/pi in the scaled variable: independent pair
+    wronskian = ys[0] * dys[1] - ys[1] * dys[0]
+    assert np.allclose(wronskian, math.copysign(scale, slope) / math.pi, rtol=1e-12)
 
 
 def test_rho_general_quadratic(quadratic_tps):
