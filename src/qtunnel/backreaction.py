@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, simpson
 
-from .core import EnvMode, PhysicalParams, RectBarrier
+from .core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
 from .errors import (
     AlignmentError,
     DomainError,
@@ -181,7 +181,7 @@ def effective_potential(
     h = xs[1] - xs[0]
     if np.max(np.abs(np.diff(xs) - h)) > 1e-9 * abs(h):
         raise DomainError("effective_potential requires a uniform grid")
-    dq1 = _derivative_5pt(q1, h)
+    dq1 = derivative_5pt(q1, h, order=1)
     # grid-scale oscillation of the derivative marks an under-resolved Q1
     sign_flips = int(np.sum(np.diff(np.sign(dq1[dq1 != 0])) != 0))
     if sign_flips > len(xs) // 4:
@@ -198,16 +198,6 @@ def effective_potential(
         xs=xs, q1=q1, q2=q2, v=v, v_eff=v_eff, delta_v=delta_v, p0=p0,
         delta_v_bar=delta_v_bar, delta_v_mid=delta_v_mid,
     )
-
-
-def _derivative_5pt(y: np.ndarray, h: float) -> np.ndarray:
-    d = np.empty_like(y)
-    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * h)
-    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * h)
-    d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / (12.0 * h)
-    d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / (12.0 * h)
-    return d
 
 
 def modified_probability(sol: RectSolution, delta_v_bar: float) -> float:

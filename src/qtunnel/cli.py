@@ -22,16 +22,19 @@ import contextlib
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import backreaction as br
 from . import config as cfgmod
-from . import modes as modes_mod
 from . import rect as rect_mod
-from . import wkb as wkb_mod
 from .config import ConfigError, RunConfig
-from .errors import QTunnelError
+from .errors import PrecisionError, QTunnelError
+
+# backreaction, modes and wkb load scipy, so each runner that needs one imports
+# it itself: rect, sweep, fig1a, fig1b and validate run on numpy alone.
+if TYPE_CHECKING:
+    from .backreaction import BackreactionProfile
 
 _FORMAT = "%.12g"
 # rows formatted per batch: bounds how many Python floats are alive at once
@@ -39,9 +42,15 @@ _CHUNK_ROWS = 4096
 
 
 def _csv_text(cfg: RunConfig, columns: dict) -> str:
-    """Header, column names and one row per grid point; scalar columns repeat."""
+    """Header, column names and one row per grid point; scalar columns repeat.
+
+    Raises PrecisionError instead of writing a non-finite value.
+    """
     n = max(np.size(v) for v in columns.values())
     cols = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in columns.values()]
+    bad = [name for name, col in zip(columns, cols) if not np.isfinite(col).all()]
+    if bad:
+        raise PrecisionError(f"non-finite values in {', '.join(bad)}")
     row_format = ",".join([_FORMAT] * len(cols))
     parts = [f"# qtunnel v1, scenario={cfg.scenario}, params={cfg.canonical()}",
              ",".join(columns)]
@@ -62,6 +71,8 @@ def _run_fig1(cfg: RunConfig) -> str:
 
 
 def _run_fig2(cfg: RunConfig, emit_rho: bool) -> str:
+    from . import wkb as wkb_mod
+
     params = cfg.physical_params()
     potential = cfg.smooth_potential()
     E = params.energy_E
@@ -76,8 +87,10 @@ def _run_fig2(cfg: RunConfig, emit_rho: bool) -> str:
     return _csv_text(cfg, columns)
 
 
-def _mode_backreaction(cfg: RunConfig) -> tuple[rect_mod.RectSolution, br.BackreactionProfile]:
+def _mode_backreaction(cfg: RunConfig) -> tuple[rect_mod.RectSolution, BackreactionProfile]:
     """Rect solution and the back-reaction profile summed over the config's modes."""
+    from . import backreaction as br
+
     sol = rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier())
     profs = [
         br.rect_mode_backreaction(sol, mode, num_points=int(cfg["grid_points"]))
@@ -112,6 +125,8 @@ def _run_rect(cfg: RunConfig) -> str:
 
 
 def _run_mode_evolve(cfg: RunConfig) -> str:
+    from . import modes as modes_mod
+
     params = cfg.physical_params()
     sol = rect_mod.solve_rect(params, cfg.rect_barrier())
     bg = rect_mod.classical_trajectory(sol, mode="tanh")
@@ -131,6 +146,8 @@ def _run_mode_evolve(cfg: RunConfig) -> str:
 
 
 def _run_backreaction(cfg: RunConfig) -> str:
+    from . import backreaction as br
+
     sol, prof = _mode_backreaction(cfg)
     return _csv_text(cfg, {
         "x": prof.xs, "V": prof.v, "V_eff": prof.v_eff, "delta_V": prof.delta_v,

@@ -120,6 +120,47 @@ class EnvMode:
             raise DomainError(f"coupling_c must be finite, got {self.coupling_c}")
 
 
+# 5-point stencils over uniform samples, as coefficients of y[i-2..i+2] with
+# their common denominator 12 h^order; the first two points use one-sided
+# closures and the last two their mirror images (sign (-1)^order).
+_STENCILS = {
+    1: ((1.0, -8.0, 0.0, 8.0, -1.0),
+        ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0))),
+    2: ((-1.0, 16.0, -30.0, 16.0, -1.0),
+        ((45.0, -154.0, 214.0, -156.0, 61.0, -10.0), (10.0, -15.0, -4.0, 14.0, -6.0, 1.0))),
+}
+
+
+def derivative_5pt(y: np.ndarray, h: float, order: int) -> np.ndarray:
+    """First or second derivative (``order`` 1 or 2) of samples spaced by h.
+
+    4th-order central stencil inside, one-sided closures of the same order at
+    the first and last two points (5 samples for the first derivative, 6 for
+    the second): exact for polynomials up to degree 4.  Needs at least 6
+    samples.
+    """
+    central, edges = _STENCILS[order]
+    denom = 12.0 * h if order == 1 else 12.0 * h * h
+    mirror = (-1.0) ** order
+    n = len(y)
+    d = np.empty_like(y)
+    d[2:-2] = _weighted_sum(central, [y[j:n - 4 + j] for j in range(5)]) / denom
+    for i, edge in enumerate(edges):
+        d[i] = _weighted_sum(edge, y) / denom
+        d[-1 - i] = _weighted_sum([mirror * c for c in edge], y[::-1]) / denom
+    return d
+
+
+def _weighted_sum(coefficients, terms):
+    """sum(c * t) left to right over the nonzero c (zip stops at the last c).
+    c * t is exact for c = +-1, so this rounds like the stencil written out."""
+    pairs = [(c, t) for c, t in zip(coefficients, terms) if c != 0.0]
+    total = pairs[0][0] * pairs[0][1]
+    for c, t in pairs[1:]:
+        total = total + c * t
+    return total
+
+
 def wave_numbers(params: PhysicalParams, barrier: RectBarrier) -> tuple[float, float]:
     """Propagating and evanescent wave numbers (k, beta) for E below V0.
 

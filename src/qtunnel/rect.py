@@ -11,17 +11,20 @@ All operations are pure functions over the immutable solution record.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
-from .core import PhysicalParams, RectBarrier, wave_numbers
+from .core import PhysicalParams, RectBarrier, derivative_5pt, wave_numbers
 from .errors import DomainError, NodeSingularityError, PrecisionError
 
 _REGION_I, _REGION_II, _REGION_III = 0, 1, 2
+# |A|^2, cosh^2(beta a) and sinh(2 beta a) all grow like e^(2 beta a)
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,8 @@ class ExactTrajectory:
         return np.interp(np.asarray(t, dtype=float), self.ts, self.xs)
 
     def traversal_time(self, x_from: float, x_to: float) -> float:
+        from scipy.integrate import quad
+
         a = self.sol.barrier.width_a
         if not (0.0 <= x_from < x_to <= a):
             raise DomainError("traversal window must satisfy 0 <= x_from < x_to <= a")
@@ -109,9 +114,17 @@ class ExactTrajectory:
 
 
 def solve_rect(params: PhysicalParams, barrier: RectBarrier) -> RectSolution:
-    """Solve the smoothness conditions at the barrier edges with C = 1."""
+    """Solve the smoothness conditions at the barrier edges with C = 1.
+
+    Raises PrecisionError when 2 beta a takes e^(2 beta a) beyond double range.
+    """
     k, beta = wave_numbers(params, barrier)
     a = barrier.width_a
+    if 2.0 * beta * a > _LOG_DOUBLE_MAX:
+        raise PrecisionError(
+            f"barrier too thick: 2 beta a = {2.0 * beta * a:.6g} puts e^(2 beta a) "
+            f"beyond double range (e^{_LOG_DOUBLE_MAX:.6g})"
+        )
     lam_p = complex(beta, k)
     lam_m = complex(beta, -k)
     C = 1.0 + 0.0j
@@ -129,8 +142,11 @@ def solve_rect(params: PhysicalParams, barrier: RectBarrier) -> RectSolution:
 
 
 def _check_solution(sol: RectSolution) -> None:
+    if not all(cmath.isfinite(c) for c in (sol.A, sol.B, sol.F, sol.G)):
+        raise PrecisionError("scattering coefficients overflow double range")
     flux_defect = abs(abs(sol.A) ** 2 - abs(sol.B) ** 2 - abs(sol.C) ** 2)
-    if flux_defect > 1e-12 * abs(sol.A) ** 2:
+    # written so that a NaN defect (|A|^2 overflowing to inf) fails too
+    if not flux_defect <= 1e-12 * abs(sol.A) ** 2:
         raise PrecisionError(f"flux conservation violated by {flux_defect:.3e}")
     a = sol.barrier.width_a
     for x in (0.0, a):
@@ -229,9 +245,8 @@ def quantum_potential(r: np.ndarray, dx: float, params: PhysicalParams,
                       x0: float = 0.0) -> np.ndarray:
     """V_Q = -(hbar^2/2M) R''/R from uniform amplitude samples.
 
-    Second derivative by 4th-order 5-point central stencil, with matching
-    one-sided stencils at the first and last two points.  The samples must be
-    nodeless (R > 0 throughout).
+    R'' by ``core.derivative_5pt``.  The samples must be nodeless (R > 0
+    throughout).
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size < 6:
@@ -242,17 +257,7 @@ def quantum_potential(r: np.ndarray, dx: float, params: PhysicalParams,
             f"wavefunction node in evaluation window near x = {x0 + i * dx}",
             location=x0 + i * dx,
         )
-    d2 = np.empty_like(r)
-    h2 = 12.0 * dx * dx
-    d2[2:-2] = (-r[:-4] + 16.0 * r[1:-3] - 30.0 * r[2:-2] + 16.0 * r[3:-1] - r[4:]) / h2
-    d2[0] = (45.0 * r[0] - 154.0 * r[1] + 214.0 * r[2]
-             - 156.0 * r[3] + 61.0 * r[4] - 10.0 * r[5]) / h2
-    d2[1] = (10.0 * r[0] - 15.0 * r[1] - 4.0 * r[2]
-             + 14.0 * r[3] - 6.0 * r[4] + r[5]) / h2
-    d2[-1] = (45.0 * r[-1] - 154.0 * r[-2] + 214.0 * r[-3]
-              - 156.0 * r[-4] + 61.0 * r[-5] - 10.0 * r[-6]) / h2
-    d2[-2] = (10.0 * r[-1] - 15.0 * r[-2] - 4.0 * r[-3]
-              + 14.0 * r[-4] - 6.0 * r[-5] + r[-6]) / h2
+    d2 = derivative_5pt(r, dx, order=2)
     return -(params.hbar**2 / (2.0 * params.mass_M)) * d2 / r
 
 
@@ -323,6 +328,8 @@ def classical_trajectory(sol: RectSolution, mode: str = "tanh"):
         return TanhBackground(amplitude_a=sol.barrier.width_a, rho=rho)
     if mode != "exact":
         raise DomainError(f"unknown trajectory mode {mode!r}")
+    from scipy.integrate import solve_ivp
+
     a = sol.barrier.width_a
     t_total = rolling_time(sol)
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
+from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, derivative_5pt
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, wkb
 
@@ -52,7 +52,7 @@ def test_criterion_2_fig3_profile():
     prof = br.rect_mode_backreaction(sol, FIG3_MODE, num_points=2000)
     elapsed = time.perf_counter() - start
     assert np.all(prof.q1 < 0.0)
-    dq1 = br._derivative_5pt(prof.q1, prof.xs[1] - prof.xs[0])
+    dq1 = derivative_5pt(prof.q1, prof.xs[1] - prof.xs[0], order=1)
     assert np.all(dq1 < 0.0)
     assert np.all(prof.v_eff >= prof.v)
     assert elapsed < 60.0, f"took {elapsed:.1f} s"

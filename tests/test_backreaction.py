@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qtunnel.core import EnvMode, PhysicalParams, RectBarrier
+from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
 from qtunnel.errors import AlignmentError, DomainError, OutOfRegimeError, ResolutionError
 from qtunnel import backreaction as br
 from qtunnel import modes, rect
@@ -76,7 +76,7 @@ def test_series_coefficients_bad_epsilons():
 def test_fig3_profile_signs(fig3_profile):
     prof = fig3_profile
     assert np.all(prof.q1 < 0.0)
-    dq1 = br._derivative_5pt(prof.q1, prof.xs[1] - prof.xs[0])
+    dq1 = derivative_5pt(prof.q1, prof.xs[1] - prof.xs[0], order=1)
     assert np.all(dq1 < 0.0)
     assert np.all(prof.q2 >= 0.0)
     assert np.all(prof.v_eff >= prof.v)

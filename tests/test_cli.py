@@ -165,6 +165,22 @@ def test_numerical_error_exit_code_and_no_partial_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["rect", "--a", "400"],
+    ["rect", "--a", "180"],
+    ["sweep", "--sweep-key", "a", "--sweep-values", "1,400"],
+    # beta*a inside double range, but t_roll = inf
+    ["rect", "--E", "0.1", "--V0", "0.2", "--a", "793.5"],
+    # |A|^2 finite, the outside V_tot NaN
+    ["fig1a", "--E", "50", "--V0", "51", "--a", "250.3"],
+])
+def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
+    out = tmp_path / "thick.csv"
+    assert main([*flags, "--out", str(out)]) == 3
+    assert "PrecisionError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_out_is_config_error(capsys):
     assert main(["rect"]) == 2
     assert "--out" in capsys.readouterr().err

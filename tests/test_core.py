@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, wave_numbers
+from qtunnel.core import (
+    EnvMode,
+    PhysicalParams,
+    RectBarrier,
+    SmoothPotential,
+    derivative_5pt,
+    wave_numbers,
+)
 from qtunnel.errors import AboveBarrierError, DomainError
 
 
@@ -81,3 +88,14 @@ def test_smooth_potential_fd_fallback():
     pot = SmoothPotential(lambda x: math.sin(2.0 * x))
     for x in (-1.3, 0.0, 0.7, 4.0):
         assert pot.derivative(x) == pytest.approx(2.0 * math.cos(2.0 * x), abs=5e-9)
+
+
+def test_derivative_5pt_exact_on_quartic():
+    # every row, interior and one-sided edges, is exact up to degree 4
+    h = 0.1
+    x = 0.3 + h * np.arange(12)
+    y = 1.5 - 2.0 * x + 0.7 * x**2 - 0.4 * x**3 + 0.25 * x**4
+    dy = -2.0 + 1.4 * x - 1.2 * x**2 + 1.0 * x**3
+    d2y = 1.4 - 2.4 * x + 3.0 * x**2
+    np.testing.assert_allclose(derivative_5pt(y, h, order=1), dy, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(derivative_5pt(y, h, order=2), d2y, rtol=0.0, atol=1e-10)
