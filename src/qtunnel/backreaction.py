@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, simpson
 
-from .core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
+from .core import EnvMode, PhysicalParams, RectBarrier, cumulative_simpson, derivative_5pt, simpson
 from .errors import (
     AlignmentError,
     DomainError,
@@ -189,10 +188,10 @@ def effective_potential(
             f"Q1' oscillates at grid scale ({sign_flips} sign flips); refine the grid"
         )
     hbar, M = params.hbar, params.mass_M
-    integral = cumulative_simpson(hbar * dq1 * p0 / (4.0 * M), x=xs, initial=0.0)
+    integral = cumulative_simpson(hbar * dq1 * p0 / (4.0 * M), xs)
     delta_v = 2.0 * hbar**2 * q1**2 / (32.0 * M) + hbar**2 * q2 / (4.0 * M) - integral
     v_eff = v + delta_v
-    delta_v_bar = float(simpson(delta_v, x=xs)) / width_a
+    delta_v_bar = float(simpson(delta_v, xs)) / width_a
     delta_v_mid = float(np.interp(0.5 * width_a, xs, delta_v))
     return BackreactionProfile(
         xs=xs, q1=q1, q2=q2, v=v, v_eff=v_eff, delta_v=delta_v, p0=p0,
@@ -245,6 +244,8 @@ def gaussian_average_check(
     independent modes factorize, fixing the 1/16 cross coefficient.
     Returns the worst relative residual per coefficient.
     """
+    from scipy.integrate import quad
+
     if not states:
         raise DomainError("need at least one (alpha, beta') state")
     res1 = res2 = 0.0

@@ -268,7 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = cfgmod.build_config(args.scenario, file_values, overrides)
-        problems = cfgmod.diagnostics(cfg)
+        # a barrier past double range passes here and fails the run (exit 3)
+        problems = cfgmod.config_problems(cfg)
         if problems:
             for problem in problems:
                 print(problem, file=sys.stderr)

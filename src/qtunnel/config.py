@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, wave_numbers
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
+from .rect import check_thickness
 
 SCENARIOS = (
     "fig1a",
@@ -255,26 +256,43 @@ def validate_file(path: str | Path) -> list[str]:
 
 
 def diagnostics(cfg: RunConfig) -> list[str]:
-    """Invariant violations the run would hit, without running the physics."""
+    """Invariant violations the run would hit, without running the physics:
+    the ``config_problems``, then barriers too thick for double range (a run
+    fails on those as a numerical error, after the config checks pass)."""
+    problems, limits = _diagnose(cfg)
+    return problems + limits
+
+
+def config_problems(cfg: RunConfig) -> list[str]:
+    """The violations a run rejects as a configuration error."""
+    return _diagnose(cfg)[0]
+
+
+def _diagnose(cfg: RunConfig) -> tuple[list[str], list[str]]:
+    """(config problems, numerical limits) of ``cfg``."""
     problems: list[str] = []
+    limits: list[str] = []
 
     def check(fn, label: str):
         try:
             return fn()
-        except (DomainError, ConfigError) as exc:
-            problems.append(f"{label}: {type(exc).__name__}: {exc}")
+        except (DomainError, ConfigError, PrecisionError) as exc:
+            found = limits if isinstance(exc, PrecisionError) else problems
+            found.append(f"{label}: {type(exc).__name__}: {exc}")
             return None
 
     def check_rect(run_cfg: RunConfig, where: str = "") -> None:
         params = check(run_cfg.physical_params, "params" + where)
         barrier = check(run_cfg.rect_barrier, "barrier" + where)
         if params is not None and barrier is not None:
-            check(lambda: wave_numbers(params, barrier), "barrier" + where)
+            waves = check(lambda: wave_numbers(params, barrier), "barrier" + where)
+            if waves is not None:
+                check(lambda: check_thickness(waves[1], barrier.width_a), "barrier" + where)
 
-    if cfg.scenario in ("fig1a", "fig1b", "fig3", "rect", "backreaction", "sweep",
-                        "mode-evolve"):
+    # a sweep solves only its sweep points, checked below
+    if cfg.scenario in ("fig1a", "fig1b", "fig3", "rect", "backreaction", "mode-evolve"):
         check_rect(cfg)
-    else:
+    elif cfg.scenario != "sweep":
         check(cfg.physical_params, "params")
     if cfg.scenario in ("fig3", "backreaction", "mode-evolve"):
         for mode in check(cfg.env_modes, "modes") or []:
@@ -306,4 +324,4 @@ def diagnostics(cfg: RunConfig) -> list[str]:
         )
     if cfg["grid_points"] is not None and int(cfg["grid_points"]) < 16:
         problems.append("grid: DomainError: grid_points must be at least 16")
-    return problems
+    return problems, limits

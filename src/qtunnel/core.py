@@ -161,6 +161,64 @@ def _weighted_sum(coefficients, terms):
     return total
 
 
+# Composite Simpson over 1-D samples y(x), x strictly increasing, at least 3
+# samples.  Both follow scipy.integrate (simpson(y, x=x) and
+# cumulative_simpson(y, x=x, initial=0.0)) operation for operation, with the
+# unequal-interval formulas even on uniform grids, so results match scipy's
+# to the last bit.
+
+
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Integral of y over x: Simpson on interval pairs; with an odd number of
+    intervals, Cartwright's correction for the last one."""
+    n = len(y)
+    h = np.diff(x)
+    stop = n - 3 if n % 2 == 0 else n - 2
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2 == 0:
+        # 0-d arrays, not scalars: numpy rounds x**3 differently for the two
+        h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        eta = h1**3 / (6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
+def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral of y from x[0], one value per sample (0 first).
+
+    Each interval's integral comes from the parabola through it and its
+    right neighbour (even intervals) or its left neighbour (odd intervals
+    and the last one)."""
+    h = np.diff(x)
+    forward = _simpson_intervals(y, h)
+    backward = _simpson_intervals(y[::-1], h[::-1])[::-1]
+    pieces = np.empty(len(h))
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    out = np.empty(len(y))
+    out[0] = 0.0
+    out[1:] = np.cumsum(pieces) + 0.0  # as scipy adds initial=0.0: -0.0 -> 0.0
+    return out
+
+
+def _simpson_intervals(y, h):
+    """Integral over each [x_i, x_i+1] of the parabola through x_i..x_i+2
+    (Cartwright 2017, eq. 8)."""
+    x21, x32 = h[:-1], h[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
+
+
 def wave_numbers(params: PhysicalParams, barrier: RectBarrier) -> tuple[float, float]:
     """Propagating and evanescent wave numbers (k, beta) for E below V0.
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import specfun
 from .core import EnvMode
@@ -161,6 +160,8 @@ def evolve_gaussian(
         x = bg.position(t)
         om2 = mode.omega0**2 + 2.0 * mode.coupling_c * x / m
         return [-al * be / m, al**4 / m - be**2 / m - m * om2]
+
+    from scipy.integrate import solve_ivp
 
     res = solve_ivp(
         rhs,

@@ -5,8 +5,8 @@ scipy has no 2F1 with complex a, b, c, so the library carries its own:
 * 2F1 on real z in [0, 1), for one (a, b, c) over a whole array of z at
   once, via the direct Gauss series for z <= 1/2 and the two-term
   z -> 1-z linear transformation (with log-Gamma prefactors from
-  ``scipy.special.loggamma``) for z > 1/2, so convergence stays geometric
-  with ratio <= 1/2 (DLMF 15.2, 15.8),
+  ``scipy.special.loggamma``, loaded on that branch only) for z > 1/2, so
+  convergence stays geometric with ratio <= 1/2 (DLMF 15.2, 15.8),
 * its z-derivative, summed term by term from the same series.
 
 Pure functions, no state; thread-safe.
@@ -18,7 +18,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import ConvergenceError, DomainError
 
@@ -102,6 +101,8 @@ def _hyp2f1_transformed(a: complex, b: complex, c: complex,
     Caller guarantees c-a-b off integers.  The log-Gamma prefactors are
     computed once for the whole array.  Returns (F, dF/dz, terms).
     """
+    from scipy.special import loggamma
+
     s = c - a - b
     value = np.zeros(w.size, dtype=complex)
     deriv = np.zeros(w.size, dtype=complex)

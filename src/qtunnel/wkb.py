@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
+from scipy.integrate import quad
 from scipy.special import airy
 
-from .core import PhysicalParams, SmoothPotential
+from .core import PhysicalParams, SmoothPotential, cumulative_simpson
 from .errors import (
     DegenerateTurningPointError,
     DomainError,
@@ -308,14 +308,14 @@ def wkb_total_potential(
             )
     tail_l = quad(q_of, x0, xs[i_l1], **quad_opts)[0]
     tail_r = quad(q_of, xs[i_r0], a, **quad_opts)[0]
-    cum_ii = cumulative_simpson(q_ii, x=xs_ii, initial=0.0)
+    cum_ii = cumulative_simpson(q_ii, xs_ii)
     theta = tail_l + cum_ii[-1] + tail_r
 
     # oscillatory phases outside the barrier
-    cum_i = cumulative_simpson(p_i, x=xs_i, initial=0.0)
+    cum_i = cumulative_simpson(p_i, xs_i)
     tail_i = quad(p_of, xs[i_l0], x0, **quad_opts)[0]
     theta_l = tail_i + (cum_i[-1] - cum_i)
-    cum_iii = cumulative_simpson(p_iii, x=xs_iii, initial=0.0)
+    cum_iii = cumulative_simpson(p_iii, xs_iii)
     tail_iii = quad(p_of, a, xs[i_r1], **quad_opts)[0]
     theta_r = tail_iii + cum_iii
 

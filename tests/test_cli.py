@@ -1,6 +1,7 @@
 """Command-line driver: scenarios, config handling, determinism, exit codes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,35 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, lines", [
+    ("rect", "a = 400"),
+    ("fig3", "a = 400"),
+    ("sweep", "sweep_key = a\nsweep_values = 1,400"),
+], ids=["rect", "fig3", "sweep"])
+def test_validate_reports_thick_barrier_that_run_rejects(tmp_path, capsys, scenario, lines):
+    cfg = tmp_path / "thick.cfg"
+    cfg.write_text(f"scenario = {scenario}\n{lines}\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "barrier too thick" in capsys.readouterr().out
+    out = tmp_path / "thick.csv"
+    # the run still fails as a numerical error, not a config error
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "PrecisionError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", [90.0, 125.0, 175.0])
+def test_thick_in_range_barrier_runs_without_warnings(tmp_path, a):
+    # beta = 2: beta*a from 180 to 350, where cosh(2 beta (a - x))^2 overflows
+    # inside the barrier while the true E - V_tot underflows to 0
+    out = tmp_path / "fig1a.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig1a", "--a", str(a), "--out", str(out)]) == 0
+    columns, rows = read_csv(out)
+    assert np.all(np.isfinite(rows))
+
+
 def test_missing_out_is_config_error(capsys):
     assert main(["rect"]) == 2
     assert "--out" in capsys.readouterr().err
@@ -245,6 +275,17 @@ def test_validate_checks_every_sweep_point(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    "a = 400\nsweep_key = a\nsweep_values = 1,2",
+    "E = 5\nV0 = 4\nsweep_key = V0\nsweep_values = 6,7",
+], ids=["thick", "above-barrier"])
+def test_sweep_base_value_of_swept_key_is_unused(tmp_path, capsys, lines):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"scenario = sweep\n{lines}\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 0
 
 
 @pytest.mark.parametrize("flags", [

@@ -10,7 +10,9 @@ from qtunnel.core import (
     PhysicalParams,
     RectBarrier,
     SmoothPotential,
+    cumulative_simpson,
     derivative_5pt,
+    simpson,
     wave_numbers,
 )
 from qtunnel.errors import AboveBarrierError, DomainError
@@ -99,3 +101,50 @@ def test_derivative_5pt_exact_on_quartic():
     d2y = 1.4 - 2.4 * x + 3.0 * x**2
     np.testing.assert_allclose(derivative_5pt(y, h, order=1), dy, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(derivative_5pt(y, h, order=2), d2y, rtol=0.0, atol=1e-10)
+
+
+def _simpson_samples(n: int, uniform: bool, values: str, seed: int):
+    """(y, x): x increasing, uniform or not; y smooth, of mixed signs across
+    magnitudes 1e-300..1e100, or made of signed zeros and small integers."""
+    rng = np.random.default_rng(seed)
+    if uniform:
+        x = np.linspace(rng.uniform(-3.0, 0.0), rng.uniform(1.0, 40.0), n)
+    else:
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - rng.uniform(0.0, 10.0)
+    signs = rng.choice([-1.0, 1.0], n)
+    if values == "magnitudes":
+        y = signs * 10.0 ** rng.uniform(-300.0, 100.0, n)
+    elif values == "zeros":
+        y = rng.choice([0.0, -0.0, 1.0, -2.0], n)
+        # the first running sum is -0.0 until 0.0 is added to it
+        y[:3] = (-0.0, -0.0, 0.0)
+    else:
+        y = np.sin(3.0 * x) + 0.1 * x
+    return y, x
+
+
+@pytest.mark.parametrize("values", ["smooth", "magnitudes", "zeros"])
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("n", [6, 7, 100, 101, 2000, 2001])
+def test_simpson_helpers_bitwise_equal_to_scipy(n, uniform, values):
+    integrate = pytest.importorskip("scipy.integrate")
+    for seed in range(5):
+        y, x = _simpson_samples(n, uniform, values, seed)
+        total = np.float64(simpson(y, x))
+        assert total.tobytes() == np.float64(integrate.simpson(y, x=x)).tobytes()
+        running = cumulative_simpson(y, x)
+        expected = integrate.cumulative_simpson(y, x=x, initial=0.0)
+        assert running.tobytes() == expected.tobytes()
+
+
+def test_simpson_last_interval_correction_bitwise_equal_to_scipy():
+    # y is zero but for y[-3], so the even-length correction's h1^3 term
+    # shows in the result; numpy rounds h^3 of a scalar and of a 0-d array
+    # differently for a few percent of h
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(3)
+    y = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    for _ in range(400):
+        x = np.cumsum(rng.uniform(1e-3, 1.0, 6))
+        expected = integrate.simpson(y, x=x)
+        assert np.float64(simpson(y, x)).tobytes() == np.float64(expected).tobytes()

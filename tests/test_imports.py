@@ -1,10 +1,12 @@
 """Module structure of a cold start.
 
-The closed-form scenarios (rect, sweep, fig1a, fig1b) and validate run on
-numpy alone; importing scipy would multiply their start-up time several
-times over.  The scenarios that need scipy load it themselves and still run
-from a fresh interpreter.  These tests check which modules load, not how
-long they take, so host load does not move them.
+The closed-form scenarios (rect, sweep, fig1a, fig1b), the back-reaction
+scenarios (fig3, backreaction) and validate run on numpy alone; importing
+scipy would multiply their start-up time several times over.  The
+scenarios that need scipy (fig2, wkb, mode-evolve) load it themselves, and
+the scenarios whose modules the CLI imports lazily still run from a fresh
+interpreter.  These tests check which modules load, not how long they take,
+so host load does not move them.
 """
 
 import os
@@ -20,7 +22,9 @@ NUMPY_ONLY_RUNS = """
 import sys
 from qtunnel.cli import main
 
-runs = [[scenario, "--out", scenario + ".csv"] for scenario in ("rect", "sweep", "fig1a", "fig1b")]
+runs = [[scenario, "--out", scenario + ".csv"]
+        for scenario in ("rect", "sweep", "fig1a", "fig1b", "fig3")]
+runs.append(["backreaction", "--modes", "1:1:0.15;1:1.5:0.1", "--out", "backreaction.csv"])
 runs.append(["validate", "--config", "run.cfg"])
 codes = [main(argv) for argv in runs]
 assert codes == [0] * len(runs), codes
