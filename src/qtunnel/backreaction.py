@@ -236,7 +236,7 @@ def gaussian_average_check(
     states: list[tuple[float, float]],
     hbar: float = 1.0,
 ) -> GaussianAverageResiduals:
-    """Quadrature check of the Gaussian-averaging coefficients.
+    """Gauss-Hermite check of the Gaussian-averaging coefficients.
 
     Each state is an (alpha, beta') pair.  The phase gradient W' = beta' y^2/2
     averaged over |phi|^2 ~ exp(-alpha^2 y^2/hbar) must give
@@ -244,24 +244,19 @@ def gaussian_average_check(
     independent modes factorize, fixing the 1/16 cross coefficient.
     Returns the worst relative residual per coefficient.
     """
-    from scipy.integrate import quad
-
     if not states:
         raise DomainError("need at least one (alpha, beta') state")
     res1 = res2 = 0.0
-
-    def moments(alpha: float) -> tuple[float, float, float]:
-        weight = lambda y: math.exp(-(alpha**2) * y * y / hbar)
-        norm = quad(weight, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
-        m2 = quad(lambda y: weight(y) * y * y, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
-        m4 = quad(lambda y: weight(y) * y**4, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
-        return norm, m2 / norm, m4 / norm
+    # y = x sqrt(hbar)/alpha turns the weight into exp(-x^2); 3-node
+    # Gauss-Hermite is exact for polynomials up to degree 5, so for x^2, x^4
+    x, w = np.polynomial.hermite.hermgauss(3)
+    x2, x4 = float(w @ x**2 / w.sum()), float(w @ x**4 / w.sum())
 
     cached = []
     for alpha, beta_p in states:
         if alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {alpha}")
-        _, y2, y4 = moments(alpha)
+        y2, y4 = x2 * hbar / alpha**2, x4 * (hbar / alpha**2) ** 2
         w1 = beta_p * y2 / 2.0
         w2 = beta_p**2 * y4 / 4.0
         ref1 = hbar * beta_p / (4.0 * alpha**2)

@@ -31,8 +31,9 @@ from . import rect as rect_mod
 from .config import ConfigError, RunConfig
 from .errors import PrecisionError, QTunnelError
 
-# backreaction, modes and wkb load scipy, so each runner that needs one imports
-# it itself: rect, sweep, fig1a, fig1b and validate run on numpy alone.
+# wkb loads scipy when imported, and specfun loads scipy.special on its
+# z > 1/2 branch only; each runner imports wkb, modes or backreaction itself,
+# so rect, sweep, fig1a, fig1b and validate load none of them.
 if TYPE_CHECKING:
     from .backreaction import BackreactionProfile
 

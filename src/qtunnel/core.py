@@ -80,27 +80,6 @@ class SmoothPotential:
         h = np.maximum(self._FD_SCALE, self._FD_SCALE * np.abs(x))
         return (self._value(x + h) - self._value(x - h)) / (2.0 * h)
 
-    def check_derivative(self, xs, rel_tol: float = 1e-6) -> float:
-        """Largest relative mismatch between the supplied derivative and a
-        centered finite difference over the sample points ``xs``.
-
-        Raises DomainError when the mismatch exceeds ``rel_tol``.  Scale for
-        the relative comparison is the largest |V'| over the samples, so flat
-        spots do not produce spurious failures.
-        """
-        if self._derivative is None:
-            return 0.0
-        xs = np.asarray(xs, dtype=float)
-        supplied = self._derivative(xs)
-        scale = float(np.max(np.abs(supplied))) or 1.0
-        worst = float(np.max(np.abs(self._finite_difference(xs) - supplied))) / scale
-        if worst > rel_tol:
-            raise DomainError(
-                f"supplied derivative inconsistent with value: relative "
-                f"mismatch {worst:.3e} > {rel_tol:.3e}"
-            )
-        return worst
-
 
 @dataclass(frozen=True)
 class EnvMode:

@@ -55,7 +55,7 @@ class OrientationError(DomainError):
 
 
 class StiffnessError(QTunnelError):
-    """Gaussian-width underflow during ODE evolution; use the mode-function route."""
+    """Magnus evolution fails its step-doubling check or needs too many steps."""
 
 
 class InconsistentBranchError(QTunnelError):

@@ -1,14 +1,21 @@
 """Gaussian environment modes over the tanh tunneling background.
 
-Two independent routes to the same state:
+A mode's Gaussian state exp[(-alpha^2 + i beta) y^2 / 2 hbar] obeys
 
-* direct ODE integration of the width/phase pair (alpha, beta) with
-      d alpha/dt = -alpha beta / m
-      d beta/dt  = alpha^4/m - beta^2/m - m omega(t)^2
-* the exact mode function xi(t) solving  xi'' + omega(t)^2 xi = 0  in terms
-  of the Gauss hypergeometric function, vacuum-matched at early times.
+    d alpha/dt = -alpha beta / m
+    d beta/dt  = alpha^4/m - beta^2/m - m omega(t)^2,
 
-They are connected by  d ln(xi)/dt = (beta + i alpha^2)/m, so the vacuum
+and d ln(xi)/dt = (beta + i alpha^2)/m maps it onto a solution of the linear
+oscillator  xi'' + omega(t)^2 xi = 0.  Two independent routes give that
+solution:
+
+* ``evolve_gaussian`` steps y = (xi, xi') from any start state with
+  4th-order Magnus propagators, chained by a prefix product over the whole
+  time grid and checked by step doubling;
+* ``xi_analytic`` evaluates the exact mode function in terms of the Gauss
+  hypergeometric function, vacuum-matched at early times.
+
+They share only omega(t) and the (alpha, beta) map.  The vacuum
 (alpha^2 = m omega0, beta = 0) corresponds to xi ~ (2 omega0)^(-1/2)
 exp(i omega0 t).  The Wronskian xi xi*' - xi* xi' is conserved and equals -i
 for that normalization.
@@ -32,6 +39,11 @@ from .errors import (
 from .rect import TanhBackground
 
 _VACUUM_SATURATION = 12.0  # |rho t0| for vacuum starts: tanh saturated to ~1e-10
+_MAGNUS_STEP = 0.03  # step h times max(rho, omega_max)
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0  # Gauss points at mid -/+ offset * h
+_STEP_DOUBLING_TOL = 1e-7
+_MAX_STEPS = 2**26  # coarse plus fine steps of one evolution
+_BLOCK_STEPS = 2**16  # steps held in memory at once
 
 
 @dataclass(frozen=True)
@@ -93,10 +105,13 @@ def _sigmoid_pair(u):
     return np.where(pos, large, small), np.where(pos, small, large), e
 
 
+def _omega2(mode: EnvMode, bg: TanhBackground, t):
+    return mode.omega0**2 + 2.0 * mode.coupling_c * bg.position(t) / mode.mass_m
+
+
 def omega_t(mode: EnvMode, bg: TanhBackground, t) -> float | np.ndarray:
     """Instantaneous frequency omega(t) = sqrt(omega0^2 + 2 c x(t)/m)."""
-    x = bg.position(t)
-    om2 = mode.omega0**2 + 2.0 * mode.coupling_c * x / mode.mass_m
+    om2 = _omega2(mode, bg, t)
     if np.any(np.asarray(om2) <= 0.0):
         raise TachyonicModeError(
             f"omega^2 = {np.min(om2)} <= 0 on the trajectory: coupling too negative"
@@ -137,49 +152,123 @@ def evolve_gaussian(
     t_eval=None,
     vacuum_start: bool = False,
 ) -> GaussianTrajectory:
-    """Integrate the width/phase equations with adaptive RK45 at rtol 1e-10.
+    """Evolve (alpha, beta) from ``state0`` at t0 by 4th-order Magnus steps.
+
+    The state is carried as the linear oscillator y = (xi, xi') from
+    y(t0) = (1, (beta0 + i alpha0^2)/m) and read back through
+    d ln xi/dt = (beta + i alpha^2)/m.  ``t_eval`` is a strictly increasing
+    grid inside [t0, t1]; with ``t_eval=None`` the trajectory is sampled on
+    the uniform grid from t0 to t1, both included, whose spacing is at most
+    one step of the step rule.  Each interval between samples is split into
+    equal steps of at most 0.03/max(rho, omega_max); the run is repeated at
+    half that step, and the half-step result is returned when the two agree
+    to 1e-7 in alpha^2 (relative) and in beta (relative to max(|beta|,
+    alpha^2)).  Otherwise, or when the grid would need more than 2^26 steps,
+    StiffnessError is raised.
 
     With ``vacuum_start`` the caller asserts state0 is the decoupled vacuum;
     t0 must then lie deep enough in the past that the background has not yet
     moved (|tanh(rho t0)| > 1 - 1e-8).
     """
-    if t1 <= t0:
-        raise DomainError("t1 must exceed t0")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise DomainError(f"need finite t0 < t1, got t0 = {t0}, t1 = {t1}")
     if vacuum_start and 1.0 + math.tanh(bg.rho * t0) > 1e-8:
         # 1 + tanh(u) <= 1e-8 requires u <= -0.5 ln(2e8) ~ -9.6
         raise DomainError(
             f"vacuum start needs rho*t0 <= -9.6, got {bg.rho * t0:.3g}"
         )
     # omega^2 is monotone in x, so checking the trajectory range suffices
-    omega_asymptotics(mode, bg)
+    om0, om_inf = omega_asymptotics(mode, bg)
     omega_t(mode, bg, t0)
-    m = mode.mass_m
-
-    def rhs(t, y):
-        al, be = y
-        x = bg.position(t)
-        om2 = mode.omega0**2 + 2.0 * mode.coupling_c * x / m
-        return [-al * be / m, al**4 / m - be**2 / m - m * om2]
-
-    from scipy.integrate import solve_ivp
-
-    res = solve_ivp(
-        rhs,
-        (t0, t1),
-        [state0.alpha, state0.beta],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-13,
-        t_eval=None if t_eval is None else np.asarray(t_eval, dtype=float),
-        dense_output=False,
-    )
-    if not res.success:
+    h = _MAGNUS_STEP / max(bg.rho, om0, om_inf)
+    if t_eval is None:
+        ts = np.linspace(t0, t1, int(math.ceil((t1 - t0) / h)) + 1)
+    else:
+        ts = np.asarray(t_eval, dtype=float)
+        if ts.ndim != 1 or ts.size == 0:
+            raise DomainError("t_eval must be a non-empty 1-D grid")
+        if not np.all((ts >= t0) & (ts <= t1)):
+            raise DomainError(f"t_eval must lie within [t0, t1] = [{t0}, {t1}]")
+        if np.any(np.diff(ts) <= 0.0):
+            raise DomainError("t_eval must be strictly increasing")
+    edges = np.concatenate(([t0], ts))
+    counts = np.maximum(np.ceil(np.diff(edges) / h), 1.0)
+    n_steps = 3.0 * counts.sum()  # h and h/2 runs
+    if n_steps > _MAX_STEPS:
         raise StiffnessError(
-            f"Gaussian evolution failed ({res.message}); use the mode-function route"
+            f"the Magnus route needs {n_steps:.3g} steps on [{t0}, {t1}] "
+            f"(at most {_MAX_STEPS}); use the mode-function route"
         )
-    if np.min(res.y[0]) <= 1e-100:
-        raise StiffnessError("alpha underflow during evolution; use the mode-function route")
-    return GaussianTrajectory(ts=res.t, alpha=res.y[0], beta=res.y[1])
+    counts = counts.astype(np.int64)
+    y1 = (state0.beta + 1j * state0.alpha**2) / mode.mass_m
+    coarse = state_from_xi(mode, _magnus_mode_function(mode, bg, edges, counts, y1))
+    fine = state_from_xi(mode, _magnus_mode_function(mode, bg, edges, 2 * counts, y1))
+    a2 = fine.alpha**2
+    err = max(np.max(np.abs(coarse.alpha**2 - a2) / a2),
+              np.max(np.abs(coarse.beta - fine.beta) / np.maximum(np.abs(fine.beta), a2)))
+    if not err <= _STEP_DOUBLING_TOL:
+        raise StiffnessError(
+            f"Magnus steps h and h/2 differ by {err:.3g} (tolerance "
+            f"{_STEP_DOUBLING_TOL}); use the mode-function route"
+        )
+    return GaussianTrajectory(ts=ts, alpha=fine.alpha, beta=fine.beta)
+
+
+def _magnus_mode_function(mode, bg, edges, counts, y1) -> ModeFunction:
+    """xi and xi' at edges[1:] for xi(edges[0]) = 1, xi'(edges[0]) = y1.
+
+    Interval i is split into counts[i] equal steps.  Each step's propagator
+    is exp(Omega) for the two-Gauss-point 4th-order Magnus exponent (Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151); Omega is traceless, so
+    exp(Omega) = cos(theta) I + (sin(theta)/theta) Omega with
+    theta^2 = det Omega.  theta^2 > 0 whenever h^2 (omega1^2 + omega2^2) < 24,
+    which the step rule keeps far inside.  Steps are taken in blocks of at
+    most _BLOCK_STEPS, each block's running product starting from the last
+    block's total, so memory stays bounded on long windows.
+    """
+    ends = np.cumsum(counts)  # one past each interval's last step
+    widths = np.diff(edges) / counts
+    out = np.empty((4, counts.size))
+    total = [1.0, 0.0, 0.0, 1.0]
+    n_steps = int(ends[-1])
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        k = np.arange(start, min(start + _BLOCK_STEPS, n_steps))
+        iv = np.searchsorted(ends, k, side="right")
+        h = widths[iv]
+        mid = edges[iv] + (k - ends[iv] + counts[iv] + 0.5) * h
+        w1 = _omega2(mode, bg, mid - _GAUSS_OFFSET * h)
+        w2 = _omega2(mode, bg, mid + _GAUSS_OFFSET * h)
+        s = 0.5 * (w1 + w2)
+        # Omega = [[d, h], [-h s, -d]]: (h/2)(A1 + A2) + (sqrt(3) h^2/12)[A2, A1]
+        d = (math.sqrt(3.0) / 12.0) * h * h * (w2 - w1)
+        theta = np.sqrt(h * h * s - d * d)
+        cos, sinc = np.cos(theta), np.sinc(theta / math.pi)
+        m = [np.concatenate(([x0], x)) for x0, x in zip(
+            total, (cos + sinc * d, sinc * h, -sinc * h * s, cos - sinc * d))]
+        _prefix_products(m)
+        done = (ends > start) & (ends <= k[-1] + 1)
+        out[:, done] = [x[ends[done] - start] for x in m]
+        total = [x[-1] for x in m]
+    a, b, c, e = out
+    return ModeFunction(xi=a + b * y1, xi_dot=c + e * y1, t=edges[1:])
+
+
+def _prefix_products(m: list) -> None:
+    """Running products M_k ... M_1 M_0 of 2x2 matrices, in place.
+
+    ``m`` holds the four entries [a, b, c, d] of [[a, b], [c, d]] as arrays
+    over k.  An inclusive Hillis-Steele scan (CACM 29 (1986) 1170): log2(N)
+    whole-array passes, written entry by entry.
+    """
+    a, b, c, d = m
+    shift = 1
+    while shift < a.size:
+        hi, lo = slice(shift, None), slice(None, -shift)
+        a[hi], b[hi], c[hi], d[hi] = (
+            a[hi] * a[lo] + b[hi] * c[lo], a[hi] * b[lo] + b[hi] * d[lo],
+            c[hi] * a[lo] + d[hi] * c[lo], c[hi] * b[lo] + d[hi] * d[lo],
+        )
+        shift *= 2
 
 
 def xi_analytic(mode: EnvMode, bg: TanhBackground, t) -> ModeFunction:

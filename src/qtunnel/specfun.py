@@ -187,7 +187,3 @@ def hyp2f1(a: complex, b: complex, c: complex, z, one_minus_z=None):
     """Gauss hypergeometric 2F1(a, b; c; z) for complex parameters, z in [0,1)."""
     return hyp2f1_ex(a, b, c, z, one_minus_z).value
 
-
-def hyp2f1_dz(a: complex, b: complex, c: complex, z, one_minus_z=None):
-    """d/dz of 2F1, summed term by term alongside the value."""
-    return hyp2f1_ex(a, b, c, z, one_minus_z).dz

@@ -74,18 +74,6 @@ def test_invalid_records_raise():
         EnvMode(mass_m=1.0, omega0=-1.0, coupling_c=0.1)
 
 
-def test_smooth_potential_consistent_pair_passes():
-    pot = SmoothPotential(lambda x: 1.0 - 8.0 * x * (x - 1.0), lambda x: 8.0 - 16.0 * x)
-    worst = pot.check_derivative(np.linspace(-1.0, 2.0, 41), rel_tol=1e-6)
-    assert worst <= 1e-6
-
-
-def test_smooth_potential_inconsistent_pair_rejected():
-    pot = SmoothPotential(lambda x: x**2, lambda x: 3.0 * x)
-    with pytest.raises(DomainError):
-        pot.check_derivative(np.linspace(0.5, 2.0, 11))
-
-
 def test_smooth_potential_fd_fallback():
     pot = SmoothPotential(lambda x: math.sin(2.0 * x))
     for x in (-1.3, 0.0, 0.7, 4.0):

@@ -2,11 +2,12 @@
 
 The closed-form scenarios (rect, sweep, fig1a, fig1b), the back-reaction
 scenarios (fig3, backreaction) and validate run on numpy alone; importing
-scipy would multiply their start-up time several times over.  The
-scenarios that need scipy (fig2, wkb, mode-evolve) load it themselves, and
-the scenarios whose modules the CLI imports lazily still run from a fresh
-interpreter.  These tests check which modules load, not how long they take,
-so host load does not move them.
+scipy would multiply their start-up time several times over.  mode-evolve
+loads only ``scipy.special`` (log-Gamma on the 2F1 kernel's z > 1/2 branch),
+never ``scipy.integrate``; fig2 and wkb load both.  The scenarios whose
+modules the CLI imports lazily still run from a fresh interpreter.  These
+tests check which modules load, not how long they take, so host load does
+not move them.
 """
 
 import os
@@ -28,7 +29,18 @@ runs.append(["backreaction", "--modes", "1:1:0.15;1:1.5:0.1", "--out", "backreac
 runs.append(["validate", "--config", "run.cfg"])
 codes = [main(argv) for argv in runs]
 assert codes == [0] * len(runs), codes
+from qtunnel.backreaction import gaussian_average_check
+gaussian_average_check([(1.0, 2.0), (0.8, -1.3)])
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+MODE_EVOLVE_RUN = """
+import sys
+from qtunnel.cli import main
+
+assert main(["mode-evolve", "--out", "mode-evolve.csv"]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.integrate"))
 assert not loaded, loaded
 """
 
@@ -42,6 +54,11 @@ def fresh_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
 def test_numpy_only_scenarios_load_no_scipy(tmp_path):
     (tmp_path / "run.cfg").write_text("scenario = rect\n")
     proc = fresh_python(["-c", NUMPY_ONLY_RUNS], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_mode_evolve_loads_no_scipy_integrate(tmp_path):
+    proc = fresh_python(["-c", MODE_EVOLVE_RUN], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

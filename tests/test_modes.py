@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qtunnel.core import EnvMode
-from qtunnel.errors import DomainError, InconsistentBranchError, TachyonicModeError
+from qtunnel.errors import (
+    DomainError,
+    InconsistentBranchError,
+    StiffnessError,
+    TachyonicModeError,
+)
 from qtunnel import modes
 from qtunnel.rect import TanhBackground
 
@@ -173,6 +180,111 @@ def test_ode_and_analytic_routes_agree():
         worst_b = max(worst_b, abs(traj.beta[i] - st.beta) / max(abs(st.beta), m_om0))
     assert worst_a2 <= 1e-6
     assert worst_b <= 1e-6
+
+
+def route_deviations(mode, bg, traj):
+    """Worst relative alpha^2 and beta deviations of a trajectory from the
+    2F1 route; beta crosses zero, so it is scaled by max(|beta|, m omega0)."""
+    st_xi = modes.state_from_xi(mode, modes.xi_analytic(mode, bg, traj.ts))
+    a2 = st_xi.alpha**2
+    scale = np.maximum(np.abs(st_xi.beta), mode.mass_m * mode.omega0)
+    return (np.max(np.abs(traj.alpha**2 - a2) / a2),
+            np.max(np.abs(traj.beta - st_xi.beta) / scale))
+
+
+# c is drawn through the frequency jump omega_inf^2/omega0^2 - 1 = 4 c a/(m omega0^2)
+# (a = 1), which stays above -0.6 so that no draw comes near a tachyonic mode
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(m=st.floats(0.5, 2.0), omega0=st.floats(0.5, 2.0), jump=st.floats(-0.6, 1.5),
+       log10_rho=st.floats(math.log10(0.02), math.log10(50.0)))
+@example(m=1.0, omega0=1.0, jump=0.6, log10_rho=math.log10(0.02))  # adiabatic end
+@example(m=1.0, omega0=1.0, jump=0.6, log10_rho=math.log10(50.0))  # sudden end
+def test_routes_agree_across_modes(m, omega0, jump, log10_rho):
+    mode = EnvMode(mass_m=m, omega0=omega0, coupling_c=jump * m * omega0**2 / 4.0)
+    bg = TanhBackground(amplitude_a=1.0, rho=10.0**log10_rho)
+    ts = np.linspace(-10.0, 10.0, 41) / bg.rho
+    t0 = modes.vacuum_start_time(bg)
+    traj = modes.evolve_gaussian(
+        mode, bg, modes.vacuum_state(mode, t0), t0, ts[-1], t_eval=ts, vacuum_start=True,
+    )
+    worst_a2, worst_b = route_deviations(mode, bg, traj)
+    assert worst_a2 <= 1e-6
+    assert worst_b <= 1e-6
+    drift = np.max(np.abs(modes.xi_trajectory(mode, bg, ts).wronskian() + 1j))
+    assert drift <= 1e-8
+
+
+def test_evolve_from_a_squeezed_state():
+    # any (alpha, beta) start maps to xi = 1, xi' = (beta + i alpha^2)/m
+    start = modes.state_from_xi(FIG3_MODE, modes.xi_analytic(FIG3_MODE, FIG3_BG, -0.5))
+    ts = np.linspace(-0.2, 3.0, 33)
+    traj = modes.evolve_gaussian(FIG3_MODE, FIG3_BG, start, -0.5, 3.0, t_eval=ts)
+    assert np.array_equal(traj.ts, ts)
+    worst_a2, worst_b = route_deviations(FIG3_MODE, FIG3_BG, traj)
+    assert worst_a2 <= 1e-9
+    assert worst_b <= 1e-9
+
+
+def test_evolve_default_grid():
+    t0, t1 = modes.vacuum_start_time(FIG3_BG), 2.0
+    traj = modes.evolve_gaussian(
+        FIG3_MODE, FIG3_BG, modes.vacuum_state(FIG3_MODE, t0), t0, t1, vacuum_start=True,
+    )
+    # uniform from t0 to t1, both included, spaced at most one step of the
+    # step rule 0.03/max(rho, omega_max)
+    assert traj.ts[0] == t0 and traj.ts[-1] == t1
+    spacing = np.diff(traj.ts)
+    _, om_inf = modes.omega_asymptotics(FIG3_MODE, FIG3_BG)
+    assert np.ptp(spacing) <= 1e-12
+    assert spacing[0] <= 0.03 / max(FIG3_BG.rho, om_inf)
+    assert traj.alpha[0] ** 2 == pytest.approx(FIG3_MODE.mass_m * FIG3_MODE.omega0, rel=1e-15)
+    assert traj.beta[0] == 0.0
+    worst_a2, worst_b = route_deviations(FIG3_MODE, FIG3_BG, traj)
+    assert worst_a2 <= 1e-9
+    assert worst_b <= 1e-9
+
+
+@pytest.mark.parametrize("t_eval", [
+    [-1.0, -2.0, 1.0],  # not sorted
+    [-1.0, -1.0, 1.0],  # repeated point
+    [-7.0, 0.0],        # before t0
+    [0.0, 2.5],         # after t1
+    [0.0, math.nan],
+    [[0.0, 1.0]],       # not 1-D
+    [],
+])
+def test_evolve_rejects_bad_t_eval(t_eval):
+    t0 = modes.vacuum_start_time(FIG3_BG)
+    with pytest.raises(DomainError):
+        modes.evolve_gaussian(
+            FIG3_MODE, FIG3_BG, modes.vacuum_state(FIG3_MODE, t0), t0, 2.0,
+            t_eval=t_eval, vacuum_start=True,
+        )
+
+
+def test_evolve_step_doubling_failure():
+    # omega grows 12,600-fold within ~1/rho and alpha^2 from 5e-5 to ~400:
+    # the h and h/2 runs differ by ~8e-7 (adaptive RK45 at rtol 1e-10 misses
+    # the 2F1 route by 1.2e-6 on this mode)
+    mode = EnvMode(mass_m=0.05, omega0=0.001, coupling_c=2.0)
+    bg = TanhBackground(amplitude_a=1.0, rho=4.0)
+    t0 = modes.vacuum_start_time(bg)
+    with pytest.raises(StiffnessError, match="h and h/2"):
+        modes.evolve_gaussian(
+            mode, bg, modes.vacuum_state(mode, t0), t0, 2.5,
+            t_eval=np.linspace(-2.5, 2.5, 21), vacuum_start=True,
+        )
+
+
+def test_evolve_step_budget():
+    # a vacuum start at rho = 1e-7 spans 2.4e8 time units: ~1e10 steps
+    slow = TanhBackground(amplitude_a=1.0, rho=1e-7)
+    t0 = modes.vacuum_start_time(slow)
+    with pytest.raises(StiffnessError, match="steps"):
+        modes.evolve_gaussian(
+            FIG3_MODE, slow, modes.vacuum_state(FIG3_MODE, t0), t0, -t0,
+            t_eval=[-t0], vacuum_start=True,
+        )
 
 
 def test_adiabatic_limit_tracks_ground_state():
