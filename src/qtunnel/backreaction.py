@@ -32,7 +32,8 @@ from .errors import (
     ResolutionError,
 )
 from .modes import ModeFunction, log_derivative_2, xi_trajectory
-from .rect import RectSolution, TanhBackground, kinetic_density_region2, transmission_probability
+from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_density_region2,
+                   solve_rect, transmission_probability)
 
 _EDGE_TRIM = 1e-3  # trajectory-velocity trim: x in [eps*a, (2-eps)*a]
 
@@ -59,7 +60,6 @@ class BackreactionProfile:
     delta_v: np.ndarray
     p0: np.ndarray
     delta_v_bar: float
-    delta_v_mid: float
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ def effective_potential(
 
     Q1' uses the 5-point interior stencil with one-sided closures; the
     momentum-weighted integral uses cumulative Simpson.  The barrier average
-    of Delta V is normalized by the nominal width ``width_a``; the midpoint
-    value is reported alongside for sensitivity checks.
+    of Delta V is normalized by the nominal width ``width_a``.
     """
     xs = np.asarray(xs, dtype=float)
     v, p0 = np.asarray(v, dtype=float), np.asarray(p0, dtype=float)
@@ -192,10 +191,9 @@ def effective_potential(
     delta_v = 2.0 * hbar**2 * q1**2 / (32.0 * M) + hbar**2 * q2 / (4.0 * M) - integral
     v_eff = v + delta_v
     delta_v_bar = float(simpson(delta_v, xs)) / width_a
-    delta_v_mid = float(np.interp(0.5 * width_a, xs, delta_v))
     return BackreactionProfile(
         xs=xs, q1=q1, q2=q2, v=v, v_eff=v_eff, delta_v=delta_v, p0=p0,
-        delta_v_bar=delta_v_bar, delta_v_mid=delta_v_mid,
+        delta_v_bar=delta_v_bar,
     )
 
 
@@ -225,11 +223,8 @@ def modified_probability(sol: RectSolution, delta_v_bar: float) -> float:
 
 
 def _resolve_probability(sol: RectSolution, delta_v: float) -> float:
-    from .core import RectBarrier as _RB
-    from .rect import solve_rect as _solve
-
-    shifted = _RB(height_V0=sol.barrier.height_V0 + delta_v, width_a=sol.barrier.width_a)
-    return transmission_probability(_solve(sol.params, shifted)).closed_form
+    shifted = RectBarrier(height_V0=sol.barrier.height_V0 + delta_v, width_a=sol.barrier.width_a)
+    return transmission_probability(solve_rect(sol.params, shifted)).closed_form
 
 
 def gaussian_average_check(
@@ -294,7 +289,7 @@ def multi_mode_superpose(
         zero = np.zeros_like(xs)
         return BackreactionProfile(
             xs=xs, q1=zero, q2=zero.copy(), v=v, v_eff=v.copy(),
-            delta_v=zero.copy(), p0=p0, delta_v_bar=0.0, delta_v_mid=0.0,
+            delta_v=zero.copy(), p0=p0, delta_v_bar=0.0,
         )
     first = profiles[0]
     for p in profiles[1:]:
@@ -314,7 +309,6 @@ def multi_mode_superpose(
         delta_v=delta_v,
         p0=first.p0,
         delta_v_bar=float(sum(p.delta_v_bar for p in profiles)),
-        delta_v_mid=float(sum(p.delta_v_mid for p in profiles)),
     )
 
 
@@ -322,7 +316,6 @@ def rect_mode_backreaction(
     sol: RectSolution,
     mode: EnvMode,
     num_points: int = 2000,
-    edge_fraction: float = _EDGE_TRIM,
 ) -> BackreactionProfile:
     """Single-mode back-reaction profile over the rectangular barrier.
 
@@ -331,12 +324,10 @@ def rect_mode_backreaction(
     grid over [eps*a, a] using the unperturbed effective-classical momentum
     p0 = sqrt(2 M (E - V_tot)).
     """
-    from .rect import classical_trajectory
-
     bg = classical_trajectory(sol, mode="tanh")
     a = sol.barrier.width_a
-    xs = np.linspace(edge_fraction * a, a, num_points)
-    ts = bg.time_at(np.clip(xs, edge_fraction * a, (2.0 - edge_fraction) * a))
+    xs = np.linspace(_EDGE_TRIM * a, a, num_points)
+    ts = bg.time_at(xs)
     qf = q_factors(mode, bg, xi_trajectory(mode, bg, ts))
     if len(qf.xs) != len(xs):
         raise DomainError("trajectory trim removed requested grid points")

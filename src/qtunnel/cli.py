@@ -31,9 +31,9 @@ from . import rect as rect_mod
 from .config import ConfigError, RunConfig
 from .errors import PrecisionError, QTunnelError
 
-# wkb loads scipy when imported, and specfun loads scipy.special on its
-# z > 1/2 branch only; each runner imports wkb, modes or backreaction itself,
-# so rect, sweep, fig1a, fig1b and validate load none of them.
+# wkb loads scipy.special when imported, and specfun on its z > 1/2 branch
+# only; each runner imports wkb, modes or backreaction itself, so rect,
+# sweep, fig1a, fig1b and validate (bar mode-evolve's modes) load none of them.
 if TYPE_CHECKING:
     from .backreaction import BackreactionProfile
 
@@ -128,21 +128,11 @@ def _run_rect(cfg: RunConfig) -> str:
 def _run_mode_evolve(cfg: RunConfig) -> str:
     from . import modes as modes_mod
 
-    params = cfg.physical_params()
-    sol = rect_mod.solve_rect(params, cfg.rect_barrier())
-    bg = rect_mod.classical_trajectory(sol, mode="tanh")
-    if cfg["rho"] is not None:
-        bg = rect_mod.TanhBackground(amplitude_a=bg.amplitude_a, rho=float(cfg["rho"]))
-    mode = cfg.env_modes()[0]
-    # t_min/t_max are in units of 1/rho
-    ts = np.linspace(float(cfg["t_min"]), float(cfg["t_max"]), int(cfg["grid_points"])) / bg.rho
-    t0 = min(modes_mod.vacuum_start_time(bg), ts[0])
-    traj = modes_mod.evolve_gaussian(
-        mode, bg, modes_mod.vacuum_state(mode, t0), t0, ts[-1],
-        t_eval=ts, vacuum_start=True,
-    )
-    st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, ts))
-    return _csv_text(cfg, {"t": ts, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
+    mode, bg, times = cfg.mode_evolve_run()
+    traj = modes_mod.evolve_gaussian(mode, bg, modes_mod.vacuum_state(mode, times[0]), times[0],
+                                     times[-1], t_eval=times[1:], vacuum_start=True)
+    st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, traj.ts))
+    return _csv_text(cfg, {"t": traj.ts, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
                            "alpha2_xi": st.alpha**2, "beta_xi": st.beta})
 
 

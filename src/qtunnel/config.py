@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, wave_numbers
-from .errors import DomainError, PrecisionError
-from .rect import check_thickness
+from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
+from .errors import DomainError, PrecisionError, StiffnessError
+from .rect import TanhBackground, classical_trajectory, solve_rect
 
 SCENARIOS = (
     "fig1a",
@@ -178,6 +178,17 @@ class RunConfig:
             raise ConfigError("sweep_values must not be empty")
         return key, vals
 
+    def mode_evolve_run(self) -> tuple[EnvMode, TanhBackground, np.ndarray]:
+        """(first mode, tanh background with the ``rho`` key's rho if set, times):
+        the vacuum start, then the t_min..t_max grid in units of 1/rho."""
+        from .modes import vacuum_start_time
+        bg = classical_trajectory(solve_rect(self.physical_params(), self.rect_barrier()))
+        if self["rho"] is not None:
+            bg = TanhBackground(amplitude_a=bg.amplitude_a, rho=float(self["rho"]))
+        ts = np.linspace(float(self["t_min"]), float(self["t_max"]),
+                         int(self["grid_points"])) / bg.rho
+        return self.env_modes()[0], bg, np.concatenate(([min(vacuum_start_time(bg), ts[0])], ts))
+
     def canonical(self) -> str:
         """Deterministic one-line serialization of the effective values."""
         parts = []
@@ -256,28 +267,29 @@ def validate_file(path: str | Path) -> list[str]:
 
 
 def diagnostics(cfg: RunConfig) -> list[str]:
-    """Invariant violations the run would hit, without running the physics:
-    the ``config_problems``, then barriers too thick for double range (a run
-    fails on those as a numerical error, after the config checks pass)."""
+    """Invariant violations the run would hit: the ``config_problems``, then
+    barriers too thick for double range and mode-evolve grids past the step
+    budget (a run fails on those as a numerical error, exit 3)."""
     problems, limits = _diagnose(cfg)
     return problems + limits
 
 
 def config_problems(cfg: RunConfig) -> list[str]:
     """The violations a run rejects as a configuration error."""
-    return _diagnose(cfg)[0]
+    return _diagnose(cfg, step_budget=False)[0]
 
 
-def _diagnose(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    """(config problems, numerical limits) of ``cfg``."""
+def _diagnose(cfg: RunConfig, step_budget: bool = True) -> tuple[list[str], list[str]]:
+    """(config problems, numerical limits) of ``cfg``; the mode-evolve step
+    budget, a limit only, is checked with ``step_budget``."""
     problems: list[str] = []
     limits: list[str] = []
 
     def check(fn, label: str):
         try:
             return fn()
-        except (DomainError, ConfigError, PrecisionError) as exc:
-            found = limits if isinstance(exc, PrecisionError) else problems
+        except (DomainError, ConfigError, PrecisionError, StiffnessError) as exc:
+            found = problems if isinstance(exc, (DomainError, ConfigError)) else limits
             found.append(f"{label}: {type(exc).__name__}: {exc}")
             return None
 
@@ -285,9 +297,7 @@ def _diagnose(cfg: RunConfig) -> tuple[list[str], list[str]]:
         params = check(run_cfg.physical_params, "params" + where)
         barrier = check(run_cfg.rect_barrier, "barrier" + where)
         if params is not None and barrier is not None:
-            waves = check(lambda: wave_numbers(params, barrier), "barrier" + where)
-            if waves is not None:
-                check(lambda: check_thickness(waves[1], barrier.width_a), "barrier" + where)
+            check(lambda: solve_rect(params, barrier), "barrier" + where)
 
     # a sweep solves only its sweep points, checked below
     if cfg.scenario in ("fig1a", "fig1b", "fig3", "rect", "backreaction", "mode-evolve"):
@@ -301,9 +311,7 @@ def _diagnose(cfg: RunConfig) -> tuple[list[str], list[str]]:
                 mode.omega0**2 + 4.0 * mode.coupling_c * float(cfg["a"]) / mode.mass_m,
             )
             if om2_min <= 0:
-                problems.append(
-                    f"modes: TachyonicModeError: omega^2 reaches {om2_min:.3g}"
-                )
+                problems.append(f"modes: TachyonicModeError: omega^2 reaches {om2_min:.3g}")
     if cfg.scenario in ("fig2", "wkb"):
         check(cfg.smooth_potential, "potential")
         check(cfg.bracket, "bracket")
@@ -324,4 +332,7 @@ def _diagnose(cfg: RunConfig) -> tuple[list[str], list[str]]:
         )
     if cfg["grid_points"] is not None and int(cfg["grid_points"]) < 16:
         problems.append("grid: DomainError: grid_points must be at least 16")
+    if step_budget and cfg.scenario == "mode-evolve" and not (problems or limits):
+        from .modes import magnus_steps  # a run past the step budget exits 3
+        check(lambda: magnus_steps(*cfg.mode_evolve_run()), "modes")
     return problems, limits

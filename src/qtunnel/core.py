@@ -51,8 +51,8 @@ class SmoothPotential:
     """A smooth barrier V(x) with a consistent derivative.
 
     Both callables must work elementwise on numpy arrays as well as on
-    floats: the smooth-barrier code evaluates whole grids in one call and
-    scalars only inside root finding and quadrature.  If no analytic
+    floats: the smooth-barrier code evaluates whole grids and quadrature
+    nodes in one call, and scalars only inside root finding.  If no analytic
     derivative is supplied, a centered finite difference with step
     h = max(1e-6, 1e-6*|x|) is used; the step balances truncation and
     rounding at double precision.
@@ -141,7 +141,7 @@ def _weighted_sum(coefficients, terms):
 
 
 # Composite Simpson over 1-D samples y(x), x strictly increasing, at least 3
-# samples.  Both follow scipy.integrate (simpson(y, x=x) and
+# samples.  Both follow scipy (simpson(y, x=x) and
 # cumulative_simpson(y, x=x, initial=0.0)) operation for operation, with the
 # unequal-interval formulas even on uniform grids, so results match scipy's
 # to the last bit.
@@ -196,6 +196,14 @@ def _simpson_intervals(y, h):
     x21x21_x31x32 = x21_x31 * (x21 / x32)
     return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
                       - x21x21_x31x32 * y[2:])
+
+
+def gauss_legendre(f: Callable, lo: float, hi: float, n: int) -> float:
+    """Integral of f over [lo, hi] by the n-node Gauss-Legendre rule (DLMF 3.5(v)),
+    exact up to degree 2n - 1; f is called once, on the array of nodes."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (hi - lo)
+    return float(half * (w @ f(lo + half * (u + 1.0))))
 
 
 def wave_numbers(params: PhysicalParams, barrier: RectBarrier) -> tuple[float, float]:

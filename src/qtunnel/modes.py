@@ -160,11 +160,11 @@ def evolve_gaussian(
     grid inside [t0, t1]; with ``t_eval=None`` the trajectory is sampled on
     the uniform grid from t0 to t1, both included, whose spacing is at most
     one step of the step rule.  Each interval between samples is split into
-    equal steps of at most 0.03/max(rho, omega_max); the run is repeated at
-    half that step, and the half-step result is returned when the two agree
-    to 1e-7 in alpha^2 (relative) and in beta (relative to max(|beta|,
-    alpha^2)).  Otherwise, or when the grid would need more than 2^26 steps,
-    StiffnessError is raised.
+    equal steps (``magnus_steps``); the run is repeated at half that step,
+    and the half-step result is returned when the two agree to 1e-7 in
+    alpha^2 (relative) and in beta (relative to max(|beta|, alpha^2)).
+    Otherwise the step is halved again, until all runs together would take
+    more than 2^26 steps: then StiffnessError is raised.
 
     With ``vacuum_start`` the caller asserts state0 is the decoupled vacuum;
     t0 must then lie deep enough in the past that the background has not yet
@@ -174,15 +174,11 @@ def evolve_gaussian(
         raise DomainError(f"need finite t0 < t1, got t0 = {t0}, t1 = {t1}")
     if vacuum_start and 1.0 + math.tanh(bg.rho * t0) > 1e-8:
         # 1 + tanh(u) <= 1e-8 requires u <= -0.5 ln(2e8) ~ -9.6
-        raise DomainError(
-            f"vacuum start needs rho*t0 <= -9.6, got {bg.rho * t0:.3g}"
-        )
+        raise DomainError(f"vacuum start needs rho*t0 <= -9.6, got {bg.rho * t0:.3g}")
     # omega^2 is monotone in x, so checking the trajectory range suffices
-    om0, om_inf = omega_asymptotics(mode, bg)
     omega_t(mode, bg, t0)
-    h = _MAGNUS_STEP / max(bg.rho, om0, om_inf)
     if t_eval is None:
-        ts = np.linspace(t0, t1, int(math.ceil((t1 - t0) / h)) + 1)
+        ts = np.linspace(t0, t1, int(magnus_steps(mode, bg, [t0, t1])[0]) + 1)
     else:
         ts = np.asarray(t_eval, dtype=float)
         if ts.ndim != 1 or ts.size == 0:
@@ -192,26 +188,38 @@ def evolve_gaussian(
         if np.any(np.diff(ts) <= 0.0):
             raise DomainError("t_eval must be strictly increasing")
     edges = np.concatenate(([t0], ts))
+    counts = magnus_steps(mode, bg, edges)
+    spent = 3 * counts.sum()
+    y1 = (state0.beta + 1j * state0.alpha**2) / mode.mass_m
+    fine = state_from_xi(mode, _magnus_mode_function(mode, bg, edges, counts, y1))
+    while True:
+        counts, coarse = 2 * counts, fine
+        fine = state_from_xi(mode, _magnus_mode_function(mode, bg, edges, counts, y1))
+        a2 = fine.alpha**2
+        err = max(np.max(np.abs(coarse.alpha**2 - a2) / a2),
+                  np.max(np.abs(coarse.beta - fine.beta) / np.maximum(np.abs(fine.beta), a2)))
+        if err <= _STEP_DOUBLING_TOL:
+            return GaussianTrajectory(ts=ts, alpha=fine.alpha, beta=fine.beta)
+        spent += 2 * counts.sum()
+        if spent > _MAX_STEPS or not np.isfinite(err):
+            raise StiffnessError(f"Magnus steps h and h/2 differ by {err:.3g} (tolerance "
+                                 f"{_STEP_DOUBLING_TOL}) at the smallest h that {_MAX_STEPS} "
+                                 "steps allow; use the mode-function route")
+
+
+def magnus_steps(mode: EnvMode, bg: TanhBackground, edges) -> np.ndarray:
+    """Steps of at most 0.03/max(rho, omega_max) per interval of ``edges`` in the
+    first run of ``evolve_gaussian``; StiffnessError past the 2^26-step budget."""
+    om0, om_inf = omega_asymptotics(mode, bg)
+    h = _MAGNUS_STEP / max(bg.rho, om0, om_inf)
     counts = np.maximum(np.ceil(np.diff(edges) / h), 1.0)
     n_steps = 3.0 * counts.sum()  # h and h/2 runs
     if n_steps > _MAX_STEPS:
         raise StiffnessError(
-            f"the Magnus route needs {n_steps:.3g} steps on [{t0}, {t1}] "
+            f"the Magnus route needs {n_steps:.3g} steps on [{edges[0]}, {edges[-1]}] "
             f"(at most {_MAX_STEPS}); use the mode-function route"
         )
-    counts = counts.astype(np.int64)
-    y1 = (state0.beta + 1j * state0.alpha**2) / mode.mass_m
-    coarse = state_from_xi(mode, _magnus_mode_function(mode, bg, edges, counts, y1))
-    fine = state_from_xi(mode, _magnus_mode_function(mode, bg, edges, 2 * counts, y1))
-    a2 = fine.alpha**2
-    err = max(np.max(np.abs(coarse.alpha**2 - a2) / a2),
-              np.max(np.abs(coarse.beta - fine.beta) / np.maximum(np.abs(fine.beta), a2)))
-    if not err <= _STEP_DOUBLING_TOL:
-        raise StiffnessError(
-            f"Magnus steps h and h/2 differ by {err:.3g} (tolerance "
-            f"{_STEP_DOUBLING_TOL}); use the mode-function route"
-        )
-    return GaussianTrajectory(ts=ts, alpha=fine.alpha, beta=fine.beta)
+    return counts.astype(np.int64)
 
 
 def _magnus_mode_function(mode, bg, edges, counts, y1) -> ModeFunction:

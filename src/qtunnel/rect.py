@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PhysicalParams, RectBarrier, derivative_5pt, wave_numbers
+from .core import (PhysicalParams, RectBarrier, cumulative_simpson, derivative_5pt,
+                   gauss_legendre, wave_numbers)
 from .errors import DomainError, NodeSingularityError, PrecisionError
 
 _REGION_I, _REGION_II, _REGION_III = 0, 1, 2
@@ -91,8 +92,8 @@ class TanhBackground:
 class ExactTrajectory:
     """Effective-classical trajectory x(t) through the barrier region.
 
-    Sampled by integrating dx/dt = v(x) from x(0) = a/2; ``traversal_time``
-    evaluates the quadrature of 1/v between interior points directly.
+    Sampled as t(x) = integral of 1/v from x(0) = a/2 by cumulative Simpson at
+    spacing 0.01/beta; ``traversal_time`` is Gauss-Legendre at 128 nodes, checked at 256.
     """
 
     ts: np.ndarray
@@ -103,14 +104,15 @@ class ExactTrajectory:
         return np.interp(np.asarray(t, dtype=float), self.ts, self.xs)
 
     def traversal_time(self, x_from: float, x_to: float) -> float:
-        from scipy.integrate import quad
-
         a = self.sol.barrier.width_a
         if not (0.0 <= x_from < x_to <= a):
             raise DomainError("traversal window must satisfy 0 <= x_from < x_to <= a")
-        val, _ = quad(lambda x: 1.0 / _velocity(self.sol, x), x_from, x_to,
-                      epsabs=0.0, epsrel=1e-12, limit=200)
-        return val
+        with np.errstate(over="ignore", invalid="ignore"):  # inf fails the check below
+            coarse, fine = (gauss_legendre(lambda x: _inverse_velocity(self.sol, x),
+                                           x_from, x_to, n) for n in (128, 256))
+        if not abs(coarse - fine) <= 1e-10 * fine:
+            raise PrecisionError(f"traversal-time rules disagree: {coarse!r} vs {fine!r}")
+        return fine
 
 
 def check_thickness(beta: float, width_a: float) -> None:
@@ -241,9 +243,14 @@ def kinetic_density_region2(sol: RectSolution, x):
     hbar, M = sol.params.hbar, sol.params.mass_M
     # D (or D^2) overflows to inf where the true value underflows to 0
     with np.errstate(over="ignore"):
-        D = (k**2 + beta**2) * np.cosh(2.0 * beta * (sol.barrier.width_a - x)) + (beta**2 - k**2)
-        val = (hbar**2 * beta**2 / (2.0 * M)) * 4.0 * k**2 * beta**2 / D**2
+        val = (hbar**2 * beta**2 / (2.0 * M)) * 4.0 * k**2 * beta**2 / _denominator(sol, x)**2
     return val if val.shape else float(val)
+
+
+def _denominator(sol: RectSolution, x: np.ndarray) -> np.ndarray:
+    """D in E - V_tot = (hbar^2 beta^2/2M) 4 k^2 beta^2/D^2."""
+    k, beta = sol.k, sol.beta
+    return (k**2 + beta**2) * np.cosh(2.0 * beta * (sol.barrier.width_a - x)) + (beta**2 - k**2)
 
 
 def total_potential_region2(sol: RectSolution, x):
@@ -324,44 +331,32 @@ def rolling_time(sol: RectSolution) -> float:
     )
 
 
-def _velocity(sol: RectSolution, x: float) -> float:
-    ek = kinetic_density_region2(sol, x)
-    return math.sqrt(2.0 * ek / sol.params.mass_M)
+def _inverse_velocity(sol: RectSolution, x: np.ndarray) -> np.ndarray:
+    """1/v = M D/(2 hbar k beta^2), finite where E - V_tot = M v^2/2 underflows."""
+    return sol.params.mass_M * _denominator(sol, x) / (2.0 * sol.params.hbar * sol.k * sol.beta**2)
 
 
 def classical_trajectory(sol: RectSolution, mode: str = "tanh"):
     """Trajectory of the effective classical particle through the barrier.
 
     ``tanh`` returns the a(1 + tanh(rho t)) record with rho = hbar k/(a M),
-    anchored so x(0) = a at the barrier exit.  ``exact`` integrates
-    dx/dt = v(x) from x(0) = a/2 until the trajectory leaves [0, a].
+    anchored so x(0) = a at the barrier exit.  ``exact`` samples t(x) over
+    [0, a] with x(0) = a/2 (see ``ExactTrajectory``).
     """
     if mode == "tanh":
         rho = sol.params.hbar * sol.k / (sol.barrier.width_a * sol.params.mass_M)
         return TanhBackground(amplitude_a=sol.barrier.width_a, rho=rho)
     if mode != "exact":
         raise DomainError(f"unknown trajectory mode {mode!r}")
-    from scipy.integrate import solve_ivp
-
+    # one branch each way from a/2: 1/v grows like e^(2 beta (a - x)) toward
+    # x = 0, and a sum started there would drop later increments below 1 ulp
     a = sol.barrier.width_a
-    t_total = rolling_time(sol)
-
-    def rhs(_t, y):
-        return [_velocity(sol, min(max(y[0], 0.0), a))]
-
-    def hit_right(_t, y):
-        return y[0] - a
-
-    def hit_left(_t, y):
-        return y[0]
-
-    hit_right.terminal = True
-    hit_left.terminal = True
-    fwd = solve_ivp(rhs, (0.0, 2.0 * t_total), [a / 2.0], events=hit_right,
-                    rtol=1e-10, atol=1e-14, dense_output=False, max_step=t_total / 50.0)
-    bwd = solve_ivp(lambda t, y: [-_velocity(sol, min(max(y[0], 0.0), a))],
-                    (0.0, 2.0 * t_total), [a / 2.0], events=hit_left,
-                    rtol=1e-10, atol=1e-14, dense_output=False, max_step=t_total / 50.0)
-    ts = np.concatenate([-bwd.t[::-1], fwd.t[1:]])
-    xs = np.concatenate([bwd.y[0][::-1], fwd.y[0][1:]])
+    offsets = np.linspace(0.0, 0.5 * a, 2 * math.ceil(25.0 * a * sol.beta) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_right = cumulative_simpson(_inverse_velocity(sol, 0.5 * a + offsets), offsets)
+        t_left = -cumulative_simpson(_inverse_velocity(sol, 0.5 * a - offsets), offsets)
+    ts = np.concatenate([t_left[::-1], t_right[1:]])
+    if not np.isfinite(ts).all():
+        raise PrecisionError("exact trajectory time overflows double range")
+    xs = np.concatenate([0.5 * a - offsets[::-1], 0.5 * a + offsets[1:]])
     return ExactTrajectory(ts=ts, xs=xs, sol=sol)

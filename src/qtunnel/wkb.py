@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import airy
 
-from .core import PhysicalParams, SmoothPotential, cumulative_simpson
+from .core import PhysicalParams, SmoothPotential, cumulative_simpson, gauss_legendre
 from .errors import (
     DegenerateTurningPointError,
     DomainError,
@@ -70,7 +69,6 @@ def find_turning_points(
     potential: SmoothPotential,
     E: float,
     bracket: tuple[float, float],
-    scan_points: int = 512,
 ) -> TurningPoints:
     """Locate the two roots of V(x) = E inside the bracket.
 
@@ -80,7 +78,7 @@ def find_turning_points(
     lo, hi = float(bracket[0]), float(bracket[1])
     if hi <= lo:
         raise DomainError("bracket must satisfy lo < hi")
-    xs = np.linspace(lo, hi, scan_points)
+    xs = np.linspace(lo, hi, 512)
     signs = np.sign(potential(xs) - E)
     starts = np.flatnonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0))
     if starts.size != 2:
@@ -93,9 +91,7 @@ def find_turning_points(
     scale = max(abs(s0), abs(sa), 1e-300)
     for x, s in ((x0, s0), (a, sa)):
         if abs(s) < 1e-8 * scale:
-            raise DegenerateTurningPointError(
-                f"V'({x}) = {s} vanishes: barrier top touches E"
-            )
+            raise DegenerateTurningPointError(f"V'({x}) = {s} vanishes: barrier top touches E")
     if s0 < 0 or sa > 0:
         raise TurningPointTopologyError(
             "bracket contains a well, not a barrier (V < E between the roots)"
@@ -222,7 +218,6 @@ def wkb_total_potential(
     bracket: tuple[float, float] | None = None,
     num_points: int = 2000,
     window_shrink: float = 1.0,
-    margin_fraction: float = 0.15,
     include_decaying_term: bool = True,
     edge_argument: float = 0.8,
     domain: tuple[float, float] | None = None,
@@ -257,7 +252,7 @@ def wkb_total_potential(
                         params, edge_argument) * window_shrink
 
     if domain is None:
-        margin = margin_fraction * gap + max(w_l, w_r)
+        margin = 0.15 * gap + max(w_l, w_r)
         lo, hi = x0 - margin, a + margin
     else:
         lo, hi = float(domain[0]), float(domain[1])
@@ -277,13 +272,11 @@ def wkb_total_potential(
         "region III": (i_r1, num_points - 1),
     }.items():
         if j - i < 6:
-            raise DomainError(
-                f"{name} holds fewer than 6 grid points; increase num_points"
-            )
+            raise DomainError(f"{name} holds fewer than 6 grid points; increase num_points")
 
-    # action pieces: singular sqrt tails by quadrature, the regular middle
-    # by cumulative Simpson on the grid; q and p take scalars (for quad)
-    # and arrays, and read 0 on the wrong side of a turning point
+    # action pieces: the middle by cumulative Simpson on the grid, each tail
+    # from a turning point x_t to a seam x_t + L by 24-node Gauss-Legendre in
+    # u, x = x_t + L u^2 (smooth at the sqrt endpoint); q, p read 0 past x_t
     M, hbar = params.mass_M, params.hbar
 
     def q_of(x):
@@ -292,11 +285,14 @@ def wkb_total_potential(
     def p_of(x):
         return np.sqrt(np.maximum(2.0 * M * (E - potential(x)), 0.0)) / hbar
 
+    def tail(k_of, x_t, x_seam):
+        L = x_seam - x_t
+        return abs(L) * gauss_legendre(lambda u: 2.0 * u * k_of(x_t + L * u * u), 0.0, 1.0, 24)
+
     def amplitude_slope(x, k, sign):
         """k'/(2k), the slope of ln sqrt(k), for k = q (sign 1) or p (sign -1)."""
         return sign * M * potential.derivative(x) / (hbar**2 * k) / (2.0 * k)
 
-    quad_opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
     xs_i, xs_ii, xs_iii = xs[:i_l0 + 1], xs[i_l1:i_r0 + 1], xs[i_r1:]
     p_i, q_ii, p_iii = p_of(xs_i), q_of(xs_ii), p_of(xs_iii)
     for xs_k, k in ((xs_i, p_i), (xs_ii, q_ii), (xs_iii, p_iii)):
@@ -306,17 +302,17 @@ def wkb_total_potential(
                 f"V - E changes sign inside a semiclassical region at x = "
                 f"{xs_k[np.argmax(flat)]}"
             )
-    tail_l = quad(q_of, x0, xs[i_l1], **quad_opts)[0]
-    tail_r = quad(q_of, xs[i_r0], a, **quad_opts)[0]
+    tail_l = tail(q_of, x0, xs[i_l1])
+    tail_r = tail(q_of, a, xs[i_r0])
     cum_ii = cumulative_simpson(q_ii, xs_ii)
     theta = tail_l + cum_ii[-1] + tail_r
 
     # oscillatory phases outside the barrier
     cum_i = cumulative_simpson(p_i, xs_i)
-    tail_i = quad(p_of, xs[i_l0], x0, **quad_opts)[0]
+    tail_i = tail(p_of, x0, xs[i_l0])
     theta_l = tail_i + (cum_i[-1] - cum_i)
     cum_iii = cumulative_simpson(p_iii, xs_iii)
-    tail_iii = quad(p_of, a, xs[i_r1], **quad_opts)[0]
+    tail_iii = tail(p_of, a, xs[i_r1])
     theta_r = tail_iii + cum_iii
 
     phi = np.empty(num_points, dtype=complex)

@@ -3,11 +3,12 @@
 The closed-form scenarios (rect, sweep, fig1a, fig1b), the back-reaction
 scenarios (fig3, backreaction) and validate run on numpy alone; importing
 scipy would multiply their start-up time several times over.  mode-evolve
-loads only ``scipy.special`` (log-Gamma on the 2F1 kernel's z > 1/2 branch),
-never ``scipy.integrate``; fig2 and wkb load both.  The scenarios whose
-modules the CLI imports lazily still run from a fresh interpreter.  These
-tests check which modules load, not how long they take, so host load does
-not move them.
+(log-Gamma on the 2F1 kernel's z > 1/2 branch), fig2 and wkb (Airy
+functions) load only ``scipy.special``; no scenario and no trajectory loads
+``scipy.integrate``, since every quadrature is a fixed rule on numpy arrays.
+The scenarios whose modules the CLI imports lazily still run from a fresh
+interpreter.  These tests check which modules load, not how long they take,
+so host load does not move them.
 """
 
 import os
@@ -45,6 +46,21 @@ assert not loaded, loaded
 """
 
 
+SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN = """
+import sys
+from qtunnel.cli import main
+from qtunnel.core import PhysicalParams, RectBarrier
+from qtunnel.rect import classical_trajectory, solve_rect
+
+assert main(["fig2", "--out", "fig2.csv"]) == 0
+assert main(["wkb", "--out", "wkb.csv"]) == 0
+sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
+classical_trajectory(sol, mode="exact").traversal_time(0.0, 20.0)
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.integrate"))
+assert not loaded, loaded
+"""
+
+
 def fresh_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
@@ -59,6 +75,11 @@ def test_numpy_only_scenarios_load_no_scipy(tmp_path):
 
 def test_mode_evolve_loads_no_scipy_integrate(tmp_path):
     proc = fresh_python(["-c", MODE_EVOLVE_RUN], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_smooth_barrier_and_exact_trajectory_load_no_scipy_integrate(tmp_path):
+    proc = fresh_python(["-c", SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -262,18 +262,27 @@ def test_evolve_rejects_bad_t_eval(t_eval):
         )
 
 
-def test_evolve_step_doubling_failure():
+def test_evolve_step_doubling_failure(monkeypatch):
     # omega grows 12,600-fold within ~1/rho and alpha^2 from 5e-5 to ~400:
-    # the h and h/2 runs differ by ~8e-7 (adaptive RK45 at rtol 1e-10 misses
-    # the 2F1 route by 1.2e-6 on this mode)
+    # the h and h/2 runs differ by ~8e-7, so the step is halved once more,
+    # and the h/2 and h/4 runs agree and meet the 2F1 route.  A budget that
+    # the halving would exceed turns the failed check into StiffnessError.
     mode = EnvMode(mass_m=0.05, omega0=0.001, coupling_c=2.0)
     bg = TanhBackground(amplitude_a=1.0, rho=4.0)
     t0 = modes.vacuum_start_time(bg)
+    ts = np.linspace(-2.5, 2.5, 21)
+
+    def evolve():
+        return modes.evolve_gaussian(mode, bg, modes.vacuum_state(mode, t0), t0, 2.5,
+                                     t_eval=ts, vacuum_start=True)
+
+    worst_a2, worst_b = route_deviations(mode, bg, evolve())
+    assert worst_a2 <= 1e-6
+    assert worst_b <= 1e-6
+    first_pass = 3 * int(modes.magnus_steps(mode, bg, np.concatenate(([t0], ts))).sum())
+    monkeypatch.setattr(modes, "_MAX_STEPS", 2 * first_pass)
     with pytest.raises(StiffnessError, match="h and h/2"):
-        modes.evolve_gaussian(
-            mode, bg, modes.vacuum_state(mode, t0), t0, 2.5,
-            t_eval=np.linspace(-2.5, 2.5, 21), vacuum_start=True,
-        )
+        evolve()
 
 
 def test_evolve_step_budget():

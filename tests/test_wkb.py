@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtunnel.core import PhysicalParams, SmoothPotential
 from qtunnel.errors import (
@@ -65,6 +67,27 @@ def test_profile_kinetic_density_positive(quadratic_profile):
     # the dip inside the barrier is exponentially small against E = 1
     assert prof.e_minus_vtot[mask].min() < 0.05
     assert prof.barrier_action == pytest.approx(math.pi / 2.0, rel=1e-9)
+
+
+# the barrier action theta = pi Delta sqrt(M/k)/hbar is drawn from 1 up: below
+# ~0.8 the patch windows overlap (ThinBarrierError)
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(1.0, 40.0), log10_k=st.floats(-0.3, 2.0), E=st.floats(0.1, 10.0),
+       center=st.floats(-2.0, 2.0), M=st.floats(0.5, 2.0), hbar=st.floats(0.5, 2.0))
+def test_barrier_action_of_quadratic_barriers(theta, log10_k, E, center, M, hbar):
+    # V = V_top - k (x - center)^2/2: the Gauss-Legendre tails plus the
+    # Simpson middle give the closed-form action
+    k = 10.0**log10_k
+    delta = theta * hbar * math.sqrt(k / M) / math.pi
+    barrier = SmoothPotential(lambda x: E + delta - 0.5 * k * (x - center) ** 2,
+                              lambda x: -k * (x - center))
+    half_width = math.sqrt(2.0 * delta / k)
+    prof = wkb.wkb_total_potential(
+        barrier, E, PhysicalParams(energy_E=E, hbar=hbar, mass_M=M),
+        bracket=(center - 2.0 * half_width, center + 2.0 * half_width),
+    )
+    assert prof.barrier_action == pytest.approx(math.pi * delta * math.sqrt(M / k) / hbar,
+                                                rel=1e-10)
 
 
 def test_profile_positive_everywhere(quadratic_profile):
