@@ -151,9 +151,7 @@ def _run_sweep(cfg: RunConfig) -> str:
     key, vals = cfg.sweep()
     ps, t_rolls = [], []
     for val in vals:
-        values = dict(cfg.values)
-        values[key] = val
-        sub = RunConfig(scenario="rect", values=values)
+        sub = RunConfig(scenario="rect", values={**cfg.values, key: val})
         sol = rect_mod.solve_rect(sub.physical_params(), sub.rect_barrier())
         ps.append(rect_mod.transmission_probability(sol).closed_form)
         t_rolls.append(rect_mod.rolling_time(sol))

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
+from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, wave_numbers
 from .errors import DomainError, PrecisionError, StiffnessError
-from .rect import TanhBackground, classical_trajectory, solve_rect
+from .rect import TanhBackground, check_thickness, classical_trajectory, solve_rect
 
 SCENARIOS = (
     "fig1a",
@@ -276,12 +276,11 @@ def diagnostics(cfg: RunConfig) -> list[str]:
 
 def config_problems(cfg: RunConfig) -> list[str]:
     """The violations a run rejects as a configuration error."""
-    return _diagnose(cfg, step_budget=False)[0]
+    return _diagnose(cfg)[0]
 
 
-def _diagnose(cfg: RunConfig, step_budget: bool = True) -> tuple[list[str], list[str]]:
-    """(config problems, numerical limits) of ``cfg``; the mode-evolve step
-    budget, a limit only, is checked with ``step_budget``."""
+def _diagnose(cfg: RunConfig) -> tuple[list[str], list[str]]:
+    """(config problems, numerical limits) of ``cfg``."""
     problems: list[str] = []
     limits: list[str] = []
 
@@ -297,7 +296,8 @@ def _diagnose(cfg: RunConfig, step_budget: bool = True) -> tuple[list[str], list
         params = check(run_cfg.physical_params, "params" + where)
         barrier = check(run_cfg.rect_barrier, "barrier" + where)
         if params is not None and barrier is not None:
-            check(lambda: solve_rect(params, barrier), "barrier" + where)
+            check(lambda: check_thickness(wave_numbers(params, barrier)[1], barrier.width_a),
+                  "barrier" + where)
 
     # a sweep solves only its sweep points, checked below
     if cfg.scenario in ("fig1a", "fig1b", "fig3", "rect", "backreaction", "mode-evolve"):
@@ -311,7 +311,9 @@ def _diagnose(cfg: RunConfig, step_budget: bool = True) -> tuple[list[str], list
                 mode.omega0**2 + 4.0 * mode.coupling_c * float(cfg["a"]) / mode.mass_m,
             )
             if om2_min <= 0:
-                problems.append(f"modes: TachyonicModeError: omega^2 reaches {om2_min:.3g}")
+                problems.append(
+                    f"modes: TachyonicModeError: omega^2 reaches {om2_min:.3g}"
+                )
     if cfg.scenario in ("fig2", "wkb"):
         check(cfg.smooth_potential, "potential")
         check(cfg.bracket, "bracket")
@@ -332,7 +334,7 @@ def _diagnose(cfg: RunConfig, step_budget: bool = True) -> tuple[list[str], list
         )
     if cfg["grid_points"] is not None and int(cfg["grid_points"]) < 16:
         problems.append("grid: DomainError: grid_points must be at least 16")
-    if step_budget and cfg.scenario == "mode-evolve" and not (problems or limits):
+    if cfg.scenario == "mode-evolve" and not (problems or limits):
         from .modes import magnus_steps  # a run past the step budget exits 3
         check(lambda: magnus_steps(*cfg.mode_evolve_run()), "modes")
     return problems, limits

@@ -93,7 +93,8 @@ class ExactTrajectory:
     """Effective-classical trajectory x(t) through the barrier region.
 
     Sampled as t(x) = integral of 1/v from x(0) = a/2 by cumulative Simpson at
-    spacing 0.01/beta; ``traversal_time`` is Gauss-Legendre at 128 nodes, checked at 256.
+    spacing min(0.01/beta, a/200); ``traversal_time`` is Gauss-Legendre at 128
+    nodes, checked at 256.
     """
 
     ts: np.ndarray
@@ -188,16 +189,12 @@ def _dphi_region(sol: RectSolution, x, region: int):
     return 1j * sol.k * sol.C * np.exp(1j * sol.k * x)
 
 
-def _region_of(sol: RectSolution, x: np.ndarray) -> np.ndarray:
-    a = sol.barrier.width_a
-    return np.where(x < 0.0, _REGION_I, np.where(x <= a, _REGION_II, _REGION_III))
-
-
 def _piecewise(sol: RectSolution, x, region_form):
     """Evaluate ``region_form`` (``_phi_region`` or ``_dphi_region``) on the
     region each x falls in; scalar or array."""
     x = np.asarray(x, dtype=float)
-    regions = _region_of(sol, x)
+    regions = np.where(x < 0.0, _REGION_I,
+                       np.where(x <= sol.barrier.width_a, _REGION_II, _REGION_III))
     out = np.empty(x.shape, dtype=complex)
     for region in (_REGION_I, _REGION_II, _REGION_III):
         mask = regions == region
@@ -298,26 +295,22 @@ def potential_profile(sol: RectSolution, xs: np.ndarray) -> PotentialProfile:
     a = sol.barrier.width_a
     E = sol.params.energy_E
     hbar, M = sol.params.hbar, sol.params.mass_M
-    v = np.where((xs >= 0.0) & (xs <= a), sol.barrier.height_V0, 0.0)
-    v_tot = np.empty_like(xs)
     inside = (xs >= 0.0) & (xs <= a)
-    if np.any(inside):
-        v_tot[inside] = total_potential_region2(sol, xs[inside])
-    outside = ~inside
-    if np.any(outside):
-        phi = wavefunction(sol, xs[outside])
-        dphi = wavefunction_dx(sol, xs[outside])
-        # exact curvature: phi'' = -k^2 phi outside the barrier
-        d2phi = -sol.k**2 * phi
-        # |phi|^2 ~ |A|^2 may overflow near the double-range edge: V_Q turns
-        # NaN there, and the CLI refuses to write it
-        with np.errstate(over="ignore", invalid="ignore"):
-            r2 = np.abs(phi) ** 2
-            r = np.sqrt(r2)
-            dr = np.real(np.conj(phi) * dphi) / r
-            d2r = (np.abs(dphi) ** 2 + np.real(np.conj(phi) * d2phi) - dr**2) / r
-            v_q = -(hbar**2 / (2.0 * M)) * d2r / r
-        v_tot[outside] = v_q
+    v = np.where(inside, sol.barrier.height_V0, 0.0)
+    v_tot = np.empty_like(xs)
+    v_tot[inside] = total_potential_region2(sol, xs[inside])
+    phi = wavefunction(sol, xs[~inside])
+    dphi = wavefunction_dx(sol, xs[~inside])
+    # exact curvature: phi'' = -k^2 phi outside the barrier
+    d2phi = -sol.k**2 * phi
+    # |phi|^2 ~ |A|^2 may overflow near the double-range edge: V_Q turns
+    # NaN there, and the CLI refuses to write it
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = np.abs(phi) ** 2
+        r = np.sqrt(r2)
+        dr = np.real(np.conj(phi) * dphi) / r
+        d2r = (np.abs(dphi) ** 2 + np.real(np.conj(phi) * d2phi) - dr**2) / r
+        v_tot[~inside] = -(hbar**2 / (2.0 * M)) * d2r / r
     return PotentialProfile(xs=xs, v=v, v_tot=v_tot, e_minus_vtot=E - v_tot)
 
 
@@ -351,7 +344,7 @@ def classical_trajectory(sol: RectSolution, mode: str = "tanh"):
     # one branch each way from a/2: 1/v grows like e^(2 beta (a - x)) toward
     # x = 0, and a sum started there would drop later increments below 1 ulp
     a = sol.barrier.width_a
-    offsets = np.linspace(0.0, 0.5 * a, 2 * math.ceil(25.0 * a * sol.beta) + 1)
+    offsets = np.linspace(0.0, 0.5 * a, 2 * max(math.ceil(25.0 * a * sol.beta), 50) + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         t_right = cumulative_simpson(_inverse_velocity(sol, 0.5 * a + offsets), offsets)
         t_left = -cumulative_simpson(_inverse_velocity(sol, 0.5 * a - offsets), offsets)

@@ -91,7 +91,9 @@ def find_turning_points(
     scale = max(abs(s0), abs(sa), 1e-300)
     for x, s in ((x0, s0), (a, sa)):
         if abs(s) < 1e-8 * scale:
-            raise DegenerateTurningPointError(f"V'({x}) = {s} vanishes: barrier top touches E")
+            raise DegenerateTurningPointError(
+                f"V'({x}) = {s} vanishes: barrier top touches E"
+            )
     if s0 < 0 or sa > 0:
         raise TurningPointTopologyError(
             "bracket contains a well, not a barrier (V < E between the roots)"
@@ -272,7 +274,9 @@ def wkb_total_potential(
         "region III": (i_r1, num_points - 1),
     }.items():
         if j - i < 6:
-            raise DomainError(f"{name} holds fewer than 6 grid points; increase num_points")
+            raise DomainError(
+                f"{name} holds fewer than 6 grid points; increase num_points"
+            )
 
     # action pieces: the middle by cumulative Simpson on the grid, each tail
     # from a turning point x_t to a seam x_t + L by 24-node Gauss-Legendre in

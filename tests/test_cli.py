@@ -211,19 +211,6 @@ def test_validate_reports_step_budget_that_run_rejects(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_mode_evolve_halves_the_step_where_the_first_check_fails(tmp_path):
-    # omega grows ~10^4-fold: the h and h/2 runs differ by 5e-7, the h/2 and
-    # h/4 runs agree, and the result meets the 2F1 route (criterion 3)
-    out = tmp_path / "me.csv"
-    flags = ["--m", "0.05", "--omega0", "0.001", "--c", "2", "--rho", "4"]
-    assert main(["mode-evolve", *flags, "--out", str(out)]) == 0
-    columns, rows = read_csv(out)
-    a2_ode, b_ode, a2_xi, b_xi = (rows[:, columns.index(name)] for name in
-                                  ("alpha2_ode", "beta_ode", "alpha2_xi", "beta_xi"))
-    assert np.max(np.abs(a2_ode - a2_xi) / a2_xi) <= 1e-6
-    assert np.max(np.abs(b_ode - b_xi) / np.maximum(np.abs(b_xi), 0.05 * 0.001)) <= 1e-6
-
-
 @pytest.mark.parametrize("a", [90.0, 125.0, 175.0])
 def test_thick_in_range_barrier_runs_without_warnings(tmp_path, a):
     # beta = 2: beta*a from 180 to 350, where cosh(2 beta (a - x))^2 overflows

@@ -229,11 +229,13 @@ def test_exact_trajectory_structure(default_solution):
     assert span == pytest.approx(rect.rolling_time(default_solution), rel=1e-6)
 
 
-@pytest.mark.parametrize("a", [1.0, 20.0, 100.0, 170.0])
-def test_exact_trajectory_thick_barriers(a):
+@pytest.mark.parametrize("E, a", [(2.0, 1.0), (2.0, 20.0), (2.0, 100.0), (2.0, 170.0),
+                                  (3.99, 1.0)])
+def test_exact_trajectory_thick_barriers(E, a):
     # 2 beta a up to 680: E - V_tot underflows to 0 near x = 0 from a = 100
-    # on, while 1/v = M D/(2 hbar k beta^2) stays finite
-    sol = rect.solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, a))
+    # on, while 1/v = M D/(2 hbar k beta^2) stays finite.  E = 3.99 on a thin
+    # barrier (k >> beta, 2 beta a = 0.28): D nearly cancels near x = a
+    sol = rect.solve_rect(PhysicalParams(energy_E=E), RectBarrier(4.0, a))
     t_roll = rect.rolling_time(sol)
     traj = rect.classical_trajectory(sol, mode="exact")
     assert traj.traversal_time(0.0, a) == pytest.approx(t_roll, rel=1e-8)
