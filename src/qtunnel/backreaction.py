@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnvMode, PhysicalParams, RectBarrier, cumulative_simpson, derivative_5pt, simpson
+from .core import EnvMode, PhysicalParams, RectBarrier, cumulative_simpson, derivative_5pt
 from .errors import (
     AlignmentError,
     DomainError,
@@ -88,8 +88,6 @@ def q_factors(mode: EnvMode, bg: TanhBackground, mf: ModeFunction) -> QFactors:
     (x outside [eps*a, (2-eps)*a], eps = 1e-3) are trimmed and flagged.
     """
     ts = np.atleast_1d(mf.t)
-    if ts.size == 0:
-        raise DomainError("empty mode-function trajectory")
     xs = bg.position(ts)
     keep = (xs >= _EDGE_TRIM * bg.amplitude_a) & (
         xs <= (2.0 - _EDGE_TRIM) * bg.amplitude_a
@@ -100,8 +98,11 @@ def q_factors(mode: EnvMode, bg: TanhBackground, mf: ModeFunction) -> QFactors:
     dln = np.atleast_1d(mf.log_derivative())[keep]
     d2ln = np.atleast_1d(log_derivative_2(mode, bg, mf))[keep]
     denom = bg.velocity(ts[keep]) * dln.imag
-    q1 = d2ln.real / denom
-    q2 = (d2ln.imag / (2.0 * denom)) ** 2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q1 = d2ln.real / denom
+        q2 = (d2ln.imag / (2.0 * denom)) ** 2
+    if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
+        raise PrecisionError("Q1 or Q2 leaves double range")
     return QFactors(xs=xs[keep], q1=q1, q2=q2, trimmed=trimmed)
 
 
@@ -166,8 +167,9 @@ def effective_potential(
     """Assemble V_eff on the sample grid (uniform spacing required).
 
     Q1' uses the 5-point interior stencil with one-sided closures; the
-    momentum-weighted integral uses cumulative Simpson.  The barrier average
-    of Delta V is normalized by the nominal width ``width_a``.
+    momentum-weighted integral uses cumulative Simpson, and so does the
+    barrier average of Delta V (its last value), normalized by the nominal
+    width ``width_a``.
     """
     xs = np.asarray(xs, dtype=float)
     v, p0 = np.asarray(v, dtype=float), np.asarray(p0, dtype=float)
@@ -187,10 +189,10 @@ def effective_potential(
             f"Q1' oscillates at grid scale ({sign_flips} sign flips); refine the grid"
         )
     hbar, M = params.hbar, params.mass_M
-    integral = cumulative_simpson(hbar * dq1 * p0 / (4.0 * M), xs)
+    integral = cumulative_simpson(hbar * dq1 * p0 / (4.0 * M), h)
     delta_v = 2.0 * hbar**2 * q1**2 / (32.0 * M) + hbar**2 * q2 / (4.0 * M) - integral
     v_eff = v + delta_v
-    delta_v_bar = float(simpson(delta_v, xs)) / width_a
+    delta_v_bar = float(cumulative_simpson(delta_v, h)[-1]) / width_a
     return BackreactionProfile(
         xs=xs, q1=q1, q2=q2, v=v, v_eff=v_eff, delta_v=delta_v, p0=p0,
         delta_v_bar=delta_v_bar,
@@ -271,66 +273,43 @@ def gaussian_average_check(
     return GaussianAverageResiduals(first_moment=res1, second_moment=res2, cross_moment=resx)
 
 
-def multi_mode_superpose(
-    profiles: list[BackreactionProfile],
-    template: tuple | None = None,
-) -> BackreactionProfile:
-    """Total back reaction of several modes on a common grid.
-
-    The factors add linearly, and so does Delta V: completing the square on
-    the effective Hamiltonian cancels the Gaussian-average cross terms, so
-    the quadratic contribution is the per-mode sum of squares.  With an
-    empty mode list, an (xs, v, p0) template yields the bare potential.
-    """
-    if not profiles:
-        if template is None:
-            raise DomainError("no profiles and no (xs, v, p0) template")
-        xs, v, p0 = (np.asarray(t, dtype=float) for t in template)
-        zero = np.zeros_like(xs)
-        return BackreactionProfile(
-            xs=xs, q1=zero, q2=zero.copy(), v=v, v_eff=v.copy(),
-            delta_v=zero.copy(), p0=p0, delta_v_bar=0.0,
-        )
-    first = profiles[0]
-    for p in profiles[1:]:
-        if len(p.xs) != len(first.xs) or np.max(np.abs(p.xs - first.xs)) > 1e-12:
-            raise AlignmentError("profiles sampled on different grids")
-        if np.max(np.abs(p.v - first.v)) > 1e-12:
-            raise AlignmentError("profiles carry different bare potentials")
-    q1 = np.sum([p.q1 for p in profiles], axis=0)
-    q2 = np.sum([p.q2 for p in profiles], axis=0)
-    delta_v = np.sum([p.delta_v for p in profiles], axis=0)
-    return BackreactionProfile(
-        xs=first.xs,
-        q1=q1,
-        q2=q2,
-        v=first.v,
-        v_eff=first.v + delta_v,
-        delta_v=delta_v,
-        p0=first.p0,
-        delta_v_bar=float(sum(p.delta_v_bar for p in profiles)),
-    )
-
-
 def rect_mode_backreaction(
     sol: RectSolution,
-    mode: EnvMode,
+    *modes: EnvMode,
     num_points: int = 2000,
 ) -> BackreactionProfile:
-    """Single-mode back-reaction profile over the rectangular barrier.
+    """Back-reaction profile of one or more modes over the rectangular barrier.
 
-    Builds the tanh trajectory of the solution, evaluates the exact mode
-    function along it, and assembles the effective potential on a uniform
-    grid over [eps*a, a] using the unperturbed effective-classical momentum
-    p0 = sqrt(2 M (E - V_tot)).
+    Builds the tanh trajectory of the solution and a uniform grid over
+    [eps*a, a] once, with the unperturbed effective-classical momentum
+    p0 = sqrt(2 M (E - V_tot)).  Each mode's exact mode function along the
+    trajectory gives its own effective potential; Q1, Q2, Delta V and its
+    barrier average then add over the modes in order, because completing the
+    square on the effective Hamiltonian cancels the Gaussian-average cross
+    terms.
     """
+    if not modes:
+        raise DomainError("need at least one environment mode")
     bg = classical_trajectory(sol, mode="tanh")
     a = sol.barrier.width_a
     xs = np.linspace(_EDGE_TRIM * a, a, num_points)
     ts = bg.time_at(xs)
-    qf = q_factors(mode, bg, xi_trajectory(mode, bg, ts))
-    if len(qf.xs) != len(xs):
-        raise DomainError("trajectory trim removed requested grid points")
     p0 = np.sqrt(2.0 * sol.params.mass_M * kinetic_density_region2(sol, xs))
     v = np.full_like(xs, sol.barrier.height_V0)
-    return effective_potential(xs, v, p0, qf.q1, qf.q2, sol.params, width_a=a)
+    parts = []
+    for mode in modes:
+        qf = q_factors(mode, bg, xi_trajectory(mode, bg, ts))
+        if len(qf.xs) != len(xs):
+            raise DomainError("trajectory trim removed requested grid points")
+        parts.append(effective_potential(xs, v, p0, qf.q1, qf.q2, sol.params, width_a=a))
+    delta_v = np.sum([p.delta_v for p in parts], axis=0)
+    return BackreactionProfile(
+        xs=xs,
+        q1=np.sum([p.q1 for p in parts], axis=0),
+        q2=np.sum([p.q2 for p in parts], axis=0),
+        v=v,
+        v_eff=v + delta_v,
+        delta_v=delta_v,
+        p0=p0,
+        delta_v_bar=float(sum(p.delta_v_bar for p in parts)),
+    )

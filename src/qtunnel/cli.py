@@ -93,11 +93,8 @@ def _mode_backreaction(cfg: RunConfig) -> tuple[rect_mod.RectSolution, Backreact
     from . import backreaction as br
 
     sol = rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier())
-    profs = [
-        br.rect_mode_backreaction(sol, mode, num_points=int(cfg["grid_points"]))
-        for mode in cfg.env_modes()
-    ]
-    return sol, profs[0] if len(profs) == 1 else br.multi_mode_superpose(profs)
+    return sol, br.rect_mode_backreaction(sol, *cfg.env_modes(),
+                                          num_points=int(cfg["grid_points"]))
 
 
 def _run_fig3(cfg: RunConfig) -> str:

@@ -255,17 +255,6 @@ def build_config(scenario: str | None, file_values: dict, overrides: dict) -> Ru
     return RunConfig(scenario=str(scen), values=merged)
 
 
-def validate_file(path: str | Path) -> list[str]:
-    """Diagnostics for a config file: empty list means clean.
-
-    Syntax problems raise ConfigError (with line/column); content problems
-    are returned as human-readable violation strings.
-    """
-    values = load_config(path)
-    cfg = build_config(None, values, {})
-    return diagnostics(cfg)
-
-
 def diagnostics(cfg: RunConfig) -> list[str]:
     """Invariant violations the run would hit: the ``config_problems``, then
     barriers too thick for double range and mode-evolve grids past the step

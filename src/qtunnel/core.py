@@ -8,6 +8,7 @@ dimensional checks can vary them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -94,7 +95,9 @@ class EnvMode:
     coupling_c: float
 
     def __post_init__(self):
-        _require_positive(mass_m=self.mass_m, omega0=self.omega0)
+        # omega0^2 enters every frequency; it must not leave double range
+        _require_positive(mass_m=self.mass_m, omega0=self.omega0,
+                          omega0_squared=self.omega0 * self.omega0)
         if not math.isfinite(self.coupling_c):
             raise DomainError(f"coupling_c must be finite, got {self.coupling_c}")
 
@@ -140,68 +143,41 @@ def _weighted_sum(coefficients, terms):
     return total
 
 
-# Composite Simpson over 1-D samples y(x), x strictly increasing, at least 3
-# samples.  Both follow scipy (simpson(y, x=x) and
-# cumulative_simpson(y, x=x, initial=0.0)) operation for operation, with the
-# unequal-interval formulas even on uniform grids, so results match scipy's
-# to the last bit.
+def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running integral of samples y spaced by h, one value per sample (0 first).
 
-
-def simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Integral of y over x: Simpson on interval pairs; with an odd number of
-    intervals, Cartwright's correction for the last one."""
+    Each even interval is h(5 y_i + 8 y_i+1 - y_i+2)/12, the integral of the
+    parabola through it and its right neighbour; each odd interval, and the
+    last one, uses the mirror image through its left neighbour.  Each pair of
+    intervals is Simpson's rule, so the last value is composite Simpson with
+    Cartwright's correction for an odd last interval.  Needs at least 3
+    samples.
+    """
     n = len(y)
-    h = np.diff(x)
-    stop = n - 3 if n % 2 == 0 else n - 2
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
-    if n % 2 == 0:
-        # 0-d arrays, not scalars: numpy rounds x**3 differently for the two
-        h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
-        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-        eta = h1**3 / (6 * h0 * (h0 + h1))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
-
-
-def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running integral of y from x[0], one value per sample (0 first).
-
-    Each interval's integral comes from the parabola through it and its
-    right neighbour (even intervals) or its left neighbour (odd intervals
-    and the last one)."""
-    h = np.diff(x)
-    forward = _simpson_intervals(y, h)
-    backward = _simpson_intervals(y[::-1], h[::-1])[::-1]
-    pieces = np.empty(len(h))
-    pieces[:-1:2] = forward[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
-    out = np.empty(len(y))
+    left, mid, right = y[0:n - 2:2], y[1:n - 1:2], y[2::2]
+    pieces = np.empty(n - 1)
+    pieces[:-1:2] = 5.0 * left + 8.0 * mid - right
+    pieces[1::2] = 5.0 * right + 8.0 * mid - left
+    pieces[-1] = 5.0 * y[-1] + 8.0 * y[-2] - y[-3]
+    out = np.empty(n)
     out[0] = 0.0
-    out[1:] = np.cumsum(pieces) + 0.0  # as scipy adds initial=0.0: -0.0 -> 0.0
+    out[1:] = np.cumsum(h / 12.0 * pieces)
     return out
 
 
-def _simpson_intervals(y, h):
-    """Integral over each [x_i, x_i+1] of the parabola through x_i..x_i+2
-    (Cartwright 2017, eq. 8)."""
-    x21, x32 = h[:-1], h[1:]
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                      - x21x21_x31x32 * y[2:])
+@functools.cache
+def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-node Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes = np.polynomial.legendre.leggauss(n)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
 
 
 def gauss_legendre(f: Callable, lo: float, hi: float, n: int) -> float:
     """Integral of f over [lo, hi] by the n-node Gauss-Legendre rule (DLMF 3.5(v)),
     exact up to degree 2n - 1; f is called once, on the array of nodes."""
-    u, w = np.polynomial.legendre.leggauss(n)
+    u, w = _legendre_nodes(n)
     half = 0.5 * (hi - lo)
     return float(half * (w @ f(lo + half * (u + 1.0))))
 

@@ -63,7 +63,7 @@ class InconsistentBranchError(QTunnelError):
 
 
 class AlignmentError(QTunnelError):
-    """Per-mode profiles sampled on different grids cannot be superposed."""
+    """Profile inputs sampled on different grids cannot be combined."""
 
 
 class OutOfRegimeError(QTunnelError):

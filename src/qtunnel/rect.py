@@ -133,6 +133,8 @@ def solve_rect(params: PhysicalParams, barrier: RectBarrier) -> RectSolution:
     k, beta = wave_numbers(params, barrier)
     a = barrier.width_a
     check_thickness(beta, a)
+    if not k * k * beta * beta > 0.0:  # numerator of P and of E - V_tot
+        raise PrecisionError(f"k^2 beta^2 underflows double range: k = {k:.3g}, beta = {beta:.3g}")
     lam_p = complex(beta, k)
     lam_m = complex(beta, -k)
     C = 1.0 + 0.0j
@@ -223,6 +225,8 @@ def transmission_probability(sol: RectSolution) -> TransmissionProbability:
     k, beta, a = sol.k, sol.beta, sol.barrier.width_a
     p_amp = abs(sol.C) ** 2 / abs(sol.A) ** 2
     denom = (k**2 + beta**2) ** 2 * math.cosh(beta * a) ** 2 - (beta**2 - k**2) ** 2
+    if not denom > 0.0:  # at least 4 k^2 beta^2 > 0, but for rounding
+        raise PrecisionError(f"transmission denominator rounds to {denom!r}")
     p_closed = 4.0 * k**2 * beta**2 / denom
     if abs(p_amp - p_closed) > 1e-10 * p_closed:
         raise PrecisionError(
@@ -346,8 +350,8 @@ def classical_trajectory(sol: RectSolution, mode: str = "tanh"):
     a = sol.barrier.width_a
     offsets = np.linspace(0.0, 0.5 * a, 2 * max(math.ceil(25.0 * a * sol.beta), 50) + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        t_right = cumulative_simpson(_inverse_velocity(sol, 0.5 * a + offsets), offsets)
-        t_left = -cumulative_simpson(_inverse_velocity(sol, 0.5 * a - offsets), offsets)
+        t_right = cumulative_simpson(_inverse_velocity(sol, 0.5 * a + offsets), offsets[1])
+        t_left = -cumulative_simpson(_inverse_velocity(sol, 0.5 * a - offsets), offsets[1])
     ts = np.concatenate([t_left[::-1], t_right[1:]])
     if not np.isfinite(ts).all():
         raise PrecisionError("exact trajectory time overflows double range")

@@ -30,10 +30,11 @@ from .errors import (
     DegenerateTurningPointError,
     DomainError,
     OrientationError,
+    PrecisionError,
     ThinBarrierError,
     TurningPointTopologyError,
 )
-from .rect import quantum_potential
+from .rect import _LOG_DOUBLE_MAX, quantum_potential
 
 _ROOT_TOL = 1e-12
 _LINEARIZATION_BUDGET = 0.05  # |V - V_lin| <= budget * |V'| * w at window edge
@@ -133,7 +134,7 @@ def _airy_scale(params: PhysicalParams, slope: float) -> float:
     length scale of the Airy region.
     """
     return math.copysign(
-        (2.0 * params.mass_M * abs(slope) / params.hbar**2) ** (1.0 / 3.0), slope
+        (2.0 * params.mass_M * abs(slope)) ** (1.0 / 3.0) / params.hbar ** (2.0 / 3.0), slope
     )
 
 
@@ -308,14 +309,16 @@ def wkb_total_potential(
             )
     tail_l = tail(q_of, x0, xs[i_l1])
     tail_r = tail(q_of, a, xs[i_r0])
-    cum_ii = cumulative_simpson(q_ii, xs_ii)
+    cum_ii = cumulative_simpson(q_ii, h)
     theta = tail_l + cum_ii[-1] + tail_r
+    if 2.0 * theta > _LOG_DOUBLE_MAX:  # |phi|^2 grows like e^(2 theta)
+        raise PrecisionError(f"barrier action {theta:.6g}: e^(2 theta) leaves double range")
 
     # oscillatory phases outside the barrier
-    cum_i = cumulative_simpson(p_i, xs_i)
+    cum_i = cumulative_simpson(p_i, h)
     tail_i = tail(p_of, x0, xs[i_l0])
     theta_l = tail_i + (cum_i[-1] - cum_i)
-    cum_iii = cumulative_simpson(p_iii, xs_iii)
+    cum_iii = cumulative_simpson(p_iii, h)
     tail_iii = tail(p_of, a, xs[i_r1])
     theta_r = tail_iii + cum_iii
 

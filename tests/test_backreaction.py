@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
@@ -187,15 +189,23 @@ def test_gaussian_average_cross_coefficient():
 
 
 def test_superpose_identity(fig3_profile):
-    combined = br.multi_mode_superpose([fig3_profile])
-    assert np.array_equal(combined.v_eff, fig3_profile.v_eff)
+    # one mode: the driver returns that mode's effective potential unchanged
+    sol = rect.solve_rect(PARAMS, BARRIER)
+    bg = rect.classical_trajectory(sol, mode="tanh")
+    ts = bg.time_at(fig3_profile.xs)
+    qf = br.q_factors(FIG3_MODE, bg, modes.xi_trajectory(FIG3_MODE, bg, ts))
+    single = br.effective_potential(fig3_profile.xs, fig3_profile.v, fig3_profile.p0,
+                                    qf.q1, qf.q2, PARAMS, width_a=1.0)
+    for field in ("q1", "q2", "v_eff", "delta_v"):
+        assert np.array_equal(getattr(fig3_profile, field), getattr(single, field))
+    assert fig3_profile.delta_v_bar == single.delta_v_bar
 
 
 def test_superpose_two_identical_modes(fig3_profile):
-    combined = br.multi_mode_superpose([fig3_profile, fig3_profile])
-    assert combined.q1 == pytest.approx(2.0 * fig3_profile.q1, rel=1e-12)
-    assert combined.delta_v == pytest.approx(2.0 * fig3_profile.delta_v, rel=1e-12)
-    assert combined.delta_v_bar == pytest.approx(2.0 * fig3_profile.delta_v_bar, rel=1e-12)
+    combined = br.rect_mode_backreaction(rect.solve_rect(PARAMS, BARRIER), FIG3_MODE, FIG3_MODE)
+    assert np.array_equal(combined.q1, 2.0 * fig3_profile.q1)
+    assert np.array_equal(combined.delta_v, 2.0 * fig3_profile.delta_v)
+    assert combined.delta_v_bar == 2.0 * fig3_profile.delta_v_bar
     # Hamiltonian-level quadratic block for two identical modes (in units of
     # hbar^2/2M): (3/16) sum q^2 + (1/16) cross = (3/16) 2q^2 + (1/16) 2q^2
     # = q^2/2.  Completing the square removes (sum q)^2/16 in the same units,
@@ -210,21 +220,37 @@ def test_superpose_two_identical_modes(fig3_profile):
     )
 
 
-def test_superpose_zero_modes_is_bare(fig3_profile):
-    empty = br.multi_mode_superpose(
-        [], template=(fig3_profile.xs, fig3_profile.v, fig3_profile.p0)
-    )
-    assert np.array_equal(empty.v_eff, fig3_profile.v)
-    assert empty.delta_v_bar == 0.0
-
-
-def test_superpose_alignment_error(fig3_profile):
-    sol = rect.solve_rect(PARAMS, BARRIER)
-    other = br.rect_mode_backreaction(sol, FIG3_MODE, num_points=1000)
-    with pytest.raises(AlignmentError):
-        br.multi_mode_superpose([fig3_profile, other])
+def test_superpose_no_modes_rejected():
     with pytest.raises(DomainError):
-        br.multi_mode_superpose([])
+        br.rect_mode_backreaction(rect.solve_rect(PARAMS, BARRIER))
+
+
+@st.composite
+def _mode_sets(draw):
+    """2-3 modes whose omega^2 stays positive over a barrier of width 1."""
+    out = []
+    for _ in range(draw(st.integers(2, 3))):
+        m, omega0 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+        c = draw(st.floats(0.01, 0.3)) * draw(st.sampled_from([-1.0, 1.0]))
+        assume(omega0**2 + 4.0 * c / m > 0.0)
+        out.append(EnvMode(mass_m=m, omega0=omega0, coupling_c=c))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(_mode_sets(), st.integers(64, 400))
+def test_superposition_of_modes(mode_set, num_points):
+    # the driver adds the single-mode profiles in mode order, bit for bit
+    sol = rect.solve_rect(PARAMS, BARRIER)
+    total = br.rect_mode_backreaction(sol, *mode_set, num_points=num_points)
+    singles = [br.rect_mode_backreaction(sol, mode, num_points=num_points) for mode in mode_set]
+    for field in ("q1", "q2", "delta_v"):
+        expected = getattr(singles[0], field)
+        for single in singles[1:]:
+            expected = expected + getattr(single, field)
+        assert np.array_equal(getattr(total, field), expected)
+    assert np.array_equal(total.v_eff, total.v + total.delta_v)
+    assert total.delta_v_bar == sum(single.delta_v_bar for single in singles)
 
 
 def test_hamiltonian_trajectory_equivalence():

@@ -132,18 +132,6 @@ def test_config_unknown_key_rejected():
         parse_config_text("E = 2\nbogus = 3\n")
 
 
-def test_validate_file_function(tmp_path):
-    from qtunnel.config import validate_file
-
-    good = tmp_path / "good.cfg"
-    good.write_text("scenario = rect\nE = 2\nV0 = 4\n")
-    assert validate_file(good) == []
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("scenario = rect\nE = 5\nV0 = 4\n")
-    problems = validate_file(bad)
-    assert len(problems) == 1 and "AboveBarrier" in problems[0]
-
-
 def test_config_bad_value_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text("E = banana\n")
@@ -221,6 +209,42 @@ def test_thick_in_range_barrier_runs_without_warnings(tmp_path, a):
         assert main(["fig1a", "--a", str(a), "--out", str(out)]) == 0
     columns, rows = read_csv(out)
     assert np.all(np.isfinite(rows))
+
+
+def test_backreaction_on_a_vanishing_barrier(tmp_path):
+    # a = 1e-300: grid spacing ~5e-304, the thin-barrier limit P = 1
+    out = tmp_path / "thin.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["backreaction", "--a", "1e-300", "--out", str(out)]) == 0
+    columns, rows = read_csv(out)
+    assert np.all(rows[:, columns.index("delta_V_bar")] == 0.0)
+    assert np.all(rows[:, columns.index("P_modified")] == 1.0)
+
+
+@pytest.mark.parametrize("flags", [
+    *[[scenario, "--omega0", "1e200"] for scenario in ("fig3", "backreaction", "mode-evolve")],
+    *[[scenario, flag, value] for scenario in ("fig2", "wkb")
+      for flag, value in (("--hbar", "1e200"), ("--hbar", "1e-200"), ("--M", "1e200"))],
+    *[[scenario, "--M", "1e-200"] for scenario in ("rect", "sweep", "backreaction")],
+    # Im d ln xi/dt rounds to 0, so Q1 and Q2 are infinite
+    ["fig3", "--omega0", "1e-150"],
+    # the transmission denominator 4 k^2 beta^2 + ... cancels to 0
+    ["rect", "--E", "1e-30", "--a", "1e-20"],
+], ids=" ".join)
+def test_extreme_scales_fail_cleanly(tmp_path, capsys, flags):
+    # omega0^2, hbar^2, e^(2 theta) or k^2 beta^2 leaves double range
+    out = tmp_path / "extreme.csv"
+    assert main([*flags, "--out", str(out)]) in (2, 3)
+    assert "Error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_reports_omega0_past_double_range(tmp_path, capsys):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("scenario = fig3\nomega0 = 1e200\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "modes: DomainError" in capsys.readouterr().out
 
 
 def test_missing_out_is_config_error(capsys):

@@ -5,7 +5,8 @@ exit leaves no output file, and exit 0 leaves a complete CSV of finite
 values.  The inputs include NaN and infinite values, non-positive values,
 sweeps with bad points, reversed time ranges and brackets, smooth barriers
 with bad coefficients, barriers on both sides of the double-range edge
-(beta*a ~ 355) and unwritable ``--out`` paths.
+(beta*a ~ 355), hbar, M, m or omega0 anywhere from 1e-200 to 1e200 and
+unwritable ``--out`` paths.
 """
 
 import math
@@ -22,6 +23,9 @@ POSITIVE = st.floats(min_value=0.05, max_value=8.0)
 # widths whose beta*a falls on either side of the double-range edge
 THICK_WIDTH = st.floats(min_value=50.0, max_value=1000.0)
 ONE_IN_THREE = st.integers(0, 2).map(lambda i: i == 0)
+# 10^u, u uniform in [-200, 200]: scales whose squares or exponentials
+# leave double range
+EXTREME = st.floats(min_value=-200.0, max_value=200.0).map(lambda u: 10.0**u)
 SMOOTH = ["fig2", "wkb"]
 SCENARIOS = ["rect", "fig1a", "sweep", "fig3", "backreaction", "mode-evolve"] + SMOOTH
 
@@ -34,8 +38,9 @@ def text(value) -> str:
 @st.composite
 def runs(draw):
     """(scenario, flag values, optional sweep, writable --out, validated
-    scenario); at most one flag, one entry of ``poly`` or ``bracket``, and
-    one sweep point carry a special value, so clean runs are common."""
+    scenario); at most one of hbar, M, m and omega0 takes an extreme size,
+    and at most one flag, one entry of ``poly`` or ``bracket``, and one
+    sweep point carry a special value, so clean runs are common."""
     scenario = draw(st.sampled_from(SCENARIOS + ["validate"]))
     target = draw(st.sampled_from(SCENARIOS)) if scenario == "validate" else scenario
     if target in SMOOTH:
@@ -53,6 +58,9 @@ def runs(draw):
         # mostly below the barrier top, sometimes above it
         values["V0"] = values["E"] + draw(st.floats(min_value=-1.0, max_value=6.0))
         values["c"] = draw(st.floats(min_value=-0.5, max_value=0.5))
+    values["hbar"], values["M"] = draw(POSITIVE), draw(POSITIVE)
+    if draw(ONE_IN_THREE):
+        values[draw(st.sampled_from(["hbar", "M", "m", "omega0"]))] = draw(EXTREME)
     if target == "mode-evolve":
         # t_max sometimes at or below t_min
         values["t_min"] = draw(st.floats(-10.0, 0.0))

@@ -1,6 +1,7 @@
 """Parameter records, potential validation, and wave numbers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qtunnel.core import (
     SmoothPotential,
     cumulative_simpson,
     derivative_5pt,
-    simpson,
     wave_numbers,
 )
 from qtunnel.errors import AboveBarrierError, DomainError
@@ -91,48 +91,49 @@ def test_derivative_5pt_exact_on_quartic():
     np.testing.assert_allclose(derivative_5pt(y, h, order=2), d2y, rtol=0.0, atol=1e-10)
 
 
-def _simpson_samples(n: int, uniform: bool, values: str, seed: int):
-    """(y, x): x increasing, uniform or not; y smooth, of mixed signs across
-    magnitudes 1e-300..1e100, or made of signed zeros and small integers."""
-    rng = np.random.default_rng(seed)
-    if uniform:
-        x = np.linspace(rng.uniform(-3.0, 0.0), rng.uniform(1.0, 40.0), n)
-    else:
-        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - rng.uniform(0.0, 10.0)
-    signs = rng.choice([-1.0, 1.0], n)
-    if values == "magnitudes":
-        y = signs * 10.0 ** rng.uniform(-300.0, 100.0, n)
-    elif values == "zeros":
-        y = rng.choice([0.0, -0.0, 1.0, -2.0], n)
-        # the first running sum is -0.0 until 0.0 is added to it
-        y[:3] = (-0.0, -0.0, 0.0)
-    else:
-        y = np.sin(3.0 * x) + 0.1 * x
-    return y, x
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cumulative_simpson_exact_on_polynomials(n):
+    # each interval integrates a parabola exactly; each pair of intervals is
+    # Simpson's rule, which is exact for cubics too
+    h = 0.3
+    x = -0.7 + h * np.arange(n)
+    quadratic = 1.5 * x - x**2 + 0.7 * x**3 / 3.0  # antiderivatives
+    cubic = 0.4 * x - x**2 / 2.0 + 0.1 * x**3 - 0.3 * x**4
+    np.testing.assert_allclose(cumulative_simpson(1.5 - 2.0 * x + 0.7 * x**2, h),
+                               quadratic - quadratic[0], rtol=0.0, atol=1e-13)
+    running = cumulative_simpson(0.4 - x + 0.3 * x**2 - 1.2 * x**3, h)
+    np.testing.assert_allclose(running[::2], (cubic - cubic[0])[::2], rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("values", ["smooth", "magnitudes", "zeros"])
-@pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("n", [6, 7, 100, 101, 2000, 2001])
-def test_simpson_helpers_bitwise_equal_to_scipy(n, uniform, values):
+def test_cumulative_simpson_total_matches_scipy_on_uniform_grids(n, values):
+    # scipy's composite Simpson, with Cartwright's correction for an odd
+    # number of intervals, on a grid of exactly equal (dyadic) spacings; y
+    # smooth, of mixed signs across magnitudes 1e-300..1e100, or made of
+    # signed zeros and small integers
     integrate = pytest.importorskip("scipy.integrate")
-    for seed in range(5):
-        y, x = _simpson_samples(n, uniform, values, seed)
-        total = np.float64(simpson(y, x))
-        assert total.tobytes() == np.float64(integrate.simpson(y, x=x)).tobytes()
-        running = cumulative_simpson(y, x)
-        expected = integrate.cumulative_simpson(y, x=x, initial=0.0)
-        assert running.tobytes() == expected.tobytes()
-
-
-def test_simpson_last_interval_correction_bitwise_equal_to_scipy():
-    # y is zero but for y[-3], so the even-length correction's h1^3 term
-    # shows in the result; numpy rounds h^3 of a scalar and of a 0-d array
-    # differently for a few percent of h
-    integrate = pytest.importorskip("scipy.integrate")
-    rng = np.random.default_rng(3)
-    y = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    for _ in range(400):
-        x = np.cumsum(rng.uniform(1e-3, 1.0, 6))
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        h = 2.0 ** -int(rng.integers(0, 10))
+        x = h * (np.arange(n) - int(rng.integers(0, n)))
+        if values == "magnitudes":
+            y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 100.0, n)
+        elif values == "zeros":
+            y = rng.choice([0.0, -0.0, 1.0, -2.0], n)
+        else:
+            y = np.sin(3.0 * x) + 0.1 * x
         expected = integrate.simpson(y, x=x)
-        assert np.float64(simpson(y, x)).tobytes() == np.float64(expected).tobytes()
+        total = cumulative_simpson(y, h)[-1]
+        assert abs(total - expected) <= 1e-14 * np.sum(np.abs(y)) * h
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
+def test_cumulative_simpson_on_a_grid_of_spacing_1e_300(n):
+    # only h/12 scales the samples: nothing underflows or loses the last interval
+    y = np.cos(np.linspace(0.0, 2.0, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fine = cumulative_simpson(y, 1e-300)
+    assert np.all(np.isfinite(fine))
+    np.testing.assert_allclose(fine / 1e-300, cumulative_simpson(y, 1.0), rtol=1e-14, atol=0.0)
