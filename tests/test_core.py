@@ -128,6 +128,61 @@ def test_cumulative_simpson_total_matches_scipy_on_uniform_grids(n, values):
         assert abs(total - expected) <= 1e-14 * np.sum(np.abs(y)) * h
 
 
+def _exact_simpson_samples(n: int, values: str, seed: int):
+    """(y, x, h) on which every Simpson sum is exact in floating point: h is
+    12 * 2^-k and y is dyadic with few significant bits, so the package and
+    scipy, whatever order they add in, must agree bit for bit.  y is smooth,
+    of mixed signs across magnitudes 2^-976..2^315, or made of signed zeros
+    and small integers."""
+    rng = np.random.default_rng(seed)
+    h = 12.0 * 2.0 ** -int(rng.integers(0, 10))
+    x = h * (np.arange(n) - int(rng.integers(0, n)))
+    signs = rng.choice([-1.0, 1.0], n)
+    if values == "magnitudes":
+        scale = 2.0 ** int(rng.integers(-960, 300))
+        y = scale * signs * 2.0 ** rng.integers(-16, 17, n)
+    elif values == "zeros":
+        y = rng.choice([0.0, -0.0, 1.0, -2.0], n)
+        # so the first running sum is -0.0
+        y[:3] = (-0.0, -0.0, 0.0)
+    else:
+        y = np.round(1024.0 * (np.sin(3.0 * x / n) + 0.1 * x / n)) / 1024.0
+    return y, x, h
+
+
+@pytest.mark.parametrize("values", ["smooth", "magnitudes", "zeros"])
+@pytest.mark.parametrize("uniform", [True])  # the rule takes one spacing h
+@pytest.mark.parametrize("n", [6, 7, 100, 101, 2000, 2001])
+def test_simpson_helpers_bitwise_equal_to_scipy(n, uniform, values):
+    # the running integral is scipy's cumulative Simpson interval for
+    # interval, and its last value scipy's composite Simpson with Cartwright's
+    # last-interval correction
+    integrate = pytest.importorskip("scipy.integrate")
+    for seed in range(5):
+        y, x, h = _exact_simpson_samples(n, values, seed)
+        running = cumulative_simpson(y, h)
+        # scipy's initial=0.0 is added to every sum, turning -0.0 into 0.0
+        expected = integrate.cumulative_simpson(y, x=x)
+        assert running[0] == 0.0 and running[1:].tobytes() == expected.tobytes()
+        total = np.float64(integrate.simpson(y, x=x))
+        assert running[-1:].tobytes() == total.tobytes()
+
+
+def test_simpson_last_interval_correction_bitwise_equal_to_scipy():
+    # y is zero but for y[-3], so the even-length correction's h1^3 term
+    # shows in the result, against Simpson's weight on the same sample
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(3)
+    y = np.zeros(6)
+    for _ in range(400):
+        h = 12.0 * 2.0 ** -int(rng.integers(-20, 20))
+        y[-3] = rng.integers(-2**20, 2**20) * 2.0 ** -int(rng.integers(0, 40))
+        x = h * np.arange(6)
+        expected = integrate.simpson(y, x=x)
+        total = cumulative_simpson(y, h)[-1]
+        assert np.float64(total).tobytes() == np.float64(expected).tobytes()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
 def test_cumulative_simpson_on_a_grid_of_spacing_1e_300(n):
     # only h/12 scales the samples: nothing underflows or loses the last interval
