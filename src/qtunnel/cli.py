@@ -1,8 +1,8 @@
 """Command-line driver: scenario runs, validation, CSV emission.
 
 Usage:
-    qtunnel <scenario> [--config FILE] [--key value ...] --out PATH
-    qtunnel validate --config FILE
+    qtunnel <scenario> [--config FILE] [--key value ...] [--out PATH]
+    qtunnel validate --config FILE [--key value ...]
 
 Scenarios: fig1a, fig1b, fig2, fig3, rect, wkb, mode-evolve, backreaction,
 sweep.  Output is a CSV with one comment header line
@@ -10,9 +10,17 @@ sweep.  Output is a CSV with one comment header line
     # qtunnel v1, scenario=<name>, params=<canonical serialization>
 
 followed by a column-name row and numeric rows at 12 significant digits.
-Reruns with identical configs are byte-identical.  Exit codes: 0 success,
-2 configuration error or unwritable output path, 3 numerical/domain error
-(no partial output file is left behind in either failure mode).
+Reruns with identical configs are byte-identical.  The output path is
+``--out``, else the config file's ``out`` key.
+
+``validate`` is a dry run: it runs the config's scenario and builds its CSV
+text without writing it, then prints ``config clean``, or the line the run
+would print on failure followed by ``1 invariant violation`` (exit 2).
+
+Exit codes follow the type of the first failure: 0 success; 2 for a
+``ConfigError``, a ``DomainError`` or an unwritable output path; 3 for any
+other ``QTunnelError`` (a numerical failure).  No failure leaves a partial
+output file behind.
 """
 
 from __future__ import annotations
@@ -29,11 +37,11 @@ import numpy as np
 from . import config as cfgmod
 from . import rect as rect_mod
 from .config import ConfigError, RunConfig
-from .errors import PrecisionError, QTunnelError
+from .errors import DomainError, PrecisionError, QTunnelError
 
 # wkb loads scipy.special when imported, and specfun on its z > 1/2 branch
 # only; each runner imports wkb, modes or backreaction itself, so rect,
-# sweep, fig1a, fig1b and validate (bar mode-evolve's modes) load none of them.
+# sweep, fig1a and fig1b (and validate on them) load none of them.
 if TYPE_CHECKING:
     from .backreaction import BackreactionProfile
 
@@ -125,9 +133,16 @@ def _run_rect(cfg: RunConfig) -> str:
 def _run_mode_evolve(cfg: RunConfig) -> str:
     from . import modes as modes_mod
 
-    mode, bg, times = cfg.mode_evolve_run()
-    traj = modes_mod.evolve_gaussian(mode, bg, modes_mod.vacuum_state(mode, times[0]), times[0],
-                                     times[-1], t_eval=times[1:], vacuum_start=True)
+    bg = rect_mod.classical_trajectory(
+        rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier()))
+    if cfg["rho"] is not None:
+        bg = rect_mod.TanhBackground(amplitude_a=bg.amplitude_a, rho=float(cfg["rho"]))
+    # t_min..t_max are in units of 1/rho; the evolution starts in the vacuum
+    ts = np.linspace(float(cfg["t_min"]), float(cfg["t_max"]), int(cfg["grid_points"])) / bg.rho
+    mode = cfg.env_modes()[0]
+    t0 = min(modes_mod.vacuum_start_time(bg), ts[0])
+    traj = modes_mod.evolve_gaussian(mode, bg, modes_mod.vacuum_state(mode, t0), t0, ts[-1],
+                                     t_eval=ts, vacuum_start=True)
     st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, traj.ts))
     return _csv_text(cfg, {"t": traj.ts, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
                            "alpha2_xi": st.alpha**2, "beta_xi": st.beta})
@@ -199,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scenario to run, or 'validate' to check a config file",
     )
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--out", help="output CSV path (required for scenario runs)")
+    parser.add_argument("--out", help="output CSV path (else the config's out key)")
     for key in cfgmod.KNOWN_KEYS:
         if key in ("scenario", "out"):
             continue
@@ -214,63 +229,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    validate = args.scenario == "validate"
     overrides = {
         key: getattr(args, key)
         for key in cfgmod.KNOWN_KEYS
         if key not in ("scenario", "out") and getattr(args, key, None) is not None
     }
     try:
+        if validate and not args.config:
+            raise ConfigError("validate requires --config")
         file_values = cfgmod.load_config(args.config) if args.config else {}
-    except ConfigError as exc:
-        loc = f" (line {exc.line}, column {exc.column})" if exc.line else ""
-        print(f"config error: {exc}{loc}", file=sys.stderr)
-        return 2
+        out = args.out or file_values.get("out")
+        if not (validate or out):
+            raise ConfigError("--out is required")
+        cfg = cfgmod.build_config(None if validate else args.scenario, file_values, overrides)
+        if validate:
+            _RUNNERS[cfg.scenario](cfg)
+        else:
+            run(cfg, out)
+    except (ConfigError, QTunnelError) as exc:
+        if isinstance(exc, ConfigError):
+            loc = f" (line {exc.line}, column {exc.column})" if exc.line else ""
+            line = f"config error: {exc}{loc}"
+        else:
+            line = f"{cfg.scenario} failed: {type(exc).__name__}: {exc}"
+        if validate:
+            print(line)
+            print("1 invariant violation")
+            return 2
+        print(line, file=sys.stderr)
+        return 2 if isinstance(exc, (ConfigError, DomainError)) else 3
     except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"output error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-
-    if args.scenario == "validate":
-        if not args.config:
-            print("config error: validate requires --config", file=sys.stderr)
-            return 2
-        try:
-            cfg = cfgmod.build_config(None, file_values, overrides)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        problems = cfgmod.diagnostics(cfg)
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"{len(problems)} invariant violation(s)")
-            return 2
+    if validate:
         print("config clean")
-        return 0
-
-    if not args.out:
-        print("config error: --out is required", file=sys.stderr)
-        return 2
-    try:
-        cfg = cfgmod.build_config(args.scenario, file_values, overrides)
-        # a barrier past double range passes here and fails the run (exit 3)
-        problems = cfgmod.config_problems(cfg)
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        run(cfg, args.out)
-    except QTunnelError as exc:
-        print(f"{cfg.scenario} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"output error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
     return 0
 
 

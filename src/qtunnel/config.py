@@ -1,4 +1,4 @@
-"""Run configuration: plain-text key=value files, defaults, validation.
+"""Run configuration: plain-text key=value files, defaults, value checks.
 
 A config file holds one ``key = value`` pair per line; ``#`` starts a
 comment.  CLI flags mirror the keys one-to-one and override file values.
@@ -6,6 +6,12 @@ Unknown keys are rejected.  Scenario-specific defaults fill whatever the
 user leaves unset (the smooth-barrier scenarios default to the quadratic
 barrier at E = 1, everything else to the rectangular-barrier set E = 2,
 V0 = 4, a = 1, m = 1, omega0 = 1, c = 0.15 in hbar = M = 1 units).
+
+``RunConfig`` rejects only the grid values no scenario checks itself
+(finite x and t ranges, t_min < t_max, rho > 0, at least 16 grid points).
+Everything else is checked where it is used: the accessors raise
+``ConfigError`` on values they cannot parse, and the physics raises its own
+errors, which ``validate`` finds by running the scenario.
 """
 
 from __future__ import annotations
@@ -16,9 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, wave_numbers
-from .errors import DomainError, PrecisionError, StiffnessError
-from .rect import TanhBackground, check_thickness, classical_trajectory, solve_rect
+from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
 
 SCENARIOS = (
     "fig1a",
@@ -85,6 +89,17 @@ class RunConfig:
         merged.update(_SCENARIO_DEFAULTS.get(self.scenario, {}))
         merged.update(self.values)
         self.values = merged
+        # grid values no runner checks itself
+        for key in ("x_min", "x_max", "t_min", "t_max", "rho"):
+            if self[key] is not None and not math.isfinite(float(self[key])):
+                raise ConfigError(f"{key} must be finite, got {self[key]}")
+        if self["rho"] is not None and float(self["rho"]) <= 0:
+            raise ConfigError(f"rho must be positive, got {self['rho']}")
+        if (self["t_min"] is not None and self["t_max"] is not None
+                and float(self["t_min"]) >= float(self["t_max"])):
+            raise ConfigError(f"t_min = {self['t_min']} must be below t_max = {self['t_max']}")
+        if int(self["grid_points"]) < 16:
+            raise ConfigError("grid_points must be at least 16")
 
     def __getitem__(self, key: str):
         return self.values.get(key)
@@ -178,17 +193,6 @@ class RunConfig:
             raise ConfigError("sweep_values must not be empty")
         return key, vals
 
-    def mode_evolve_run(self) -> tuple[EnvMode, TanhBackground, np.ndarray]:
-        """(first mode, tanh background with the ``rho`` key's rho if set, times):
-        the vacuum start, then the t_min..t_max grid in units of 1/rho."""
-        from .modes import vacuum_start_time
-        bg = classical_trajectory(solve_rect(self.physical_params(), self.rect_barrier()))
-        if self["rho"] is not None:
-            bg = TanhBackground(amplitude_a=bg.amplitude_a, rho=float(self["rho"]))
-        ts = np.linspace(float(self["t_min"]), float(self["t_max"]),
-                         int(self["grid_points"])) / bg.rho
-        return self.env_modes()[0], bg, np.concatenate(([min(vacuum_start_time(bg), ts[0])], ts))
-
     def canonical(self) -> str:
         """Deterministic one-line serialization of the effective values."""
         parts = []
@@ -241,7 +245,11 @@ def _convert(key: str, value: str, lineno: int, raw: str):
 
 
 def load_config(path: str | Path) -> dict:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return parse_config_text(text)
 
 
 def build_config(scenario: str | None, file_values: dict, overrides: dict) -> RunConfig:
@@ -253,77 +261,3 @@ def build_config(scenario: str | None, file_values: dict, overrides: dict) -> Ru
         raise ConfigError("no scenario given (argument or scenario= key)")
     merged.pop("scenario", None)
     return RunConfig(scenario=str(scen), values=merged)
-
-
-def diagnostics(cfg: RunConfig) -> list[str]:
-    """Invariant violations the run would hit: the ``config_problems``, then
-    barriers too thick for double range and mode-evolve grids past the step
-    budget (a run fails on those as a numerical error, exit 3)."""
-    problems, limits = _diagnose(cfg)
-    return problems + limits
-
-
-def config_problems(cfg: RunConfig) -> list[str]:
-    """The violations a run rejects as a configuration error."""
-    return _diagnose(cfg)[0]
-
-
-def _diagnose(cfg: RunConfig) -> tuple[list[str], list[str]]:
-    """(config problems, numerical limits) of ``cfg``."""
-    problems: list[str] = []
-    limits: list[str] = []
-
-    def check(fn, label: str):
-        try:
-            return fn()
-        except (DomainError, ConfigError, PrecisionError, StiffnessError) as exc:
-            found = problems if isinstance(exc, (DomainError, ConfigError)) else limits
-            found.append(f"{label}: {type(exc).__name__}: {exc}")
-            return None
-
-    def check_rect(run_cfg: RunConfig, where: str = "") -> None:
-        params = check(run_cfg.physical_params, "params" + where)
-        barrier = check(run_cfg.rect_barrier, "barrier" + where)
-        if params is not None and barrier is not None:
-            check(lambda: check_thickness(wave_numbers(params, barrier)[1], barrier.width_a),
-                  "barrier" + where)
-
-    # a sweep solves only its sweep points, checked below
-    if cfg.scenario in ("fig1a", "fig1b", "fig3", "rect", "backreaction", "mode-evolve"):
-        check_rect(cfg)
-    elif cfg.scenario != "sweep":
-        check(cfg.physical_params, "params")
-    if cfg.scenario in ("fig3", "backreaction", "mode-evolve"):
-        for mode in check(cfg.env_modes, "modes") or []:
-            om2_min = min(
-                mode.omega0**2,
-                mode.omega0**2 + 4.0 * mode.coupling_c * float(cfg["a"]) / mode.mass_m,
-            )
-            if om2_min <= 0:
-                problems.append(
-                    f"modes: TachyonicModeError: omega^2 reaches {om2_min:.3g}"
-                )
-    if cfg.scenario in ("fig2", "wkb"):
-        check(cfg.smooth_potential, "potential")
-        check(cfg.bracket, "bracket")
-    if cfg.scenario == "sweep":
-        key, vals = check(cfg.sweep, "sweep") or (None, [])
-        for val in vals:
-            check_rect(RunConfig(scenario="rect", values={**cfg.values, key: val}),
-                       f" ({key} = {val:g})")
-    for key in ("x_min", "x_max", "t_min", "t_max", "rho"):
-        if cfg[key] is not None and not math.isfinite(float(cfg[key])):
-            problems.append(f"grid: DomainError: {key} must be finite, got {cfg[key]}")
-    if cfg["rho"] is not None and float(cfg["rho"]) <= 0:
-        problems.append(f"grid: DomainError: rho must be positive, got {cfg['rho']}")
-    if (cfg["t_min"] is not None and cfg["t_max"] is not None
-            and float(cfg["t_min"]) >= float(cfg["t_max"])):
-        problems.append(
-            f"grid: DomainError: t_min = {cfg['t_min']} must be below t_max = {cfg['t_max']}"
-        )
-    if cfg["grid_points"] is not None and int(cfg["grid_points"]) < 16:
-        problems.append("grid: DomainError: grid_points must be at least 16")
-    if cfg.scenario == "mode-evolve" and not (problems or limits):
-        from .modes import magnus_steps  # a run past the step budget exits 3
-        check(lambda: magnus_steps(*cfg.mode_evolve_run()), "modes")
-    return problems, limits

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qtunnel import errors
 from qtunnel.cli import main
 from qtunnel.config import ConfigError, RunConfig, parse_config_text
 
@@ -96,6 +97,17 @@ def test_config_file_and_flag_override(tmp_path):
     assert rows[0, columns.index("P")] == pytest.approx(1.0 / math.cosh(10.0) ** 2, rel=1e-10)
 
 
+def test_config_out_key_and_out_flag_precedence(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    cfg.write_text(f"out = {from_file}\n")
+    assert main(["rect", "--config", str(cfg)]) == 0
+    assert from_file.read_text().startswith("# qtunnel v1, scenario=rect")
+    from_file.unlink()
+    assert main(["rect", "--config", str(cfg), "--out", str(from_flag)]) == 0
+    assert from_flag.exists() and not from_file.exists()
+
+
 def test_validate_clean_config(tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(
@@ -125,6 +137,17 @@ def test_config_syntax_error_reports_position(tmp_path, capsys):
     assert main(["rect", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe E = 2\n"], ids=["missing", "not-utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "x.csv"
+    assert main(["rect", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_config_unknown_key_rejected():
@@ -170,20 +193,41 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario, lines", [
-    ("rect", "a = 400"),
-    ("fig3", "a = 400"),
-    ("sweep", "sweep_key = a\nsweep_values = 1,400"),
-], ids=["rect", "fig3", "sweep"])
-def test_validate_reports_thick_barrier_that_run_rejects(tmp_path, capsys, scenario, lines):
-    cfg = tmp_path / "thick.cfg"
+@pytest.mark.parametrize("scenario, lines, error", [
+    ("rect", "a = 400", "PrecisionError"),
+    ("fig3", "a = 400", "PrecisionError"),
+    ("sweep", "sweep_key = a\nsweep_values = 1,400", "PrecisionError"),
+    # k^2 beta^2 underflows
+    ("rect", "M = 1e-200", "PrecisionError"),
+    ("rect", "hbar = 1e100", "PrecisionError"),
+    # the transmission denominator cancels to 0
+    ("rect", "E = 1e-30\na = 1e-20", "PrecisionError"),
+    # t_roll = inf
+    ("rect", "E = 0.1\nV0 = 0.2\na = 793.5", "PrecisionError"),
+    ("fig2", "hbar = 1e-200", "PrecisionError"),
+    ("fig2", "hbar = 1e200", "ThinBarrierError"),
+    # above the barrier top V = 3: no turning points
+    ("fig2", "E = 4", "TurningPointTopologyError"),
+    ("fig2", "bracket = 2,3", "TurningPointTopologyError"),
+    ("wkb", "grid_points = 20", "DomainError"),
+    ("fig3", "omega0 = 1e-150", "PrecisionError"),
+    ("fig1a", "E = 50\nV0 = 51\na = 250.3", "PrecisionError"),
+    # tanh(rho t) saturates
+    ("mode-evolve", "t_max = 400", "DomainError"),
+    ("backreaction", "c = 100", "OutOfRegimeError"),
+], ids=["rect", "fig3", "sweep", "rect-M", "rect-hbar", "rect-E-a", "rect-t_roll",
+        "fig2-hbar-small", "fig2-hbar-large", "fig2-E", "fig2-bracket", "wkb-grid",
+        "fig3-omega0", "fig1a-thick", "mode-evolve-t_max", "backreaction-c"])
+def test_validate_reports_what_the_run_rejects(tmp_path, capsys, scenario, lines, error):
+    cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"scenario = {scenario}\n{lines}\n")
     assert main(["validate", "--config", str(cfg)]) == 2
-    assert "barrier too thick" in capsys.readouterr().out
-    out = tmp_path / "thick.csv"
-    # the run still fails as a numerical error, not a config error
-    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 3
-    assert "PrecisionError" in capsys.readouterr().err
+    report = capsys.readouterr().out.splitlines()
+    out = tmp_path / "bad.csv"
+    code = main([scenario, "--config", str(cfg), "--out", str(out)])
+    assert capsys.readouterr().err.splitlines() == report[:1]
+    assert report[0].startswith(f"{scenario} failed: {error}: ")
+    assert code == (2 if issubclass(getattr(errors, error), errors.DomainError) else 3)
     assert not out.exists()
 
 
@@ -192,7 +236,7 @@ def test_validate_reports_step_budget_that_run_rejects(tmp_path, capsys):
     cfg = tmp_path / "slow.cfg"
     cfg.write_text("scenario = mode-evolve\nrho = 1e-5\n")
     assert main(["validate", "--config", str(cfg)]) == 2
-    assert "modes: StiffnessError" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("mode-evolve failed: StiffnessError: ")
     out = tmp_path / "slow.csv"
     assert main(["mode-evolve", "--config", str(cfg), "--out", str(out)]) == 3
     assert "StiffnessError" in capsys.readouterr().err
@@ -244,7 +288,7 @@ def test_validate_reports_omega0_past_double_range(tmp_path, capsys):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("scenario = fig3\nomega0 = 1e200\n")
     assert main(["validate", "--config", str(cfg)]) == 2
-    assert "modes: DomainError" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("fig3 failed: DomainError: ")
 
 
 def test_missing_out_is_config_error(capsys):

@@ -6,7 +6,8 @@ values.  The inputs include NaN and infinite values, non-positive values,
 sweeps with bad points, reversed time ranges and brackets, smooth barriers
 with bad coefficients, barriers on both sides of the double-range edge
 (beta*a ~ 355), hbar, M, m or omega0 anywhere from 1e-200 to 1e200 and
-unwritable ``--out`` paths.
+unwritable ``--out`` paths.  ``validate`` on a config file with a run's
+values passes exactly when that run exits 0.
 """
 
 import math
@@ -83,6 +84,18 @@ def runs(draw):
     return scenario, values, sweep, not draw(ONE_IN_THREE), target
 
 
+def write_config(path: Path, scenario: str, values: dict, sweep, points=None) -> Path:
+    """The run's values as a config file for ``validate``."""
+    lines = [f"scenario = {scenario}"] + [f"{k} = {text(v)}" for k, v in values.items()]
+    if points:
+        lines.append(f"grid_points = {points}")
+    if sweep:
+        lines += [f"sweep_key = {sweep[0]}",
+                  "sweep_values = " + ",".join(repr(v) for v in sweep[1])]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
@@ -92,14 +105,7 @@ def test_main_exit_codes_and_no_partial_output(run):
         tmp = Path(tmp)
         out = (tmp if writable else tmp / "missing") / "out.csv"
         if scenario == "validate":
-            lines = [f"{k} = {text(v)}" for k, v in values.items()]
-            lines.append(f"scenario = {target}")
-            if sweep:
-                lines += [f"sweep_key = {sweep[0]}",
-                          "sweep_values = " + ",".join(repr(v) for v in sweep[1])]
-            cfg = tmp / "run.cfg"
-            cfg.write_text("\n".join(lines) + "\n")
-            argv = ["validate", "--config", str(cfg)]
+            argv = ["validate", "--config", str(write_config(tmp / "run.cfg", target, values, sweep))]
         else:
             # the smooth-barrier windows need more than 32 points
             points = "200" if scenario in SMOOTH else "32"
@@ -119,6 +125,10 @@ def test_main_exit_codes_and_no_partial_output(run):
         if code == 0 and scenario != "validate":
             rows = {"rect": 1, "sweep": len(sweep[1]) if sweep else 5}.get(scenario, int(points))
             assert_complete_and_finite(out.read_text(), scenario, rows)
+        if writable and scenario != "validate":
+            # validate is a dry run: it passes exactly the configs whose run passes
+            cfg = write_config(tmp / "run.cfg", scenario, values, sweep, points)
+            assert (main(["validate", "--config", str(cfg)]) == 0) == (code == 0)
 
 
 def assert_complete_and_finite(csv: str, scenario: str, rows: int) -> None:
