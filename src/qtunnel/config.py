@@ -154,12 +154,7 @@ class RunConfig:
         return coeffs
 
     def smooth_potential(self) -> SmoothPotential:
-        """The ``poly`` barrier sum(ci * x**i), on floats or numpy arrays.
-
-        Floats go through numpy too: Python's float power and numpy's array
-        power differ in the last bit, and a float call must return exactly
-        the element an array call returns.
-        """
+        """The ``poly`` barrier sum(ci * x**i), elementwise through numpy."""
         coeffs = self.polynomial()
 
         def value(x):

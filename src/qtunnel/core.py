@@ -51,9 +51,9 @@ class RectBarrier:
 class SmoothPotential:
     """A smooth barrier V(x) with a consistent derivative.
 
-    Both callables must work elementwise on numpy arrays as well as on
-    floats: the smooth-barrier code evaluates whole grids and quadrature
-    nodes in one call, and scalars only inside root finding.  If no analytic
+    Both callables must work elementwise on 1-d float numpy arrays, the
+    only input the smooth-barrier code passes: whole grids, quadrature nodes
+    and the scan nodes of its root and window searches.  If no analytic
     derivative is supplied, a centered finite difference with step
     h = max(1e-6, 1e-6*|x|) is used; the step balances truncation and
     rounding at double precision.

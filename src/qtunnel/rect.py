@@ -224,10 +224,8 @@ def transmission_probability(sol: RectSolution) -> TransmissionProbability:
     """P = |C/A|^2, cross-checked against the closed form."""
     k, beta, a = sol.k, sol.beta, sol.barrier.width_a
     p_amp = abs(sol.C) ** 2 / abs(sol.A) ** 2
-    denom = (k**2 + beta**2) ** 2 * math.cosh(beta * a) ** 2 - (beta**2 - k**2) ** 2
-    if not denom > 0.0:  # at least 4 k^2 beta^2 > 0, but for rounding
-        raise PrecisionError(f"transmission denominator rounds to {denom!r}")
-    p_closed = 4.0 * k**2 * beta**2 / denom
+    # 1/P = 1 + (sinh(beta a) (k^2 + beta^2)/(2 k beta))^2: no cancellation
+    p_closed = 1.0 / (1.0 + (math.sinh(beta * a) * (k**2 + beta**2) / (2.0 * k * beta)) ** 2)
     if abs(p_amp - p_closed) > 1e-10 * p_closed:
         raise PrecisionError(
             f"transmission routes disagree: {p_amp!r} vs {p_closed!r}"

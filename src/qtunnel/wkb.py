@@ -10,8 +10,8 @@ window sized by a linearization budget and a validity floor on the scaled
 Airy argument, with the exact solution of the locally linearized problem
 (Ai and Bi of the scaled distance to the turning point, DLMF 9.2),
 least-squares matched to the semiclassical wavefunction at both window
-edges.  The semiclassical forms, the windows and the potential are
-evaluated on whole grid segments at once.
+edges.  The potential is only ever called on numpy arrays: grid segments,
+quadrature nodes and the scan nodes of the turning-point and width searches.
 
 Also provides the tanh-trajectory steepness parameter for general barriers,
 built from the slope at the exit turning point and Gamma(1/3), Gamma(2/3).
@@ -36,7 +36,9 @@ from .errors import (
 )
 from .rect import _LOG_DOUBLE_MAX, quantum_potential
 
-_ROOT_TOL = 1e-12
+# each scan narrows the bracket (_SCAN_POINTS - 1)-fold: 63^9 > 2^53
+_SCAN_POINTS = 64
+_SCAN_ROUNDS = 9
 _LINEARIZATION_BUDGET = 0.05  # |V - V_lin| <= budget * |V'| * w at window edge
 
 
@@ -73,8 +75,8 @@ def find_turning_points(
 ) -> TurningPoints:
     """Locate the two roots of V(x) = E inside the bracket.
 
-    Bisection refined by Newton iterations to 1e-12 of the bracket width.
-    Exactly two sign changes of V - E must occur in the bracket.
+    A 512-point scan must find exactly two sign changes of V - E, with V < E
+    outside them; ``_last_before_positive`` narrows each to rounding level.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if hi <= lo:
@@ -86,44 +88,36 @@ def find_turning_points(
         raise TurningPointTopologyError(
             f"expected exactly 2 roots of V=E in {bracket}, found {starts.size}"
         )
-    roots = [_refine_root(potential, E, xs[i], xs[i + 1], hi - lo) for i in starts]
-    x0, a = sorted(roots)
-    s0, sa = potential.derivative(x0), potential.derivative(a)
+    if signs[starts[0]] > 0:
+        raise TurningPointTopologyError(
+            "bracket contains a well, not a barrier (V < E between the roots)"
+        )
+    i, j = starts
+    x0 = _last_before_positive(lambda x: potential(x) - E, xs[i], xs[i + 1])
+    a = _last_before_positive(lambda x: E - potential(x), xs[j], xs[j + 1])
+    s0, sa = (float(s) for s in potential.derivative(np.array([x0, a])))
     scale = max(abs(s0), abs(sa), 1e-300)
     for x, s in ((x0, s0), (a, sa)):
         if abs(s) < 1e-8 * scale:
             raise DegenerateTurningPointError(
                 f"V'({x}) = {s} vanishes: barrier top touches E"
             )
-    if s0 < 0 or sa > 0:
-        raise TurningPointTopologyError(
-            "bracket contains a well, not a barrier (V < E between the roots)"
-        )
     return TurningPoints(left_x0=x0, right_a=a, slope_left=s0, slope_right=sa)
 
 
-def _refine_root(potential, E, a, b, scale) -> float:
-    fa = potential(a) - E
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = potential(m) - E
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-        if b - a < 1e-6 * scale:
-            break
-    x = 0.5 * (a + b)
-    for _ in range(60):
-        f = potential(x) - E
-        d = potential.derivative(x)
-        if d == 0:
-            break
-        step = f / d
-        x -= step
-        if abs(step) <= _ROOT_TOL * scale:
-            break
-    return x
+def _last_before_positive(g, lo: float, hi: float) -> float:
+    """The last x in [lo, hi] before g(x) first turns positive, or hi if it
+    never does; g(lo) <= 0.  Each round calls g once on _SCAN_POINTS nodes and
+    narrows [lo, hi] to the step where g first turns positive.
+    """
+    for _ in range(_SCAN_ROUNDS):
+        xs = np.linspace(lo, hi, _SCAN_POINTS)
+        positive = g(xs) > 0
+        if not positive.any():
+            return float(hi)
+        i = int(np.argmax(positive))
+        lo, hi = xs[i - 1], xs[i]
+    return float(lo)
 
 
 def _airy_scale(params: PhysicalParams, slope: float) -> float:
@@ -152,26 +146,14 @@ def _window_width(potential: SmoothPotential, x_t: float, slope: float,
     wins: matching against the semiclassical form at gamma*w << 1 produces
     a spurious fluxless standing wave in the window.
     """
-    v_t = potential(x_t)
+    v_t = potential(np.full(1, x_t))[0]
 
-    def excess(w: float) -> float:
-        err = max(
-            abs(potential(x_t + w) - v_t - slope * w),
-            abs(potential(x_t - w) - v_t + slope * w),
-        )
+    def excess(w: np.ndarray) -> np.ndarray:
+        dv = potential(x_t + np.concatenate((w, -w))) - v_t
+        err = np.maximum(np.abs(dv[:w.size] - slope * w), np.abs(dv[w.size:] + slope * w))
         return err - _LINEARIZATION_BUDGET * abs(slope) * w
 
-    if excess(w_max) <= 0:
-        w_lin = w_max
-    else:
-        lo, hi = 0.0, w_max
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        w_lin = lo
+    w_lin = _last_before_positive(excess, 0.0, w_max)
     w_floor = edge_argument / abs(_airy_scale(params, slope))
     return min(max(w_lin, w_floor), w_max)
 

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,6 +44,33 @@ def test_sweep_monotone(tmp_path):
     _, rows = read_csv(out)
     ps = rows[:, 1]
     assert np.all(np.diff(ps) < 0.0)
+
+
+def _p_thin_oracle(E, a):
+    # 1/P = 1 + (sinh(beta a) (k^2 + beta^2)/(2 k beta))^2 at V0 = 4, in 50 digits
+    with mp.workdps(50):
+        k2, b2 = 2 * mp.mpf(E), 2 * (4 - mp.mpf(E))
+        s = mp.sinh(mp.sqrt(b2) * mp.mpf(a)) * (k2 + b2) / (2 * mp.sqrt(k2 * b2))
+        return float(1 / (1 + s**2))
+
+
+def test_sweep_thin_low_energy_barriers(tmp_path):
+    # P from 0.9992 down: the closed form must not cancel near P = 1
+    out = tmp_path / "sweep.csv"
+    widths = (1e-5, 1e-4, 1e-3, 1e-2)
+    assert main(["sweep", "--E", "1e-6", "--sweep-key", "a", "--sweep-values",
+                 ",".join(map(str, widths)), "--out", str(out)]) == 0
+    columns, rows = read_csv(out)
+    for a, p in zip(widths, rows[:, columns.index("P")]):
+        assert p == pytest.approx(_p_thin_oracle(1e-6, a), rel=1e-10)
+
+
+@pytest.mark.parametrize("E, a", [(1e-6, 1e-4), (1e-12, 1e-10), (1e-9, 1e-8)])
+def test_rect_thin_low_energy_barrier(tmp_path, E, a):
+    out = tmp_path / "rect.csv"
+    assert main(["rect", "--E", str(E), "--a", str(a), "--out", str(out)]) == 0
+    columns, rows = read_csv(out)
+    assert rows[0, columns.index("P")] == pytest.approx(_p_thin_oracle(E, a), rel=1e-10)
 
 
 def test_fig3_effective_potential_dominates(tmp_path):
@@ -200,7 +228,7 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     # k^2 beta^2 underflows
     ("rect", "M = 1e-200", "PrecisionError"),
     ("rect", "hbar = 1e100", "PrecisionError"),
-    # the transmission denominator cancels to 0
+    # |C/A|^2 rounds to 1, 8e-10 above the closed form
     ("rect", "E = 1e-30\na = 1e-20", "PrecisionError"),
     # t_roll = inf
     ("rect", "E = 0.1\nV0 = 0.2\na = 793.5", "PrecisionError"),
@@ -273,7 +301,7 @@ def test_backreaction_on_a_vanishing_barrier(tmp_path):
     *[[scenario, "--M", "1e-200"] for scenario in ("rect", "sweep", "backreaction")],
     # Im d ln xi/dt rounds to 0, so Q1 and Q2 are infinite
     ["fig3", "--omega0", "1e-150"],
-    # the transmission denominator 4 k^2 beta^2 + ... cancels to 0
+    # |C/A|^2 rounds to 1, 8e-10 above the closed form
     ["rect", "--E", "1e-30", "--a", "1e-20"],
 ], ids=" ".join)
 def test_extreme_scales_fail_cleanly(tmp_path, capsys, flags):

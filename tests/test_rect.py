@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -73,6 +74,26 @@ def test_transmission_probability_thick_barrier():
     expected = 1.0 / math.cosh(10.0) ** 2  # 8.2446e-9
     assert expected == pytest.approx(8.2446e-9, rel=1e-4)
     assert rect.transmission_probability(sol).closed_form == pytest.approx(expected, rel=1e-12)
+
+
+def _p_oracle(E, v0, a):
+    # P = 4 k^2 beta^2/((k^2 + beta^2)^2 cosh^2(beta a) - (beta^2 - k^2)^2),
+    # the difference taken at 50 digits, where it does not cancel
+    with mp.workdps(50):
+        k2, b2 = 2 * mp.mpf(E), 2 * (mp.mpf(v0) - mp.mpf(E))
+        ch = mp.cosh(mp.sqrt(b2) * mp.mpf(a))
+        return float(4 * k2 * b2 / ((k2 + b2) ** 2 * ch**2 - (b2 - k2) ** 2))
+
+
+@pytest.mark.parametrize("E, a", [(1e-6, 1e-4), (1e-12, 1e-10), (1e-9, 1e-8)])
+def test_transmission_probability_thin_low_energy_barrier(E, a):
+    # P near 1, where the double-precision difference of the oracle's
+    # denominator cancels; both routes must still agree with it
+    p = rect.transmission_probability(
+        rect.solve_rect(PhysicalParams(energy_E=E), RectBarrier(4.0, a)))
+    oracle = _p_oracle(E, 4.0, a)
+    assert p.closed_form == pytest.approx(oracle, rel=1e-10)
+    assert p.from_amplitudes == pytest.approx(oracle, rel=1e-10)
 
 
 def test_transmission_monotone_in_width_and_height():

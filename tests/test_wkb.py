@@ -45,6 +45,50 @@ def test_turning_points_quadratic_formula():
     assert tps.right_a == pytest.approx((2.0 + math.sqrt(2.0)) / 4.0, abs=1e-10)
 
 
+def test_turning_point_on_a_scan_node():
+    # V - E = (x - r)(1.2 - x) vanishes exactly on node 100 of the topology scan
+    r = np.linspace(-0.5, 1.5, 512)[100]
+    pot = SmoothPotential(lambda x: (x - r) * (1.2 - x) + 1.0, lambda x: 1.2 + r - 2.0 * x)
+    tps = wkb.find_turning_points(pot, 1.0, (-0.5, 1.5))
+    assert tps.left_x0 == pytest.approx(r, abs=1e-12 * 2.0)
+    assert tps.right_a == pytest.approx(1.2, abs=1e-12 * 2.0)
+
+
+@pytest.mark.parametrize("x_t, slope", [(0.0, 8.0), (1.0, -8.0)])
+def test_window_width_set_by_linearization_budget(x_t, slope):
+    # for the quadratic |V - V_lin| = 8 w^2 meets 0.05 * 8 * w at w = 0.05,
+    # above the edge floor 0.8/|s| at hbar = 0.05 and below the cap 0.45
+    params = PhysicalParams(energy_E=1.0, hbar=0.05)
+    floor = 0.8 / abs(wkb._airy_scale(params, slope))
+    assert floor == pytest.approx(0.0431, abs=1e-4)
+    assert wkb._window_width(QUADRATIC, x_t, slope, 0.45, params, 0.8) == pytest.approx(
+        0.05, abs=1e-12)
+
+
+def _arrays_only(fn):
+    def wrapped(x):
+        if not isinstance(x, np.ndarray):
+            raise TypeError(f"potential called on {type(x).__name__}, not an array")
+        return fn(x)
+    return wrapped
+
+
+@pytest.mark.parametrize("analytic_derivative", [True, False])
+def test_potential_called_on_arrays_only(quadratic_profile, analytic_derivative):
+    pot = SmoothPotential(_arrays_only(lambda x: 1.0 - 8.0 * x * (x - 1.0)),
+                          _arrays_only(lambda x: 8.0 - 16.0 * x) if analytic_derivative
+                          else None)
+    bracket, domain = (-0.5, 1.5), (-0.6, 1.6)
+    tps = wkb.find_turning_points(pot, 1.0, bracket)
+    prof = wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, bracket=bracket)
+    wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, turning_points=tps, domain=domain)
+    wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, turning_points=tps, domain=domain,
+                            window_shrink=0.5)
+    wkb.rho_general(pot, 1.0, PARAMS_E1, bracket=bracket)
+    if analytic_derivative:
+        assert np.array_equal(prof.v_tot, quadratic_profile.v_tot)
+
+
 def test_turning_points_topology_errors():
     with pytest.raises(TurningPointTopologyError):
         wkb.find_turning_points(QUADRATIC, 4.0, (-0.5, 1.5))  # above the top (V_max = 3)
@@ -88,6 +132,9 @@ def test_barrier_action_of_quadratic_barriers(theta, log10_k, E, center, M, hbar
     )
     assert prof.barrier_action == pytest.approx(math.pi * delta * math.sqrt(M / k) / hbar,
                                                 rel=1e-10)
+    tol = 1e-12 * 4.0 * half_width  # of the bracket width
+    assert prof.turning_points.left_x0 == pytest.approx(center - half_width, abs=tol)
+    assert prof.turning_points.right_a == pytest.approx(center + half_width, abs=tol)
 
 
 def test_profile_positive_everywhere(quadratic_profile):
