@@ -282,11 +282,11 @@ def rect_mode_backreaction(
 
     Builds the tanh trajectory of the solution and a uniform grid over
     [eps*a, a] once, with the unperturbed effective-classical momentum
-    p0 = sqrt(2 M (E - V_tot)).  Each mode's exact mode function along the
-    trajectory gives its own effective potential; Q1, Q2, Delta V and its
-    barrier average then add over the modes in order, because completing the
-    square on the effective Hamiltonian cancels the Gaussian-average cross
-    terms.
+    p0 = sqrt(2 M (E - V_tot)).  One ``xi_trajectory`` call evaluates every
+    mode's exact mode function along the trajectory, and each mode gives its
+    own effective potential; Q1, Q2, Delta V and its barrier average then
+    add over the modes in order, because completing the square on the
+    effective Hamiltonian cancels the Gaussian-average cross terms.
     """
     if not modes:
         raise DomainError("need at least one environment mode")
@@ -296,9 +296,10 @@ def rect_mode_backreaction(
     ts = bg.time_at(xs)
     p0 = np.sqrt(2.0 * sol.params.mass_M * kinetic_density_region2(sol, xs))
     v = np.full_like(xs, sol.barrier.height_V0)
+    mf = xi_trajectory(modes, bg, ts)
     parts = []
-    for mode in modes:
-        qf = q_factors(mode, bg, xi_trajectory(mode, bg, ts))
+    for mode, xi, xi_dot, dln in zip(modes, mf.xi, mf.xi_dot, mf.dln):
+        qf = q_factors(mode, bg, ModeFunction(xi=xi, xi_dot=xi_dot, t=mf.t, dln=dln))
         if len(qf.xs) != len(xs):
             raise DomainError("trajectory trim removed requested grid points")
         parts.append(effective_potential(xs, v, p0, qf.q1, qf.q2, sol.params, width_a=a))

@@ -24,6 +24,7 @@ for that normalization.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,8 @@ class GaussianModeState:
 class ModeFunction:
     """Complex mode function and its time derivative on a time grid.
 
-    Fields are arrays of the grid's shape, or scalars at one instant.
+    Fields are arrays of the grid's shape, or scalars at one instant; for
+    several modes, ``xi``, ``xi_dot`` and ``dln`` gain a leading mode axis.
     ``dln`` is d ln xi/dt as the analytic route evaluates it; when it is
     not given, ``log_derivative`` divides xi_dot by xi.
     """
@@ -281,40 +283,46 @@ def _prefix_products(m: list) -> None:
         shift *= 2
 
 
-def xi_analytic(mode: EnvMode, bg: TanhBackground, t) -> ModeFunction:
+def xi_analytic(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction:
     """Exact vacuum-matched mode function over the tanh background.
 
     xi(t) = (2 omega0)^(-1/2) exp[i omega_+ t + i omega_- ln(2 cosh rho t)/rho]
             * 2F1(1 - i w_-/rho, -i w_-/rho; 1 + i w_0/rho; z),
-    z = (1 + tanh rho t)/2.  ``t`` is one instant or a whole grid, evaluated
-    by one 2F1 kernel call.  d ln xi/dt follows from the chain rule through
-    z with dF/dz from the same kernel; the identity
-    d^2 ln xi/dt^2 = -omega^2 - (d ln xi/dt)^2  is available to callers
-    through ``log_derivative_2``.
+    z = (1 + tanh rho t)/2.  ``t`` is one instant or a whole grid.  ``mode``
+    is one EnvMode, or a sequence of them, whose fields then gain a leading
+    mode axis (except ``t``); all modes take one 2F1 kernel call.  d ln xi/dt
+    follows from the chain rule through z with dF/dz from the same kernel;
+    the identity d^2 ln xi/dt^2 = -omega^2 - (d ln xi/dt)^2  is available to
+    callers through ``log_derivative_2``.
     """
+    modes = [mode] if isinstance(mode, EnvMode) else list(mode)
     rho = bg.rho
-    om0 = mode.omega0
-    om_p, om_m = omega_pm(mode, bg)
     t = np.asarray(t, dtype=float)
-    u = rho * t
+    grid = t.ravel()
+    u = rho * grid
     z, w, e = _sigmoid_pair(u)
     if np.any(w <= 0.0):
         raise DomainError(f"trajectory argument saturated at t = {np.max(t)}")
-    a = 1.0 - 1j * om_m / rho
-    b = -1j * om_m / rho
-    c = 1.0 + 1j * om0 / rho
-    res = specfun.hyp2f1_ex(a, b, c, z, one_minus_z=w)
+    pm = [omega_pm(m, bg) for m in modes]
+    res = specfun.hyp2f1_ex([1.0 - 1j * om_m / rho for _, om_m in pm],
+                            [-1j * om_m / rho for _, om_m in pm],
+                            [1.0 + 1j * m.omega0 / rho for m in modes], z, one_minus_z=w)
     F, dF = res.value, res.dz
+    # per-mode columns against the grid
+    om_p, om_m = np.array(pm).T[:, :, None]
+    om0 = np.array([[m.omega0] for m in modes])
     # ln(2 cosh u) evaluated without overflow
     log2cosh = np.abs(u) + np.log1p(e)
-    phase = 1j * (om_p * t + om_m * log2cosh / rho)
-    xi = F * np.exp(phase) / math.sqrt(2.0 * om0)
+    phase = 1j * (om_p * grid + om_m * log2cosh / rho)
+    xi = F * np.exp(phase) / np.sqrt(2.0 * om0)
     dln = 1j * om0 + 2j * om_m * z + 2.0 * rho * z * w * dF / F
-    return ModeFunction(xi=xi[()], xi_dot=(xi * dln)[()], t=t[()], dln=dln[()])
+    shape = t.shape if isinstance(mode, EnvMode) else (len(modes),) + t.shape
+    xi, xi_dot, dln = (x.reshape(shape)[()] for x in (xi, xi * dln, dln))
+    return ModeFunction(xi=xi, xi_dot=xi_dot, t=t[()], dln=dln)
 
 
-def xi_trajectory(mode: EnvMode, bg: TanhBackground, ts) -> ModeFunction:
-    """Mode function sampled along a time grid (always array fields)."""
+def xi_trajectory(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, ts) -> ModeFunction:
+    """Mode function of one mode, or of several, along a time grid (array fields)."""
     return xi_analytic(mode, bg, np.atleast_1d(np.asarray(ts, dtype=float)))
 
 

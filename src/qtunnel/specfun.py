@@ -2,12 +2,16 @@
 
 scipy has no 2F1 with complex a, b, c, so the library carries its own:
 
-* 2F1 on real z in [0, 1), for one (a, b, c) over a whole array of z at
-  once, via the direct Gauss series for z <= 1/2 and the two-term
+* 2F1 on real z in [0, 1), for one or several parameter sets (a, b, c) over
+  one array of z, via the direct Gauss series for z <= 1/2 and the two-term
   z -> 1-z linear transformation (with log-Gamma prefactors from
   ``scipy.special.loggamma``, loaded on that branch only) for z > 1/2, so
   convergence stays geometric with ratio <= 1/2 (DLMF 15.2, 15.8),
 * its z-derivative, summed term by term from the same series.
+
+All series of a call are summed in one loop over the orders, on the
+flattened (set, point) pairs.  A pair whose cancellation bound sum|t_n|/|F|
+times the double epsilon passes 1e-11 raises ``PrecisionError``.
 
 Pure functions, no state; thread-safe.
 """
@@ -19,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, PrecisionError
 
 _MAX_TERMS = 10_000
 _REL_EPS = 1e-16
+# rounding error (bound times epsilon) allowed relative to a value: one unit
+# of the 12th significant digit when the leading digit is 1
+_DIGITS_TOL = 1e-11
 # |c-a-b| distance from an integer below which the z->1-z transformation is
 # ill-conditioned and the perturb-and-average fallback is used instead.
 _DEGENERATE_TOL = 1e-6
@@ -40,105 +47,128 @@ def _is_nonpositive_int(z: complex, tol: float = 1e-14) -> bool:
 class Hyp2F1Result:
     """Value, z-derivative and diagnostics of a 2F1 evaluation.
 
-    For an array of z, ``value`` and ``dz`` are arrays of its shape, ``terms``
-    is the series length summed over the points and ``degraded`` is true if
-    any point is degraded.
+    For one (a, b, c), ``value`` and ``dz`` have the shape of z; for 1-D
+    a, b, c they have shape (sets,) + z.shape.  ``terms`` is the series
+    length summed over the (set, point) pairs and ``degraded`` is true if
+    any pair is degraded.  ``bound`` is the largest sum|t_n| / |F| over the
+    pairs (on the z > 1/2 branch, over the terms of both series times their
+    prefactors) and ``dz_bound`` the same for dF/dz; times the double
+    epsilon, each estimates the relative rounding error.
     """
 
     value: complex | np.ndarray
     degraded: bool
     terms: int
     dz: complex | np.ndarray
+    bound: float
+    dz_bound: float
 
 
-def _gauss_series(a: complex, b: complex, c: complex,
-                  z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Direct Gauss series and its term-by-term z-derivative over a z array.
+def _gauss_series(sets: list, z: np.ndarray, outs: tuple, at: np.ndarray) -> int:
+    """Direct Gauss series and its term-by-term z-derivative for each (a, b, c)
+    of ``sets`` over one z array in (0, 1/2]; every c off the poles.
 
-    Caller guarantees a non-empty z in [0, 1/2] and c off the poles.  The
-    ratio of consecutive coefficients is one scalar per order, so an order
-    costs a few array operations.  Each point stops on its own rule (three
-    terms in a row below _REL_EPS of its sum) and then leaves the working set.
-    Returns (F, dF/dz, terms summed over the points).
+    Pair k is set k // z.size at point k % z.size.  The ratio of consecutive
+    coefficients is one Python complex per set and order, gathered onto the
+    pairs.  Each pair stops on its own rule (three terms in a row below
+    _REL_EPS of its sum) and adds zeros from then on; the finished pairs
+    leave the working set once they are half of it.  Pair k's F, dF/dz,
+    sum|t_n| and sum|dt_n/dz| go to flat index at[k] of the four C-contiguous
+    arrays ``outs``.  Returns the series length summed over the pairs.
     """
-    value = np.empty(z.size, dtype=complex)
-    deriv = np.empty(z.size, dtype=complex)
-    idx = np.arange(z.size)
-    term = np.ones(z.size, dtype=complex)
+    outs = [out.reshape(-1) for out in outs]  # views: the arrays are C-contiguous
+    idx = np.asarray(at)  # each live pair's flat index into ``outs``
+    set_idx, zs = np.arange(idx.size) // z.size, np.tile(z, len(sets))
+    term = np.ones(idx.size, dtype=complex)
     total = term.copy()
-    dtotal = np.zeros(z.size, dtype=complex)
-    streak = np.zeros(z.size, dtype=np.int8)
-    terms = 0
+    dtotal = np.zeros(idx.size, dtype=complex)
+    size, dsize = np.ones(idx.size), np.zeros(idx.size)
+    streak = np.zeros(idx.size, dtype=np.int16)  # counts on up to _MAX_TERMS
+    terms, left, finished = 0, idx.size, 0
     # a runaway series overflows to inf/nan, never stops and raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(_MAX_TERMS):
             # t_{n+1} = t_n r_n z and d t_{n+1}/dz = (n+1) t_n r_n
-            step = ((a + n) * (b + n) / ((c + n) * (n + 1))) * term
+            ratio = np.array([(a + n) * (b + n) / ((c + n) * (n + 1)) for a, b, c in sets])
+            step = ratio[set_idx] * term
             dtotal += (n + 1) * step
-            term = step * z
+            term = step * zs
             total += term
-            streak = (streak + 1) * (np.abs(term) <= _REL_EPS * np.abs(total))
-            done = streak >= 3
-            if done.any():
-                value[idx[done]] = total[done]
-                deriv[idx[done]] = dtotal[done]
-                terms += (n + 1) * int(np.count_nonzero(done))
-                live = ~done
-                if not live.any():
-                    return value, deriv, terms
-                idx, z, term, total, dtotal, streak = (
-                    arr[live] for arr in (idx, z, term, total, dtotal, streak))
-    raise ConvergenceError(
-        f"2F1 series did not converge in {_MAX_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, z={z[0]})"
-    )
+            mag = np.abs(term)
+            size += mag
+            dsize += (n + 1) * mag
+            streak += 1
+            streak *= mag <= _REL_EPS * np.abs(total)
+            done = np.flatnonzero(streak == 3)
+            if done.size:
+                # |d t_{n+1}/dz| = (n+1)|t_{n+1}|/z
+                for out, arr in zip(outs, (total[done], dtotal[done], size[done],
+                                           dsize[done] / zs[done])):
+                    out[idx[done]] = arr
+                terms += (n + 1) * done.size
+                left -= done.size
+                if not left:
+                    return terms
+                term[done] = 0.0  # so the streak runs on past 3
+                finished += done.size
+                if 2 * finished >= idx.size:
+                    live = streak < 3
+                    idx, set_idx, zs, term, total, dtotal, size, dsize, streak = (
+                        arr[live] for arr in (idx, set_idx, zs, term, total, dtotal, size,
+                                              dsize, streak))
+                    finished = 0
+    k = np.argmax(streak < 3)
+    raise ConvergenceError(f"2F1 series did not converge in {_MAX_TERMS} terms "
+                           f"at (a, b, c) = {sets[set_idx[k]]}, z = {zs[k]}")
 
 
-def _hyp2f1_transformed(a: complex, b: complex, c: complex,
-                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _hyp2f1_transformed(sets: list, w: np.ndarray) -> tuple:
     """z -> 1-z linear transformation (DLMF 15.8.4) over w = 1 - z.
 
     Caller guarantees c-a-b off integers.  The log-Gamma prefactors are
-    computed once for the whole array.  Returns (F, dF/dz, terms).
+    computed once per set, and the w-series of all sets are summed in one
+    call.  Returns F, dF/dz, sum|t_n| and sum|dt_n/dz|, each of shape
+    (sets, points), and the series length.
     """
     from scipy.special import loggamma
 
-    s = c - a - b
-    value = np.zeros(w.size, dtype=complex)
-    deriv = np.zeros(w.size, dtype=complex)
-    terms = 0
-    # only exp() of the log-Gamma sums is used, so the branch does not matter
-    lg_c = loggamma(c)
-    # coefficient of the analytic term; vanishes when c-a or c-b is a
-    # non-positive integer (1/Gamma pole)
-    if not (_is_nonpositive_int(c - a) or _is_nonpositive_int(c - b)):
-        coeff1 = cmath.exp(lg_c + loggamma(s) - loggamma(c - a) - loggamma(c - b))
-        f1, d1, n1 = _gauss_series(a, b, a + b - c + 1.0, w)
-        value += coeff1 * f1
-        deriv -= coeff1 * d1
-        terms += n1
-    if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
-        coeff2 = cmath.exp(lg_c + loggamma(-s) - loggamma(a) - loggamma(b))
-        f2, d2, n2 = _gauss_series(c - a, c - b, s + 1.0, w)
+    # both terms are prefactor * w^s * 2F1(w): s = 0 for the analytic one
+    plan = []  # (set, s, prefactor, series parameters)
+    for i, (a, b, c) in enumerate(sets):
+        s = c - a - b
+        # only exp() of the log-Gamma sums is used, so the branch does not matter
+        lg_c = loggamma(c)
+        # coefficient of the analytic term; vanishes when c-a or c-b is a
+        # non-positive integer (1/Gamma pole)
+        if not (_is_nonpositive_int(c - a) or _is_nonpositive_int(c - b)):
+            coeff1 = cmath.exp(lg_c + loggamma(s) - loggamma(c - a) - loggamma(c - b))
+            plan.append((i, 0.0, coeff1, (a, b, a + b - c + 1.0)))
+        if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
+            coeff2 = cmath.exp(lg_c + loggamma(-s) - loggamma(a) - loggamma(b))
+            plan.append((i, s, coeff2, (c - a, c - b, s + 1.0)))
+    parts = np.empty((4, len(plan), w.size), dtype=complex)
+    terms = _gauss_series([p[3] for p in plan], w, parts, np.arange(parts[0].size)) if plan else 0
+    out = np.zeros((4, len(sets), w.size), dtype=complex)
+    for (i, s, coeff, _), f, d, size, dsize in zip(plan, *parts):
         w_s = np.exp(s * np.log(w))
-        value += coeff2 * w_s * f2
-        # d/dz = -d/dw of w^s F2(w)
-        deriv -= coeff2 * w_s * (s * f2 / w + d2)
-        terms += n2
-    return value, deriv, terms
+        scale = abs(coeff) * np.abs(w_s)
+        # d/dz = -d/dw of w^s F(w)
+        out[:, i] += (coeff * w_s * f, -(coeff * w_s * (s * f / w + d)),
+                      scale * size, scale * (abs(s) * size / w + dsize))
+    return (out[0], out[1], out[2].real, out[3].real), terms
 
 
-def hyp2f1_ex(a: complex, b: complex, c: complex, z,
-              one_minus_z=None) -> Hyp2F1Result:
-    """2F1 and dF/dz with diagnostics, for one (a, b, c) over an array of z.
+def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
+    """2F1 and dF/dz with diagnostics, for one or several (a, b, c) over an array of z.
 
-    Points with z <= 1/2 use the Gauss series; the rest use the z -> 1-z
-    transformation.  A scalar z gives scalar ``value`` and ``dz``.
-    ``one_minus_z`` lets callers who know 1-z to full precision (e.g. from a
-    stable sigmoid) avoid the cancellation in computing it from z when z is
-    close to 1.
+    a, b and c are complex scalars, or 1-D sequences of one length, one
+    parameter set per entry.  Points with z <= 1/2 use the Gauss series; the
+    rest use the z -> 1-z transformation.  ``one_minus_z`` lets callers who
+    know 1-z to full precision (e.g. from a stable sigmoid) avoid the
+    cancellation in computing it from z when z is close to 1.
     """
-    a, b, c = complex(a), complex(b), complex(c)
+    batched = max(np.ndim(a), np.ndim(b), np.ndim(c)) > 0
+    sets = [tuple(map(complex, p)) for p in np.broadcast(*np.atleast_1d(a, b, c))]
     shape = np.shape(z)
     z = np.asarray(z, dtype=float).ravel()
     if one_minus_z is None:
@@ -154,36 +184,56 @@ def hyp2f1_ex(a: complex, b: complex, c: complex, z,
         raise DomainError(
             f"2F1 kernel supports real z in [0, 1), got z = {z[np.argmax(outside)]}"
         )
-    if _is_nonpositive_int(c):
-        raise DomainError(f"2F1 pole: c = {c} is a non-positive integer")
+    for _, _, c in sets:
+        if _is_nonpositive_int(c):
+            raise DomainError(f"2F1 pole: c = {c} is a non-positive integer")
     # 2F1 = 1 and dF/dz = ab/c at z = 0, and everywhere when a or b is 0
-    value = np.ones(z.size, dtype=complex)
-    deriv = np.full(z.size, a * b / c)
-    terms, degraded = 0, False
-    nontrivial = a != 0 and b != 0
-    near = nontrivial & (z > 0.0) & (z <= 0.5)
-    if near.any():
-        value[near], deriv[near], terms = _gauss_series(a, b, c, z[near])
-    far = nontrivial & (z > 0.5)
-    if far.any():
-        s = c - a - b
-        dist = abs(s - round(s.real)) if abs(s.imag) < _DEGENERATE_TOL else _DEGENERATE_TOL * 2
-        if dist < _DEGENERATE_TOL:
-            # logarithmic case: evaluate at c shifted so c-a-b sits exactly
-            # +/- _PERTURB away from the integer, and average the two
-            c_int = a + b + round(s.real)
-            up, d_up, n1 = _hyp2f1_transformed(a, b, c_int + _PERTURB, w[far])
-            dn, d_dn, n2 = _hyp2f1_transformed(a, b, c_int - _PERTURB, w[far])
-            value[far], deriv[far] = 0.5 * (up + dn), 0.5 * (d_up + d_dn)
-            terms += n1 + n2
-            degraded = True
-        else:
-            value[far], deriv[far], n = _hyp2f1_transformed(a, b, c, w[far])
-            terms += n
-    return Hyp2F1Result(value.reshape(shape)[()], degraded, terms, deriv.reshape(shape)[()])
+    value, deriv = np.ones((2, len(sets), z.size), dtype=complex)
+    deriv[:] = [[a * b / c] for a, b, c in sets]
+    size, dsize = np.ones(value.shape), np.abs(deriv)  # sum|t_n| and sum|dt_n/dz|
+    out = value, deriv, size, dsize
+    terms, degraded = 0, np.zeros(len(sets), dtype=bool)
+    live = [i for i, (a, b, _) in enumerate(sets) if a != 0 and b != 0]
+    near, far = (z > 0.0) & (z <= 0.5), z > 0.5
+    if live and near.any():
+        at = np.add.outer(np.multiply(live, z.size), np.flatnonzero(near)).ravel()
+        terms += _gauss_series([sets[i] for i in live], z[near], out, at)
+    if live and far.any():
+        # logarithmic case (c-a-b within _DEGENERATE_TOL of an integer):
+        # evaluate at c shifted so c-a-b sits exactly +/- _PERTURB away from
+        # the integer, and average the two
+        rows, shifted = [], []
+        for i in live:
+            a, b, c = sets[i]
+            s = c - a - b
+            n_int = round(s.real)
+            degraded[i] = abs(s.imag) < _DEGENERATE_TOL and abs(s - n_int) < _DEGENERATE_TOL
+            c_int = a + b + n_int
+            rows.append(len(shifted))
+            shifted += ([(a, b, c_int + _PERTURB), (a, b, c_int - _PERTURB)] if degraded[i]
+                        else [(a, b, c)])
+        res, n = _hyp2f1_transformed(shifted, w[far])
+        for i, r in zip(live, rows):
+            for o, x in zip(out, res):
+                o[i, far] = 0.5 * (x[r] + x[r + 1]) if degraded[i] else x[r]
+        terms += n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = np.stack([size / np.abs(value), dsize / np.abs(deriv)])
+    if degraded.any():
+        # a degraded pair cancels by design, and its flag says so
+        bounds[:, degraded[:, None] & far] = 1.0
+    # dF/dz = 0 exactly where a or b is 0: fmax skips the NaN of 0/0
+    bound, dz_bound = np.fmax.reduce(bounds, axis=(1, 2), initial=1.0).tolist()
+    if max(bound, dz_bound) * np.finfo(float).eps > _DIGITS_TOL:
+        k, i, j = np.unravel_index(np.nanargmax(bounds), bounds.shape)
+        raise PrecisionError(f"2F1 series cancels: sum |t_n| is {bounds[k, i, j]:.3g} times "
+                             f"|{('F', 'dF/dz')[k]}| at (a, b, c) = {sets[i]}, z = {z[j]}; "
+                             "fewer than 12 significant digits hold")
+    shape = ((len(sets),) if batched else ()) + shape
+    return Hyp2F1Result(value.reshape(shape)[()], bool(degraded.any()), terms,
+                        deriv.reshape(shape)[()], bound, dz_bound)
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z, one_minus_z=None):
+def hyp2f1(a, b, c, z, one_minus_z=None):
     """Gauss hypergeometric 2F1(a, b; c; z) for complex parameters, z in [0,1)."""
     return hyp2f1_ex(a, b, c, z, one_minus_z).value
-

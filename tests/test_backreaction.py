@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -227,12 +227,15 @@ def test_superpose_no_modes_rejected():
 
 @st.composite
 def _mode_sets(draw):
-    """2-3 modes whose omega^2 stays positive over a barrier of width 1."""
+    """2-16 modes (the mode-sweep range) whose omega^2 stays positive over a
+    barrier of width 1."""
     out = []
-    for _ in range(draw(st.integers(2, 3))):
+    for _ in range(draw(st.integers(2, 16))):
         m, omega0 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
         c = draw(st.floats(0.01, 0.3)) * draw(st.sampled_from([-1.0, 1.0]))
-        assume(omega0**2 + 4.0 * c / m > 0.0)
+        # a negative coupling is capped rather than filtered, so that sets of
+        # 16 modes are not rejected
+        c = max(c, -0.99 * omega0**2 * m / 4.0)
         out.append(EnvMode(mass_m=m, omega0=omega0, coupling_c=c))
     return out
 

@@ -243,9 +243,14 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     # tanh(rho t) saturates
     ("mode-evolve", "t_max = 400", "DomainError"),
     ("backreaction", "c = 100", "OutOfRegimeError"),
+    # the 2F1 series cancels: its terms reach ~1e16 |F| on a barrier this wide
+    ("fig3", "a = 40", "PrecisionError"),
+    ("backreaction", "a = 40", "PrecisionError"),
+    ("mode-evolve", "a = 40", "PrecisionError"),
 ], ids=["rect", "fig3", "sweep", "rect-M", "rect-hbar", "rect-E-a", "rect-t_roll",
         "fig2-hbar-small", "fig2-hbar-large", "fig2-E", "fig2-bracket", "wkb-grid",
-        "fig3-omega0", "fig1a-thick", "mode-evolve-t_max", "backreaction-c"])
+        "fig3-omega0", "fig1a-thick", "mode-evolve-t_max", "backreaction-c",
+        "fig3-wide", "backreaction-wide", "mode-evolve-wide"])
 def test_validate_reports_what_the_run_rejects(tmp_path, capsys, scenario, lines, error):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"scenario = {scenario}\n{lines}\n")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qtunnel import specfun
-from qtunnel.errors import ConvergenceError, DomainError
+from qtunnel.errors import ConvergenceError, DomainError, PrecisionError
 
 mp.mp.dps = 50
 
@@ -175,6 +175,61 @@ def test_hyp2f1_array_errors():
         specfun.hyp2f1_ex(1.0, 1.0, -2.0, np.array([0.1, 0.3]))
     with pytest.raises(ConvergenceError):
         specfun.hyp2f1(5000.0, 5000.0, 1.0, np.array([0.1, 0.5]))
+
+
+# --- several parameter sets in one call ---------------------------------------
+
+# mode-function parameters (1 - ix, -ix; 1 + iy) with omega_-/rho = x from 0.05
+# to 5, whose series stop at different orders, plus a vanishing b and a c-a-b
+# within 1e-6 of an integer on the z > 1/2 points; z includes 0 and 1/2
+BATCH_SETS = [(1 - 1j * x, -1j * x, 1 + 1j * y)
+              for x, y in [(0.05, 0.5), (0.3, 1.0), (1.0, 0.7), (2.5, 3.0), (5.0, 2.0)]]
+BATCH_SETS += [(1.0 + 0.3j, 0.0, 1.0 + 0.5j), (0.7, 0.3, 2.0000003)]
+BATCH_HEAD = np.concatenate([[0.0, 1e-9], np.linspace(0.05, 0.5, 10)])
+BATCH_Z = np.concatenate([BATCH_HEAD, SEAM_Z])
+BATCH_W = np.concatenate([1.0 - BATCH_HEAD, SEAM_W])
+
+
+def test_hyp2f1_batched_equals_one_set_calls():
+    a, b, c = zip(*BATCH_SETS)
+    res = specfun.hyp2f1_ex(a, b, c, BATCH_Z, one_minus_z=BATCH_W)
+    singles = [specfun.hyp2f1_ex(*p, BATCH_Z, one_minus_z=BATCH_W) for p in BATCH_SETS]
+    assert res.value.shape == res.dz.shape == (len(BATCH_SETS), BATCH_Z.size)
+    for row, single in enumerate(singles):
+        assert res.value[row].tobytes() == single.value.tobytes()
+        assert res.dz[row].tobytes() == single.dz.tobytes()
+    lengths = [single.terms for single in singles]
+    assert len(set(lengths)) == len(lengths)  # the sets stop at different orders
+    assert res.terms == sum(lengths)
+    assert [single.degraded for single in singles] == [False] * 6 + [True]
+    assert res.degraded
+    assert res.bound == max(single.bound for single in singles)
+    assert res.dz_bound == max(single.dz_bound for single in singles)
+    assert specfun.hyp2f1_ex(a, b, c, 0.3).value.shape == (len(BATCH_SETS),)
+
+
+@pytest.mark.parametrize("x, y", [(8.0, 7.5), (13.0, 10.0)])
+def test_hyp2f1_cancellation_bound_covers_rounding(x, y):
+    # the default mode's parameters at barrier widths ~15 and ~20: the series
+    # cancels, and bound times epsilon covers the error of F and dF/dz
+    a, b, c = 1 - 1j * x, -1j * x, 1 + 1j * y
+    z = np.linspace(0.1, 0.5, 5)
+    res = specfun.hyp2f1_ex(a, b, c, z)
+    assert res.bound > 100 and res.dz_bound > 100
+    eps = np.finfo(float).eps
+    for zi, f, df in zip(z, res.value, res.dz):
+        zm = mp.mpf(float(zi))
+        ref = complex(mp.hyp2f1(a, b, c, zm))
+        ref_dz = complex(mp.mpf(1) * a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, zm))
+        assert abs(f - ref) <= eps * res.bound * abs(ref)
+        assert abs(df - ref_dz) <= eps * res.dz_bound * abs(ref_dz)
+
+
+def test_hyp2f1_cancellation_guard():
+    # barrier width 40: the terms reach ~1e16 |F|, so no digit of F is left
+    assert specfun.hyp2f1_ex(1 - 0.07j, -0.07j, 1 + 0.5j, 0.5).bound < 1.2
+    with pytest.raises(PrecisionError, match="fewer than 12 significant digits"):
+        specfun.hyp2f1_ex(1 - 40j, -40j, 1 + 20j, np.array([0.1, 0.5]))
 
 
 # --- dF/dz (hyp2f1_ex(...).dz) ---------------------------------------------
