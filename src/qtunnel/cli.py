@@ -39,9 +39,8 @@ from . import rect as rect_mod
 from .config import ConfigError, RunConfig
 from .errors import DomainError, PrecisionError, QTunnelError
 
-# wkb loads scipy.special when imported, and specfun on its z > 1/2 branch
-# only; each runner imports wkb, modes or backreaction itself, so rect,
-# sweep, fig1a and fig1b (and validate on them) load none of them.
+# each runner imports wkb, modes or backreaction itself, so rect, sweep,
+# fig1a and fig1b (and validate on them) do not pay for importing them
 if TYPE_CHECKING:
     from .backreaction import BackreactionProfile
 

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
 
 SCENARIOS = (
@@ -154,15 +152,14 @@ class RunConfig:
         return coeffs
 
     def smooth_potential(self) -> SmoothPotential:
-        """The ``poly`` barrier sum(ci * x**i), elementwise through numpy."""
+        """The ``poly`` barrier sum(ci * x**i) and its derivative, elementwise
+        on numpy arrays."""
         coeffs = self.polynomial()
 
         def value(x):
-            x = np.asarray(x, dtype=float)
             return sum(ci * x**i for i, ci in enumerate(coeffs))
 
         def derivative(x):
-            x = np.asarray(x, dtype=float)
             return sum(i * ci * x ** (i - 1) for i, ci in enumerate(coeffs) if i > 0)
 
         return SmoothPotential(value, derivative)

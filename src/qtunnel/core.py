@@ -49,23 +49,15 @@ class RectBarrier:
 
 
 class SmoothPotential:
-    """A smooth barrier V(x) with a consistent derivative.
+    """A smooth barrier V(x) with its derivative V'(x).
 
     Both callables must work elementwise on 1-d float numpy arrays, the
     only input the smooth-barrier code passes: whole grids, quadrature nodes
-    and the scan nodes of its root and window searches.  If no analytic
-    derivative is supplied, a centered finite difference with step
-    h = max(1e-6, 1e-6*|x|) is used; the step balances truncation and
-    rounding at double precision.
+    and the scan nodes of its root and window searches.
     """
 
-    _FD_SCALE = 1e-6
-
-    def __init__(
-        self,
-        value: Callable[[float], float],
-        derivative: Callable[[float], float] | None = None,
-    ):
+    def __init__(self, value: Callable[[np.ndarray], np.ndarray],
+                 derivative: Callable[[np.ndarray], np.ndarray]):
         self._value = value
         self._derivative = derivative
 
@@ -73,13 +65,7 @@ class SmoothPotential:
         return self._value(x)
 
     def derivative(self, x):
-        if self._derivative is not None:
-            return self._derivative(x)
-        return self._finite_difference(x)
-
-    def _finite_difference(self, x):
-        h = np.maximum(self._FD_SCALE, self._FD_SCALE * np.abs(x))
-        return (self._value(x + h) - self._value(x - h)) / (2.0 * h)
+        return self._derivative(x)
 
 
 @dataclass(frozen=True)

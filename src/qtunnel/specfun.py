@@ -1,13 +1,12 @@
-"""Gauss hypergeometric kernel for complex parameters.
-
-scipy has no 2F1 with complex a, b, c, so the library carries its own:
+"""Gauss hypergeometric kernel for complex parameters, on numpy alone.
 
 * 2F1 on real z in [0, 1), for one or several parameter sets (a, b, c) over
   one array of z, via the direct Gauss series for z <= 1/2 and the two-term
-  z -> 1-z linear transformation (with log-Gamma prefactors from
-  ``scipy.special.loggamma``, loaded on that branch only) for z > 1/2, so
-  convergence stays geometric with ratio <= 1/2 (DLMF 15.2, 15.8),
-* its z-derivative, summed term by term from the same series.
+  z -> 1-z linear transformation for z > 1/2, so convergence stays geometric
+  with ratio <= 1/2 (DLMF 15.2, 15.8),
+* its z-derivative, summed term by term from the same series,
+* complex log-Gamma for the transformation's prefactors: Stirling's series
+  after a recurrence shift, with reflection for Re z < 1/2 (DLMF 5.5, 5.11).
 
 All series of a call are summed in one loop over the orders, on the
 flattened (set, point) pairs.  A pair whose cancellation bound sum|t_n|/|F|
@@ -18,7 +17,8 @@ Pure functions, no state; thread-safe.
 
 from __future__ import annotations
 
-import cmath
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,8 @@ _DIGITS_TOL = 1e-11
 # ill-conditioned and the perturb-and-average fallback is used instead.
 _DEGENERATE_TOL = 1e-6
 _PERTURB = 1e-6
+# B_2k / (2k (2k - 1)), k = 1..7: past |z| >= 10 the next term is below 3e-17
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 def _is_nonpositive_int(z: complex, tol: float = 1e-14) -> bool:
@@ -41,6 +43,36 @@ def _is_nonpositive_int(z: complex, tol: float = 1e-14) -> bool:
         return False
     r = round(z.real)
     return r <= 0 and abs(z.real - r) <= tol * max(1.0, abs(z.real))
+
+
+def log_gamma(z) -> np.ndarray:
+    """log Gamma(z) on an array of complex z off the poles 0, -1, -2, ...,
+    up to a multiple of 2 pi i (exp() of it is Gamma(z)).
+
+    Points with Re z < 1/2 reflect, Gamma(z) Gamma(1 - z) = pi / sin(pi z),
+    with sin taken at the exact remainder r = z - round(Re z) through
+    expm1(2 i pi r), so it neither loses digits next to a pole nor overflows
+    at large |Im z|.  Stirling's series (DLMF 5.11.1) then runs at the
+    argument x, or, where |x| < 10, at x + 10 with the ten steps of
+    Gamma(x + 1) = x Gamma(x) taken off as the log of one product.
+    """
+    z = np.asarray(z, dtype=complex)
+    reflect = z.real < 0.5
+    x = np.where(reflect, 1.0 - z, z)  # Re x >= 1/2
+    near = np.abs(x) < 10.0
+    shift = np.prod(x[near] + np.arange(10.0)[:, None], axis=0)
+    x[near] += 10.0
+    inv2 = 1.0 / (x * x)
+    series = functools.reduce(lambda acc, c: acc * inv2 + c, _STIRLING[-2::-1], _STIRLING[-1])
+    out = (x - 0.5) * np.log(x) - x + (0.5 * math.log(2.0 * math.pi)) + series / x
+    out[near] -= np.log(shift)
+    if reflect.any():
+        n = np.round(z.real[reflect])
+        r = z[reflect] - n
+        sign = np.where(r.imag < 0.0, -1.0, 1.0)  # keeps |exp(2 i pi r sign)| <= 1
+        log_sin = np.log(-0.5j * sign * np.expm1(2j * math.pi * sign * r))
+        out[reflect] = math.log(math.pi) - log_sin + 1j * math.pi * (sign * r - n) - out[reflect]
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,31 +157,32 @@ def _gauss_series(sets: list, z: np.ndarray, outs: tuple, at: np.ndarray) -> int
 def _hyp2f1_transformed(sets: list, w: np.ndarray) -> tuple:
     """z -> 1-z linear transformation (DLMF 15.8.4) over w = 1 - z.
 
-    Caller guarantees c-a-b off integers.  The log-Gamma prefactors are
-    computed once per set, and the w-series of all sets are summed in one
-    call.  Returns F, dF/dz, sum|t_n| and sum|dt_n/dz|, each of shape
-    (sets, points), and the series length.
+    Caller guarantees c-a-b off integers.  The log-Gamma prefactors of all
+    sets come from one ``log_gamma`` call, and the w-series of all sets are
+    summed in one call.  Returns F, dF/dz, sum|t_n| and sum|dt_n/dz|, each
+    of shape (sets, points), and the series length.
     """
-    from scipy.special import loggamma
-
-    # both terms are prefactor * w^s * 2F1(w): s = 0 for the analytic one
-    plan = []  # (set, s, prefactor, series parameters)
+    # both terms are prefactor * w^s * 2F1(w): s = 0 for the analytic one;
+    # prefactor = Gamma(c) Gamma(+-s) / (Gamma(p) Gamma(q)) for the log-Gamma
+    # arguments (c, +-s, p, q)
+    plan, args = [], []  # (set, s, series parameters), log-Gamma arguments
     for i, (a, b, c) in enumerate(sets):
         s = c - a - b
-        # only exp() of the log-Gamma sums is used, so the branch does not matter
-        lg_c = loggamma(c)
-        # coefficient of the analytic term; vanishes when c-a or c-b is a
-        # non-positive integer (1/Gamma pole)
+        # the analytic term vanishes when c-a or c-b is a non-positive
+        # integer (1/Gamma pole), the other one when a or b is
         if not (_is_nonpositive_int(c - a) or _is_nonpositive_int(c - b)):
-            coeff1 = cmath.exp(lg_c + loggamma(s) - loggamma(c - a) - loggamma(c - b))
-            plan.append((i, 0.0, coeff1, (a, b, a + b - c + 1.0)))
+            plan.append((i, 0.0, (a, b, a + b - c + 1.0)))
+            args.append((c, s, c - a, c - b))
         if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
-            coeff2 = cmath.exp(lg_c + loggamma(-s) - loggamma(a) - loggamma(b))
-            plan.append((i, s, coeff2, (c - a, c - b, s + 1.0)))
+            plan.append((i, s, (c - a, c - b, s + 1.0)))
+            args.append((c, -s, a, b))
     parts = np.empty((4, len(plan), w.size), dtype=complex)
-    terms = _gauss_series([p[3] for p in plan], w, parts, np.arange(parts[0].size)) if plan else 0
+    terms = _gauss_series([p[2] for p in plan], w, parts, np.arange(parts[0].size)) if plan else 0
+    # only exp() of the log-Gamma sums is used, so the branch does not matter
+    lg = log_gamma(np.reshape(args, (-1, 4)))
+    coeffs = np.exp(lg[:, 0] + lg[:, 1] - lg[:, 2] - lg[:, 3]).tolist()
     out = np.zeros((4, len(sets), w.size), dtype=complex)
-    for (i, s, coeff, _), f, d, size, dsize in zip(plan, *parts):
+    for (i, s, _), coeff, f, d, size, dsize in zip(plan, coeffs, *parts):
         w_s = np.exp(s * np.log(w))
         scale = abs(coeff) * np.abs(w_s)
         # d/dz = -d/dw of w^s F(w)

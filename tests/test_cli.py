@@ -5,6 +5,7 @@ import warnings
 
 import mpmath as mp
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from qtunnel import errors
@@ -317,6 +318,17 @@ def test_extreme_scales_fail_cleanly(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", ["fig2", "wkb"])
+@pytest.mark.parametrize("hbar", ["1e-3", "3e-3", "1e-2", "3e-2"])
+def test_small_hbar_smooth_barrier_exits_0_or_3(tmp_path, scenario, hbar):
+    # small hbar widens the Airy windows in units of the Airy length (larger
+    # |z| in the kernel) and grows the barrier action past double range
+    out = tmp_path / "small.csv"
+    code = main([scenario, "--hbar", hbar, "--out", str(out)])
+    assert code in (0, 3)
+    assert out.exists() == (code == 0)
+
+
 def test_validate_reports_omega0_past_double_range(tmp_path, capsys):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("scenario = fig3\nomega0 = 1e200\n")
@@ -427,8 +439,15 @@ def test_bad_smooth_barrier_and_time_inputs_are_config_errors(tmp_path, capsys, 
 
 
 def test_config_polynomial_array_equals_scalar_calls():
+    # the smooth-barrier code calls the potential on arrays of any length
+    # (grids, quadrature nodes, scan nodes): a point's value must not depend
+    # on the array it comes in, and must be the polynomial's
     xs = np.linspace(-3.0, 4.0, 2001)
     for poly in ("1,8,-8", "0.3,-1.7,2.9,-0.45,0.125"):
+        coeffs = [float(c) for c in poly.split(",")]
         pot = RunConfig(scenario="fig2", values={"poly": poly}).smooth_potential()
-        assert pot(xs).tolist() == [pot(float(x)) for x in xs]
-        assert pot.derivative(xs).tolist() == [pot.derivative(float(x)) for x in xs]
+        for f, c in ((pot, coeffs), (pot.derivative, P.polyder(coeffs))):
+            got = f(xs)
+            assert got.tolist() == [f(xs[i:i + 1])[0] for i in range(xs.size)]
+            want = P.polyval(xs, c)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))

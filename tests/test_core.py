@@ -10,7 +10,6 @@ from qtunnel.core import (
     EnvMode,
     PhysicalParams,
     RectBarrier,
-    SmoothPotential,
     cumulative_simpson,
     derivative_5pt,
     wave_numbers,
@@ -72,12 +71,6 @@ def test_invalid_records_raise():
         RectBarrier(height_V0=4.0, width_a=0.0)
     with pytest.raises(DomainError):
         EnvMode(mass_m=1.0, omega0=-1.0, coupling_c=0.1)
-
-
-def test_smooth_potential_fd_fallback():
-    pot = SmoothPotential(lambda x: math.sin(2.0 * x))
-    for x in (-1.3, 0.0, 0.7, 4.0):
-        assert pot.derivative(x) == pytest.approx(2.0 * math.cos(2.0 * x), abs=5e-9)
 
 
 def test_derivative_5pt_exact_on_quartic():

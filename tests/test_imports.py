@@ -1,14 +1,11 @@
 """Module structure of a cold start.
 
-The closed-form scenarios (rect, sweep, fig1a, fig1b), the back-reaction
-scenarios (fig3, backreaction) and validate run on numpy alone; importing
-scipy would multiply their start-up time several times over.  mode-evolve
-(log-Gamma on the 2F1 kernel's z > 1/2 branch), fig2 and wkb (Airy
-functions) load only ``scipy.special``; no scenario and no trajectory loads
-``scipy.integrate``, since every quadrature is a fixed rule on numpy arrays.
-The scenarios whose modules the CLI imports lazily still run from a fresh
-interpreter.  These tests check which modules load, not how long they take,
-so host load does not move them.
+Every scenario, and validate, runs on numpy alone: the 2F1 kernel's
+log-Gamma prefactors and the WKB windows' Airy functions are in-house, and
+every quadrature is a fixed rule on numpy arrays.  scipy stays a test-only
+dependency (the oracle tests).  The scenarios whose modules the CLI imports
+lazily still run from a fresh interpreter.  These tests check which modules
+load, not how long they take, so host load does not move them.
 """
 
 import os
@@ -20,43 +17,33 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-NUMPY_ONLY_RUNS = """
+# every scenario and validate, with any import of scipy failing
+RUNS_WITHOUT_SCIPY = """
 import sys
-from qtunnel.cli import main
 
-runs = [[scenario, "--out", scenario + ".csv"]
-        for scenario in ("rect", "sweep", "fig1a", "fig1b", "fig3")]
-runs.append(["backreaction", "--modes", "1:1:0.15;1:1.5:0.1", "--out", "backreaction.csv"])
-runs.append(["validate", "--config", "run.cfg"])
-codes = [main(argv) for argv in runs]
-assert codes == [0] * len(runs), codes
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
 from qtunnel.backreaction import gaussian_average_check
-gaussian_average_check([(1.0, 2.0), (0.8, -1.3)])
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert not loaded, loaded
-"""
-
-MODE_EVOLVE_RUN = """
-import sys
 from qtunnel.cli import main
-
-assert main(["mode-evolve", "--out", "mode-evolve.csv"]) == 0
-loaded = sorted(name for name in sys.modules if name.startswith("scipy.integrate"))
-assert not loaded, loaded
-"""
-
-
-SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN = """
-import sys
-from qtunnel.cli import main
+from qtunnel.config import SCENARIOS
 from qtunnel.core import PhysicalParams, RectBarrier
 from qtunnel.rect import classical_trajectory, solve_rect
 
-assert main(["fig2", "--out", "fig2.csv"]) == 0
-assert main(["wkb", "--out", "wkb.csv"]) == 0
+runs = [[scenario, "--out", scenario + ".csv"] for scenario in SCENARIOS]
+runs.append(["validate", "--config", "run.cfg"])
+codes = [main(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+gaussian_average_check([(1.0, 2.0), (0.8, -1.3)])
 sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
 classical_trajectory(sol, mode="exact").traversal_time(0.0, 20.0)
-loaded = sorted(name for name in sys.modules if name.startswith("scipy.integrate"))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
 
@@ -68,23 +55,14 @@ def fresh_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
 
 
 def test_numpy_only_scenarios_load_no_scipy(tmp_path):
-    (tmp_path / "run.cfg").write_text("scenario = rect\n")
-    proc = fresh_python(["-c", NUMPY_ONLY_RUNS], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_mode_evolve_loads_no_scipy_integrate(tmp_path):
-    proc = fresh_python(["-c", MODE_EVOLVE_RUN], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_smooth_barrier_and_exact_trajectory_load_no_scipy_integrate(tmp_path):
-    proc = fresh_python(["-c", SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN], tmp_path)
+    (tmp_path / "run.cfg").write_text("scenario = mode-evolve\n")
+    proc = fresh_python(["-c", RUNS_WITHOUT_SCIPY], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("scenario", ["fig3", "mode-evolve", "wkb"])
 def test_scipy_scenarios_run_from_cold_interpreter(tmp_path, scenario):
+    # scenarios whose modules the CLI imports lazily (and that once loaded scipy)
     out = tmp_path / "out.csv"
     proc = fresh_python(["-m", "qtunnel", scenario, "--out", str(out)], tmp_path)
     assert proc.returncode == 0, proc.stderr

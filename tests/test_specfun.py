@@ -29,6 +29,39 @@ def series_oracle(a, b, c, z, terms=200):
     return total
 
 
+# --- log_gamma -------------------------------------------------------------
+
+def test_log_gamma_matches_mpmath():
+    # a complex grid with |Im z| <= 50 on both sides of Re z = 1/2 (the
+    # reflection seam) and down to Re z = -12, points 1e-8 from the poles,
+    # and |Im z| up to 1000, where sin(pi z) overflows and Gamma underflows.
+    # exp(log_gamma) is compared with Gamma wherever Gamma is a double, and
+    # log_gamma modulo 2 pi i with mpmath's everywhere.  The tolerance is the
+    # rounding of the sums: eps |log Gamma|, and eps |log Gamma(z + 10)| (~20)
+    # for the shifted points.
+    grid = (np.linspace(-12.3, 15.7, 29)[:, None] + 1j * np.linspace(-50.0, 50.0, 21)).ravel()
+    poles = [-n + d for n in (0, 1, 3, 7) for d in (1e-8, -1e-8, 1e-8j)]
+    far = [0.3 + 300j, -0.5 - 1000j, 1.0 + 1000j, 12.0 - 700j]
+    z = np.concatenate([grid, poles, far, [0.5, 1.0, 2.0, 3.5]])
+    got = specfun.log_gamma(z)
+    for zi, lg in zip(z, got):
+        want = mp.loggamma(mp.mpc(zi.real, zi.imag))
+        tol = 1e-15 * (20.0 + abs(complex(want)))
+        if abs(want.real) < 700:
+            gamma = complex(mp.exp(want))
+            assert abs(np.exp(lg) - gamma) <= tol * abs(gamma), zi
+        turns = complex(lg - want).imag / (2.0 * math.pi)
+        assert abs(complex(lg - want) - 2j * math.pi * round(turns)) <= tol, zi
+
+
+def test_log_gamma_keeps_the_shape():
+    z = np.array([[1.5, 2.0 + 1j], [-0.5, 20.0]])
+    got = specfun.log_gamma(z)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got.ravel(), specfun.log_gamma(z.ravel()))
+    assert specfun.log_gamma(np.empty((0, 4))).shape == (0, 4)
+
+
 # --- hyp2f1 ---------------------------------------------------------------
 
 def test_hyp2f1_empty_series():

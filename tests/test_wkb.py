@@ -12,6 +12,7 @@ from qtunnel.core import PhysicalParams, SmoothPotential
 from qtunnel.errors import (
     DegenerateTurningPointError,
     OrientationError,
+    PrecisionError,
     ThinBarrierError,
     TurningPointTopologyError,
 )
@@ -73,11 +74,9 @@ def _arrays_only(fn):
     return wrapped
 
 
-@pytest.mark.parametrize("analytic_derivative", [True, False])
-def test_potential_called_on_arrays_only(quadratic_profile, analytic_derivative):
+def test_potential_called_on_arrays_only(quadratic_profile):
     pot = SmoothPotential(_arrays_only(lambda x: 1.0 - 8.0 * x * (x - 1.0)),
-                          _arrays_only(lambda x: 8.0 - 16.0 * x) if analytic_derivative
-                          else None)
+                          _arrays_only(lambda x: 8.0 - 16.0 * x))
     bracket, domain = (-0.5, 1.5), (-0.6, 1.6)
     tps = wkb.find_turning_points(pot, 1.0, bracket)
     prof = wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, bracket=bracket)
@@ -85,8 +84,7 @@ def test_potential_called_on_arrays_only(quadratic_profile, analytic_derivative)
     wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, turning_points=tps, domain=domain,
                             window_shrink=0.5)
     wkb.rho_general(pot, 1.0, PARAMS_E1, bracket=bracket)
-    if analytic_derivative:
-        assert np.array_equal(prof.v_tot, quadratic_profile.v_tot)
+    assert np.array_equal(prof.v_tot, quadratic_profile.v_tot)
 
 
 def test_turning_points_topology_errors():
@@ -210,6 +208,35 @@ def test_quartic_cross_check_with_rect():
     rect_mid = rect.kinetic_density_region2(sol, width / 2.0)
     ratio = prof.e_minus_vtot[mid] / rect_mid
     assert 0.5 <= ratio <= 2.0
+
+
+def test_airy_matches_mpmath():
+    # relative to the value on z >= 0; on z < 0, where Ai and Bi oscillate
+    # and each has zeros, relative to the larger of the pair's magnitudes.
+    # Below -2 the Maclaurin series cancel, by up to ~1e4 at -6
+    z = np.linspace(-6.0, 8.0, 281)
+    got = np.array(wkb.airy(z))
+    want = np.array([[float(f(mp.mpf(x), derivative=d)) for x in z]
+                     for f, d in ((mp.airyai, 0), (mp.airyai, 1), (mp.airybi, 0), (mp.airybi, 1))])
+    scale = np.where(z < 0.0, np.maximum(np.abs(want), np.abs(want[[2, 3, 0, 1]])), np.abs(want))
+    tol = np.where(z < -2.0, 2e-12, 2e-14)
+    assert np.all(np.abs(got - want) <= tol * scale)
+
+
+def test_airy_wronskian():
+    # Ai Bi' - Ai' Bi = 1/pi to 2e-14: on a 40,001-point grid the worst are
+    # 1.4e-14 at z = -4, where the series start to cancel, and 1.1e-14 just
+    # below z = 2, where c1 f - c2 g keeps ~14 digits of Ai
+    ai, aip, bi, bip = wkb.airy(np.linspace(-4.0, 8.0, 1201))
+    np.testing.assert_allclose((ai * bip - aip * bi) * math.pi, 1.0, rtol=0.0, atol=2e-14)
+
+
+@pytest.mark.parametrize("z", [-12.0, -7.0, 100.0, math.nan])
+def test_airy_guard(z):
+    # below z ~ -6.3 the series keep fewer than 12 digits; past |z| = 100 Bi
+    # nears the end of double range
+    with pytest.raises(PrecisionError):
+        wkb.airy(np.array([0.5, z]))
 
 
 @pytest.mark.parametrize("x_t, slope", [(0.0, 8.0), (1.0, -8.0), (0.3, 0.7)])
