@@ -47,6 +47,29 @@ loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
 
+MODE_EVOLVE_RUN = """
+import sys
+from qtunnel.cli import main
+
+assert main(["mode-evolve", "--out", "mode-evolve.csv"]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN = """
+import sys
+from qtunnel.cli import main
+from qtunnel.core import PhysicalParams, RectBarrier
+from qtunnel.rect import classical_trajectory, solve_rect
+
+assert main(["fig2", "--out", "fig2.csv"]) == 0
+assert main(["wkb", "--out", "wkb.csv"]) == 0
+sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
+classical_trajectory(sol, mode="exact").traversal_time(0.0, 20.0)
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
 
 def fresh_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -57,6 +80,17 @@ def fresh_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
 def test_numpy_only_scenarios_load_no_scipy(tmp_path):
     (tmp_path / "run.cfg").write_text("scenario = mode-evolve\n")
     proc = fresh_python(["-c", RUNS_WITHOUT_SCIPY], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+# one scenario per interpreter, with scipy importable: nothing reaches for it
+def test_mode_evolve_loads_no_scipy_integrate(tmp_path):
+    proc = fresh_python(["-c", MODE_EVOLVE_RUN], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_smooth_barrier_and_exact_trajectory_load_no_scipy_integrate(tmp_path):
+    proc = fresh_python(["-c", SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
