@@ -9,9 +9,10 @@ sweep.  Output is a CSV with one comment header line
 
     # qtunnel v1, scenario=<name>, params=<canonical serialization>
 
-followed by a column-name row and numeric rows at 12 significant digits.
-Reruns with identical configs are byte-identical.  The output path is
-``--out``, else the config file's ``out`` key.
+followed by a column-name row and numeric rows at 12 significant digits,
+each value exactly ``"%.12g" % v`` (``csvfmt`` writes them from whole
+arrays).  Reruns with identical configs are byte-identical.  The output
+path is ``--out``, else the config file's ``out`` key.
 
 ``validate`` is a dry run: it runs the config's scenario and builds its CSV
 text without writing it, then prints ``config clean``, or the line the run
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from pathlib import Path
@@ -44,28 +46,21 @@ from .errors import DomainError, PrecisionError, QTunnelError
 if TYPE_CHECKING:
     from .backreaction import BackreactionProfile
 
-_FORMAT = "%.12g"
-# rows formatted per batch: bounds how many Python floats are alive at once
-_CHUNK_ROWS = 4096
-
 
 def _csv_text(cfg: RunConfig, columns: dict) -> str:
     """Header, column names and one row per grid point; scalar columns repeat.
 
     Raises PrecisionError instead of writing a non-finite value.
     """
+    from .csvfmt import csv_rows  # builds its tables on first import
+
     n = max(np.size(v) for v in columns.values())
     cols = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in columns.values()]
     bad = [name for name, col in zip(columns, cols) if not np.isfinite(col).all()]
     if bad:
         raise PrecisionError(f"non-finite values in {', '.join(bad)}")
-    row_format = ",".join([_FORMAT] * len(cols))
-    parts = [f"# qtunnel v1, scenario={cfg.scenario}, params={cfg.canonical()}",
-             ",".join(columns)]
-    for start in range(0, n, _CHUNK_ROWS):
-        chunk = [col[start:start + _CHUNK_ROWS].tolist() for col in cols]
-        parts.append("\n".join(row_format % row for row in zip(*chunk)))
-    return "\n".join(parts) + "\n"
+    header = f"# qtunnel v1, scenario={cfg.scenario}, params={cfg.canonical()}"
+    return f"{header}\n{','.join(columns)}\n{csv_rows(cols)}"
 
 
 def _run_fig1(cfg: RunConfig) -> str:
@@ -201,7 +196,9 @@ def run(cfg: RunConfig, out_path: str | Path) -> None:
         raise
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="qtunnel",
         description="Barrier tunneling in the quantum-potential picture, "

@@ -1,7 +1,11 @@
 """Command-line driver: scenarios, config handling, determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -451,3 +455,41 @@ def test_config_polynomial_array_equals_scalar_calls():
             assert got.tolist() == [f(xs[i:i + 1])[0] for i in range(xs.size)]
             want = P.polyval(xs, c)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_successive_runs_in_one_process_match_fresh_processes(tmp_path, capsys):
+    """The parser is built once per process; later calls parse alike."""
+    (tmp_path / "run.cfg").write_text("scenario = rect\na = 2\n")
+    runs = [
+        ["fig1a", "--grid-points", "40", "--out", "{dir}/fig1a.csv"],
+        ["rect", "--bogus-flag", "1", "--out", "{dir}/bogus.csv"],  # argparse error
+        ["validate", "--config", str(tmp_path / "run.cfg")],
+        ["rect", "--E", "5", "--out", "{dir}/above.csv"],  # E above V0
+        ["sweep", "--out", "{dir}/sweep.csv"],
+    ]
+
+    def in_process(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    outcomes = {}
+    for side in ("first", "second", "fresh"):
+        out_dir = tmp_path / side
+        out_dir.mkdir()
+        for argv in runs:
+            argv = [arg.format(dir=out_dir) for arg in argv]
+            if side == "fresh":
+                proc = subprocess.run([sys.executable, "-m", "qtunnel", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                code, stdout = proc.returncode, proc.stdout
+            else:
+                code, stdout = in_process(argv), capsys.readouterr().out
+            outcomes.setdefault(side, []).append((code, stdout))
+        outcomes[side].append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert [code for code, _ in outcomes["fresh"][:-1]] == [0, 2, 0, 2, 0]
+    assert outcomes["first"] == outcomes["second"] == outcomes["fresh"]
