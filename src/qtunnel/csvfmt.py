@@ -64,6 +64,8 @@ def _tables():
     # fixed notation with X = class - 4, class 16 is scientific
     cls = np.arange(17)
     int_digits = np.where(cls < 16, np.maximum(cls - 3, 1), 1)  # digits before "."
+    # "." goes after the integer digits when more digits follow, except for
+    # X < 0, whose "0." is in the lead
     dotted = (cls >= 4)[:, None] & (np.arange(13) > int_digits[:, None])
     keep = np.maximum(np.arange(13), int_digits[:, None])
     and_bytes = np.zeros((17, 13, 24), np.uint8)
