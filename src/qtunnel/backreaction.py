@@ -13,12 +13,16 @@ From the mode function along the trajectory, the two back-reaction factors
 whose positive shift Delta V = V_eff - V suppresses the transmission
 probability.  Multi-mode totals superpose linearly: completing the square on
 the effective Hamiltonian cancels the 1/16 cross terms of the Gaussian
-average, leaving a per-mode sum of squares.
+average, leaving a per-mode sum of squares.  So all modes run in one pass:
+``q_factors`` gives one row of Q1, Q2 per mode on a shared grid, and
+``effective_potential`` turns those (mode, point) arrays into each mode's
+Delta V and returns the sum over the modes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,7 @@ from .errors import (
     PrecisionError,
     ResolutionError,
 )
-from .modes import ModeFunction, log_derivative_2, xi_trajectory
+from .modes import ModeFunction, log_derivative_2, xi_analytic
 from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_density_region2,
                    solve_rect, transmission_probability)
 
@@ -40,7 +44,8 @@ _EDGE_TRIM = 1e-3  # trajectory-velocity trim: x in [eps*a, (2-eps)*a]
 
 @dataclass(frozen=True)
 class QFactors:
-    """Back-reaction factors sampled against trajectory position."""
+    """Back-reaction factors sampled against trajectory position; ``q1`` and
+    ``q2`` have one row per mode when the factors of several modes are taken."""
 
     xs: np.ndarray
     q1: np.ndarray
@@ -81,8 +86,9 @@ class GaussianAverageResiduals:
     cross_moment: float
 
 
-def q_factors(mode: EnvMode, bg: TanhBackground, mf: ModeFunction) -> QFactors:
-    """Q1(x), Q2(x) from the mode function on a time grid.
+def q_factors(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction) -> QFactors:
+    """Q1(x), Q2(x) from the mode function on a time grid; a sequence of
+    modes (``mf`` from ``xi_analytic`` on it) gives one row per mode.
 
     Points where the trajectory velocity has effectively stalled
     (x outside [eps*a, (2-eps)*a], eps = 1e-3) are trimmed and flagged.
@@ -95,12 +101,14 @@ def q_factors(mode: EnvMode, bg: TanhBackground, mf: ModeFunction) -> QFactors:
     trimmed = bool(np.any(~keep))
     if not np.any(keep):
         raise DomainError("trajectory entirely outside the usable window")
-    dln = np.atleast_1d(mf.log_derivative())[keep]
-    d2ln = np.atleast_1d(log_derivative_2(mode, bg, mf))[keep]
+    dln = np.atleast_1d(mf.log_derivative())[..., keep]
+    d2ln = np.atleast_1d(log_derivative_2(mode, bg, mf))[..., keep]
     denom = bg.velocity(ts[keep]) * dln.imag
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q1 = d2ln.real / denom
-        q2 = (d2ln.imag / (2.0 * denom)) ** 2
+        # C order: indexing the last axis leaves the rows strided, and numpy
+        # would then sum them pairwise instead of in mode order
+        q1 = np.ascontiguousarray(d2ln.real / denom)
+        q2 = np.ascontiguousarray((d2ln.imag / (2.0 * denom)) ** 2)
     if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
         raise PrecisionError("Q1 or Q2 leaves double range")
     return QFactors(xs=xs[keep], q1=q1, q2=q2, trimmed=trimmed)
@@ -139,17 +147,15 @@ def series_coefficients(
         raise DomainError("epsilons must be distinct and positive")
     rho = omega0
     bg = TanhBackground(amplitude_a=amplitude_a, rho=rho)
-    f1, f2 = [], []
-    for eps in epsilons:
-        c = eps * mass_m * rho**2 / (2.0 * amplitude_a)
-        mode = EnvMode(mass_m=mass_m, omega0=omega0, coupling_c=c)
-        qf = q_factors(mode, bg, xi_trajectory(mode, bg, [0.0]))
-        f1.append(qf.q1[0] * amplitude_a / eps)
-        f2.append(qf.q2[0] * 2.0 * amplitude_a**2 / eps**2)
+    modes = [EnvMode(mass_m=mass_m, omega0=omega0,
+                     coupling_c=eps * mass_m * rho**2 / (2.0 * amplitude_a)) for eps in epsilons]
+    qf = q_factors(modes, bg, xi_analytic(modes, bg, [0.0]))
     eps_arr = np.asarray(epsilons, dtype=float)
-    c1, e1 = _neville_to_zero(eps_arr, np.asarray(f1))
-    c2, e2 = _neville_to_zero(eps_arr, np.asarray(f2))
-    spread1 = max(f1) - min(f1)
+    f1 = qf.q1[:, 0] * amplitude_a / eps_arr
+    f2 = qf.q2[:, 0] * 2.0 * amplitude_a**2 / eps_arr**2
+    c1, e1 = _neville_to_zero(eps_arr, f1)
+    c2, e2 = _neville_to_zero(eps_arr, f2)
+    spread1 = np.ptp(f1)
     if e1 > max(abs(spread1), 1e-12) or not math.isfinite(c1) or not math.isfinite(c2):
         raise PrecisionError("series extrapolation did not converge")
     return SeriesCoefficients(c1=c1, c2=c2, c1_error=e1, c2_error=e2)
@@ -166,15 +172,16 @@ def effective_potential(
 ) -> BackreactionProfile:
     """Assemble V_eff on the sample grid (uniform spacing required).
 
-    Q1' uses the 5-point interior stencil with one-sided closures; the
-    momentum-weighted integral uses cumulative Simpson, and so does the
-    barrier average of Delta V (its last value), normalized by the nominal
-    width ``width_a``.
+    ``q1`` and ``q2`` have shape (n,) or (modes, n); the profile holds the
+    sums over the modes, added in mode order.  Q1' uses the 5-point interior
+    stencil with one-sided closures; the momentum-weighted integral uses
+    cumulative Simpson, and so does the barrier average of Delta V (its last
+    value), normalized by the nominal width ``width_a``.
     """
     xs = np.asarray(xs, dtype=float)
     v, p0 = np.asarray(v, dtype=float), np.asarray(p0, dtype=float)
-    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-    if not (len(xs) == len(v) == len(p0) == len(q1) == len(q2)):
+    q1, q2 = np.atleast_2d(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+    if not (len(xs) == len(v) == len(p0) == q1.shape[-1] and q1.shape == q2.shape):
         raise AlignmentError("profile inputs must share one grid")
     if len(xs) < 6:
         raise ResolutionError("need at least 6 grid points")
@@ -182,8 +189,8 @@ def effective_potential(
     if np.max(np.abs(np.diff(xs) - h)) > 1e-9 * abs(h):
         raise DomainError("effective_potential requires a uniform grid")
     dq1 = derivative_5pt(q1, h, order=1)
-    # grid-scale oscillation of the derivative marks an under-resolved Q1
-    sign_flips = int(np.sum(np.diff(np.sign(dq1[dq1 != 0])) != 0))
+    # grid-scale oscillation of a mode's derivative marks an under-resolved Q1
+    sign_flips = max(int(np.sum(np.diff(np.sign(d[d != 0])) != 0)) for d in dq1)
     if sign_flips > len(xs) // 4:
         raise ResolutionError(
             f"Q1' oscillates at grid scale ({sign_flips} sign flips); refine the grid"
@@ -191,11 +198,13 @@ def effective_potential(
     hbar, M = params.hbar, params.mass_M
     integral = cumulative_simpson(hbar * dq1 * p0 / (4.0 * M), h)
     delta_v = 2.0 * hbar**2 * q1**2 / (32.0 * M) + hbar**2 * q2 / (4.0 * M) - integral
-    v_eff = v + delta_v
-    delta_v_bar = float(cumulative_simpson(delta_v, h)[-1]) / width_a
+    # numpy adds C-contiguous rows in mode order; np.sum over the barrier
+    # averages would add 8 or more of them pairwise
+    delta_v_bar = sum((cumulative_simpson(delta_v, h)[:, -1] / width_a).tolist())
+    delta_v = delta_v.sum(axis=0)
     return BackreactionProfile(
-        xs=xs, q1=q1, q2=q2, v=v, v_eff=v_eff, delta_v=delta_v, p0=p0,
-        delta_v_bar=delta_v_bar,
+        xs=xs, q1=q1.sum(axis=0), q2=q2.sum(axis=0), v=v, v_eff=v + delta_v,
+        delta_v=delta_v, p0=p0, delta_v_bar=delta_v_bar,
     )
 
 
@@ -281,12 +290,13 @@ def rect_mode_backreaction(
     """Back-reaction profile of one or more modes over the rectangular barrier.
 
     Builds the tanh trajectory of the solution and a uniform grid over
-    [eps*a, a] once, with the unperturbed effective-classical momentum
-    p0 = sqrt(2 M (E - V_tot)).  One ``xi_trajectory`` call evaluates every
-    mode's exact mode function along the trajectory, and each mode gives its
-    own effective potential; Q1, Q2, Delta V and its barrier average then
-    add over the modes in order, because completing the square on the
-    effective Hamiltonian cancels the Gaussian-average cross terms.
+    [eps*a, a], with the unperturbed effective-classical momentum
+    p0 = sqrt(2 M (E - V_tot)).  One ``xi_analytic`` call evaluates every
+    mode's exact mode function along the trajectory, one ``q_factors`` call
+    gives their Q1, Q2 as (mode, point) arrays, and one
+    ``effective_potential`` call adds the modes' Q1, Q2, Delta V and barrier
+    averages in mode order, because completing the square on the effective
+    Hamiltonian cancels the Gaussian-average cross terms.
     """
     if not modes:
         raise DomainError("need at least one environment mode")
@@ -296,21 +306,7 @@ def rect_mode_backreaction(
     ts = bg.time_at(xs)
     p0 = np.sqrt(2.0 * sol.params.mass_M * kinetic_density_region2(sol, xs))
     v = np.full_like(xs, sol.barrier.height_V0)
-    mf = xi_trajectory(modes, bg, ts)
-    parts = []
-    for mode, xi, xi_dot, dln in zip(modes, mf.xi, mf.xi_dot, mf.dln):
-        qf = q_factors(mode, bg, ModeFunction(xi=xi, xi_dot=xi_dot, t=mf.t, dln=dln))
-        if len(qf.xs) != len(xs):
-            raise DomainError("trajectory trim removed requested grid points")
-        parts.append(effective_potential(xs, v, p0, qf.q1, qf.q2, sol.params, width_a=a))
-    delta_v = np.sum([p.delta_v for p in parts], axis=0)
-    return BackreactionProfile(
-        xs=xs,
-        q1=np.sum([p.q1 for p in parts], axis=0),
-        q2=np.sum([p.q2 for p in parts], axis=0),
-        v=v,
-        v_eff=v + delta_v,
-        delta_v=delta_v,
-        p0=p0,
-        delta_v_bar=float(sum(p.delta_v_bar for p in parts)),
-    )
+    qf = q_factors(modes, bg, xi_analytic(modes, bg, ts))
+    if len(qf.xs) != len(xs):
+        raise DomainError("trajectory trim removed requested grid points")
+    return effective_potential(xs, v, p0, qf.q1, qf.q2, sol.params, width_a=a)

@@ -86,7 +86,7 @@ def _run_fig2(cfg: RunConfig, emit_rho: bool) -> str:
     columns = {"x": prof.xs, "V": potential(prof.xs),
                "V_tot": prof.v_tot, "E": E}
     if emit_rho:
-        columns["rho_general"] = wkb_mod.rho_general(potential, E, params, turning_points=tps)
+        columns["rho_general"] = wkb_mod.rho_general(params, tps)
     return _csv_text(cfg, columns)
 
 
@@ -137,8 +137,8 @@ def _run_mode_evolve(cfg: RunConfig) -> str:
     t0 = min(modes_mod.vacuum_start_time(bg), ts[0])
     traj = modes_mod.evolve_gaussian(mode, bg, modes_mod.vacuum_state(mode, t0), t0, ts[-1],
                                      t_eval=ts, vacuum_start=True)
-    st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, traj.ts))
-    return _csv_text(cfg, {"t": traj.ts, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
+    st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, traj.t))
+    return _csv_text(cfg, {"t": traj.t, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
                            "alpha2_xi": st.alpha**2, "beta_xi": st.beta})
 
 

@@ -100,7 +100,8 @@ _STENCILS = {
 
 
 def derivative_5pt(y: np.ndarray, h: float, order: int) -> np.ndarray:
-    """First or second derivative (``order`` 1 or 2) of samples spaced by h.
+    """First or second derivative (``order`` 1 or 2) of samples spaced by h
+    along the last axis.
 
     4th-order central stencil inside, one-sided closures of the same order at
     the first and last two points (5 samples for the first derivative, 6 for
@@ -110,13 +111,15 @@ def derivative_5pt(y: np.ndarray, h: float, order: int) -> np.ndarray:
     central, edges = _STENCILS[order]
     denom = 12.0 * h if order == 1 else 12.0 * h * h
     mirror = (-1.0) ** order
-    n = len(y)
-    d = np.empty_like(y)
+    n = y.shape[-1]
+    out = np.empty_like(y)
+    # sample axis first, so that y[j] is sample j of every row
+    y, d = np.moveaxis(y, -1, 0), np.moveaxis(out, -1, 0)
     d[2:-2] = _weighted_sum(central, [y[j:n - 4 + j] for j in range(5)]) / denom
     for i, edge in enumerate(edges):
         d[i] = _weighted_sum(edge, y) / denom
         d[-1 - i] = _weighted_sum([mirror * c for c in edge], y[::-1]) / denom
-    return d
+    return out
 
 
 def _weighted_sum(coefficients, terms):
@@ -130,7 +133,8 @@ def _weighted_sum(coefficients, terms):
 
 
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Running integral of samples y spaced by h, one value per sample (0 first).
+    """Running integral of samples y spaced by h along the last axis, one
+    value per sample (0 first).
 
     Each even interval is h(5 y_i + 8 y_i+1 - y_i+2)/12, the integral of the
     parabola through it and its right neighbour; each odd interval, and the
@@ -139,15 +143,15 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     Cartwright's correction for an odd last interval.  Needs at least 3
     samples.
     """
-    n = len(y)
-    left, mid, right = y[0:n - 2:2], y[1:n - 1:2], y[2::2]
-    pieces = np.empty(n - 1)
-    pieces[:-1:2] = 5.0 * left + 8.0 * mid - right
-    pieces[1::2] = 5.0 * right + 8.0 * mid - left
-    pieces[-1] = 5.0 * y[-1] + 8.0 * y[-2] - y[-3]
-    out = np.empty(n)
-    out[0] = 0.0
-    out[1:] = np.cumsum(h / 12.0 * pieces)
+    n = y.shape[-1]
+    left, mid, right = y[..., 0:n - 2:2], y[..., 1:n - 1:2], y[..., 2::2]
+    pieces = np.empty(y.shape[:-1] + (n - 1,))
+    pieces[..., :-1:2] = 5.0 * left + 8.0 * mid - right
+    pieces[..., 1::2] = 5.0 * right + 8.0 * mid - left
+    pieces[..., -1] = 5.0 * y[..., -1] + 8.0 * y[..., -2] - y[..., -3]
+    out = np.empty(y.shape)
+    out[..., 0] = 0.0
+    out[..., 1:] = np.cumsum(h / 12.0 * pieces, axis=-1)
     return out
 
 

@@ -15,7 +15,10 @@ solution:
 * ``xi_analytic`` evaluates the exact mode function in terms of the Gauss
   hypergeometric function, vacuum-matched at early times.
 
-They share only omega(t) and the (alpha, beta) map.  The vacuum
+They share only omega(t) and the (alpha, beta) map.  ``xi_analytic``,
+``omega_t`` and ``log_derivative_2`` take one EnvMode, or a sequence of
+modes on one time grid; a sequence gives one row per mode, so every mode of
+a back-reaction run is evaluated in one pass.  The vacuum
 (alpha^2 = m omega0, beta = 0) corresponds to xi ~ (2 omega0)^(-1/2)
 exp(i omega0 t).  The Wronskian xi xi*' - xi* xi' is conserved and equals -i
 for that normalization.
@@ -89,15 +92,6 @@ class ModeFunction:
         return self.xi * self.xi_dot.conjugate() - self.xi.conjugate() * self.xi_dot
 
 
-@dataclass(frozen=True)
-class GaussianTrajectory:
-    """Sampled (alpha, beta) evolution of one mode."""
-
-    ts: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
 def _sigmoid_pair(u):
     """(z, 1-z, e) with z = (1 + tanh u)/2, both to full relative precision,
     and e = exp(-2|u|)."""
@@ -107,18 +101,24 @@ def _sigmoid_pair(u):
     return np.where(pos, large, small), np.where(pos, small, large), e
 
 
-def _omega2(mode: EnvMode, bg: TanhBackground, t):
-    return mode.omega0**2 + 2.0 * mode.coupling_c * bg.position(t) / mode.mass_m
+def _omega2(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, t):
+    if isinstance(mode, EnvMode):
+        return mode.omega0**2 + 2.0 * mode.coupling_c * bg.position(t) / mode.mass_m
+    # one row per mode: each field as a column against t
+    om0_2, c2, m = np.array([(md.omega0**2, 2.0 * md.coupling_c, md.mass_m) for md in mode]
+                            ).T.reshape((3, -1) + (1,) * np.ndim(t))
+    return om0_2 + c2 * bg.position(t) / m
 
 
-def omega_t(mode: EnvMode, bg: TanhBackground, t) -> float | np.ndarray:
-    """Instantaneous frequency omega(t) = sqrt(omega0^2 + 2 c x(t)/m)."""
+def omega_t(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, t) -> float | np.ndarray:
+    """Instantaneous frequency omega(t) = sqrt(omega0^2 + 2 c x(t)/m); a
+    sequence of modes gives one row per mode."""
     om2 = _omega2(mode, bg, t)
     if np.any(np.asarray(om2) <= 0.0):
         raise TachyonicModeError(
             f"omega^2 = {np.min(om2)} <= 0 on the trajectory: coupling too negative"
         )
-    return np.sqrt(om2) if np.ndim(t) else float(math.sqrt(om2))
+    return np.sqrt(om2) if np.ndim(om2) else float(math.sqrt(om2))
 
 
 def omega_asymptotics(mode: EnvMode, bg: TanhBackground) -> tuple[float, float]:
@@ -153,18 +153,19 @@ def evolve_gaussian(
     t1: float,
     t_eval=None,
     vacuum_start: bool = False,
-) -> GaussianTrajectory:
+) -> GaussianModeState:
     """Evolve (alpha, beta) from ``state0`` at t0 by 4th-order Magnus steps.
 
     The state is carried as the linear oscillator y = (xi, xi') from
     y(t0) = (1, (beta0 + i alpha0^2)/m) and read back through
-    d ln xi/dt = (beta + i alpha^2)/m.  ``t_eval`` is a strictly increasing
-    grid inside [t0, t1]; with ``t_eval=None`` the trajectory is sampled on
-    the uniform grid from t0 to t1, both included, whose spacing is at most
-    one step of the step rule.  Each interval between samples is split into
-    equal steps (``magnus_steps``); the run is repeated at half that step,
-    and the half-step result is returned when the two agree to 1e-7 in
-    alpha^2 (relative) and in beta (relative to max(|beta|, alpha^2)).
+    d ln xi/dt = (beta + i alpha^2)/m.  Returns the state on the sample
+    grid, which is its ``t``: ``t_eval``, a strictly increasing grid inside
+    [t0, t1], or with ``t_eval=None`` the uniform grid from t0 to t1, both
+    included, whose spacing is at most one step of the step rule.  Each
+    interval between samples is split into equal steps (``magnus_steps``);
+    the run is repeated at half that step, and the half-step result is
+    returned when the two agree to 1e-7 in alpha^2 (relative) and in beta
+    (relative to max(|beta|, alpha^2)).
     Otherwise the step is halved again, until all runs together would take
     more than 2^26 steps: then StiffnessError is raised.
 
@@ -201,7 +202,7 @@ def evolve_gaussian(
         err = max(np.max(np.abs(coarse.alpha**2 - a2) / a2),
                   np.max(np.abs(coarse.beta - fine.beta) / np.maximum(np.abs(fine.beta), a2)))
         if err <= _STEP_DOUBLING_TOL:
-            return GaussianTrajectory(ts=ts, alpha=fine.alpha, beta=fine.beta)
+            return fine
         spent += 2 * counts.sum()
         if spent > _MAX_STEPS or not np.isfinite(err):
             raise StiffnessError(
@@ -321,13 +322,9 @@ def xi_analytic(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, t) -> Mod
     return ModeFunction(xi=xi, xi_dot=xi_dot, t=t[()], dln=dln)
 
 
-def xi_trajectory(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, ts) -> ModeFunction:
-    """Mode function of one mode, or of several, along a time grid (array fields)."""
-    return xi_analytic(mode, bg, np.atleast_1d(np.asarray(ts, dtype=float)))
-
-
-def log_derivative_2(mode: EnvMode, bg: TanhBackground, mf: ModeFunction):
-    """d^2 ln xi / dt^2 from the oscillator equation, avoiding second derivatives."""
+def log_derivative_2(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction):
+    """d^2 ln xi / dt^2 from the oscillator equation, avoiding second derivatives;
+    a sequence of modes (``mf`` from ``xi_analytic`` on it) gives one row per mode."""
     om = omega_t(mode, bg, mf.t)
     dln = mf.log_derivative()
     return -(om * om) - dln * dln

@@ -44,6 +44,7 @@ from .specfun import _DIGITS_TOL, _REL_EPS
 _SCAN_POINTS = 64
 _SCAN_ROUNDS = 9
 _LINEARIZATION_BUDGET = 0.05  # |V - V_lin| <= budget * |V'| * w at window edge
+_EDGE_ARGUMENT = 0.8  # least scaled Airy argument gamma*w at a window edge
 # Ai(0) and -Ai'(0) (DLMF 9.2.3, 9.2.4)
 _AI0, _AIP0 = 0.355028053887817239260, 0.258819403792806798405
 # the order-k term of f, g, f', g' is the order-(k - 1) term times z^3 over
@@ -142,8 +143,7 @@ def _airy_scale(params: PhysicalParams, slope: float) -> float:
 
 
 def _window_width(potential: SmoothPotential, x_t: float, slope: float,
-                  w_max: float, params: PhysicalParams,
-                  edge_argument: float) -> float:
+                  w_max: float, params: PhysicalParams) -> float:
     """Patch half-width at one turning point.
 
     Two competing requirements: the linearized potential must stay within a
@@ -163,26 +163,16 @@ def _window_width(potential: SmoothPotential, x_t: float, slope: float,
         return err - _LINEARIZATION_BUDGET * abs(slope) * w
 
     w_lin = _last_before_positive(excess, 0.0, w_max)
-    w_floor = edge_argument / abs(_airy_scale(params, slope))
+    w_floor = _EDGE_ARGUMENT / abs(_airy_scale(params, slope))
     return min(max(w_lin, w_floor), w_max)
 
 
-def rho_general(
-    potential: SmoothPotential,
-    E: float,
-    params: PhysicalParams,
-    turning_points: TurningPoints | None = None,
-    bracket: tuple[float, float] | None = None,
-) -> float:
+def rho_general(params: PhysicalParams, turning_points: TurningPoints) -> float:
     """Tanh-trajectory steepness for a general barrier from the exit slope.
 
     rho = [3^(5/6) Gamma(2/3) / (2 Gamma(1/3))] * hbar * beta^(1/3) / (M a),
     with beta = -V'(a) at the right turning point a.
     """
-    if turning_points is None:
-        if bracket is None:
-            raise DomainError("provide turning_points or a bracket")
-        turning_points = find_turning_points(potential, E, bracket)
     a = turning_points.right_a
     slope = turning_points.slope_right
     if slope >= 0:
@@ -267,42 +257,35 @@ def wkb_total_potential(
     potential: SmoothPotential,
     E: float,
     params: PhysicalParams,
-    turning_points: TurningPoints | None = None,
-    bracket: tuple[float, float] | None = None,
+    turning_points: TurningPoints,
     num_points: int = 2000,
     window_shrink: float = 1.0,
     include_decaying_term: bool = True,
-    edge_argument: float = 0.8,
     domain: tuple[float, float] | None = None,
 ) -> WkbProfile:
     """Patched total-potential profile across one smooth barrier.
 
-    ``window_shrink`` rescales the automatically chosen patch half-widths
-    (for patch-independence studies); ``include_decaying_term=False`` drops
-    the i/2-weighted decaying exponential under the barrier, which makes the
+    ``turning_points`` come from ``find_turning_points``.  ``window_shrink``
+    rescales the automatically chosen patch half-widths (for
+    patch-independence studies); ``include_decaying_term=False`` drops the
+    i/2-weighted decaying exponential under the barrier, which makes the
     amplitude real and lets E - V_tot go non-positive: the construction the
-    connection formula forbids.  ``edge_argument`` is the minimum scaled
-    Airy argument gamma*w at the window edges.
+    connection formula forbids.  The scaled Airy argument gamma*w at each
+    window edge is at least 0.8.
     """
-    if turning_points is None:
-        if bracket is None:
-            raise DomainError("provide turning_points or a bracket")
-        turning_points = find_turning_points(potential, E, bracket)
     tps = turning_points
     x0, a = tps.left_x0, tps.right_a
     gap = a - x0
 
     gamma_l = abs(_airy_scale(params, tps.slope_left))
     gamma_r = abs(_airy_scale(params, tps.slope_right))
-    if edge_argument * window_shrink * (1.0 / gamma_l + 1.0 / gamma_r) >= gap:
+    if _EDGE_ARGUMENT * window_shrink * (1.0 / gamma_l + 1.0 / gamma_r) >= gap:
         raise ThinBarrierError(
             "patch windows overlap: barrier too thin for WKB; "
             "use the rectangular or exact treatment"
         )
-    w_l = _window_width(potential, x0, tps.slope_left, 0.45 * gap,
-                        params, edge_argument) * window_shrink
-    w_r = _window_width(potential, a, tps.slope_right, 0.45 * gap,
-                        params, edge_argument) * window_shrink
+    w_l = _window_width(potential, x0, tps.slope_left, 0.45 * gap, params) * window_shrink
+    w_r = _window_width(potential, a, tps.slope_right, 0.45 * gap, params) * window_shrink
 
     if domain is None:
         margin = 0.15 * gap + max(w_l, w_r)

@@ -149,7 +149,7 @@ def test_criterion_7_wkb_profile():
         outside &= (prof.xs < lo - pad) | (prof.xs > hi + pad)
     rel = np.abs(prof.v_tot - half.v_tot) / np.maximum(np.abs(prof.v_tot), 1.0)
     assert rel[outside].max() < 1e-4, f"window sensitivity {rel[outside].max()}"
-    rho = wkb.rho_general(QUADRATIC, 1.0, params, turning_points=tps)
+    rho = wkb.rho_general(params, tps)
     assert rho == pytest.approx(1.262682, abs=1e-5), f"rho = {rho}"
 
 
@@ -167,7 +167,7 @@ def test_criterion_9_limits():
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     sol = rect.solve_rect(PARAMS, BARRIER)
     bg = rect.classical_trajectory(sol, mode="tanh")
-    qf = br.q_factors(free, bg, modes.xi_trajectory(free, bg, np.linspace(-2, 0, 9)))
+    qf = br.q_factors(free, bg, modes.xi_analytic(free, bg, np.linspace(-2, 0, 9)))
     assert np.all(qf.q1 == 0.0)
     assert np.all(qf.q2 == 0.0)
     prof = br.rect_mode_backreaction(sol, free, num_points=400)

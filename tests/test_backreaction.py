@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -29,7 +29,7 @@ def test_q_factors_vanish_when_decoupled():
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
     ts = np.linspace(-2.0, 1.0, 11)
-    qf = br.q_factors(free, bg, modes.xi_trajectory(free, bg, ts))
+    qf = br.q_factors(free, bg, modes.xi_analytic(free, bg, ts))
     assert np.max(np.abs(qf.q1)) <= 1e-12
     assert np.max(np.abs(qf.q2)) <= 1e-12
 
@@ -39,7 +39,7 @@ def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
     # with no rounding, on both sides of the z = 1/2 seam
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
-    qf = br.q_factors(free, bg, modes.xi_trajectory(free, bg, np.linspace(-1.5, 1.5, 31)))
+    qf = br.q_factors(free, bg, modes.xi_analytic(free, bg, np.linspace(-1.5, 1.5, 31)))
     assert not qf.trimmed
     assert np.all(qf.q1 == 0.0)
     assert np.all(qf.q2 == 0.0)
@@ -48,11 +48,27 @@ def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
 def test_q_factors_trim_flag():
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
     ts = np.array([-20.0, -1.0, 0.0, 20.0])  # edges stalled at both ends
-    qf = br.q_factors(FIG3_MODE, bg, modes.xi_trajectory(FIG3_MODE, bg, ts))
+    qf = br.q_factors(FIG3_MODE, bg, modes.xi_analytic(FIG3_MODE, bg, ts))
     assert qf.trimmed
     assert len(qf.xs) == 2
-    qf2 = br.q_factors(FIG3_MODE, bg, modes.xi_trajectory(FIG3_MODE, bg, [-1.0, 0.0]))
+    qf2 = br.q_factors(FIG3_MODE, bg, modes.xi_analytic(FIG3_MODE, bg, [-1.0, 0.0]))
     assert not qf2.trimmed
+
+
+def test_q_factors_of_a_mode_sequence_equal_one_mode_calls():
+    # one row per mode, each bit for bit the factors of a one-mode call
+    bg = TanhBackground(amplitude_a=1.0, rho=2.0)
+    ts = np.linspace(-1.5, 1.5, 41)  # both 2F1 branches
+    mode_set = [FIG3_MODE, EnvMode(mass_m=1.3, omega0=0.8, coupling_c=-0.1),
+                EnvMode(mass_m=0.7, omega0=1.6, coupling_c=0.0), FIG3_MODE]
+    qf = br.q_factors(mode_set, bg, modes.xi_analytic(mode_set, bg, ts))
+    assert qf.q1.shape == qf.q2.shape == (len(mode_set), len(ts))
+    for mode, q1, q2 in zip(mode_set, qf.q1, qf.q2):
+        single = br.q_factors(mode, bg, modes.xi_analytic(mode, bg, ts))
+        assert single.q1.ndim == 1
+        assert q1.tobytes() == single.q1.tobytes()
+        assert q2.tobytes() == single.q2.tobytes()
+        assert np.array_equal(qf.xs, single.xs) and qf.trimmed == single.trimmed
 
 
 def test_series_coefficients_match_reference_values():
@@ -193,7 +209,7 @@ def test_superpose_identity(fig3_profile):
     sol = rect.solve_rect(PARAMS, BARRIER)
     bg = rect.classical_trajectory(sol, mode="tanh")
     ts = bg.time_at(fig3_profile.xs)
-    qf = br.q_factors(FIG3_MODE, bg, modes.xi_trajectory(FIG3_MODE, bg, ts))
+    qf = br.q_factors(FIG3_MODE, bg, modes.xi_analytic(FIG3_MODE, bg, ts))
     single = br.effective_potential(fig3_profile.xs, fig3_profile.v, fig3_profile.p0,
                                     qf.q1, qf.q2, PARAMS, width_a=1.0)
     for field in ("q1", "q2", "v_eff", "delta_v"):
@@ -242,6 +258,9 @@ def _mode_sets(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_mode_sets(), st.integers(64, 400))
+# eight equal modes: a (mode, point) array whose rows are strided would be
+# summed pairwise instead of in mode order, which this case tells apart
+@example([FIG3_MODE] * 8, 64)
 def test_superposition_of_modes(mode_set, num_points):
     # the driver adds the single-mode profiles in mode order, bit for bit
     sol = rect.solve_rect(PARAMS, BARRIER)

@@ -82,6 +82,12 @@ def test_derivative_5pt_exact_on_quartic():
     d2y = 1.4 - 2.4 * x + 3.0 * x**2
     np.testing.assert_allclose(derivative_5pt(y, h, order=1), dy, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(derivative_5pt(y, h, order=2), d2y, rtol=0.0, atol=1e-10)
+    # along the last axis of a 2-D input, each row equals the 1-D call bit for bit
+    rows = np.stack([y, 3.0 * y - 7.0 * x, np.sin(x) * 1e-3])
+    for order in (1, 2):
+        batched = derivative_5pt(rows, h, order=order)
+        for row, out in zip(rows, batched):
+            assert out.tobytes() == derivative_5pt(row, h, order=order).tobytes()
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -96,6 +102,10 @@ def test_cumulative_simpson_exact_on_polynomials(n):
                                quadratic - quadratic[0], rtol=0.0, atol=1e-13)
     running = cumulative_simpson(0.4 - x + 0.3 * x**2 - 1.2 * x**3, h)
     np.testing.assert_allclose(running[::2], (cubic - cubic[0])[::2], rtol=0.0, atol=1e-13)
+    # along the last axis of a 2-D input, each row equals the 1-D call bit for bit
+    rows = np.stack([1.5 - 2.0 * x + 0.7 * x**2, 0.4 - x + 0.3 * x**2 - 1.2 * x**3, np.exp(x)])
+    for row, out in zip(rows, cumulative_simpson(rows, h)):
+        assert out.tobytes() == cumulative_simpson(row, h).tobytes()
 
 
 @pytest.mark.parametrize("values", ["smooth", "magnitudes", "zeros"])

@@ -88,7 +88,7 @@ def test_xi_decoupled_mode():
 def test_xi_trajectory_matches_pointwise_calls():
     # one kernel call over the grid, both 2F1 branches (z crosses 1/2 at t = 0)
     ts = np.linspace(-4.0, 4.0, 17)
-    grid = modes.xi_trajectory(FIG3_MODE, FIG3_BG, ts)
+    grid = modes.xi_analytic(FIG3_MODE, FIG3_BG, ts)
     states = modes.state_from_xi(FIG3_MODE, grid)
     for i, t in enumerate(ts):
         mf = modes.xi_analytic(FIG3_MODE, FIG3_BG, float(t))
@@ -185,7 +185,7 @@ def test_ode_and_analytic_routes_agree():
 def route_deviations(mode, bg, traj):
     """Worst relative alpha^2 and beta deviations of a trajectory from the
     2F1 route; beta crosses zero, so it is scaled by max(|beta|, m omega0)."""
-    st_xi = modes.state_from_xi(mode, modes.xi_analytic(mode, bg, traj.ts))
+    st_xi = modes.state_from_xi(mode, modes.xi_analytic(mode, bg, traj.t))
     a2 = st_xi.alpha**2
     scale = np.maximum(np.abs(st_xi.beta), mode.mass_m * mode.omega0)
     return (np.max(np.abs(traj.alpha**2 - a2) / a2),
@@ -210,7 +210,7 @@ def test_routes_agree_across_modes(m, omega0, jump, log10_rho):
     worst_a2, worst_b = route_deviations(mode, bg, traj)
     assert worst_a2 <= 1e-6
     assert worst_b <= 1e-6
-    drift = np.max(np.abs(modes.xi_trajectory(mode, bg, ts).wronskian() + 1j))
+    drift = np.max(np.abs(modes.xi_analytic(mode, bg, ts).wronskian() + 1j))
     assert drift <= 1e-8
 
 
@@ -219,7 +219,7 @@ def test_evolve_from_a_squeezed_state():
     start = modes.state_from_xi(FIG3_MODE, modes.xi_analytic(FIG3_MODE, FIG3_BG, -0.5))
     ts = np.linspace(-0.2, 3.0, 33)
     traj = modes.evolve_gaussian(FIG3_MODE, FIG3_BG, start, -0.5, 3.0, t_eval=ts)
-    assert np.array_equal(traj.ts, ts)
+    assert np.array_equal(traj.t, ts)
     worst_a2, worst_b = route_deviations(FIG3_MODE, FIG3_BG, traj)
     assert worst_a2 <= 1e-9
     assert worst_b <= 1e-9
@@ -232,8 +232,8 @@ def test_evolve_default_grid():
     )
     # uniform from t0 to t1, both included, spaced at most one step of the
     # step rule 0.03/max(rho, omega_max)
-    assert traj.ts[0] == t0 and traj.ts[-1] == t1
-    spacing = np.diff(traj.ts)
+    assert traj.t[0] == t0 and traj.t[-1] == t1
+    spacing = np.diff(traj.t)
     _, om_inf = modes.omega_asymptotics(FIG3_MODE, FIG3_BG)
     assert np.ptp(spacing) <= 1e-12
     assert spacing[0] <= 0.03 / max(FIG3_BG.rho, om_inf)

@@ -62,7 +62,7 @@ def test_window_width_set_by_linearization_budget(x_t, slope):
     params = PhysicalParams(energy_E=1.0, hbar=0.05)
     floor = 0.8 / abs(wkb._airy_scale(params, slope))
     assert floor == pytest.approx(0.0431, abs=1e-4)
-    assert wkb._window_width(QUADRATIC, x_t, slope, 0.45, params, 0.8) == pytest.approx(
+    assert wkb._window_width(QUADRATIC, x_t, slope, 0.45, params) == pytest.approx(
         0.05, abs=1e-12)
 
 
@@ -79,11 +79,10 @@ def test_potential_called_on_arrays_only(quadratic_profile):
                           _arrays_only(lambda x: 8.0 - 16.0 * x))
     bracket, domain = (-0.5, 1.5), (-0.6, 1.6)
     tps = wkb.find_turning_points(pot, 1.0, bracket)
-    prof = wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, bracket=bracket)
+    prof = wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, turning_points=tps)
     wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, turning_points=tps, domain=domain)
     wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, turning_points=tps, domain=domain,
                             window_shrink=0.5)
-    wkb.rho_general(pot, 1.0, PARAMS_E1, bracket=bracket)
     assert np.array_equal(prof.v_tot, quadratic_profile.v_tot)
 
 
@@ -124,10 +123,10 @@ def test_barrier_action_of_quadratic_barriers(theta, log10_k, E, center, M, hbar
     barrier = SmoothPotential(lambda x: E + delta - 0.5 * k * (x - center) ** 2,
                               lambda x: -k * (x - center))
     half_width = math.sqrt(2.0 * delta / k)
-    prof = wkb.wkb_total_potential(
-        barrier, E, PhysicalParams(energy_E=E, hbar=hbar, mass_M=M),
-        bracket=(center - 2.0 * half_width, center + 2.0 * half_width),
-    )
+    tps = wkb.find_turning_points(barrier, E,
+                                  (center - 2.0 * half_width, center + 2.0 * half_width))
+    prof = wkb.wkb_total_potential(barrier, E, PhysicalParams(energy_E=E, hbar=hbar, mass_M=M),
+                                   turning_points=tps)
     assert prof.barrier_action == pytest.approx(math.pi * delta * math.sqrt(M / k) / hbar,
                                                 rel=1e-10)
     tol = 1e-12 * 4.0 * half_width  # of the bracket width
@@ -186,8 +185,8 @@ def test_thin_barrier_error():
         lambda x: 2.0 * np.exp(-((x / 0.05) ** 2)) * (-2.0 * x / 0.05**2),
     )
     with pytest.raises(ThinBarrierError):
-        wkb.wkb_total_potential(spike, 1.0, PARAMS_E1, bracket=(-0.2, 0.2),
-                                edge_argument=3.0)
+        wkb.wkb_total_potential(spike, 1.0, PARAMS_E1,
+                                turning_points=wkb.find_turning_points(spike, 1.0, (-0.2, 0.2)))
 
 
 def test_quartic_cross_check_with_rect():
@@ -202,7 +201,8 @@ def test_quartic_cross_check_with_rect():
         lambda x: -v0 * 8.0 / width * (2.0 * x / width - 1.0) ** 3,
     )
     params = PhysicalParams(energy_E=2.0)
-    prof = wkb.wkb_total_potential(quartic, 2.0, params, bracket=(0.0, width))
+    tps = wkb.find_turning_points(quartic, 2.0, (0.0, width))
+    prof = wkb.wkb_total_potential(quartic, 2.0, params, turning_points=tps)
     mid = np.argmin(np.abs(prof.xs - 0.5 * width))
     sol = rect.solve_rect(params, RectBarrier(v0, width))
     rect_mid = rect.kinetic_density_region2(sol, width / 2.0)
@@ -261,7 +261,7 @@ def test_window_basis_solves_linearized_problem(x_t, slope):
 
 
 def test_rho_general_quadratic(quadratic_tps):
-    rho = wkb.rho_general(QUADRATIC, 1.0, PARAMS_E1, turning_points=quadratic_tps)
+    rho = wkb.rho_general(PARAMS_E1, quadratic_tps)
     # prefactor 3^(5/6) Gamma(2/3)/(2 Gamma(1/3)) times beta^(1/3) with beta = 8
     oracle = float(
         mp.mpf(3) ** (mp.mpf(5) / 6) * mp.gamma(mp.mpf(2) / 3)
@@ -289,11 +289,12 @@ def test_rho_general_slope_scaling():
             lambda x, lam=lam: 1.0 - 8.0 * lam * x * (x - 1.0),
             lambda x, lam=lam: lam * (8.0 - 16.0 * x),
         )
-        rhos.append(wkb.rho_general(pot, 1.0, params, bracket=(-0.5, 1.5)))
+        tps = wkb.find_turning_points(pot, 1.0, (-0.5, 1.5))
+        rhos.append(wkb.rho_general(params, tps))
     assert rhos[1] / rhos[0] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_rho_general_orientation_error():
     tps = wkb.TurningPoints(left_x0=0.0, right_a=1.0, slope_left=8.0, slope_right=0.5)
     with pytest.raises(OrientationError):
-        wkb.rho_general(QUADRATIC, 1.0, PARAMS_E1, turning_points=tps)
+        wkb.rho_general(PARAMS_E1, tps)
