@@ -8,9 +8,11 @@
 * complex log-Gamma for the transformation's prefactors: Stirling's series
   after a recurrence shift, with reflection for Re z < 1/2 (DLMF 5.5, 5.11).
 
-All series of a call are summed in one loop over the orders, on the
-flattened (set, point) pairs.  A pair whose cancellation bound sum|t_n|/|F|
-times the double epsilon passes 1e-11 raises ``PrecisionError``.
+All series of a call, the direct ones on z <= 1/2 and both w-series of the
+transformation on z > 1/2, are summed in one loop over the orders, on the
+flattened (series, point) pairs.  A pair whose cancellation bound
+sum|t_n|/|F| times the double epsilon passes 1e-11, or whose F or dF/dz is
+not a finite double, raises ``PrecisionError``.
 
 Pure functions, no state; thread-safe.
 """
@@ -96,33 +98,39 @@ class Hyp2F1Result:
     dz_bound: float
 
 
-def _gauss_series(sets: list, z: np.ndarray, outs: tuple, at: np.ndarray) -> int:
-    """Direct Gauss series and its term-by-term z-derivative for each (a, b, c)
-    of ``sets`` over one z array in (0, 1/2]; every c off the poles.
+def _gauss_series(series: list, outs: tuple, name) -> int:
+    """Direct Gauss series and its term-by-term z-derivative, for every entry
+    of ``series`` in one loop over the orders.
 
-    Pair k is set k // z.size at point k % z.size.  The ratio of consecutive
-    coefficients is one Python complex per set and order, gathered onto the
+    An entry is ((a, b, c), x, at): the parameters, c off the poles; the
+    points x in (0, 1/2] to sum at; and, for each point, its flat index
+    into the four arrays ``outs``.  The (series, point) pairs lie series
+    after series.  The ratio of consecutive coefficients is one Python
+    complex per series and order, repeated over the series' block of live
     pairs.  Each pair stops on its own rule (three terms in a row below
-    _REL_EPS of its sum) and adds zeros from then on; the finished pairs
-    leave the working set once they are half of it.  Pair k's F, dF/dz,
-    sum|t_n| and sum|dt_n/dz| go to flat index at[k] of the four C-contiguous
-    arrays ``outs``.  Returns the series length summed over the pairs.
+    _REL_EPS of its sum) and adds exact zeros from then on.  The finished
+    pairs leave the working set once they are half of it, and only then, or
+    at the end, their F, dF/dz, sum|t_n| and sum|dt_n/dz| go to ``outs``.
+    ``name(i)`` describes flat index i for a ``ConvergenceError``.  Returns
+    the series length summed over the pairs.
     """
-    outs = [out.reshape(-1) for out in outs]  # views: the arrays are C-contiguous
-    idx = np.asarray(at)  # each live pair's flat index into ``outs``
-    set_idx, zs = np.arange(idx.size) // z.size, np.tile(z, len(sets))
-    term = np.ones(idx.size, dtype=complex)
+    params = [p for p, _, _ in series]
+    counts = np.array([x.size for _, x, _ in series])  # live pairs per series
+    # z as complex: step * zs would cast it at every order, to the same product
+    zs = np.concatenate([x for _, x, _ in series]).astype(complex)
+    idx = np.concatenate([at for _, _, at in series])  # each live pair's index into ``outs``
+    term = np.ones(zs.size, dtype=complex)
     total = term.copy()
-    dtotal = np.zeros(idx.size, dtype=complex)
-    size, dsize = np.ones(idx.size), np.zeros(idx.size)
-    streak = np.zeros(idx.size, dtype=np.int16)  # counts on up to _MAX_TERMS
-    terms, left, finished = 0, idx.size, 0
+    dtotal = np.zeros(zs.size, dtype=complex)
+    size, dsize = np.ones(zs.size), np.zeros(zs.size)
+    streak = np.zeros(zs.size, dtype=np.int16)  # counts on up to _MAX_TERMS
+    terms, left, finished = 0, zs.size, 0
     # a runaway series overflows to inf/nan, never stops and raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(_MAX_TERMS):
             # t_{n+1} = t_n r_n z and d t_{n+1}/dz = (n+1) t_n r_n
-            ratio = np.array([(a + n) * (b + n) / ((c + n) * (n + 1)) for a, b, c in sets])
-            step = ratio[set_idx] * term
+            ratio = np.array([(a + n) * (b + n) / ((c + n) * (n + 1)) for a, b, c in params])
+            step = ratio.repeat(counts) * term
             dtotal += (n + 1) * step
             term = step * zs
             total += term
@@ -132,63 +140,49 @@ def _gauss_series(sets: list, z: np.ndarray, outs: tuple, at: np.ndarray) -> int
             streak += 1
             streak *= mag <= _REL_EPS * np.abs(total)
             done = np.flatnonzero(streak == 3)
-            if done.size:
-                # |d t_{n+1}/dz| = (n+1)|t_{n+1}|/z
-                for out, arr in zip(outs, (total[done], dtotal[done], size[done],
-                                           dsize[done] / zs[done])):
-                    out[idx[done]] = arr
-                terms += (n + 1) * done.size
-                left -= done.size
-                if not left:
-                    return terms
-                term[done] = 0.0  # so the streak runs on past 3
-                finished += done.size
-                if 2 * finished >= idx.size:
-                    live = streak < 3
-                    idx, set_idx, zs, term, total, dtotal, size, dsize, streak = (
-                        arr[live] for arr in (idx, set_idx, zs, term, total, dtotal, size,
-                                              dsize, streak))
-                    finished = 0
-    k = np.argmax(streak < 3)
+            if not done.size:
+                continue
+            terms += (n + 1) * done.size
+            left -= done.size
+            finished += done.size
+            term[done] = 0.0  # so the streak runs on past 3
+            if left and 2 * finished < idx.size:
+                continue
+            gone = streak >= 3
+            at = idx[gone]
+            # |d t_{n+1}/dz| = (n+1)|t_{n+1}|/z
+            for out, arr in zip(outs, (total[gone], dtotal[gone], size[gone],
+                                       dsize[gone] / zs[gone].real)):
+                out[at] = arr
+            if not left:
+                return terms
+            live = ~gone
+            counts = np.add.reduceat(live, np.cumsum(counts) - counts)
+            params = [p for p, k in zip(params, counts) if k]
+            counts = counts[counts > 0]
+            idx, zs, term, total, dtotal, size, dsize, streak = (
+                arr[live] for arr in (idx, zs, term, total, dtotal, size, dsize, streak))
+            finished = 0
     raise ConvergenceError(f"2F1 series did not converge in {_MAX_TERMS} terms "
-                           f"at (a, b, c) = {sets[set_idx[k]]}, z = {zs[k]}")
+                           f"at {name(idx[np.argmax(streak < 3)])}")
 
 
-def _hyp2f1_transformed(sets: list, w: np.ndarray) -> tuple:
-    """z -> 1-z linear transformation (DLMF 15.8.4) over w = 1 - z.
-
-    Caller guarantees c-a-b off integers.  The log-Gamma prefactors of all
-    sets come from one ``log_gamma`` call, and the w-series of all sets are
-    summed in one call.  Returns F, dF/dz, sum|t_n| and sum|dt_n/dz|, each
-    of shape (sets, points), and the series length.
+def _transformed_terms(a, b, c) -> list:
+    """The terms of the z -> 1-z linear transformation (DLMF 15.8.4) of one
+    set, c-a-b off integers: each is prefactor * w^s * 2F1(w) over w = 1 - z,
+    with s = 0 for the analytic one and prefactor = Gamma(c) Gamma(+-s) /
+    (Gamma(p) Gamma(q)).  Returns (s, the w-series' (a, b, c), the
+    log-Gamma arguments (c, +-s, p, q)) for each term that does not vanish.
     """
-    # both terms are prefactor * w^s * 2F1(w): s = 0 for the analytic one;
-    # prefactor = Gamma(c) Gamma(+-s) / (Gamma(p) Gamma(q)) for the log-Gamma
-    # arguments (c, +-s, p, q)
-    plan, args = [], []  # (set, s, series parameters), log-Gamma arguments
-    for i, (a, b, c) in enumerate(sets):
-        s = c - a - b
-        # the analytic term vanishes when c-a or c-b is a non-positive
-        # integer (1/Gamma pole), the other one when a or b is
-        if not (_is_nonpositive_int(c - a) or _is_nonpositive_int(c - b)):
-            plan.append((i, 0.0, (a, b, a + b - c + 1.0)))
-            args.append((c, s, c - a, c - b))
-        if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
-            plan.append((i, s, (c - a, c - b, s + 1.0)))
-            args.append((c, -s, a, b))
-    parts = np.empty((4, len(plan), w.size), dtype=complex)
-    terms = _gauss_series([p[2] for p in plan], w, parts, np.arange(parts[0].size)) if plan else 0
-    # only exp() of the log-Gamma sums is used, so the branch does not matter
-    lg = log_gamma(np.reshape(args, (-1, 4)))
-    coeffs = np.exp(lg[:, 0] + lg[:, 1] - lg[:, 2] - lg[:, 3]).tolist()
-    out = np.zeros((4, len(sets), w.size), dtype=complex)
-    for (i, s, _), coeff, f, d, size, dsize in zip(plan, coeffs, *parts):
-        w_s = np.exp(s * np.log(w))
-        scale = abs(coeff) * np.abs(w_s)
-        # d/dz = -d/dw of w^s F(w)
-        out[:, i] += (coeff * w_s * f, -(coeff * w_s * (s * f / w + d)),
-                      scale * size, scale * (abs(s) * size / w + dsize))
-    return (out[0], out[1], out[2].real, out[3].real), terms
+    s = c - a - b
+    terms = []
+    # the analytic term vanishes when c-a or c-b is a non-positive integer
+    # (1/Gamma pole), the other one when a or b is
+    if not (_is_nonpositive_int(c - a) or _is_nonpositive_int(c - b)):
+        terms.append((0.0, (a, b, a + b - c + 1.0), (c, s, c - a, c - b)))
+    if not (_is_nonpositive_int(a) or _is_nonpositive_int(b)):
+        terms.append((s, (c - a, c - b, s + 1.0), (c, -s, a, b)))
+    return terms
 
 
 def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
@@ -220,41 +214,77 @@ def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
     for _, _, c in sets:
         if _is_nonpositive_int(c):
             raise DomainError(f"2F1 pole: c = {c} is a non-positive integer")
-    # 2F1 = 1 and dF/dz = ab/c at z = 0, and everywhere when a or b is 0
-    value, deriv = np.ones((2, len(sets), z.size), dtype=complex)
-    deriv[:] = [[a * b / c] for a, b, c in sets]
-    size, dsize = np.ones(value.shape), np.abs(deriv)  # sum|t_n| and sum|dt_n/dz|
-    out = value, deriv, size, dsize
-    terms, degraded = 0, np.zeros(len(sets), dtype=bool)
     live = [i for i, (a, b, _) in enumerate(sets) if a != 0 and b != 0]
-    near, far = (z > 0.0) & (z <= 0.5), z > 0.5
-    if live and near.any():
-        at = np.add.outer(np.multiply(live, z.size), np.flatnonzero(near)).ravel()
-        terms += _gauss_series([sets[i] for i in live], z[near], out, at)
-    if live and far.any():
+    near, far = np.flatnonzero((z > 0.0) & (z <= 0.5)), np.flatnonzero(z > 0.5)
+    # the w-series of each live set, or of its two shifted copies, on z > 1/2
+    degraded = np.zeros(len(sets), dtype=bool)
+    copies, plan = [], []  # each copy's set; (copy, s, parameters, log-Gamma arguments)
+    for i in (live if far.size else ()):
+        a, b, c = sets[i]
+        s = c - a - b
+        n_int = round(s.real)
         # logarithmic case (c-a-b within _DEGENERATE_TOL of an integer):
         # evaluate at c shifted so c-a-b sits exactly +/- _PERTURB away from
         # the integer, and average the two
-        rows, shifted = [], []
-        for i in live:
-            a, b, c = sets[i]
-            s = c - a - b
-            n_int = round(s.real)
-            degraded[i] = abs(s.imag) < _DEGENERATE_TOL and abs(s - n_int) < _DEGENERATE_TOL
-            c_int = a + b + n_int
-            rows.append(len(shifted))
-            shifted += ([(a, b, c_int + _PERTURB), (a, b, c_int - _PERTURB)] if degraded[i]
-                        else [(a, b, c)])
-        res, n = _hyp2f1_transformed(shifted, w[far])
-        for i, r in zip(live, rows):
-            for o, x in zip(out, res):
-                o[i, far] = 0.5 * (x[r] + x[r + 1]) if degraded[i] else x[r]
-        terms += n
+        degraded[i] = abs(s.imag) < _DEGENERATE_TOL and abs(s - n_int) < _DEGENERATE_TOL
+        c_int = a + b + n_int
+        for c_copy in (c_int + _PERTURB, c_int - _PERTURB) if degraded[i] else (c,):
+            plan += [(len(copies), *term) for term in _transformed_terms(a, b, c_copy)]
+            copies.append(i)
+    # row k < len(sets) holds set k, row len(sets) + j the j-th w-series
+    rows = (len(sets) + len(plan), z.size)
+    value, deriv = np.ones((2, *rows), dtype=complex)
+    # 2F1 = 1 and dF/dz = ab/c at z = 0, and everywhere when a or b is 0
+    deriv[:len(sets)] = [[a * b / c] for a, b, c in sets]
+    size, dsize = np.ones(rows), np.abs(deriv)  # sum|t_n| and sum|dt_n/dz|
+    out = value, deriv, size, dsize
+    # one series loop: the direct series of the live sets on z <= 1/2 and
+    # every w-series on z > 1/2
+    series = [(sets[i], z[near], i * z.size + near) for i in live if near.size]
+    series += [(p, w[far], (len(sets) + j) * z.size + far)
+               for j, (_, _, p, _) in enumerate(plan)]
+    owner = list(range(len(sets))) + [copies[r] for r, *_ in plan]
+
+    def name(k):
+        row, j = divmod(int(k), z.size)
+        return f"(a, b, c) = {sets[owner[row]]}, z = {z[j]}"
+
+    terms = _gauss_series(series, [o.reshape(-1) for o in out], name) if series else 0
+    if plan:
+        # only exp() of the log-Gamma sums is used, so the branch does not matter
+        lg = log_gamma([args for *_, args in plan])
+        wf = w[far]
+        acc = np.zeros((4, len(copies), far.size), dtype=complex)
+        # an overflowing prefactor makes F non-finite, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = np.exp(lg[:, 0] + lg[:, 1] - lg[:, 2] - lg[:, 3]).tolist()
+            for j, ((r, s, _, _), coeff) in enumerate(zip(plan, coeffs)):
+                f, d, t, dt = (o[len(sets) + j, far] for o in out)
+                # complex, like f: a complex division by w rounds differently
+                # from a real one, and dz_bound's bits rest on the former
+                t = t.astype(complex)
+                w_s = np.exp(s * np.log(wf))
+                scale = abs(coeff) * np.abs(w_s)
+                # d/dz = -d/dw of w^s F(w)
+                acc[:, r] += (coeff * w_s * f, -(coeff * w_s * (s * f / wf + d)),
+                              scale * t, scale * (abs(s) * t / wf + dt))
+            acc = acc[0], acc[1], acc[2].real, acc[3].real
+            for i in live:
+                r = copies.index(i)  # the set's first copy
+                for o, x in zip(out, acc):
+                    o[i, far] = 0.5 * (x[r] + x[r + 1]) if degraded[i] else x[r]
+    value, deriv = value[:len(sets)], deriv[:len(sets)]
+    size, dsize = size[:len(sets)], dsize[:len(sets)]
+    finite = np.isfinite(value) & np.isfinite(deriv)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), finite.shape)
+        raise PrecisionError(f"2F1 overflows at (a, b, c) = {sets[i]}, z = {z[j]}: "
+                             "F or dF/dz is not a finite double")
     with np.errstate(divide="ignore", invalid="ignore"):
         bounds = np.stack([size / np.abs(value), dsize / np.abs(deriv)])
     if degraded.any():
         # a degraded pair cancels by design, and its flag says so
-        bounds[:, degraded[:, None] & far] = 1.0
+        bounds[:, degraded[:, None] & (z > 0.5)] = 1.0
     # dF/dz = 0 exactly where a or b is 0: fmax skips the NaN of 0/0
     bound, dz_bound = np.fmax.reduce(bounds, axis=(1, 2), initial=1.0).tolist()
     if max(bound, dz_bound) * np.finfo(float).eps > _DIGITS_TOL:

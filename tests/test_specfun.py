@@ -7,6 +7,7 @@ checks use finite differences of the oracle.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -256,6 +257,50 @@ def test_hyp2f1_cancellation_bound_covers_rounding(x, y):
         ref_dz = complex(mp.mpf(1) * a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, zm))
         assert abs(f - ref) <= eps * res.bound * abs(ref)
         assert abs(df - ref_dz) <= eps * res.dz_bound * abs(ref_dz)
+
+
+def test_hyp2f1_one_loop_equals_each_branch_alone():
+    # the z <= 1/2 and z > 1/2 points of a call share one series loop; each
+    # point keeps the bits it has in a call on its own branch's points
+    a, b, c = zip(*BATCH_SETS)
+    res = specfun.hyp2f1_ex(a, b, c, BATCH_Z, one_minus_z=BATCH_W)
+    near = BATCH_Z <= 0.5
+    parts = [specfun.hyp2f1_ex(a, b, c, BATCH_Z[m], one_minus_z=BATCH_W[m])
+             for m in (near, ~near)]
+    for field in ("value", "dz"):
+        joined = np.concatenate([getattr(p, field) for p in parts], axis=1)
+        assert np.concatenate([getattr(res, field)[:, m] for m in (near, ~near)],
+                              axis=1).tobytes() == joined.tobytes()
+    assert res.terms == sum(p.terms for p in parts)
+    assert res.bound == max(p.bound for p in parts)
+    assert res.dz_bound == max(p.dz_bound for p in parts)
+    assert res.degraded and parts[1].degraded and not parts[0].degraded
+
+
+def test_hyp2f1_convergence_error_names_the_callers_set():
+    # the z = 0.6 point fails in a w-series of the transformation, whose own
+    # parameters are (1e4, 1e4, 19998.5); the error names the caller's set
+    with pytest.raises(ConvergenceError,
+                       match=r"\(a, b, c\) = \(\(10000\+0j\), \(10000\+0j\), "
+                             r"\(2\.5\+0j\)\), z = 0\.6$"):
+        specfun.hyp2f1_ex(1e4, 1e4, 2.5, np.array([1e-9, 0.6]))
+
+
+@pytest.mark.parametrize("a, z", [(300.0, 0.7), (5000.0, 0.9)])
+def test_hyp2f1_overflow_raises(a, z):
+    # the z > 1/2 prefactors overflow a double: no NaN result, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=rf"\(a, b, c\) = .*{a:.0f}.*, z = {z}: "
+                                                 "F or dF/dz is not a finite double"):
+            specfun.hyp2f1_ex(a, a, 1.5, np.array([z]))
+
+
+def test_hyp2f1_large_finite_value_kept():
+    res = specfun.hyp2f1_ex(60.0, 60.0, 1.5, np.array([0.9]))
+    ref = complex(mp.hyp2f1(60, 60, 1.5, mp.mpf("0.9")))
+    assert abs(ref) == pytest.approx(3.04e150, rel=1e-3)
+    assert res.value[0] == pytest.approx(ref, rel=1e-10)
 
 
 def test_hyp2f1_cancellation_guard():
