@@ -10,13 +10,16 @@ sweep.  Output is a CSV with one comment header line
     # qtunnel v1, scenario=<name>, params=<canonical serialization>
 
 followed by a column-name row and numeric rows at 12 significant digits,
-each value exactly ``"%.12g" % v`` (``csvfmt`` writes them from whole
-arrays).  Reruns with identical configs are byte-identical.  The output
-path is ``--out``, else the config file's ``out`` key.
+each value exactly ``"%.12g" % v``.  Each runner returns the header lines
+and its checked columns; ``run`` streams them to the file, the header and
+then each block of rows that ``csvfmt`` formats from whole arrays.  Reruns
+with identical configs are byte-identical.  The output path is ``--out``,
+else the config file's ``out`` key.
 
-``validate`` is a dry run: it runs the config's scenario and builds its CSV
-text without writing it, then prints ``config clean``, or the line the run
-would print on failure followed by ``1 invariant violation`` (exit 2).
+``validate`` is a dry run: it runs the config's scenario up to its checked
+columns (formatting finite values cannot fail), then prints ``config
+clean``, or the line the run would print on failure followed by ``1
+invariant violation`` (exit 2).
 
 Exit codes follow the type of the first failure: 0 success; 2 for a
 ``ConfigError``, a ``DomainError`` or an unwritable output path; 3 for any
@@ -46,34 +49,36 @@ from .errors import DomainError, PrecisionError, QTunnelError
 if TYPE_CHECKING:
     from .backreaction import BackreactionProfile
 
+# what a runner returns: the CSV's header and column-name lines, then its columns
+_Table = tuple[str, list[np.ndarray]]
 
-def _csv_text(cfg: RunConfig, columns: dict) -> str:
-    """Header, column names and one row per grid point; scalar columns repeat.
 
-    Raises PrecisionError instead of writing a non-finite value.
+def _csv_table(cfg: RunConfig, columns: dict) -> _Table:
+    """The CSV's header and column-name lines, and its columns as equal-length
+    float arrays (scalar columns repeat over the grid).
+
+    Raises PrecisionError instead of returning a non-finite value.
     """
-    from .csvfmt import csv_rows  # builds its tables on first import
-
     n = max(np.size(v) for v in columns.values())
     cols = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in columns.values()]
     bad = [name for name, col in zip(columns, cols) if not np.isfinite(col).all()]
     if bad:
         raise PrecisionError(f"non-finite values in {', '.join(bad)}")
     header = f"# qtunnel v1, scenario={cfg.scenario}, params={cfg.canonical()}"
-    return f"{header}\n{','.join(columns)}\n{csv_rows(cols)}"
+    return f"{header}\n{','.join(columns)}\n", cols
 
 
-def _run_fig1(cfg: RunConfig) -> str:
+def _run_fig1(cfg: RunConfig) -> _Table:
     params = cfg.physical_params()
     barrier = cfg.rect_barrier()
     sol = rect_mod.solve_rect(params, barrier)
     xs = np.linspace(float(cfg["x_min"]), float(cfg["x_max"]), int(cfg["grid_points"]))
     prof = rect_mod.potential_profile(sol, xs)
-    return _csv_text(cfg, {"x": prof.xs, "V": prof.v, "V_tot": prof.v_tot,
-                           "E": params.energy_E})
+    return _csv_table(cfg, {"x": prof.xs, "V": prof.v, "V_tot": prof.v_tot,
+                            "E": params.energy_E})
 
 
-def _run_fig2(cfg: RunConfig, emit_rho: bool) -> str:
+def _run_fig2(cfg: RunConfig, emit_rho: bool) -> _Table:
     from . import wkb as wkb_mod
 
     params = cfg.physical_params()
@@ -87,7 +92,7 @@ def _run_fig2(cfg: RunConfig, emit_rho: bool) -> str:
                "V_tot": prof.v_tot, "E": E}
     if emit_rho:
         columns["rho_general"] = wkb_mod.rho_general(params, tps)
-    return _csv_text(cfg, columns)
+    return _csv_table(cfg, columns)
 
 
 def _mode_backreaction(cfg: RunConfig) -> tuple[rect_mod.RectSolution, BackreactionProfile]:
@@ -99,13 +104,13 @@ def _mode_backreaction(cfg: RunConfig) -> tuple[rect_mod.RectSolution, Backreact
                                           num_points=int(cfg["grid_points"]))
 
 
-def _run_fig3(cfg: RunConfig) -> str:
+def _run_fig3(cfg: RunConfig) -> _Table:
     _, prof = _mode_backreaction(cfg)
-    return _csv_text(cfg, {"x": prof.xs, "V": prof.v, "V_eff": prof.v_eff,
-                           "Q1": prof.q1, "Q2": prof.q2})
+    return _csv_table(cfg, {"x": prof.xs, "V": prof.v, "V_eff": prof.v_eff,
+                            "Q1": prof.q1, "Q2": prof.q2})
 
 
-def _run_rect(cfg: RunConfig) -> str:
+def _run_rect(cfg: RunConfig) -> _Table:
     params = cfg.physical_params()
     sol = rect_mod.solve_rect(params, cfg.rect_barrier())
     p = rect_mod.transmission_probability(sol).closed_form
@@ -121,10 +126,10 @@ def _run_rect(cfg: RunConfig) -> str:
         "A_re", "A_im", "B_re", "B_im", "C_re", "C_im",
         "F_re", "F_im", "G_re", "G_im",
     ]
-    return _csv_text(cfg, dict(zip(columns, row)))
+    return _csv_table(cfg, dict(zip(columns, row)))
 
 
-def _run_mode_evolve(cfg: RunConfig) -> str:
+def _run_mode_evolve(cfg: RunConfig) -> _Table:
     from . import modes as modes_mod
 
     bg = rect_mod.classical_trajectory(
@@ -138,22 +143,22 @@ def _run_mode_evolve(cfg: RunConfig) -> str:
     traj = modes_mod.evolve_gaussian(mode, bg, modes_mod.vacuum_state(mode, t0), t0, ts[-1],
                                      t_eval=ts, vacuum_start=True)
     st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, traj.t))
-    return _csv_text(cfg, {"t": traj.t, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
-                           "alpha2_xi": st.alpha**2, "beta_xi": st.beta})
+    return _csv_table(cfg, {"t": traj.t, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
+                            "alpha2_xi": st.alpha**2, "beta_xi": st.beta})
 
 
-def _run_backreaction(cfg: RunConfig) -> str:
+def _run_backreaction(cfg: RunConfig) -> _Table:
     from . import backreaction as br
 
     sol, prof = _mode_backreaction(cfg)
-    return _csv_text(cfg, {
+    return _csv_table(cfg, {
         "x": prof.xs, "V": prof.v, "V_eff": prof.v_eff, "delta_V": prof.delta_v,
         "Q1": prof.q1, "Q2": prof.q2, "p0": prof.p0, "delta_V_bar": prof.delta_v_bar,
         "P_modified": br.modified_probability(sol, prof.delta_v_bar),
     })
 
 
-def _run_sweep(cfg: RunConfig) -> str:
+def _run_sweep(cfg: RunConfig) -> _Table:
     key, vals = cfg.sweep()
     ps, t_rolls = [], []
     for val in vals:
@@ -161,7 +166,7 @@ def _run_sweep(cfg: RunConfig) -> str:
         sol = rect_mod.solve_rect(sub.physical_params(), sub.rect_barrier())
         ps.append(rect_mod.transmission_probability(sol).closed_form)
         t_rolls.append(rect_mod.rolling_time(sol))
-    return _csv_text(cfg, {key: vals, "P": ps, "t_roll": t_rolls})
+    return _csv_table(cfg, {key: vals, "P": ps, "t_roll": t_rolls})
 
 
 _RUNNERS = {
@@ -180,15 +185,20 @@ _RUNNERS = {
 def run(cfg: RunConfig, out_path: str | Path) -> None:
     """Execute one scenario and write its CSV atomically (all or nothing).
 
-    The text goes to a temporary file in the target directory, which then
-    replaces the target.  An OSError propagates and leaves no file behind.
+    The header and then each block of rows that ``csvfmt.csv_rows`` formats
+    go, as bytes, to a temporary file in the target directory, which then
+    replaces the target; the whole text is never held in memory.  An
+    OSError propagates and leaves no file behind.
     """
-    text = _RUNNERS[cfg.scenario](cfg)
+    header, cols = _RUNNERS[cfg.scenario](cfg)
+    from .csvfmt import csv_rows  # builds its tables on first import
+
     out_path = Path(out_path)
     tmp = out_path.parent / f".{out_path.name}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "xb") as fh:
+            fh.write(header.encode())
+            fh.writelines(csv_rows(cols))
         os.replace(tmp, out_path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -19,6 +19,7 @@ exponent X is outside -290..290 (zero and subnormals included).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import reduce
 
 import numpy as np
@@ -128,12 +129,13 @@ def _block(values: np.ndarray, seps: np.ndarray) -> bytes:
     return buf.translate(None, b"\0")
 
 
-def csv_rows(cols: list[np.ndarray]) -> str:
-    """One line per row of the equal-length float columns ``cols``, values
-    joined by commas, each exactly ``"%.12g" % v``.  All values are finite."""
+def csv_rows(cols: list[np.ndarray]) -> Iterator[bytes]:
+    """Lines of the equal-length float columns ``cols`` as ASCII bytes, one
+    block of _BLOCK_VALUES values or fewer at a time: one line per row,
+    values joined by commas, each exactly ``"%.12g" % v``.  All values are
+    finite."""
     seps = np.full(len(cols), ord(",") << 56, _U8)
     seps[-1] = ord("\n") << 56
-    n = len(cols[0])
     step = max(1, _BLOCK_VALUES // len(cols))
-    return b"".join(_block(np.stack([c[i:i + step] for c in cols], axis=1), seps)
-                    for i in range(0, n, step)).decode("ascii")
+    for i in range(0, len(cols[0]), step):
+        yield _block(np.stack([c[i:i + step] for c in cols], axis=1), seps)

@@ -9,10 +9,12 @@
   after a recurrence shift, with reflection for Re z < 1/2 (DLMF 5.5, 5.11).
 
 All series of a call, the direct ones on z <= 1/2 and both w-series of the
-transformation on z > 1/2, are summed in one loop over the orders, on the
-flattened (series, point) pairs.  A pair whose cancellation bound
-sum|t_n|/|F| times the double epsilon passes 1e-11, or whose F or dF/dz is
-not a finite double, raises ``PrecisionError``.
+transformation on z > 1/2, are laid out as flattened (series, point) pairs
+and summed in equal chunks of at most 8,192 pairs, one loop over the orders
+per chunk; a pair's bits do not depend on its chunk.  A pair whose
+cancellation bound sum|t_n|/|F| times the double epsilon passes 1e-11, or
+whose F or dF/dz is not a finite double, raises ``PrecisionError``; a
+series whose terms overflow raises ``ConvergenceError``.
 
 Pure functions, no state; thread-safe.
 """
@@ -28,6 +30,12 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PrecisionError
 
 _MAX_TERMS = 10_000
+# (series, point) pairs per loop over the orders: the loop's working arrays
+# for a chunk (~160 bytes a pair, ~1.3 MB) stay in a 2 MB L2 cache, and do
+# not grow with the call's grid
+_CHUNK_PAIRS = 8192
+# orders between checks that every sum is still finite
+_FINITE_EVERY = 64
 _REL_EPS = 1e-16
 # rounding error (bound times epsilon) allowed relative to a value: one unit
 # of the 12th significant digit when the leading digit is 1
@@ -100,32 +108,58 @@ class Hyp2F1Result:
 
 def _gauss_series(series: list, outs: tuple, name) -> int:
     """Direct Gauss series and its term-by-term z-derivative, for every entry
-    of ``series`` in one loop over the orders.
+    of ``series``.
 
     An entry is ((a, b, c), x, at): the parameters, c off the poles; the
     points x in (0, 1/2] to sum at; and, for each point, its flat index
     into the four arrays ``outs``.  The (series, point) pairs lie series
-    after series.  The ratio of consecutive coefficients is one Python
-    complex per series and order, repeated over the series' block of live
-    pairs.  Each pair stops on its own rule (three terms in a row below
-    _REL_EPS of its sum) and adds exact zeros from then on.  The finished
-    pairs leave the working set once they are half of it, and only then, or
-    at the end, their F, dF/dz, sum|t_n| and sum|dt_n/dz| go to ``outs``.
+    after series and are split into equal chunks of at most _CHUNK_PAIRS
+    pairs, each summed by one loop over the orders (``_sum_chunk``).  Each
+    pair's arithmetic is its own, so the split changes no bit of ``outs``.
     ``name(i)`` describes flat index i for a ``ConvergenceError``.  Returns
     the series length summed over the pairs.
     """
     params = [p for p, _, _ in series]
-    counts = np.array([x.size for _, x, _ in series])  # live pairs per series
+    sizes = np.array([x.size for _, x, _ in series])
+    ends = np.cumsum(sizes)
     # z as complex: step * zs would cast it at every order, to the same product
     zs = np.concatenate([x for _, x, _ in series]).astype(complex)
-    idx = np.concatenate([at for _, _, at in series])  # each live pair's index into ``outs``
+    idx = np.concatenate([at for _, _, at in series])
+    chunks = -(-zs.size // _CHUNK_PAIRS)
+    edges = [k * zs.size // chunks for k in range(chunks + 1)]
+    terms = 0
+    for lo, hi in zip(edges, edges[1:]):
+        # each series' pairs inside [lo, hi)
+        counts = np.minimum(ends, hi) - np.maximum(ends - sizes, lo)
+        inside = counts > 0
+        terms += _sum_chunk([p for p, k in zip(params, inside) if k], counts[inside],
+                            zs[lo:hi], idx[lo:hi], outs, name)
+    return terms
+
+
+def _sum_chunk(params: list, counts: np.ndarray, zs: np.ndarray, idx: np.ndarray,
+               outs: tuple, name) -> int:
+    """One loop over the orders for a chunk of ``_gauss_series``: the pairs
+    of series k are the next ``counts[k]`` entries of the complex points
+    ``zs`` and flat indices ``idx``, with parameters ``params[k]``.
+
+    The ratio of consecutive coefficients is one Python complex per series
+    and order, repeated over the series' block of live pairs.  Each pair
+    stops on its own rule (three terms in a row below _REL_EPS of its sum)
+    and adds exact zeros from then on.  The finished pairs leave the working
+    set once they are half of it, and only then, or at the end, their F,
+    dF/dz, sum|t_n| and sum|dt_n/dz| go to ``outs``.  A sum|t_n| that is no
+    longer finite (a term or the sum overflowed), checked then and every
+    _FINITE_EVERY orders, raises ``ConvergenceError``, as does a pair still
+    live after _MAX_TERMS orders.
+    """
     term = np.ones(zs.size, dtype=complex)
     total = term.copy()
     dtotal = np.zeros(zs.size, dtype=complex)
     size, dsize = np.ones(zs.size), np.zeros(zs.size)
     streak = np.zeros(zs.size, dtype=np.int16)  # counts on up to _MAX_TERMS
     terms, left, finished = 0, zs.size, 0
-    # a runaway series overflows to inf/nan, never stops and raises below
+    # a runaway series overflows to inf/nan and raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(_MAX_TERMS):
             # t_{n+1} = t_n r_n z and d t_{n+1}/dz = (n+1) t_n r_n
@@ -140,13 +174,19 @@ def _gauss_series(series: list, outs: tuple, name) -> int:
             streak += 1
             streak *= mag <= _REL_EPS * np.abs(total)
             done = np.flatnonzero(streak == 3)
-            if not done.size:
-                continue
-            terms += (n + 1) * done.size
-            left -= done.size
-            finished += done.size
-            term[done] = 0.0  # so the streak runs on past 3
-            if left and 2 * finished < idx.size:
+            compact = False
+            if done.size:
+                terms += (n + 1) * done.size
+                left -= done.size
+                finished += done.size
+                term[done] = 0.0  # so the streak runs on past 3
+                compact = not left or 2 * finished >= idx.size
+            if compact or n % _FINITE_EVERY == _FINITE_EVERY - 1:
+                finite = np.isfinite(size)
+                if not finite.all():
+                    raise ConvergenceError("2F1 series terms overflow a double at "
+                                           + name(idx[np.argmin(finite)]))
+            if not compact:
                 continue
             gone = streak >= 3
             at = idx[gone]

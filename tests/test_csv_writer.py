@@ -5,9 +5,10 @@ reference below is the row formatter that the writer replaced; the tests
 compare bytes, over arbitrary doubles, rounding ties, mantissa roll-overs,
 powers of ten and their neighbours, the extremes of double range, the
 fixed/scientific seams and row blocks of every size around the writer's
-block length.
+block length, and the streamed write that ``cli.run`` makes of them.
 """
 
+import errno
 import math
 
 import numpy as np
@@ -27,12 +28,17 @@ def reference_rows(cols):
     return "".join(row_format % row + "\n" for row in zip(*(c.tolist() for c in cols)))
 
 
+def written(cols):
+    """The text of the blocks that the writer yields for ``cols``."""
+    return b"".join(csvfmt.csv_rows(cols)).decode("ascii")
+
+
 def assert_rows_match(values, ncols=1):
     """Write ``values`` as rows of ``ncols`` columns (any remainder dropped)."""
     values = np.asarray(values, dtype=float)
     table = values[: values.size // ncols * ncols].reshape(-1, ncols)
     cols = [np.ascontiguousarray(table[:, j]) for j in range(ncols)]
-    assert csvfmt.csv_rows(cols) == reference_rows(cols)
+    assert written(cols) == reference_rows(cols)
 
 
 def with_neighbours(values):
@@ -94,8 +100,8 @@ def test_blocks_at_the_chunk_size(ncols, offset):
 def test_scalar_columns_broadcast_over_rows():
     cfg = RunConfig(scenario="fig1a", values={})
     xs = np.linspace(-1.0, 3.0, 7)
-    text = cli._csv_text(cfg, {"x": xs, "V": xs**2, "E": 2.0 / 3.0})
-    header, names, rows = text.split("\n", 2)
+    head, cols = cli._csv_table(cfg, {"x": xs, "V": xs**2, "E": 2.0 / 3.0})
+    header, names, rows = (head + written(cols)).split("\n", 2)
     assert header == f"# qtunnel v1, scenario=fig1a, params={cfg.canonical()}"
     assert names == "x,V,E"
     assert rows == reference_rows([xs, xs**2, np.full(7, 2.0 / 3.0)])
@@ -106,30 +112,52 @@ def test_scalar_columns_broadcast_over_rows():
     ["fig1a", "--grid-points", "300"],  # zeros outside the barrier and a scalar E
     ["sweep"],
     ["mode-evolve", "--grid-points", "200"],
+    ["fig3", "--grid-points", "20000"],  # 25 blocks streamed to the file
 ])
 def test_scenario_rows_match_reference(tmp_path, monkeypatch, argv):
     calls = []
     csv_rows = csvfmt.csv_rows
 
     def recording(cols):
-        calls.append(([np.array(c) for c in cols], csv_rows(cols)))
-        return calls[-1][1]
+        calls.append(([np.array(c) for c in cols], list(csv_rows(cols))))
+        return iter(calls[-1][1])
 
     monkeypatch.setattr(csvfmt, "csv_rows", recording)
     out = tmp_path / "run.csv"
     assert main([*argv, "--out", str(out)]) == 0
-    [(cols, text)] = calls
+    [(cols, blocks)] = calls
+    rows = len(cols[0])
+    assert len(blocks) == -(-rows // (csvfmt._BLOCK_VALUES // len(cols)))
+    text = b"".join(blocks).decode("ascii")
     assert text == reference_rows(cols)
     assert out.read_text().split("\n", 2)[2] == text
+
+
+def test_write_error_after_first_block_leaves_no_file(tmp_path, monkeypatch, capsys):
+    csv_rows = csvfmt.csv_rows
+
+    def failing(cols):
+        blocks = csv_rows(cols)
+        yield next(blocks)
+        # the temporary file holds the first block when the write fails
+        [tmp] = tmp_path.iterdir()
+        assert tmp.name.endswith(".tmp") and tmp.stat().st_size > 0
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(csvfmt, "csv_rows", failing)
+    out = tmp_path / "fig3.csv"
+    assert main(["fig3", "--grid-points", "20000", "--out", str(out)]) == 2
+    assert f"output error: cannot write {out}: No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nonfinite_values_are_named_and_nothing_is_written(tmp_path, monkeypatch, capsys):
     cfg = RunConfig(scenario="fig1a", values={})
     with pytest.raises(PrecisionError, match="non-finite values in V, E$"):
-        cli._csv_text(cfg, {"x": [0.0, 1.0], "V": [1.0, math.nan], "E": math.inf})
+        cli._csv_table(cfg, {"x": [0.0, 1.0], "V": [1.0, math.nan], "E": math.inf})
 
     def nan_profile(cfg):
-        return cli._csv_text(cfg, {"x": [0.0, 1.0], "V_tot": [-math.inf, 1.0]})
+        return cli._csv_table(cfg, {"x": [0.0, 1.0], "V_tot": [-math.inf, 1.0]})
 
     monkeypatch.setitem(cli._RUNNERS, "fig1a", nan_profile)
     out = tmp_path / "nan.csv"

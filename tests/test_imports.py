@@ -71,6 +71,17 @@ assert not loaded, loaded
 """
 
 
+# validate stops after the non-finite check, so it formats no CSV text
+VALIDATE_RUN = """
+import sys
+from qtunnel.cli import main
+
+assert main(["validate", "--config", "run.cfg"]) == 0
+assert "qtunnel.backreaction" in sys.modules
+assert "qtunnel.csvfmt" not in sys.modules
+"""
+
+
 def fresh_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
@@ -91,6 +102,12 @@ def test_mode_evolve_loads_no_scipy_integrate(tmp_path):
 
 def test_smooth_barrier_and_exact_trajectory_load_no_scipy_integrate(tmp_path):
     proc = fresh_python(["-c", SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_validate_loads_no_csv_writer(tmp_path):
+    (tmp_path / "run.cfg").write_text("scenario = fig3\n")
+    proc = fresh_python(["-c", VALIDATE_RUN], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

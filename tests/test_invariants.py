@@ -63,3 +63,17 @@ def test_backreaction_grid_convergence():
     assert 1e-12 < diffs[-1] < diffs[0] < 1e-9
     for wide, narrow in zip(diffs, diffs[1:]):
         assert 13.0 < wide / narrow < 19.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(E=st.floats(0.05, 5.0), gap=st.floats(0.05, 5.0), a=st.floats(0.05, 5.0),
+       m=st.floats(0.1, 10.0), omega0=st.floats(0.1, 10.0))
+def test_uncoupled_mode_has_no_back_reaction(E, gap, a, m, omega0):
+    """With c = 0 the mode's frequency never changes, so its state stays the
+    vacuum: Q1 = Q2 = 0 and V_eff = V exactly, in fig3 and backreaction."""
+    flags = ["--E", repr(E), "--V0", repr(E + gap), "--a", repr(a),
+             "--m", repr(m), "--omega0", repr(omega0), "--c", "0"]
+    for scenario in ("fig3", "backreaction"):
+        cols = written_columns([scenario, *flags])
+        assert np.all(cols["Q1"] == 0.0) and np.all(cols["Q2"] == 0.0)
+        assert np.array_equal(cols["V_eff"], cols["V"])

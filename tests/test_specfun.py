@@ -286,6 +286,76 @@ def test_hyp2f1_convergence_error_names_the_callers_set():
         specfun.hyp2f1_ex(1e4, 1e4, 2.5, np.array([1e-9, 0.6]))
 
 
+def test_hyp2f1_overflowing_terms_raise_early():
+    # the z = 0.1 terms are inf+nanj from order 92 on; sum|t_n| is checked
+    # every 64 orders, so the call stops long before the 10,000-term limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError,
+                           match=r"^2F1 series terms overflow a double at \(a, b, c\) = "
+                                 r"\(\(5000\+0j\), \(5000\+0j\), \(1\+0j\)\), z = 0\.1$"):
+            specfun.hyp2f1(5000.0, 5000.0, 1.0, np.array([0.1, 0.5]))
+
+
+# --- chunks of the series loop ------------------------------------------------
+
+def chunk_sizes(monkeypatch):
+    """Record the pairs of every chunk that ``_gauss_series`` sums."""
+    sizes = []
+    sum_chunk = specfun._sum_chunk
+
+    def recording(params, counts, zs, *rest):
+        sizes.append(zs.size)
+        return sum_chunk(params, counts, zs, *rest)
+
+    monkeypatch.setattr(specfun, "_sum_chunk", recording)
+    return sizes
+
+
+def assert_chunks_match_pieces(monkeypatch, a, b, c, z, w, pieces, chunks):
+    """The call on all of z, summed in ``chunks`` chunks, equals bit for bit
+    the calls on ``pieces`` sub-grids that each fit in one chunk."""
+    sizes = chunk_sizes(monkeypatch)
+    whole = specfun.hyp2f1_ex(a, b, c, z, one_minus_z=w)
+    assert len(sizes) == chunks and max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= specfun._CHUNK_PAIRS
+    sizes.clear()
+    parts = [specfun.hyp2f1_ex(a, b, c, zp, one_minus_z=wp)
+             for zp, wp in zip(np.array_split(z, pieces), np.array_split(w, pieces))]
+    assert len(sizes) == pieces
+    for field in ("value", "dz"):
+        joined = np.concatenate([getattr(p, field) for p in parts], axis=-1)
+        assert getattr(whole, field).tobytes() == joined.tobytes()
+    assert whole.terms == sum(p.terms for p in parts)
+    assert whole.bound == max(p.bound for p in parts)
+    assert whole.dz_bound == max(p.dz_bound for p in parts)
+    assert whole.degraded == any(p.degraded for p in parts)
+
+
+def test_hyp2f1_chunks_of_one_set_across_the_seam(monkeypatch):
+    # 15,000 direct-series pairs and 2 x 15,000 w-series pairs: 6 chunks
+    w = np.linspace(1.0, 1e-3, 30000)
+    assert_chunks_match_pieces(monkeypatch, 1 - 0.3j, -0.3j, 1 + 0.5j, 1.0 - w, w,
+                               pieces=8, chunks=6)
+
+
+def test_hyp2f1_chunks_of_a_batch_straddle_series_blocks(monkeypatch):
+    # 6 direct series (b = 0 is exact) and 14 w-series (the degenerate set
+    # has two shifted copies): ~25,000 pairs in 4 chunks whose edges fall
+    # inside series blocks; each piece holds at most 20 x 400 pairs
+    a, b, c = zip(*BATCH_SETS)
+    w = np.linspace(1.0, 0.02, 2500)
+    assert_chunks_match_pieces(monkeypatch, a, b, c, 1.0 - w, w, pieces=7, chunks=4)
+
+
+def test_hyp2f1_convergence_error_in_a_later_chunk_names_its_pair():
+    # the 20,000 pairs take 3 chunks; only z = 0.25, in the last one, overflows
+    z = np.linspace(1e-9, 1e-6, 20000)
+    z[17000] = 0.25
+    with pytest.raises(ConvergenceError, match=r"\(5000\+0j\), \(1\+0j\)\), z = 0\.25$"):
+        specfun.hyp2f1_ex(5000.0, 5000.0, 1.0, z)
+
+
 @pytest.mark.parametrize("a, z", [(300.0, 0.7), (5000.0, 0.9)])
 def test_hyp2f1_overflow_raises(a, z):
     # the z > 1/2 prefactors overflow a double: no NaN result, no warning
