@@ -28,9 +28,10 @@ import numpy as np
 # the writer's share of a run's peak memory; fewer, larger blocks run faster
 _BLOCK_VALUES = 4096
 # |v| * 10**(11 - X) carries two roundings, the power of ten's and the
-# product's: at most 2.3e-4 below 1e12 + 1.  Inside this band of a
-# half-integer rint might round the wrong way
-_TIE_BAND = 2e-3
+# product's: at most 2.3e-4 below 1e12 + 1, so rint can round the wrong way
+# only that close to a half-integer.  Values within this band, about twice
+# that, go through the fallback
+_TIE_BAND = 5e-4
 _X0 = 295  # table row of exponent X is X + _X0; |v| is clipped to 10**+-_X0
 _TINY, _HUGE = 10.0**-_X0, 10.0**_X0
 _U8 = np.dtype("<u8")
@@ -114,8 +115,7 @@ def _block(values: np.ndarray, seps: np.ndarray) -> bytes:
     g3 -= g2 * 10000
     mask = _MASK_ROW[xi] + np.maximum(np.maximum(_SIG0[g1], _SIG1[g2]), _SIG2[g3])
 
-    buf = bytearray(8 * 5 * v.size)
-    words = np.frombuffer(buf, _U8).reshape(-1, 5)
+    words = np.empty((v.size, 5), _U8)
     words[:, 0] = _LEAD[xi] | np.signbit(v) * _MINUS
     words[:, 1] = _GROUPS[g1] & _AND1[mask] | _OR1[mask]
     words[:, 2] = _GROUPS[g2] & _AND2[mask] | _OR2[mask]
@@ -126,7 +126,8 @@ def _block(values: np.ndarray, seps: np.ndarray) -> bytes:
         text = b"".join(("%.12g" % f).encode().ljust(32, b"\0") for f in v[idx].tolist())
         words[idx, :4] = np.frombuffer(text, _U8).reshape(-1, 4)
         words[idx, 4] = seps[idx % seps.size]
-    return buf.translate(None, b"\0")
+    # bytes.translate runs faster than bytearray.translate, copy included
+    return words.tobytes().translate(None, b"\0")
 
 
 def csv_rows(cols: list[np.ndarray]) -> Iterator[bytes]:

@@ -4,17 +4,20 @@
   one array of z, via the direct Gauss series for z <= 1/2 and the two-term
   z -> 1-z linear transformation for z > 1/2, so convergence stays geometric
   with ratio <= 1/2 (DLMF 15.2, 15.8),
-* its z-derivative, summed term by term from the same series,
+* its z-derivative, from the same Horner pass over the series,
 * complex log-Gamma for the transformation's prefactors: Stirling's series
   after a recurrence shift, with reflection for Re z < 1/2 (DLMF 5.5, 5.11).
 
 All series of a call, the direct ones on z <= 1/2 and both w-series of the
-transformation on z > 1/2, are laid out as flattened (series, point) pairs
-and summed in equal chunks of at most 8,192 pairs, one loop over the orders
-per chunk; a pair's bits do not depend on its chunk.  A pair whose
-cancellation bound sum|t_n|/|F| times the double epsilon passes 1e-11, or
-whose F or dF/dz is not a finite double, raises ``PrecisionError``; a
-series whose terms overflow raises ``ConvergenceError``.
+transformation on z > 1/2, are laid out as flattened (series, point) pairs.
+Each pair's length N is fixed before any sum, from its own set and z: every
+term of F past N, and of dF/dz relative to its first term, is below 1e-17.
+The pairs are sorted longest first and summed by Horner's rule in equal
+chunks of at most 8,192 pairs; a pair's bits depend neither on its chunk
+nor on the call's other points.  A pair whose cancellation bound
+sum|t_n|/|F| times the double epsilon passes 1e-11, or whose F or dF/dz is
+not a finite double, raises ``PrecisionError``; a series whose
+coefficients overflow raises ``ConvergenceError``.
 
 Pure functions, no state; thread-safe.
 """
@@ -30,13 +33,15 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PrecisionError
 
 _MAX_TERMS = 10_000
-# (series, point) pairs per loop over the orders: the loop's working arrays
-# for a chunk (~160 bytes a pair, ~1.3 MB) stay in a 2 MB L2 cache, and do
-# not grow with the call's grid
+# a pair's series stops where every later term of F, and of dF/dz relative
+# to its first term, stays below this
+_TAIL = 1e-17
+# (series, point) pairs per Horner loop: the loop's working arrays for a
+# chunk (~64 bytes a pair, ~0.5 MB) stay in cache, and do not grow with
+# the call's grid
 _CHUNK_PAIRS = 8192
-# orders between checks that every sum is still finite
-_FINITE_EVERY = 64
-_REL_EPS = 1e-16
+# orders per step of the coefficient build
+_ORDERS = 64
 # rounding error (bound times epsilon) allowed relative to a value: one unit
 # of the 12th significant digit when the leading digit is 1
 _DIGITS_TOL = 1e-11
@@ -106,105 +111,158 @@ class Hyp2F1Result:
     dz_bound: float
 
 
+def _coefficients(params: list, zmax: np.ndarray):
+    """The Gauss series sum c_n z^n of each (a, b, c) in ``params`` as
+    sum d_n u^n, u = z / h, with d_n = c_n h^n and h the power of two with
+    zmax < h <= 2 zmax, for the series' largest point ``zmax``.
+
+    d_n comes from the ratios c_{n+1} / c_n = (a+n)(b+n) / ((c+n)(n+1)) in
+    Python complex arithmetic, times h, so it holds c_n's bits scaled by a
+    power of two, and is a double wherever the terms at zmax are.  The
+    orders are built _ORDERS at a time until, at the last order K built,
+    every series has |c_K| zmax^K and K |c_K| zmax^(K-1) / |c_1| at most
+    _TAIL / 2, and (K+1)/K V_K zmax <= 1, where V_k = max(1, (|a|+k)/(k+1))
+    max(1, (|b|+k)/(k+Re c)) bounds |c_{j+1}/c_j| for every j >= k and
+    does not grow with k.  So no term past K at zmax or below reaches
+    _TAIL / 2, and d is set to 0 past each series' K, which changes no
+    pair's length.  A coefficient of 0 ends a series.
+
+    Returns d as a (series, orders) array, h, and per series 0, or 1 if a
+    coefficient overflows a double before K, or 2 if no K is found within
+    _MAX_TERMS orders; a failed series keeps the coefficients before it
+    failed.
+    """
+    h = np.ldexp(1.0, np.frexp(zmax)[1])
+    um = zmax / h
+    ra, rb, rc = np.array([(abs(a), abs(b), c.real) for a, b, c in params]).T
+    d = [np.ones((len(params), 1), dtype=complex)]
+    last = np.full(len(params), -1)  # K, or the last order before a failure
+    failed = np.zeros(len(params), dtype=int)
+    tol = 0.5 * _TAIL
+    with np.errstate(all="ignore"):
+        for k in range(_ORDERS, _MAX_TERMS + 1, _ORDERS):
+            ratio = [[(a + n) * (b + n) / ((c + n) * (n + 1)) for n in range(k - _ORDERS, k)]
+                     for a, b, c in params]
+            d.append(np.cumprod(np.hstack([d[-1][:, -1:], ratio * h[:, None]]), axis=1)[:, 1:])
+            mag = np.abs(d[-1][:, -1])
+            small = (mag * um**k <= tol) & (k * mag * um**(k - 1) <= tol * np.abs(d[1][:, 0]))
+            v = np.maximum(1.0, (ra + k) / (k + 1)) * np.maximum(1.0, (rb + k) / (k + rc))
+            falling = (k + rc > 0.0) & ((k + 1) / k * v * zmax <= 1.0)
+            open_ = last < 0
+            ends = open_ & ((mag == 0.0) | small & falling)
+            # a coefficient that is not finite stays so at every later order
+            over = open_ & ~(mag < math.inf)
+            last[ends] = k
+            last[over] = k - _ORDERS + np.argmin(np.abs(d[-1][over]) < math.inf, axis=1)
+            failed[over] = 1
+            if (last >= 0).all():
+                break
+        else:
+            failed[last < 0] = 2
+    d = np.hstack(d)
+    d[np.arange(d.shape[1]) > np.where(last < 0, _MAX_TERMS, last)[:, None]] = 0.0
+    return d, h, failed
+
+
+def _thresholds(d: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per row of ``_coefficients``' d and h, ascending thresholds
+    t_1 <= t_2 <= ... that give a pair at x its length N as the number of
+    them below x: the least N such that |c_k| x^k <= _TAIL and
+    k |c_k| x^(k-1) <= _TAIL |c_1| for every k > N.
+
+    log2 |c_k| is taken as log2 of the mantissa of |d_k| plus an exact
+    integer, so the thresholds have the same bits for every h."""
+    mant, exp = np.frexp(np.abs(d[:, 1:]))
+    k = np.arange(1, d.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lc = np.log2(mant) + (exp - (np.frexp(h)[1][:, None] - 1) * k)
+        # log2 of the x past which order k's term of F or of dF/dz exceeds
+        # its bound; dF/dz's first term (k = 1) always does
+        on = np.minimum((math.log2(_TAIL) - lc) / k,
+                        (math.log2(_TAIL) + lc[:, :1] - np.log2(k) - lc) / (k - 1))
+    on[:, 0] = -math.inf
+    # N(x) is the largest k with x past order k or a later one: the count
+    # of suffix minima below x
+    return np.exp2(np.minimum.accumulate(on[:, ::-1], axis=1)[:, ::-1])
+
+
 def _gauss_series(series: list, outs: tuple, name) -> int:
-    """Direct Gauss series and its term-by-term z-derivative, for every entry
-    of ``series``.
+    """Direct Gauss series and its z-derivative, for every entry of ``series``.
 
     An entry is ((a, b, c), x, at): the parameters, c off the poles; the
     points x in (0, 1/2] to sum at; and, for each point, its flat index
-    into the four arrays ``outs``.  The (series, point) pairs lie series
-    after series and are split into equal chunks of at most _CHUNK_PAIRS
-    pairs, each summed by one loop over the orders (``_sum_chunk``).  Each
-    pair's arithmetic is its own, so the split changes no bit of ``outs``.
-    ``name(i)`` describes flat index i for a ``ConvergenceError``.  Returns
-    the series length summed over the pairs.
+    into the four arrays ``outs``, which receive F, dF/dz, sum|t_n| and
+    sum|dt_n/dz|.  Each (series, point) pair's length N is fixed before any
+    sum from its own set and x alone (``_coefficients``, ``_thresholds``).
+    The pairs are then sorted longest first and summed by Horner's rule in
+    equal chunks of at most _CHUNK_PAIRS pairs (``_sum_chunk``), in u = x / h
+    with the scaled coefficients; since h is a power of two, the sums have
+    the bits of unscaled ones.  Each pair's arithmetic is its own, so
+    neither the call's other points nor the chunks change a bit of its
+    results.  A series whose coefficients overflow, or whose tail is not
+    bounded within _MAX_TERMS orders, raises ``ConvergenceError`` naming
+    ``name(i)`` for the flat index i of its first point with the longest
+    series on the coefficients built.  Returns the series length summed
+    over the pairs.
     """
-    params = [p for p, _, _ in series]
-    sizes = np.array([x.size for _, x, _ in series])
-    ends = np.cumsum(sizes)
-    # z as complex: step * zs would cast it at every order, to the same product
-    zs = np.concatenate([x for _, x, _ in series]).astype(complex)
+    d, scales, failed = _coefficients([p for p, _, _ in series],
+                                      np.array([x.max() for _, x, _ in series]))
+    thresholds = _thresholds(d, scales)
+    lengths = [np.searchsorted(t, x).astype(np.int16) for t, (_, x, _) in zip(thresholds, series)]
+    for (_, _, at), n, fail in zip(series, lengths, failed):
+        if fail:
+            i = name(at[np.argmax(n)])
+            raise ConvergenceError(f"2F1 series terms overflow a double at {i}" if fail == 1
+                                   else f"2F1 series did not converge in {_MAX_TERMS} terms at {i}")
+    # orders x (Re, Im, abs) x series
+    table = np.stack([d.real, d.imag, np.abs(d)]).transpose(2, 0, 1).copy()
+    ends = np.cumsum([x.size for _, x, _ in series])
+    lengths = np.concatenate(lengths)
+    u = np.concatenate([x / h for (_, x, _), h in zip(series, scales)])
     idx = np.concatenate([at for _, _, at in series])
-    chunks = -(-zs.size // _CHUNK_PAIRS)
-    edges = [k * zs.size // chunks for k in range(chunks + 1)]
-    terms = 0
+    order = np.argsort(-lengths, kind="stable")
+    chunks = -(-u.size // _CHUNK_PAIRS)
+    edges = [k * u.size // chunks for k in range(chunks + 1)]
     for lo, hi in zip(edges, edges[1:]):
-        # each series' pairs inside [lo, hi)
-        counts = np.minimum(ends, hi) - np.maximum(ends - sizes, lo)
-        inside = counts > 0
-        terms += _sum_chunk([p for p, k in zip(params, inside) if k], counts[inside],
-                            zs[lo:hi], idx[lo:hi], outs, name)
-    return terms
+        at = order[lo:hi]
+        sid = np.searchsorted(ends, at, side="right")
+        first, last = sid.min(), sid.max()
+        acc, dacc = _sum_chunk(np.ascontiguousarray(table[:, :, first:last + 1]),
+                               sid - first, u[at], lengths[at])
+        dacc /= scales[sid]
+        i = idx[at]
+        (outs[0].real[i], outs[0].imag[i], outs[2][i]), (outs[1].real[i], outs[1].imag[i],
+                                                          outs[3][i]) = acc, dacc
+    return int(lengths.sum())
 
 
-def _sum_chunk(params: list, counts: np.ndarray, zs: np.ndarray, idx: np.ndarray,
-               outs: tuple, name) -> int:
-    """One loop over the orders for a chunk of ``_gauss_series``: the pairs
-    of series k are the next ``counts[k]`` entries of the complex points
-    ``zs`` and flat indices ``idx``, with parameters ``params[k]``.
+def _sum_chunk(table: np.ndarray, sid: np.ndarray, u: np.ndarray, lengths: np.ndarray):
+    """Horner's rule on one chunk of ``_gauss_series``: the pairs at points
+    ``u`` of series ``sid``, sorted by their ``lengths`` N, longest first.
 
-    The ratio of consecutive coefficients is one Python complex per series
-    and order, repeated over the series' block of live pairs.  Each pair
-    stops on its own rule (three terms in a row below _REL_EPS of its sum)
-    and adds exact zeros from then on.  The finished pairs leave the working
-    set once they are half of it, and only then, or at the end, their F,
-    dF/dz, sum|t_n| and sum|dt_n/dz| go to ``outs``.  A sum|t_n| that is no
-    longer finite (a term or the sum overflowed), checked then and every
-    _FINITE_EVERY orders, raises ``ConvergenceError``, as does a pair still
-    live after _MAX_TERMS orders.
+    ``table[n]`` holds Re d_n, Im d_n and |d_n| of each series.  From order
+    N down to 0, each pair takes p <- p u + d_n and dp <- dp u + p on the
+    real and imaginary parts, and s <- s u + |d_n| and ds <- ds u + s, so
+    that p ends as F, dp as dF/du, s as sum|t_n| and ds as sum|dt_n/du|.
+    The pairs still summing at order n are a prefix of the chunk.  Returns
+    (Re F, Im F, s) and (Re dF/du, Im dF/du, ds) as two (3, pairs) arrays.
     """
-    term = np.ones(zs.size, dtype=complex)
-    total = term.copy()
-    dtotal = np.zeros(zs.size, dtype=complex)
-    size, dsize = np.ones(zs.size), np.zeros(zs.size)
-    streak = np.zeros(zs.size, dtype=np.int16)  # counts on up to _MAX_TERMS
-    terms, left, finished = 0, zs.size, 0
-    # a runaway series overflows to inf/nan and raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(_MAX_TERMS):
-            # t_{n+1} = t_n r_n z and d t_{n+1}/dz = (n+1) t_n r_n
-            ratio = np.array([(a + n) * (b + n) / ((c + n) * (n + 1)) for a, b, c in params])
-            step = ratio.repeat(counts) * term
-            dtotal += (n + 1) * step
-            term = step * zs
-            total += term
-            mag = np.abs(term)
-            size += mag
-            dsize += (n + 1) * mag
-            streak += 1
-            streak *= mag <= _REL_EPS * np.abs(total)
-            done = np.flatnonzero(streak == 3)
-            compact = False
-            if done.size:
-                terms += (n + 1) * done.size
-                left -= done.size
-                finished += done.size
-                term[done] = 0.0  # so the streak runs on past 3
-                compact = not left or 2 * finished >= idx.size
-            if compact or n % _FINITE_EVERY == _FINITE_EVERY - 1:
-                finite = np.isfinite(size)
-                if not finite.all():
-                    raise ConvergenceError("2F1 series terms overflow a double at "
-                                           + name(idx[np.argmin(finite)]))
-            if not compact:
-                continue
-            gone = streak >= 3
-            at = idx[gone]
-            # |d t_{n+1}/dz| = (n+1)|t_{n+1}|/z
-            for out, arr in zip(outs, (total[gone], dtotal[gone], size[gone],
-                                       dsize[gone] / zs[gone].real)):
-                out[at] = arr
-            if not left:
-                return terms
-            live = ~gone
-            counts = np.add.reduceat(live, np.cumsum(counts) - counts)
-            params = [p for p, k in zip(params, counts) if k]
-            counts = counts[counts > 0]
-            idx, zs, term, total, dtotal, size, dsize, streak = (
-                arr[live] for arr in (idx, zs, term, total, dtotal, size, dsize, streak))
-            finished = 0
-    raise ConvergenceError(f"2F1 series did not converge in {_MAX_TERMS} terms "
-                           f"at {name(idx[np.argmax(streak < 3)])}")
+    acc, dacc = np.zeros((2, 3, u.size))
+    top, sets = int(lengths[0]), table.shape[2]
+    # the pairs of length top - g come in series order after those longer:
+    # the prefix at order n is groups 0..top-n, each of counts[g] pairs
+    counts = np.bincount((top - lengths.astype(np.intp)) * sets + sid, minlength=(top + 1) * sets)
+    live = np.cumsum(counts.reshape(-1, sets).sum(axis=1)).tolist()
+    cycle = np.tile(np.arange(sets), top + 1)
+    for n in range(top, -1, -1):
+        g = (top - n + 1) * sets
+        m = live[top - n]
+        p, dp, x = acc[:, :m], dacc[:, :m], u[:m]
+        dp *= x
+        dp += p
+        p *= x
+        p += table[n] if sets == 1 else table[n].take(cycle[:g], axis=1).repeat(counts[:g], axis=1)
+    return acc, dacc
 
 
 def _transformed_terms(a, b, c) -> list:
@@ -271,25 +329,31 @@ def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
         for c_copy in (c_int + _PERTURB, c_int - _PERTURB) if degraded[i] else (c,):
             plan += [(len(copies), *term) for term in _transformed_terms(a, b, c_copy)]
             copies.append(i)
-    # row k < len(sets) holds set k, row len(sets) + j the j-th w-series
-    rows = (len(sets) + len(plan), z.size)
-    value, deriv = np.ones((2, *rows), dtype=complex)
+    # flat work arrays: the (set, point) pairs at k * z.size + point, then
+    # each w-series' (series, z > 1/2 point) pairs
+    cut = len(sets) * z.size
+    value, deriv = np.ones((2, cut + len(plan) * far.size), dtype=complex)
     # 2F1 = 1 and dF/dz = ab/c at z = 0, and everywhere when a or b is 0
-    deriv[:len(sets)] = [[a * b / c] for a, b, c in sets]
-    size, dsize = np.ones(rows), np.abs(deriv)  # sum|t_n| and sum|dt_n/dz|
+    deriv[:cut] = np.repeat([a * b / c for a, b, c in sets], z.size)
+    size, dsize = np.ones(value.size), np.abs(deriv)  # sum|t_n| and sum|dt_n/dz|
     out = value, deriv, size, dsize
-    # one series loop: the direct series of the live sets on z <= 1/2 and
-    # every w-series on z > 1/2
+    # one _gauss_series call: the direct series of the live sets on z <= 1/2
+    # and every w-series on z > 1/2
     series = [(sets[i], z[near], i * z.size + near) for i in live if near.size]
-    series += [(p, w[far], (len(sets) + j) * z.size + far)
+    series += [(p, w[far], cut + j * far.size + np.arange(far.size))
                for j, (_, _, p, _) in enumerate(plan)]
-    owner = list(range(len(sets))) + [copies[r] for r, *_ in plan]
 
     def name(k):
-        row, j = divmod(int(k), z.size)
-        return f"(a, b, c) = {sets[owner[row]]}, z = {z[j]}"
+        if k < cut:
+            i, j = divmod(int(k), z.size)
+        else:
+            r, m = divmod(int(k) - cut, far.size)
+            i, j = copies[plan[r][0]], far[m]
+        return f"(a, b, c) = {sets[i]}, z = {z[j]}"
 
-    terms = _gauss_series(series, [o.reshape(-1) for o in out], name) if series else 0
+    terms = _gauss_series(series, out, name) if series else 0
+    w_rows = [o[cut:].reshape(len(plan), far.size) for o in out]
+    value, deriv, size, dsize = (o[:cut].reshape(len(sets), z.size) for o in out)
     if plan:
         # only exp() of the log-Gamma sums is used, so the branch does not matter
         lg = log_gamma([args for *_, args in plan])
@@ -299,10 +363,7 @@ def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = np.exp(lg[:, 0] + lg[:, 1] - lg[:, 2] - lg[:, 3]).tolist()
             for j, ((r, s, _, _), coeff) in enumerate(zip(plan, coeffs)):
-                f, d, t, dt = (o[len(sets) + j, far] for o in out)
-                # complex, like f: a complex division by w rounds differently
-                # from a real one, and dz_bound's bits rest on the former
-                t = t.astype(complex)
+                f, d, t, dt = (x[j] for x in w_rows)
                 w_s = np.exp(s * np.log(wf))
                 scale = abs(coeff) * np.abs(w_s)
                 # d/dz = -d/dw of w^s F(w)
@@ -311,10 +372,10 @@ def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
             acc = acc[0], acc[1], acc[2].real, acc[3].real
             for i in live:
                 r = copies.index(i)  # the set's first copy
-                for o, x in zip(out, acc):
+                for o, x in zip((value, deriv, size, dsize), acc):
                     o[i, far] = 0.5 * (x[r] + x[r + 1]) if degraded[i] else x[r]
-    value, deriv = value[:len(sets)], deriv[:len(sets)]
-    size, dsize = size[:len(sets)], dsize[:len(sets)]
+        # copies, so that the result does not hold the w-series rows
+        value, deriv = value.copy(), deriv.copy()
     finite = np.isfinite(value) & np.isfinite(deriv)
     if not finite.all():
         i, j = np.unravel_index(np.argmin(finite), finite.shape)

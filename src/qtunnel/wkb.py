@@ -38,8 +38,10 @@ from .errors import (
     TurningPointTopologyError,
 )
 from .rect import _LOG_DOUBLE_MAX, quantum_potential
-from .specfun import _DIGITS_TOL, _REL_EPS
+from .specfun import _DIGITS_TOL
 
+# the Airy series stops once its last term is below this share of the first
+_REL_EPS = 1e-16
 # each scan narrows the bracket (_SCAN_POINTS - 1)-fold: 63^9 > 2^53
 _SCAN_POINTS = 64
 _SCAN_ROUNDS = 9

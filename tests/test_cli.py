@@ -371,6 +371,22 @@ def test_large_grid_peak_memory(tmp_path):
     assert peak < 28 * 2**20
 
 
+def test_large_mode_evolve_peak_memory(tmp_path):
+    """mode-evolve on 131,072 points: the 2F1 kernel sizes the w-series work
+    rows to the z > 1/2 points and returns copies of the set rows, so it
+    neither allocates nor keeps rows over every point for its transformed
+    branch.  The traced peak is ~38 MB (48 MB with rows over every point)."""
+    assert main(["mode-evolve", "--out", str(tmp_path / "warm.csv")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["mode-evolve", "--grid-points", "131072",
+                     "--out", str(tmp_path / "big.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 43 * 2**20
+
+
 def test_multi_mode_config(tmp_path):
     out = tmp_path / "mm.csv"
     assert main([

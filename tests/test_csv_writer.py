@@ -10,6 +10,7 @@ block length, and the streamed write that ``cli.run`` makes of them.
 
 import errno
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ def test_rounding_ties():
                   314159265358, 999999999998, 999999999999])
     ties = ((k[:, None] + 0.5) * 10.0 ** e[None, :]).ravel()
     assert_rows_match(with_neighbours(np.concatenate([ties, -ties])), 3)
+    # doubles whose exact 12-digit scaled mantissa lies 2.5e-4 to 5e-4 from a
+    # half-integer: at the edge of the writer's tie band, past the 2.3e-4
+    # that its scaling can round by
+    k = k[k >= 10**11]
+    shift = np.concatenate([np.arange(20, 61), -np.arange(20, 61)]) * 1e-5
+    candidates = (((k[:, None] + 0.5 + shift).ravel())[:, None] * 10.0 ** (e - 11)).ravel()
+    near = []
+    for v in candidates.tolist():
+        exact = Decimal(v).scaleb(11 - Decimal(v).adjusted())
+        if Decimal("2.5e-4") <= abs(exact % 1 - Decimal("0.5")) <= Decimal("5e-4"):
+            near.append(v)
+    assert len(near) > 1000
+    assert_rows_match(with_neighbours(np.concatenate([near, np.negative(near)])), 3)
 
 
 def test_mantissa_rollover():

@@ -259,6 +259,82 @@ def test_hyp2f1_cancellation_bound_covers_rounding(x, y):
         assert abs(df - ref_dz) <= eps * res.dz_bound * abs(ref_dz)
 
 
+# mode-function sets (1 - ix, -ix; 1 + iy) from x = 0.05 to 13, each on
+# points of both branches
+ACCURACY_SETS = [(0.05, 0.5), (0.3, 1.0), (1.0, 0.7), (2.5, 3.0), (5.0, 2.0), (8.0, 7.5),
+                 (13.0, 10.0)]
+ACCURACY_Z = np.array([0.01, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99])
+
+
+@pytest.mark.parametrize("x, y", ACCURACY_SETS)
+def test_hyp2f1_value_and_dz_accuracy(x, y):
+    # on z <= 1/2 the series is summed until every later term of F, and of
+    # dF/dz, is below 1e-17, so what is left is rounding: 4 eps times the
+    # pair's bound covers both.  A stop rule on F's terms alone left dF/dz
+    # 61 eps dz_bound off at x = 0.05, z = 1/2.  On z > 1/2 the log-Gamma
+    # prefactors add rounding that the bound does not count; there the
+    # kernel keeps its 12 significant digits
+    a, b, c = 1 - 1j * x, -1j * x, 1 + 1j * y
+    eps = np.finfo(float).eps
+    mp.mp.dps = 40
+    try:
+        for zi in ACCURACY_Z:
+            res = specfun.hyp2f1_ex(a, b, c, np.array([zi]))
+            zm = mp.mpf(float(zi))
+            ref = complex(mp.hyp2f1(a, b, c, zm))
+            ref_dz = complex(a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, zm))
+            tol, dz_tol = ((4 * eps * res.bound, 4 * eps * res.dz_bound) if zi <= 0.5
+                           else (specfun._DIGITS_TOL, specfun._DIGITS_TOL))
+            assert abs(res.value[0] - ref) <= tol * abs(ref), zi
+            assert abs(res.dz[0] - ref_dz) <= dz_tol * abs(ref_dz), zi
+    finally:
+        mp.mp.dps = 50
+
+
+PROBES = np.array([0.013, 0.2, 0.37, 0.49])
+
+
+@pytest.mark.parametrize("others", [
+    np.linspace(0.001, 0.3, 40),  # shorter series only
+    np.linspace(0.02, 0.5, 40),  # up to z = 1/2
+    np.linspace(0.02, 0.98, 40),  # across to z > 1/2
+    np.linspace(0.001, 0.5, 9000),  # 9,004 pairs: two chunks
+])
+def test_hyp2f1_pair_length_is_its_own(monkeypatch, others):
+    # a pair's length, and so its value, dz and bounds, comes from its own
+    # set and z: not from the call's other points, nor from its chunk
+    a, b, c = 1 - 2.5j, -2.5j, 1 + 3j
+    alone = [specfun.hyp2f1_ex(a, b, c, np.array([p])) for p in PROBES]
+    rest = specfun.hyp2f1_ex(a, b, c, others)
+    sizes = chunk_sizes(monkeypatch)
+    res = specfun.hyp2f1_ex(a, b, c, np.concatenate([others, PROBES]))
+    assert len(sizes) == (2 if others.size + PROBES.size > specfun._CHUNK_PAIRS else 1)
+    for k, one in enumerate(alone):
+        assert res.value[others.size + k].tobytes() == one.value.tobytes()
+        assert res.dz[others.size + k].tobytes() == one.dz.tobytes()
+    assert res.terms == rest.terms + sum(one.terms for one in alone)
+    assert res.bound == max(rest.bound, *(one.bound for one in alone))
+    assert res.dz_bound == max(rest.dz_bound, *(one.dz_bound for one in alone))
+
+
+def test_hyp2f1_work_on_the_default_fig3_grid(monkeypatch, tmp_path):
+    # the series lengths of the default fig3 call (2,000 points) stay within
+    # 1.25 times those of the stop rule on F's terms alone (51,562): a loose
+    # tail bound would add work without adding digits
+    from qtunnel.cli import main
+    calls = []
+    kernel = specfun.hyp2f1_ex
+
+    def counting(*args, **kwargs):
+        calls.append(kernel(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(specfun, "hyp2f1_ex", counting)
+    assert main(["fig3", "--out", str(tmp_path / "fig3.csv")]) == 0
+    assert len(calls) == 1
+    assert calls[0].terms <= 1.25 * 51562
+
+
 def test_hyp2f1_one_loop_equals_each_branch_alone():
     # the z <= 1/2 and z > 1/2 points of a call share one series loop; each
     # point keeps the bits it has in a call on its own branch's points
@@ -287,8 +363,9 @@ def test_hyp2f1_convergence_error_names_the_callers_set():
 
 
 def test_hyp2f1_overflowing_terms_raise_early():
-    # the z = 0.1 terms are inf+nanj from order 92 on; sum|t_n| is checked
-    # every 64 orders, so the call stops long before the 10,000-term limit
+    # the series' coefficients overflow a double before the z = 0.1 terms
+    # fall off; the coefficient build stops there, long before the
+    # 10,000-term limit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError,
@@ -304,9 +381,9 @@ def chunk_sizes(monkeypatch):
     sizes = []
     sum_chunk = specfun._sum_chunk
 
-    def recording(params, counts, zs, *rest):
-        sizes.append(zs.size)
-        return sum_chunk(params, counts, zs, *rest)
+    def recording(table, sid, u, *rest):
+        sizes.append(u.size)
+        return sum_chunk(table, sid, u, *rest)
 
     monkeypatch.setattr(specfun, "_sum_chunk", recording)
     return sizes
