@@ -221,27 +221,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", help="output CSV path (else the config's out key)")
-    for key in cfgmod.KNOWN_KEYS:
-        if key in ("scenario", "out"):
-            continue
-        flag = "--" + key.replace("_", "-")
-        if key in cfgmod._INT_KEYS:
-            parser.add_argument(flag, type=int, dest=key)
-        elif key in cfgmod._FLOAT_KEYS:
-            parser.add_argument(flag, type=float, dest=key)
-        else:
-            parser.add_argument(flag, dest=key)
+    for key, kind in cfgmod.KEY_TYPES.items():
+        if key not in ("scenario", "out"):
+            parser.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     validate = args.scenario == "validate"
-    overrides = {
-        key: getattr(args, key)
-        for key in cfgmod.KNOWN_KEYS
-        if key not in ("scenario", "out") and getattr(args, key, None) is not None
-    }
+    # build_config drops the flags left unset (None)
+    overrides = {key: getattr(args, key) for key in cfgmod.KEY_TYPES
+                 if key not in ("scenario", "out")}
     try:
         if validate and not args.config:
             raise ConfigError("validate requires --config")

@@ -34,14 +34,14 @@ SCENARIOS = (
     "sweep",
 )
 
-# keys a config file or the CLI may set, with their parsers
-_FLOAT_KEYS = (
-    "E", "V0", "a", "hbar", "M", "m", "omega0", "c",
-    "x_min", "x_max", "t_min", "t_max", "rho",
-)
-_INT_KEYS = ("grid_points",)
-_STR_KEYS = ("scenario", "poly", "bracket", "modes", "sweep_key", "sweep_values", "out")
-KNOWN_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+# keys a config file or the CLI may set, with the type that parses their values
+KEY_TYPES = {
+    **dict.fromkeys(("E", "V0", "a", "hbar", "M", "m", "omega0", "c",
+                     "x_min", "x_max", "t_min", "t_max", "rho"), float),
+    "grid_points": int,
+    **dict.fromkeys(("scenario", "poly", "bracket", "modes", "sweep_key", "sweep_values",
+                     "out"), str),
+}
 
 _BASE_DEFAULTS = {
     "E": 2.0, "V0": 4.0, "a": 1.0, "hbar": 1.0, "M": 1.0,
@@ -121,15 +121,9 @@ class RunConfig:
         if spec:
             out = []
             for i, part in enumerate(str(spec).split(";")):
-                fields = part.split(":")
-                if len(fields) != 3:
-                    raise ConfigError(
-                        f"modes entry {i + 1} must be m:omega0:c, got {part!r}"
-                    )
-                try:
-                    m, om0, c = (float(v) for v in fields)
-                except ValueError as exc:
-                    raise ConfigError(f"modes entry {i + 1}: {exc}") from exc
+                if part.count(":") != 2:
+                    raise ConfigError(f"modes entry {i + 1} must be m:omega0:c, got {part!r}")
+                m, om0, c = _numbers(part, ":", f"modes entry {i + 1}")
                 out.append(EnvMode(mass_m=m, omega0=om0, coupling_c=c))
             return out
         return [
@@ -141,12 +135,7 @@ class RunConfig:
         ]
 
     def polynomial(self) -> list[float]:
-        try:
-            coeffs = [float(v) for v in str(self.values["poly"]).split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"poly must be comma-separated numbers: {exc}") from exc
-        if not coeffs:
-            raise ConfigError("poly needs at least one coefficient")
+        coeffs = _numbers(self.values["poly"], ",", "poly must be comma-separated numbers")
         if not all(math.isfinite(ci) for ci in coeffs):
             raise ConfigError(f"poly coefficients must be finite, got {coeffs}")
         return coeffs
@@ -165,10 +154,10 @@ class RunConfig:
         return SmoothPotential(value, derivative)
 
     def bracket(self) -> tuple[float, float]:
-        try:
-            lo, hi = (float(v) for v in str(self.values["bracket"]).split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bracket must be 'lo,hi': {exc}") from exc
+        ends = _numbers(self.values["bracket"], ",", "bracket must be 'lo,hi'")
+        if len(ends) != 2:
+            raise ConfigError(f"bracket must be 'lo,hi', got {self.values['bracket']!r}")
+        lo, hi = ends
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError(f"bracket must be finite with lo < hi, got {lo},{hi}")
         return lo, hi
@@ -177,13 +166,8 @@ class RunConfig:
         key = str(self.values["sweep_key"])
         if key not in ("a", "V0", "E"):
             raise ConfigError(f"sweep_key must be one of a, V0, E; got {key!r}")
-        try:
-            vals = [float(v) for v in str(self.values["sweep_values"]).split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"sweep_values must be comma-separated numbers: {exc}") from exc
-        if not vals:
-            raise ConfigError("sweep_values must not be empty")
-        return key, vals
+        return key, _numbers(self.values["sweep_values"], ",",
+                             "sweep_values must be comma-separated numbers")
 
     def canonical(self) -> str:
         """Deterministic one-line serialization of the effective values."""
@@ -197,6 +181,15 @@ class RunConfig:
             else:
                 parts.append(f"{key}={val}")
         return " ".join(parts)
+
+
+def _numbers(text, sep: str, what: str) -> list[float]:
+    """The fields of ``str(text)`` split at ``sep``, as floats; an empty field
+    fails.  ConfigError "<what>: <reason>" names the first that is no number."""
+    try:
+        return [float(v) for v in str(text).split(sep)]
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> dict:
@@ -213,7 +206,7 @@ def parse_config_text(text: str) -> dict:
             )
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEY_TYPES:
             col = raw.index(key) + 1 if key and key in raw else 1
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}", line=lineno, column=col
@@ -224,11 +217,7 @@ def parse_config_text(text: str) -> dict:
 
 def _convert(key: str, value: str, lineno: int, raw: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-        return value
+        return KEY_TYPES[key](value)
     except ValueError:
         col = raw.index(value) + 1 if value and value in raw else 1
         raise ConfigError(

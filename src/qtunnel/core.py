@@ -17,6 +17,11 @@ import numpy as np
 
 from .errors import AboveBarrierError, DomainError
 
+# rounding error (a cancellation bound times the double epsilon) that every
+# kernel allows relative to a value: one unit of the 12th printed digit
+DIGITS_TOL = 1e-11
+LOG_DOUBLE_MAX = math.log(np.finfo(float).max)  # e^x is a finite double up to here
+
 
 def _require_positive(**values: float) -> None:
     """DomainError unless every value is finite and positive (NaN fails too)."""

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (PhysicalParams, RectBarrier, cumulative_simpson, derivative_5pt,
-                   gauss_legendre, wave_numbers)
+from .core import (LOG_DOUBLE_MAX, PhysicalParams, RectBarrier, cumulative_simpson,
+                   derivative_5pt, gauss_legendre, wave_numbers)
 from .errors import DomainError, NodeSingularityError, PrecisionError
 
 _REGION_I, _REGION_II, _REGION_III = 0, 1, 2
-# |A|^2, cosh^2(beta a) and sinh(2 beta a) all grow like e^(2 beta a)
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,12 @@ class ExactTrajectory:
 
 
 def check_thickness(beta: float, width_a: float) -> None:
-    """PrecisionError when 2 beta a takes e^(2 beta a) beyond double range."""
-    if 2.0 * beta * width_a > _LOG_DOUBLE_MAX:
+    """PrecisionError when 2 beta a takes e^(2 beta a) beyond double range:
+    |A|^2, cosh^2(beta a) and sinh(2 beta a) all grow like it."""
+    if 2.0 * beta * width_a > LOG_DOUBLE_MAX:
         raise PrecisionError(
             f"barrier too thick: 2 beta a = {2.0 * beta * width_a:.6g} puts e^(2 beta a) "
-            f"beyond double range (e^{_LOG_DOUBLE_MAX:.6g})"
+            f"beyond double range (e^{LOG_DOUBLE_MAX:.6g})"
         )
 
 
@@ -161,58 +159,49 @@ def _check_solution(sol: RectSolution) -> None:
         in_balance = flux_defect <= 1e-12 * abs(sol.A) ** 2
     if not in_balance:
         raise PrecisionError(f"flux conservation violated by {flux_defect:.3e}")
-    a = sol.barrier.width_a
-    for x in (0.0, a):
-        left = _phi_region(sol, x, _REGION_I if x == 0.0 else _REGION_II)
-        right = _phi_region(sol, x, _REGION_II if x == 0.0 else _REGION_III)
-        dleft = _dphi_region(sol, x, _REGION_I if x == 0.0 else _REGION_II)
-        dright = _dphi_region(sol, x, _REGION_II if x == 0.0 else _REGION_III)
+    for x, region in ((0.0, _REGION_I), (sol.barrier.width_a, _REGION_II)):
+        left, dleft = _region_wave(sol, x, region)
+        right, dright = _region_wave(sol, x, region + 1)
         if abs(left - right) > 1e-10 * abs(left):
             raise PrecisionError(f"wavefunction discontinuous at x = {x}")
         if abs(dleft - dright) > 1e-10 * abs(dleft):
             raise PrecisionError(f"wavefunction slope discontinuous at x = {x}")
 
 
-def _phi_region(sol: RectSolution, x, region: int):
+def _region_wave(sol: RectSolution, x, region: int):
+    """phi and phi' at points x that all lie in ``region``."""
     x = np.asarray(x, dtype=float)
     if region == _REGION_I:
-        return sol.A * np.exp(1j * sol.k * x) + sol.B * np.exp(-1j * sol.k * x)
+        e, e_back = np.exp(1j * sol.k * x), np.exp(-1j * sol.k * x)
+        return sol.A * e + sol.B * e_back, 1j * sol.k * (sol.A * e - sol.B * e_back)
     if region == _REGION_II:
-        return sol.F * np.exp(-sol.beta * x) + sol.G * np.exp(sol.beta * x)
-    return sol.C * np.exp(1j * sol.k * x)
+        e_down, e_up = np.exp(-sol.beta * x), np.exp(sol.beta * x)
+        return sol.F * e_down + sol.G * e_up, sol.beta * (-sol.F * e_down + sol.G * e_up)
+    e = np.exp(1j * sol.k * x)
+    return sol.C * e, 1j * sol.k * sol.C * e
 
 
-def _dphi_region(sol: RectSolution, x, region: int):
-    x = np.asarray(x, dtype=float)
-    if region == _REGION_I:
-        return 1j * sol.k * (sol.A * np.exp(1j * sol.k * x) - sol.B * np.exp(-1j * sol.k * x))
-    if region == _REGION_II:
-        return sol.beta * (-sol.F * np.exp(-sol.beta * x) + sol.G * np.exp(sol.beta * x))
-    return 1j * sol.k * sol.C * np.exp(1j * sol.k * x)
-
-
-def _piecewise(sol: RectSolution, x, region_form):
-    """Evaluate ``region_form`` (``_phi_region`` or ``_dphi_region``) on the
-    region each x falls in; scalar or array."""
+def _piecewise(sol: RectSolution, x):
+    """phi and phi' on the region each x falls in; scalar or array."""
     x = np.asarray(x, dtype=float)
     regions = np.where(x < 0.0, _REGION_I,
                        np.where(x <= sol.barrier.width_a, _REGION_II, _REGION_III))
-    out = np.empty(x.shape, dtype=complex)
+    out = np.empty((2,) + x.shape, dtype=complex)
     for region in (_REGION_I, _REGION_II, _REGION_III):
         mask = regions == region
         if np.any(mask):
-            out[mask] = region_form(sol, x[mask], region)
-    return out if out.shape else complex(out)
+            out[:, mask] = _region_wave(sol, x[mask], region)
+    return (out[0], out[1]) if x.shape else (complex(out[0]), complex(out[1]))
 
 
 def wavefunction(sol: RectSolution, x):
     """Stationary wavefunction at x, scalar or array."""
-    return _piecewise(sol, x, _phi_region)
+    return _piecewise(sol, x)[0]
 
 
 def wavefunction_dx(sol: RectSolution, x):
     """Spatial derivative of the wavefunction at x."""
-    return _piecewise(sol, x, _dphi_region)
+    return _piecewise(sol, x)[1]
 
 
 def amplitude(sol: RectSolution, x):
@@ -279,8 +268,7 @@ def quantum_potential(r: np.ndarray, dx: float, params: PhysicalParams,
 
 def probability_current(sol: RectSolution, x):
     """Probability density R^2 and flux W' R^2 / M of the stationary state."""
-    phi = wavefunction(sol, x)
-    dphi = wavefunction_dx(sol, x)
+    phi, dphi = _piecewise(sol, x)
     density = np.abs(phi) ** 2
     flux = sol.params.hbar * np.imag(np.conj(phi) * dphi) / sol.params.mass_M
     return density, flux
@@ -301,8 +289,7 @@ def potential_profile(sol: RectSolution, xs: np.ndarray) -> PotentialProfile:
     v = np.where(inside, sol.barrier.height_V0, 0.0)
     v_tot = np.empty_like(xs)
     v_tot[inside] = total_potential_region2(sol, xs[inside])
-    phi = wavefunction(sol, xs[~inside])
-    dphi = wavefunction_dx(sol, xs[~inside])
+    phi, dphi = _piecewise(sol, xs[~inside])
     # exact curvature: phi'' = -k^2 phi outside the barrier
     d2phi = -sol.k**2 * phi
     # |phi|^2 ~ |A|^2 may overflow near the double-range edge: V_Q turns

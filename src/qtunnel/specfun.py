@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import DIGITS_TOL
 from .errors import ConvergenceError, DomainError, PrecisionError
 
 _MAX_TERMS = 10_000
@@ -42,9 +43,6 @@ _TAIL = 1e-17
 _CHUNK_PAIRS = 8192
 # orders per step of the coefficient build
 _ORDERS = 64
-# rounding error (bound times epsilon) allowed relative to a value: one unit
-# of the 12th significant digit when the leading digit is 1
-_DIGITS_TOL = 1e-11
 # |c-a-b| distance from an integer below which the z->1-z transformation is
 # ill-conditioned and the perturb-and-average fallback is used instead.
 _DEGENERATE_TOL = 1e-6
@@ -186,14 +184,16 @@ def _thresholds(d: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.exp2(np.minimum.accumulate(on[:, ::-1], axis=1)[:, ::-1])
 
 
-def _gauss_series(series: list, outs: tuple, name) -> int:
+def _gauss_series(series: list, outs: tuple) -> int:
     """Direct Gauss series and its z-derivative, for every entry of ``series``.
 
-    An entry is ((a, b, c), x, at): the parameters, c off the poles; the
-    points x in (0, 1/2] to sum at; and, for each point, its flat index
-    into the four arrays ``outs``, which receive F, dF/dz, sum|t_n| and
-    sum|dt_n/dz|.  Each (series, point) pair's length N is fixed before any
-    sum from its own set and x alone (``_coefficients``, ``_thresholds``).
+    An entry is ((a, b, c), x, at, caller, zs): the parameters, c off the
+    poles; the points x in (0, 1/2] to sum at; for each point, its flat
+    index into the four arrays ``outs``, which receive F, dF/dz, sum|t_n|
+    and sum|dt_n/dz|; and, for error texts only, the caller's set and each
+    point's z (for a w-series, the set it transforms and z = 1 - x).  Each
+    (series, point) pair's length N is fixed before any sum from its own
+    set and x alone (``_coefficients``, ``_thresholds``).
     The pairs are then sorted longest first and summed by Horner's rule in
     equal chunks of at most _CHUNK_PAIRS pairs (``_sum_chunk``), in u = x / h
     with the scaled coefficients; since h is a power of two, the sums have
@@ -201,25 +201,25 @@ def _gauss_series(series: list, outs: tuple, name) -> int:
     neither the call's other points nor the chunks change a bit of its
     results.  A series whose coefficients overflow, or whose tail is not
     bounded within _MAX_TERMS orders, raises ``ConvergenceError`` naming
-    ``name(i)`` for the flat index i of its first point with the longest
-    series on the coefficients built.  Returns the series length summed
-    over the pairs.
+    its caller's set and the z of its first point with the longest series
+    on the coefficients built.  Returns the series length summed over the
+    pairs.
     """
-    d, scales, failed = _coefficients([p for p, _, _ in series],
-                                      np.array([x.max() for _, x, _ in series]))
+    d, scales, failed = _coefficients([p for p, *_ in series],
+                                      np.array([x.max() for _, x, *_ in series]))
     thresholds = _thresholds(d, scales)
-    lengths = [np.searchsorted(t, x).astype(np.int16) for t, (_, x, _) in zip(thresholds, series)]
-    for (_, _, at), n, fail in zip(series, lengths, failed):
+    lengths = [np.searchsorted(t, x).astype(np.int16) for t, (_, x, *_) in zip(thresholds, series)]
+    for (*_, caller, zs), n, fail in zip(series, lengths, failed):
         if fail:
-            i = name(at[np.argmax(n)])
+            i = f"(a, b, c) = {caller}, z = {zs[np.argmax(n)]}"
             raise ConvergenceError(f"2F1 series terms overflow a double at {i}" if fail == 1
                                    else f"2F1 series did not converge in {_MAX_TERMS} terms at {i}")
     # orders x (Re, Im, abs) x series
     table = np.stack([d.real, d.imag, np.abs(d)]).transpose(2, 0, 1).copy()
-    ends = np.cumsum([x.size for _, x, _ in series])
+    ends = np.cumsum([x.size for _, x, *_ in series])
     lengths = np.concatenate(lengths)
-    u = np.concatenate([x / h for (_, x, _), h in zip(series, scales)])
-    idx = np.concatenate([at for _, _, at in series])
+    u = np.concatenate([x / h for (_, x, *_), h in zip(series, scales)])
+    idx = np.concatenate([at for _, _, at, *_ in series])
     order = np.argsort(-lengths, kind="stable")
     chunks = -(-u.size // _CHUNK_PAIRS)
     edges = [k * u.size // chunks for k in range(chunks + 1)]
@@ -339,25 +339,16 @@ def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
     out = value, deriv, size, dsize
     # one _gauss_series call: the direct series of the live sets on z <= 1/2
     # and every w-series on z > 1/2
-    series = [(sets[i], z[near], i * z.size + near) for i in live if near.size]
-    series += [(p, w[far], cut + j * far.size + np.arange(far.size))
-               for j, (_, _, p, _) in enumerate(plan)]
-
-    def name(k):
-        if k < cut:
-            i, j = divmod(int(k), z.size)
-        else:
-            r, m = divmod(int(k) - cut, far.size)
-            i, j = copies[plan[r][0]], far[m]
-        return f"(a, b, c) = {sets[i]}, z = {z[j]}"
-
-    terms = _gauss_series(series, out, name) if series else 0
+    zn, zf, wf = z[near], z[far], w[far]
+    series = [(sets[i], zn, i * z.size + near, sets[i], zn) for i in live if near.size]
+    series += [(p, wf, cut + j * far.size + np.arange(far.size), sets[copies[r]], zf)
+               for j, (r, _, p, _) in enumerate(plan)]
+    terms = _gauss_series(series, out) if series else 0
     w_rows = [o[cut:].reshape(len(plan), far.size) for o in out]
     value, deriv, size, dsize = (o[:cut].reshape(len(sets), z.size) for o in out)
     if plan:
         # only exp() of the log-Gamma sums is used, so the branch does not matter
         lg = log_gamma([args for *_, args in plan])
-        wf = w[far]
         acc = np.zeros((4, len(copies), far.size), dtype=complex)
         # an overflowing prefactor makes F non-finite, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -388,7 +379,7 @@ def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
         bounds[:, degraded[:, None] & (z > 0.5)] = 1.0
     # dF/dz = 0 exactly where a or b is 0: fmax skips the NaN of 0/0
     bound, dz_bound = np.fmax.reduce(bounds, axis=(1, 2), initial=1.0).tolist()
-    if max(bound, dz_bound) * np.finfo(float).eps > _DIGITS_TOL:
+    if max(bound, dz_bound) * np.finfo(float).eps > DIGITS_TOL:
         k, i, j = np.unravel_index(np.nanargmax(bounds), bounds.shape)
         raise PrecisionError(f"2F1 series cancels: sum |t_n| is {bounds[k, i, j]:.3g} times "
                              f"|{('F', 'dF/dz')[k]}| at (a, b, c) = {sets[i]}, z = {z[j]}; "

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, SmoothPotential, cumulative_simpson, gauss_legendre
+from .core import (DIGITS_TOL, LOG_DOUBLE_MAX, PhysicalParams, SmoothPotential, cumulative_simpson,
+                   gauss_legendre)
 from .errors import (
     DegenerateTurningPointError,
     DomainError,
@@ -37,8 +38,7 @@ from .errors import (
     ThinBarrierError,
     TurningPointTopologyError,
 )
-from .rect import _LOG_DOUBLE_MAX, quantum_potential
-from .specfun import _DIGITS_TOL
+from .rect import quantum_potential
 
 # the Airy series stops once its last term is below this share of the first
 _REL_EPS = 1e-16
@@ -197,7 +197,7 @@ def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     their derivatives (DLMF 9.4.1-9.4.2) run in powers of z^3 until the last
     term at the largest |z| is below _REL_EPS of the first.  Below z = -2 the
     series cancel: the same series at |z| sum the |terms|, and where that
-    sum times the double epsilon passes _DIGITS_TOL of max(|Ai|, |Bi|) (or
+    sum times the double epsilon passes DIGITS_TOL of max(|Ai|, |Bi|) (or
     of max(|Ai'|, |Bi'|); neither pair has a common zero), PrecisionError is
     raised.  On [-2, 0) the ratio stays below 10 (Bi(2)/0.34).  For z >= 2,
     where c1 f - c2 g cancels, Ai is e^(-zeta)/pi int_0^inf exp(-sqrt(z) t^2)
@@ -230,7 +230,7 @@ def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     # times Ai's) to max(|Ai|, |Bi|) and to max(|Ai'|, |Bi'|)
     ratio = np.max(math.sqrt(3.0) * (c1f[:, n:] + c2g[:, n:]) / np.maximum(
         np.abs([ai[low], aip[low]]), np.abs([bi[low], bip[low]])), axis=0)
-    bad = ~(ratio <= _DIGITS_TOL / np.finfo(float).eps)
+    bad = ~(ratio <= DIGITS_TOL / np.finfo(float).eps)
     if bad.any():
         i = int(np.argmax(bad))
         raise PrecisionError(f"Airy series cancel at z = {z[low][i]:.6g}: the sum of |terms| "
@@ -346,7 +346,7 @@ def wkb_total_potential(
     tail_r = tail(q_of, a, xs[i_r0])
     cum_ii = cumulative_simpson(q_ii, h)
     theta = tail_l + cum_ii[-1] + tail_r
-    if 2.0 * theta > _LOG_DOUBLE_MAX:  # |phi|^2 grows like e^(2 theta)
+    if 2.0 * theta > LOG_DOUBLE_MAX:  # |phi|^2 grows like e^(2 theta)
         raise PrecisionError(f"barrier action {theta:.6g}: e^(2 theta) leaves double range")
 
     # oscillatory phases outside the barrier

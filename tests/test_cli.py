@@ -460,19 +460,71 @@ def test_sweep_base_value_of_swept_key_is_unused(tmp_path, capsys, lines):
     ["mode-evolve", "--rho", "-1"],
     ["mode-evolve", "--t-min", "5", "--t-max", "-5"],
     ["mode-evolve", "--t-min", "0", "--t-max", "0"],
+    ["fig3", "--grid-points", "15"],
+    ["backreaction", "--modes", "1:1"],
+    ["backreaction", "--modes", "1:x:0.1"],
+    ["fig2", "--poly", "1,x"],
+    ["wkb", "--bracket", "0.5"],
+    ["sweep", "--sweep-key", "M"],
+    ["sweep", "--sweep-values", "1,,2"],
 ])
 def test_bad_smooth_barrier_and_time_inputs_are_config_errors(tmp_path, capsys, flags):
     out = tmp_path / "bad.csv"
     assert main([*flags, "--out", str(out)]) == 2
     assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
     # validate catches the same value in a config file
     cfg = tmp_path / "bad.cfg"
     pairs = zip(flags[1::2], flags[2::2])
     cfg.write_text(f"scenario = {flags[0]}\n" + "".join(
         f"{key[2:].replace('-', '_')} = {value}\n" for key, value in pairs))
-    capsys.readouterr()
     assert main(["validate", "--config", str(cfg)]) == 2
-    assert "invariant violation" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [err[0], "1 invariant violation"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("scenario = bogus\n", "unknown scenario 'bogus'; choose from "),
+    ("E = 2\n", "no scenario given"),
+    (None, "validate requires --config"),
+], ids=["unknown-scenario", "no-scenario", "no-config"])
+def test_validate_without_a_known_scenario_is_config_error(tmp_path, capsys, text, error):
+    argv = ["validate"]
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"config error: {error}")
+    assert lines[1] == "1 invariant violation"
+    assert len(list(tmp_path.iterdir())) == (text is not None)
+
+
+# Q1' of these profiles changes sign 6 times on every grid from 16 to 8,000
+# points, each change far from the next
+@pytest.mark.parametrize("flags, code", [
+    (["fig3", "--a", "10", "--omega0", "0.05"], 0),
+    (["fig3", "--a", "15", "--omega0", "0.2", "--c", "0.05"], 0),
+    (["backreaction", "--a", "15", "--omega0", "0.2", "--c", "0.05"], 0),
+    # 2 M a dV/(beta hbar^2) is ~6 on every grid: OutOfRegimeError
+    (["backreaction", "--a", "10", "--omega0", "0.05"], 3),
+])
+def test_resolved_q1_sign_changes_pass_at_16_points(tmp_path, capsys, flags, code):
+    out = tmp_path / "out.csv"
+    assert main([*flags, "--grid-points", "16", "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    assert "ResolutionError" not in capsys.readouterr().err
+
+
+def test_under_resolved_q1_is_resolution_error(tmp_path, capsys):
+    # 6 sign changes on neighbouring intervals at 40 points, 0 at 2,000
+    flags = ["fig3", "--a", "3", "--omega0", "0.02", "--c", "0.5", "--m", "0.1"]
+    out = tmp_path / "out.csv"
+    assert main([*flags, "--grid-points", "40", "--out", str(out)]) == 3
+    assert "ResolutionError" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*flags, "--grid-points", "2000", "--out", str(out)]) == 0
 
 
 def test_config_polynomial_array_equals_scalar_calls():

@@ -64,6 +64,7 @@ from qtunnel.rect import classical_trajectory, solve_rect
 
 assert main(["fig2", "--out", "fig2.csv"]) == 0
 assert main(["wkb", "--out", "wkb.csv"]) == 0
+assert "qtunnel.specfun" not in sys.modules  # no 2F1 kernel
 sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
 classical_trajectory(sol, mode="exact").traversal_time(0.0, 20.0)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qtunnel import specfun
+from qtunnel import core, specfun
 from qtunnel.errors import ConvergenceError, DomainError, PrecisionError
 
 mp.mp.dps = 50
@@ -150,6 +150,14 @@ def test_hyp2f1_convergence_error():
         specfun.hyp2f1(5000.0, 5000.0, 1.0, 0.5)
 
 
+def test_convergence_error_behind_degenerate_set_names_its_caller():
+    # set 0 is degenerate (c - a - b near 1): its two shifted copies put four
+    # w-series ahead of set 1's failing one on z > 1/2
+    with pytest.raises(ConvergenceError) as err:
+        specfun.hyp2f1_ex([0.7, 1e4], [0.3, 1e4], [2.0000003, 2.5], np.array([1e-9, 0.6]))
+    assert str(err.value).endswith("(a, b, c) = ((10000+0j), (10000+0j), (2.5+0j)), z = 0.6")
+
+
 # --- array z ----------------------------------------------------------------
 
 # crosses the z = 1/2 seam between the series and the transformed branch and
@@ -284,7 +292,7 @@ def test_hyp2f1_value_and_dz_accuracy(x, y):
             ref = complex(mp.hyp2f1(a, b, c, zm))
             ref_dz = complex(a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, zm))
             tol, dz_tol = ((4 * eps * res.bound, 4 * eps * res.dz_bound) if zi <= 0.5
-                           else (specfun._DIGITS_TOL, specfun._DIGITS_TOL))
+                           else (core.DIGITS_TOL, core.DIGITS_TOL))
             assert abs(res.value[0] - ref) <= tol * abs(ref), zi
             assert abs(res.dz[0] - ref_dz) <= dz_tol * abs(ref_dz), zi
     finally:
