@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_d
 _EDGE_TRIM = 1e-3  # trajectory-velocity trim: x in [eps*a, (2-eps)*a]
 
 
-@dataclass(frozen=True)
-class QFactors:
+class QFactors(NamedTuple):
     """Back-reaction factors sampled against trajectory position; ``q1`` and
     ``q2`` have one row per mode when the factors of several modes are taken."""
 
@@ -53,8 +52,7 @@ class QFactors:
     trimmed: bool
 
 
-@dataclass(frozen=True)
-class BackreactionProfile:
+class BackreactionProfile(NamedTuple):
     """Sampled back-reaction quantities over the barrier region."""
 
     xs: np.ndarray
@@ -67,8 +65,7 @@ class BackreactionProfile:
     delta_v_bar: float
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
+class SeriesCoefficients(NamedTuple):
     """Extrapolated leading series coefficients of Q1 and Q2 at the exit point."""
 
     c1: float
@@ -77,8 +74,7 @@ class SeriesCoefficients:
     c2_error: float
 
 
-@dataclass(frozen=True)
-class GaussianAverageResiduals:
+class GaussianAverageResiduals(NamedTuple):
     """Relative quadrature residuals of the Gaussian-averaging coefficients."""
 
     first_moment: float

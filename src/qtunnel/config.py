@@ -17,7 +17,6 @@ errors, which ``validate`` finds by running the scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
@@ -71,22 +70,18 @@ class ConfigError(Exception):
         self.column = column
 
 
-@dataclass
 class RunConfig:
     """Scenario plus every tunable the scenarios consume."""
 
-    scenario: str
-    values: dict = field(default_factory=dict)
+    __slots__ = ("scenario", "values")
 
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+    def __init__(self, scenario: str, values: dict | None = None):
+        if scenario not in SCENARIOS:
             raise ConfigError(
-                f"unknown scenario {self.scenario!r}; choose from {', '.join(SCENARIOS)}"
+                f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}"
             )
-        merged = dict(_BASE_DEFAULTS)
-        merged.update(_SCENARIO_DEFAULTS.get(self.scenario, {}))
-        merged.update(self.values)
-        self.values = merged
+        self.scenario = scenario
+        self.values = {**_BASE_DEFAULTS, **_SCENARIO_DEFAULTS.get(scenario, {}), **(values or {})}
         # grid values no runner checks itself
         for key in ("x_min", "x_max", "t_min", "t_max", "rho"):
             if self[key] is not None and not math.isfinite(float(self[key])):

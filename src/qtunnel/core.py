@@ -1,7 +1,8 @@
 """Physical parameter records, potential abstractions, and shared validation.
 
-All records are frozen dataclasses: immutable after construction and safe to
-share between threads.  Defaults follow the hbar = M = 1 unit convention used
+The records are small ``__slots__`` classes that check their values on
+construction; no code changes them afterwards, so they are safe to share
+between threads.  Defaults follow the hbar = M = 1 unit convention used
 throughout; every operation still takes the parameters explicitly so
 dimensional checks can vary them.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,27 +30,24 @@ def _require_positive(**values: float) -> None:
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
 class PhysicalParams:
     """System-particle parameters: the unit anchor of every formula."""
 
-    energy_E: float
-    hbar: float = 1.0
-    mass_M: float = 1.0
+    __slots__ = ("energy_E", "hbar", "mass_M")
 
-    def __post_init__(self):
-        _require_positive(hbar=self.hbar, mass_M=self.mass_M, energy_E=self.energy_E)
+    def __init__(self, energy_E: float, hbar: float = 1.0, mass_M: float = 1.0):
+        self.energy_E, self.hbar, self.mass_M = energy_E, hbar, mass_M
+        _require_positive(hbar=hbar, mass_M=mass_M, energy_E=energy_E)
 
 
-@dataclass(frozen=True)
 class RectBarrier:
     """Rectangular barrier of height V0 on 0 < x < a, zero elsewhere."""
 
-    height_V0: float
-    width_a: float
+    __slots__ = ("height_V0", "width_a")
 
-    def __post_init__(self):
-        _require_positive(height_V0=self.height_V0, width_a=self.width_a)
+    def __init__(self, height_V0: float, width_a: float):
+        self.height_V0, self.width_a = height_V0, width_a
+        _require_positive(height_V0=height_V0, width_a=width_a)
 
 
 class SmoothPotential:
@@ -73,7 +70,6 @@ class SmoothPotential:
         return self._derivative(x)
 
 
-@dataclass(frozen=True)
 class EnvMode:
     """One environment oscillator coupled to the system as c*x*y^2.
 
@@ -81,16 +77,14 @@ class EnvMode:
     trajectory; that is checked at evolution time, not here.
     """
 
-    mass_m: float
-    omega0: float
-    coupling_c: float
+    __slots__ = ("mass_m", "omega0", "coupling_c")
 
-    def __post_init__(self):
+    def __init__(self, mass_m: float, omega0: float, coupling_c: float):
+        self.mass_m, self.omega0, self.coupling_c = mass_m, omega0, coupling_c
         # omega0^2 enters every frequency; it must not leave double range
-        _require_positive(mass_m=self.mass_m, omega0=self.omega0,
-                          omega0_squared=self.omega0 * self.omega0)
-        if not math.isfinite(self.coupling_c):
-            raise DomainError(f"coupling_c must be finite, got {self.coupling_c}")
+        _require_positive(mass_m=mass_m, omega0=omega0, omega0_squared=omega0 * omega0)
+        if not math.isfinite(coupling_c):
+            raise DomainError(f"coupling_c must be finite, got {coupling_c}")
 
 
 # 5-point stencils over uniform samples, as coefficients of y[i-2..i+2] with

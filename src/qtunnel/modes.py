@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,24 +50,21 @@ _MAX_STEPS = 2**26  # coarse plus fine steps of one evolution
 _BLOCK_STEPS = 2**16  # steps held in memory at once
 
 
-@dataclass(frozen=True)
 class GaussianModeState:
     """Width/phase pair of one mode: wavefunction ~ exp[(-alpha^2 + i beta) y^2 / 2 hbar].
 
     Fields are scalars at one instant, or arrays over a time grid.
     """
 
-    alpha: float | np.ndarray
-    beta: float | np.ndarray
-    t: float | np.ndarray
+    __slots__ = ("alpha", "beta", "t")
 
-    def __post_init__(self):
-        if not np.all(np.asarray(self.alpha) > 0.0):
-            raise DomainError(f"alpha must be positive, got {np.min(self.alpha)}")
+    def __init__(self, alpha: float | np.ndarray, beta: float | np.ndarray, t: float | np.ndarray):
+        self.alpha, self.beta, self.t = alpha, beta, t
+        if not np.all(np.asarray(alpha) > 0.0):
+            raise DomainError(f"alpha must be positive, got {np.min(alpha)}")
 
 
-@dataclass(frozen=True)
-class ModeFunction:
+class ModeFunction(NamedTuple):
     """Complex mode function and its time derivative on a time grid.
 
     Fields are arrays of the grid's shape, or scalars at one instant; for

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,8 +24,7 @@ from .errors import DomainError, NodeSingularityError, PrecisionError
 _REGION_I, _REGION_II, _REGION_III = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class RectSolution:
+class RectSolution(NamedTuple):
     """Scattering coefficients and wave numbers of the rectangular barrier."""
 
     A: complex
@@ -42,8 +40,7 @@ class RectSolution:
     params: PhysicalParams
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
+class PotentialProfile(NamedTuple):
     """Sampled bare potential, total potential, and kinetic density E - V_tot."""
 
     xs: np.ndarray
@@ -59,8 +56,7 @@ class TransmissionProbability(NamedTuple):
     closed_form: float
 
 
-@dataclass(frozen=True)
-class TanhBackground:
+class TanhBackground(NamedTuple):
     """Tunneling trajectory approximated as x(t) = a (1 + tanh(rho t)).
 
     Ranges over (0, 2a), monotone increasing, with x(0) = a at the barrier
@@ -85,8 +81,7 @@ class TanhBackground:
         return np.arctanh(x / self.amplitude_a - 1.0) / self.rho
 
 
-@dataclass(frozen=True)
-class ExactTrajectory:
+class ExactTrajectory(NamedTuple):
     """Effective-classical trajectory x(t) through the barrier region.
 
     Sampled as t(x) = integral of 1/v from x(0) = a/2 by cumulative Simpson at

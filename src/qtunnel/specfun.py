@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,7 @@ def log_gamma(z) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Hyp2F1Result:
+class Hyp2F1Result(NamedTuple):
     """Value, z-derivative and diagnostics of a 2F1 evaluation.
 
     For one (a, b, c), ``value`` and ``dz`` have the shape of z; for 1-D

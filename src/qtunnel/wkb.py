@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ _AI0, _AIP0 = 0.355028053887817239260, 0.258819403792806798405
 _AIRY_SHIFTS = np.array([[[-1], [0], [-3], [-2]], [[0], [1], [-1], [0]]])
 
 
-@dataclass(frozen=True)
-class TurningPoints:
+class TurningPoints(NamedTuple):
     """Roots of V(x) = E bracketing one barrier, with the slopes there."""
 
     left_x0: float
@@ -64,8 +63,7 @@ class TurningPoints:
     slope_right: float
 
 
-@dataclass(frozen=True)
-class WkbProfile:
+class WkbProfile(NamedTuple):
     """Patched semiclassical amplitude, phase gradient, and total potential."""
 
     xs: np.ndarray
@@ -255,6 +253,14 @@ def _airy_window_basis(params: PhysicalParams, x_t: float, slope: float,
     return np.array([ai, bi]), s * np.array([aip, bip]), abs(s)
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit, NaN if any value
+    is NaN; it skips the numpy.ma import of np.median's first call."""
+    n = values.size
+    part = np.partition(values, [(n - 1) // 2, n // 2, -1])  # NaN sorts last
+    return math.nan if math.isnan(part[-1]) else float(part[(n - 1) // 2:n // 2 + 1].mean())
+
+
 def wkb_total_potential(
     potential: SmoothPotential,
     E: float,
@@ -435,7 +441,7 @@ def wkb_total_potential(
         v_tot[sl] = v_bare[sl] + vq[off:]
 
     flux = hbar * np.imag(np.conj(phi) * dphi) / M
-    flux_ref = float(np.median(flux))
+    flux_ref = _median(flux)
     flux_drift = (
         float(np.max(np.abs(flux - flux_ref)) / abs(flux_ref))
         if flux_ref != 0.0 else math.inf

@@ -17,7 +17,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every scenario and validate, with any import of scipy failing
+# every scenario and validate, with any import of scipy failing.  After each
+# run neither numpy.ma (np.median's first call) nor dataclasses is loaded,
+# and numpy.polynomial (Gauss-Legendre and Gauss-Hermite nodes) only after
+# fig2, wkb and the exact trajectory, so those run last
 RUNS_WITHOUT_SCIPY = """
 import sys
 
@@ -36,13 +39,27 @@ from qtunnel.config import SCENARIOS
 from qtunnel.core import PhysicalParams, RectBarrier
 from qtunnel.rect import classical_trajectory, solve_rect
 
-runs = [[scenario, "--out", scenario + ".csv"] for scenario in SCENARIOS]
-runs.append(["validate", "--config", "run.cfg"])
-codes = [main(argv) for argv in runs]
-assert codes == [0] * len(runs), codes
+
+def exact_trajectory():
+    sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
+    classical_trajectory(sol, mode="exact").traversal_time(0.0, 20.0)
+    return 0
+
+
+runs = [(s, lambda s=s: main([s, "--out", s + ".csv"]))
+        for s in SCENARIOS if s not in ("fig2", "wkb")]
+runs += [("validate", lambda: main(["validate", "--config", "run.cfg"])),
+         ("fig2", lambda: main(["fig2", "--out", "fig2.csv"])),
+         ("wkb", lambda: main(["wkb", "--out", "wkb.csv"])),
+         ("exact trajectory", exact_trajectory)]
+for name, run in runs:
+    assert run() == 0, name
+    unused = ["numpy.ma", "dataclasses"]
+    if name not in ("fig2", "wkb", "exact trajectory"):
+        unused.append("numpy.polynomial")
+    loaded = [module for module in unused if module in sys.modules]
+    assert not loaded, (name, loaded)
 gaussian_average_check([(1.0, 2.0), (0.8, -1.3)])
-sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
-classical_trajectory(sol, mode="exact").traversal_time(0.0, 20.0)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """

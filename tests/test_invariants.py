@@ -12,7 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtunnel import rect
 from qtunnel.cli import main
+from qtunnel.config import RunConfig
 
 
 def written_columns(argv: list[str]) -> dict:
@@ -77,3 +79,30 @@ def test_uncoupled_mode_has_no_back_reaction(E, gap, a, m, omega0):
         cols = written_columns([scenario, *flags])
         assert np.all(cols["Q1"] == 0.0) and np.all(cols["Q2"] == 0.0)
         assert np.array_equal(cols["V_eff"], cols["V"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario=st.sampled_from(["fig1a", "fig1b"]), E=st.floats(0.01, 10.0),
+       a=st.floats(0.05, 5.0), beta_a=st.floats(0.05, 300.0), M=st.floats(0.1, 10.0),
+       hbar=st.floats(0.1, 10.0))
+def test_total_potential_inside_rect_barrier(scenario, E, a, beta_a, M, hbar):
+    """Inside the barrier the written V_tot is the closed form of
+    ``rect.total_potential_region2`` (criterion 6) and E - V_tot >= 0.
+
+    Not > 0: deep in a thick barrier the kinetic density falls below the
+    rounding of E, and E - V_tot is exactly 0 (in doubles below ~1e-16 E;
+    in the 12 written digits already below ~5e-12 E).
+    """
+    V0 = E + (hbar * beta_a / a) ** 2 / (2.0 * M)
+    flags = {"E": E, "V0": V0, "a": a, "M": M, "hbar": hbar}
+    cols = written_columns([scenario, *(f"--{key}={val!r}" for key, val in flags.items())])
+    cfg = RunConfig(scenario, flags)
+    xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["grid_points"])  # the CLI's grid
+    assert np.allclose(cols["x"], xs, rtol=1e-11, atol=1e-11 * np.max(np.abs(xs)))
+    inside = cols["V"] > 0.0
+    assert inside.any()
+    sol = rect.solve_rect(cfg.physical_params(), cfg.rect_barrier())
+    v_tot = cols["V_tot"][inside]
+    closed = rect.total_potential_region2(sol, xs[inside])
+    assert np.all(np.abs(v_tot - closed) <= 1e-8 * np.maximum(np.abs(v_tot), 1.0))
+    assert np.all(cols["E"][inside] - v_tot >= 0.0)

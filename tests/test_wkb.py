@@ -172,6 +172,51 @@ def test_profile_matching_quality(quadratic_profile):
     assert quadratic_profile.flux_drift < 0.15
 
 
+def _seeded_quadratic_barriers(count: int, seed: int):
+    """(potential, E, bracket) of quadratic barriers top - kappa (x - xc)^2
+    narrow enough at energy E for the patch windows to fit."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        kappa, depth, xc, E = rng.uniform((7.0, 1.8, 0.4, 0.9), (9.0, 2.4, 0.6, 1.1))
+        half = math.sqrt(depth / kappa)
+        if 1.6 / (4.0 * kappa * half) ** (1.0 / 3.0) >= 1.5 * half:
+            continue
+        pot = SmoothPotential(lambda x, k=kappa, c=xc, t=E + depth: t - k * (x - c) ** 2,
+                              lambda x, k=kappa, c=xc: -2.0 * k * (x - c))
+        out.append((pot, E, (xc - half - 0.5, xc + half + 0.5)))
+    return out
+
+
+@pytest.mark.parametrize("case", range(22))
+def test_flux_drift_matches_numpy_median(case, monkeypatch):
+    """flux_drift keeps the bits of a drift about np.median(flux), on odd and
+    even grids of the default fig2 barrier and of 20 seeded quadratic ones."""
+    if case < 2:
+        pot, E, bracket = QUADRATIC, 1.0, (-0.5, 1.5)
+    else:
+        pot, E, bracket = _seeded_quadratic_barriers(20, seed=2024)[case - 2]
+    seen = []
+    median = wkb._median
+    monkeypatch.setattr(wkb, "_median", lambda flux: seen.append(flux) or median(flux))
+    tps = wkb.find_turning_points(pot, E, bracket)
+    prof = wkb.wkb_total_potential(pot, E, PhysicalParams(energy_E=E), turning_points=tps,
+                                   num_points=2000 + case % 2)
+    (flux,) = seen
+    ref = float(np.median(flux))
+    expected = float(np.max(np.abs(flux - ref)) / abs(ref))
+    assert prof.flux_drift.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("values", [[2.0, -1.0, 0.5], [4.0, -0.0, 0.0, 1e300, -3.0, 7.0],
+                                    [1.0, math.inf, -math.inf, 2.0]])
+def test_median_helper_matches_numpy(values):
+    values = np.array(values)
+    assert wkb._median(values).hex() == float(np.median(values)).hex()
+    values[1] = math.nan
+    assert math.isnan(wkb._median(values)) and math.isnan(np.median(values))
+
+
 def test_profile_flux_positive(quadratic_profile):
     prof = quadratic_profile
     flux = prof.w_prime * prof.r**2 / PARAMS_E1.mass_M
