@@ -97,7 +97,7 @@ def q_factors(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, mf: ModeFun
     trimmed = bool(np.any(~keep))
     if not np.any(keep):
         raise DomainError("trajectory entirely outside the usable window")
-    dln = np.atleast_1d(mf.log_derivative())[..., keep]
+    dln = np.atleast_1d(mf.dln)[..., keep]
     d2ln = np.atleast_1d(log_derivative_2(mode, bg, mf))[..., keep]
     denom = bg.velocity(ts[keep]) * dln.imag
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -297,7 +297,7 @@ def rect_mode_backreaction(
     """
     if not modes:
         raise DomainError("need at least one environment mode")
-    bg = classical_trajectory(sol, mode="tanh")
+    bg = classical_trajectory(sol)
     a = sol.barrier.width_a
     xs = np.linspace(_EDGE_TRIM * a, a, num_points)
     ts = bg.time_at(xs)

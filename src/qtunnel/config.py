@@ -8,7 +8,7 @@ barrier at E = 1, everything else to the rectangular-barrier set E = 2,
 V0 = 4, a = 1, m = 1, omega0 = 1, c = 0.15 in hbar = M = 1 units).
 
 ``RunConfig`` rejects only the grid values no scenario checks itself
-(finite x and t ranges, t_min < t_max, rho > 0, at least 16 grid points).
+(finite x and t ranges, t_min < t_max, rho > 0, 16 to 2^22 grid points).
 Everything else is checked where it is used: the accessors raise
 ``ConfigError`` on values they cannot parse, and the physics raises its own
 errors, which ``validate`` finds by running the scenario.
@@ -52,6 +52,10 @@ _BASE_DEFAULTS = {
     "sweep_values": "1,2,3,4,5",
 }
 
+# 16x the largest grid measured (262,144 points, ~290 B a point at peak):
+# ~1.2 GB, so larger grids are refused before any array is allocated
+_MAX_GRID_POINTS = 2**22
+
 _SCENARIO_DEFAULTS = {
     "fig1a": {"x_min": -0.5, "x_max": 1.5},
     "fig1b": {"x_min": -6.0, "x_max": 3.0},
@@ -93,6 +97,9 @@ class RunConfig:
             raise ConfigError(f"t_min = {self['t_min']} must be below t_max = {self['t_max']}")
         if int(self["grid_points"]) < 16:
             raise ConfigError("grid_points must be at least 16")
+        if int(self["grid_points"]) > _MAX_GRID_POINTS:
+            raise ConfigError(f"grid_points must be at most 2^22 = {_MAX_GRID_POINTS}, "
+                              f"got {self['grid_points']}")
 
     def __getitem__(self, key: str):
         return self.values.get(key)

@@ -10,8 +10,8 @@ oscillator  xi'' + omega(t)^2 xi = 0.  Two independent routes give that
 solution:
 
 * ``evolve_gaussian`` steps y = (xi, xi') from any start state with
-  4th-order Magnus propagators, chained by a prefix product over the whole
-  time grid and checked by step doubling;
+  4th-order Magnus propagators, chained by a prefix product over the
+  caller's time grid and checked by step doubling;
 * ``xi_analytic`` evaluates the exact mode function in terms of the Gauss
   hypergeometric function, vacuum-matched at early times.
 
@@ -69,21 +69,13 @@ class ModeFunction(NamedTuple):
 
     Fields are arrays of the grid's shape, or scalars at one instant; for
     several modes, ``xi``, ``xi_dot`` and ``dln`` gain a leading mode axis.
-    ``dln`` is d ln xi/dt as the analytic route evaluates it; when it is
-    not given, ``log_derivative`` divides xi_dot by xi.
+    ``dln`` is d ln xi/dt as each route evaluates it.
     """
 
     xi: complex | np.ndarray
     xi_dot: complex | np.ndarray
     t: float | np.ndarray
-    dln: complex | np.ndarray | None = None
-
-    def log_derivative(self) -> complex | np.ndarray:
-        if self.dln is not None:
-            return self.dln
-        if np.any(np.asarray(self.xi) == 0):
-            raise DomainError("xi = 0: log-derivative undefined")
-        return self.xi_dot / self.xi
+    dln: complex | np.ndarray
 
     def wronskian(self) -> complex:
         return self.xi * self.xi_dot.conjugate() - self.xi.conjugate() * self.xi_dot
@@ -147,18 +139,15 @@ def evolve_gaussian(
     bg: TanhBackground,
     state0: GaussianModeState,
     t0: float,
-    t1: float,
-    t_eval=None,
+    ts,
     vacuum_start: bool = False,
 ) -> GaussianModeState:
     """Evolve (alpha, beta) from ``state0`` at t0 by 4th-order Magnus steps.
 
     The state is carried as the linear oscillator y = (xi, xi') from
     y(t0) = (1, (beta0 + i alpha0^2)/m) and read back through
-    d ln xi/dt = (beta + i alpha^2)/m.  Returns the state on the sample
-    grid, which is its ``t``: ``t_eval``, a strictly increasing grid inside
-    [t0, t1], or with ``t_eval=None`` the uniform grid from t0 to t1, both
-    included, whose spacing is at most one step of the step rule.  Each
+    d ln xi/dt = (beta + i alpha^2)/m.  Returns the state on ``ts``, a
+    strictly increasing grid with ts[0] >= t0, which is its ``t``.  Each
     interval between samples is split into equal steps (``magnus_steps``);
     the run is repeated at half that step, and the half-step result is
     returned when the two agree to 1e-7 in alpha^2 (relative) and in beta
@@ -170,23 +159,19 @@ def evolve_gaussian(
     t0 must then lie deep enough in the past that the background has not yet
     moved (|tanh(rho t0)| > 1 - 1e-8).
     """
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-        raise DomainError(f"need finite t0 < t1, got t0 = {t0}, t1 = {t1}")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise DomainError("ts must be a non-empty 1-D grid")
+    if not (math.isfinite(t0) and math.isfinite(ts[-1]) and t0 <= ts[0] and t0 < ts[-1]):
+        raise DomainError(f"need finite t0 <= ts[0] and t0 < ts[-1], got t0 = {t0}, "
+                          f"ts[0] = {ts[0]}, ts[-1] = {ts[-1]}")
+    if not np.all(np.diff(ts) > 0.0):
+        raise DomainError("ts must be strictly increasing")
     if vacuum_start and 1.0 + math.tanh(bg.rho * t0) > 1e-8:
         # 1 + tanh(u) <= 1e-8 requires u <= -0.5 ln(2e8) ~ -9.6
         raise DomainError(
             f"vacuum start needs rho*t0 <= -9.6, got {bg.rho * t0:.3g}"
         )
-    if t_eval is None:
-        ts = np.linspace(t0, t1, int(magnus_steps(mode, bg, [t0, t1])[0]) + 1)
-    else:
-        ts = np.asarray(t_eval, dtype=float)
-        if ts.ndim != 1 or ts.size == 0:
-            raise DomainError("t_eval must be a non-empty 1-D grid")
-        if not np.all((ts >= t0) & (ts <= t1)):
-            raise DomainError(f"t_eval must lie within [t0, t1] = [{t0}, {t1}]")
-        if np.any(np.diff(ts) <= 0.0):
-            raise DomainError("t_eval must be strictly increasing")
     edges = np.concatenate(([t0], ts))
     counts = magnus_steps(mode, bg, edges)
     spent = 3 * counts.sum()
@@ -260,7 +245,8 @@ def _magnus_mode_function(mode, bg, edges, counts, y1) -> ModeFunction:
         out[:, done] = [x[ends[done] - start] for x in m]
         total = [x[-1] for x in m]
     a, b, c, e = out
-    return ModeFunction(xi=a + b * y1, xi_dot=c + e * y1, t=edges[1:])
+    xi, xi_dot = a + b * y1, c + e * y1
+    return ModeFunction(xi=xi, xi_dot=xi_dot, t=edges[1:], dln=xi_dot / xi)
 
 
 def _prefix_products(m: list) -> None:
@@ -323,13 +309,12 @@ def log_derivative_2(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, mf: 
     """d^2 ln xi / dt^2 from the oscillator equation, avoiding second derivatives;
     a sequence of modes (``mf`` from ``xi_analytic`` on it) gives one row per mode."""
     om = omega_t(mode, bg, mf.t)
-    dln = mf.log_derivative()
-    return -(om * om) - dln * dln
+    return -(om * om) - mf.dln * mf.dln
 
 
 def state_from_xi(mode: EnvMode, mf: ModeFunction) -> GaussianModeState:
     """Map the mode function to (alpha, beta): d ln xi/dt = (beta + i alpha^2)/m."""
-    dln = mf.log_derivative()
+    dln = mf.dln
     a2 = mode.mass_m * np.imag(dln)
     bad = np.asarray(a2 <= 0.0)
     if bad.any():

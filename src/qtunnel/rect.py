@@ -2,9 +2,9 @@
 
 Stationary scattering state with unit transmitted amplitude (C = 1), plus the
 observables built on it: transmission probability, total potential in the
-barrier region, quantum potential from amplitude samples, probability current,
-rolling (traversal) time, and the classical trajectory of the effective
-classical system in exact and tanh-approximated form.
+barrier region, quantum potential from amplitude samples, rolling (traversal)
+time in closed form and by quadrature of 1/v, and the tanh-approximated
+trajectory of the effective classical particle.
 
 All operations are pure functions over the immutable solution record.
 """
@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (LOG_DOUBLE_MAX, PhysicalParams, RectBarrier, cumulative_simpson,
-                   derivative_5pt, gauss_legendre, wave_numbers)
+from .core import (LOG_DOUBLE_MAX, PhysicalParams, RectBarrier, derivative_5pt,
+                   gauss_legendre, wave_numbers)
 from .errors import DomainError, NodeSingularityError, PrecisionError
 
 _REGION_I, _REGION_II, _REGION_III = 0, 1, 2
@@ -79,33 +79,6 @@ class TanhBackground(NamedTuple):
         if np.any(x <= 0.0) or np.any(x >= 2.0 * self.amplitude_a):
             raise DomainError("tanh trajectory covers 0 < x < 2a only")
         return np.arctanh(x / self.amplitude_a - 1.0) / self.rho
-
-
-class ExactTrajectory(NamedTuple):
-    """Effective-classical trajectory x(t) through the barrier region.
-
-    Sampled as t(x) = integral of 1/v from x(0) = a/2 by cumulative Simpson at
-    spacing min(0.01/beta, a/200); ``traversal_time`` is Gauss-Legendre at 128
-    nodes, checked at 256.
-    """
-
-    ts: np.ndarray
-    xs: np.ndarray
-    sol: RectSolution
-
-    def position(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.ts, self.xs)
-
-    def traversal_time(self, x_from: float, x_to: float) -> float:
-        a = self.sol.barrier.width_a
-        if not (0.0 <= x_from < x_to <= a):
-            raise DomainError("traversal window must satisfy 0 <= x_from < x_to <= a")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf fails the check below
-            coarse, fine = (gauss_legendre(lambda x: _inverse_velocity(self.sol, x),
-                                           x_from, x_to, n) for n in (128, 256))
-        if not abs(coarse - fine) <= 1e-10 * fine:
-            raise PrecisionError(f"traversal-time rules disagree: {coarse!r} vs {fine!r}")
-        return fine
 
 
 def check_thickness(beta: float, width_a: float) -> None:
@@ -194,11 +167,6 @@ def wavefunction(sol: RectSolution, x):
     return _piecewise(sol, x)[0]
 
 
-def wavefunction_dx(sol: RectSolution, x):
-    """Spatial derivative of the wavefunction at x."""
-    return _piecewise(sol, x)[1]
-
-
 def amplitude(sol: RectSolution, x):
     """Polar amplitude R(x) = |phi(x)|."""
     return np.abs(wavefunction(sol, x))
@@ -261,14 +229,6 @@ def quantum_potential(r: np.ndarray, dx: float, params: PhysicalParams,
     return -(params.hbar**2 / (2.0 * params.mass_M)) * d2 / r
 
 
-def probability_current(sol: RectSolution, x):
-    """Probability density R^2 and flux W' R^2 / M of the stationary state."""
-    phi, dphi = _piecewise(sol, x)
-    density = np.abs(phi) ** 2
-    flux = sol.params.hbar * np.imag(np.conj(phi) * dphi) / sol.params.mass_M
-    return density, flux
-
-
 def potential_profile(sol: RectSolution, xs: np.ndarray) -> PotentialProfile:
     """V, V_tot, and E - V_tot on a grid spanning any of the three regions.
 
@@ -308,32 +268,26 @@ def rolling_time(sol: RectSolution) -> float:
     )
 
 
+def traversal_time(sol: RectSolution, x_from: float, x_to: float) -> float:
+    """Time to roll from x_from to x_to inside the barrier: the integral of 1/v
+    by Gauss-Legendre at 128 nodes, checked against 256 to 1e-10."""
+    if not (0.0 <= x_from < x_to <= sol.barrier.width_a):
+        raise DomainError("traversal window must satisfy 0 <= x_from < x_to <= a")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails the check below
+        coarse, fine = (gauss_legendre(lambda x: _inverse_velocity(sol, x), x_from, x_to, n)
+                        for n in (128, 256))
+    if not abs(coarse - fine) <= 1e-10 * fine:
+        raise PrecisionError(f"traversal-time rules disagree: {coarse!r} vs {fine!r}")
+    return fine
+
+
 def _inverse_velocity(sol: RectSolution, x: np.ndarray) -> np.ndarray:
     """1/v = M D/(2 hbar k beta^2), finite where E - V_tot = M v^2/2 underflows."""
     return sol.params.mass_M * _denominator(sol, x) / (2.0 * sol.params.hbar * sol.k * sol.beta**2)
 
 
-def classical_trajectory(sol: RectSolution, mode: str = "tanh"):
-    """Trajectory of the effective classical particle through the barrier.
-
-    ``tanh`` returns the a(1 + tanh(rho t)) record with rho = hbar k/(a M),
-    anchored so x(0) = a at the barrier exit.  ``exact`` samples t(x) over
-    [0, a] with x(0) = a/2 (see ``ExactTrajectory``).
-    """
-    if mode == "tanh":
-        rho = sol.params.hbar * sol.k / (sol.barrier.width_a * sol.params.mass_M)
-        return TanhBackground(amplitude_a=sol.barrier.width_a, rho=rho)
-    if mode != "exact":
-        raise DomainError(f"unknown trajectory mode {mode!r}")
-    # one branch each way from a/2: 1/v grows like e^(2 beta (a - x)) toward
-    # x = 0, and a sum started there would drop later increments below 1 ulp
-    a = sol.barrier.width_a
-    offsets = np.linspace(0.0, 0.5 * a, 2 * max(math.ceil(25.0 * a * sol.beta), 50) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_right = cumulative_simpson(_inverse_velocity(sol, 0.5 * a + offsets), offsets[1])
-        t_left = -cumulative_simpson(_inverse_velocity(sol, 0.5 * a - offsets), offsets[1])
-    ts = np.concatenate([t_left[::-1], t_right[1:]])
-    if not np.isfinite(ts).all():
-        raise PrecisionError("exact trajectory time overflows double range")
-    xs = np.concatenate([0.5 * a - offsets[::-1], 0.5 * a + offsets[1:]])
-    return ExactTrajectory(ts=ts, xs=xs, sol=sol)
+def classical_trajectory(sol: RectSolution) -> TanhBackground:
+    """Trajectory a(1 + tanh(rho t)) of the effective classical particle through
+    the barrier, with rho = hbar k/(a M), anchored so x(0) = a at the barrier exit."""
+    rho = sol.params.hbar * sol.k / (sol.barrier.width_a * sol.params.mass_M)
+    return TanhBackground(amplitude_a=sol.barrier.width_a, rho=rho)

@@ -61,13 +61,13 @@ def test_criterion_2_fig3_profile():
 @criterion(3, "hypergeometric and ODE mode evolution agree to 1e-6; Wronskian drift <= 1e-8")
 def test_criterion_3_route_equivalence():
     sol = rect.solve_rect(PARAMS, BARRIER)
-    bg = rect.classical_trajectory(sol, mode="tanh")
+    bg = rect.classical_trajectory(sol)
     rho = bg.rho
     ts = np.linspace(-10.0 / rho, 10.0 / rho, 101)
     t0 = modes.vacuum_start_time(bg)
     traj = modes.evolve_gaussian(
-        FIG3_MODE, bg, modes.vacuum_state(FIG3_MODE, t0), t0, ts[-1],
-        t_eval=ts, vacuum_start=True,
+        FIG3_MODE, bg, modes.vacuum_state(FIG3_MODE, t0), t0, ts,
+        vacuum_start=True,
     )
     m_om0 = FIG3_MODE.mass_m * FIG3_MODE.omega0
     worst_a2 = worst_b = drift = 0.0
@@ -90,8 +90,7 @@ def test_criterion_4_rect_closed_forms():
     assert p.from_amplitudes == pytest.approx(p.closed_form, rel=1e-8)
     t_closed = rect.rolling_time(sol)
     assert t_closed == pytest.approx(math.sinh(4.0) / 8.0, rel=1e-12)
-    traj = rect.classical_trajectory(sol, mode="exact")
-    t_quad = traj.traversal_time(0.0, BARRIER.width_a)
+    t_quad = rect.traversal_time(sol, 0.0, BARRIER.width_a)
     assert t_quad == pytest.approx(t_closed, rel=1e-8)
 
 
@@ -166,7 +165,7 @@ def test_criterion_9_limits():
     # c = 0: no back reaction at all, exactly
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     sol = rect.solve_rect(PARAMS, BARRIER)
-    bg = rect.classical_trajectory(sol, mode="tanh")
+    bg = rect.classical_trajectory(sol)
     qf = br.q_factors(free, bg, modes.xi_analytic(free, bg, np.linspace(-2, 0, 9)))
     assert np.all(qf.q1 == 0.0)
     assert np.all(qf.q2 == 0.0)
@@ -178,8 +177,8 @@ def test_criterion_9_limits():
     slow = rect.TanhBackground(amplitude_a=1.0, rho=1.0 / 50.0)
     t0 = modes.vacuum_start_time(slow)
     traj = modes.evolve_gaussian(
-        FIG3_MODE, slow, modes.vacuum_state(FIG3_MODE, t0), t0, -t0,
-        t_eval=[-t0], vacuum_start=True,
+        FIG3_MODE, slow, modes.vacuum_state(FIG3_MODE, t0), t0, [-t0],
+        vacuum_start=True,
     )
     _, om_inf = modes.omega_asymptotics(FIG3_MODE, slow)
     assert traj.alpha[-1] ** 2 == pytest.approx(FIG3_MODE.mass_m * om_inf, rel=1e-3)

@@ -119,6 +119,25 @@ def test_effective_potential_decoupled_is_bare():
     assert prof.delta_v_bar == 0.0
 
 
+def test_effective_potential_matches_closed_form_on_polynomials():
+    # Delta V = hbar^2 Q1^2/(16 M) + hbar^2 Q2/(4 M) - (hbar/4M) int_0^x Q1' p0:
+    # with quadratic Q1 and linear p0 the stencil and the running Simpson sum
+    # are exact, so each term is checked to rounding
+    P = np.polynomial.Polynomial
+    q1, q2, p0 = P([1.0, 1.0, -1.0]), P([0.0, 0.3]), P([2.0, 1.0])
+    hbar, M = 0.7, 1.3
+    params = PhysicalParams(energy_E=2.0, hbar=hbar, mass_M=M)
+    delta_v = (hbar**2 * q1**2 / (16.0 * M) + hbar**2 * q2 / (4.0 * M)
+               - hbar / (4.0 * M) * (q1.deriv() * p0).integ())
+    xs = np.linspace(0.0, 1.0, 201)
+    v = np.full_like(xs, 4.0)
+    prof = br.effective_potential(xs, v, p0(xs), q1(xs), q2(xs), params, width_a=1.0)
+    np.testing.assert_allclose(prof.delta_v, delta_v(xs), rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(prof.v_eff, v + delta_v(xs), rtol=1e-14)
+    # the quartic Q1^2 term leaves Simpson's h^4 error, ~2e-12, in the average
+    assert prof.delta_v_bar == pytest.approx(delta_v.integ()(1.0), rel=0.0, abs=1e-11)
+
+
 def test_effective_potential_input_validation():
     xs = np.linspace(0.0, 1.0, 50)
     v = np.zeros_like(xs)
@@ -207,7 +226,7 @@ def test_gaussian_average_cross_coefficient():
 def test_superpose_identity(fig3_profile):
     # one mode: the driver returns that mode's effective potential unchanged
     sol = rect.solve_rect(PARAMS, BARRIER)
-    bg = rect.classical_trajectory(sol, mode="tanh")
+    bg = rect.classical_trajectory(sol)
     ts = bg.time_at(fig3_profile.xs)
     qf = br.q_factors(FIG3_MODE, bg, modes.xi_analytic(FIG3_MODE, bg, ts))
     single = br.effective_potential(fig3_profile.xs, fig3_profile.v, fig3_profile.p0,

@@ -467,6 +467,10 @@ def test_sweep_base_value_of_swept_key_is_unused(tmp_path, capsys, lines):
     ["wkb", "--bracket", "0.5"],
     ["sweep", "--sweep-key", "M"],
     ["sweep", "--sweep-values", "1,,2"],
+    # above the 2^22-point ceiling: refused before any grid is allocated
+    ["fig1a", "--grid-points", "1000000000000000000"],
+    ["fig3", "--grid-points", "100000000000000000000"],
+    ["mode-evolve", "--grid-points", "4194305"],
 ])
 def test_bad_smooth_barrier_and_time_inputs_are_config_errors(tmp_path, capsys, flags):
     out = tmp_path / "bad.csv"

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # every scenario and validate, with any import of scipy failing.  After each
 # run neither numpy.ma (np.median's first call) nor dataclasses is loaded,
 # and numpy.polynomial (Gauss-Legendre and Gauss-Hermite nodes) only after
-# fig2, wkb and the exact trajectory, so those run last
+# fig2, wkb and the traversal-time quadrature, so those run last
 RUNS_WITHOUT_SCIPY = """
 import sys
 
@@ -37,12 +37,12 @@ from qtunnel.backreaction import gaussian_average_check
 from qtunnel.cli import main
 from qtunnel.config import SCENARIOS
 from qtunnel.core import PhysicalParams, RectBarrier
-from qtunnel.rect import classical_trajectory, solve_rect
+from qtunnel.rect import solve_rect, traversal_time
 
 
-def exact_trajectory():
+def traversal():
     sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
-    classical_trajectory(sol, mode="exact").traversal_time(0.0, 20.0)
+    traversal_time(sol, 0.0, 20.0)
     return 0
 
 
@@ -51,11 +51,11 @@ runs = [(s, lambda s=s: main([s, "--out", s + ".csv"]))
 runs += [("validate", lambda: main(["validate", "--config", "run.cfg"])),
          ("fig2", lambda: main(["fig2", "--out", "fig2.csv"])),
          ("wkb", lambda: main(["wkb", "--out", "wkb.csv"])),
-         ("exact trajectory", exact_trajectory)]
+         ("traversal time", traversal)]
 for name, run in runs:
     assert run() == 0, name
     unused = ["numpy.ma", "dataclasses"]
-    if name not in ("fig2", "wkb", "exact trajectory"):
+    if name not in ("fig2", "wkb", "traversal time"):
         unused.append("numpy.polynomial")
     loaded = [module for module in unused if module in sys.modules]
     assert not loaded, (name, loaded)
@@ -77,13 +77,13 @@ SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN = """
 import sys
 from qtunnel.cli import main
 from qtunnel.core import PhysicalParams, RectBarrier
-from qtunnel.rect import classical_trajectory, solve_rect
+from qtunnel.rect import solve_rect, traversal_time
 
 assert main(["fig2", "--out", "fig2.csv"]) == 0
 assert main(["wkb", "--out", "wkb.csv"]) == 0
 assert "qtunnel.specfun" not in sys.modules  # no 2F1 kernel
 sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
-classical_trajectory(sol, mode="exact").traversal_time(0.0, 20.0)
+traversal_time(sol, 0.0, 20.0)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """

@@ -182,20 +182,6 @@ def test_quantum_potential_node_error():
     assert err.value.location == pytest.approx(6.0)
 
 
-def test_probability_current_region3(default_solution):
-    sol = default_solution
-    _, flux = rect.probability_current(sol, 2.7)
-    # hbar k |C|^2 / M with k = 2
-    assert flux == pytest.approx(2.0, rel=1e-12)
-
-
-def test_probability_current_divergence_free(default_solution):
-    sol = default_solution
-    fluxes = [rect.probability_current(sol, x)[1] for x in (-1.3, 0.4, 0.9, 2.7)]
-    for f in fluxes[1:]:
-        assert f == pytest.approx(fluxes[0], rel=1e-10)
-
-
 def test_rolling_time_closed_forms():
     params = PhysicalParams(energy_E=2.0)
     t1 = rect.rolling_time(rect.solve_rect(params, RectBarrier(4.0, 1.0)))
@@ -209,8 +195,7 @@ def test_rolling_time_closed_forms():
 
 
 def test_rolling_time_matches_quadrature(default_solution):
-    traj = rect.classical_trajectory(default_solution, mode="exact")
-    quad_route = traj.traversal_time(0.0, 1.0)
+    quad_route = rect.traversal_time(default_solution, 0.0, 1.0)
     closed = rect.rolling_time(default_solution)
     assert quad_route == pytest.approx(closed, rel=1e-8)
 
@@ -231,7 +216,7 @@ def test_traversal_time_constant():
 
 
 def test_tanh_trajectory(default_solution):
-    bg = rect.classical_trajectory(default_solution, mode="tanh")
+    bg = rect.classical_trajectory(default_solution)
     assert bg.rho == pytest.approx(2.0, rel=1e-14)  # hbar k/(a M) with k = 2
     assert bg.position(0.0) == pytest.approx(1.0, rel=1e-14)
     assert bg.position(-50.0) < 1e-8
@@ -242,14 +227,6 @@ def test_tanh_trajectory(default_solution):
         bg.time_at(2.5)
 
 
-def test_exact_trajectory_structure(default_solution):
-    traj = rect.classical_trajectory(default_solution, mode="exact")
-    assert np.all(np.diff(traj.xs) > 0)
-    assert traj.position(0.0) == pytest.approx(0.5, rel=1e-9)
-    span = traj.ts[-1] - traj.ts[0]
-    assert span == pytest.approx(rect.rolling_time(default_solution), rel=1e-6)
-
-
 @pytest.mark.parametrize("E, a", [(2.0, 1.0), (2.0, 20.0), (2.0, 100.0), (2.0, 170.0),
                                   (3.99, 1.0)])
 def test_exact_trajectory_thick_barriers(E, a):
@@ -258,11 +235,20 @@ def test_exact_trajectory_thick_barriers(E, a):
     # barrier (k >> beta, 2 beta a = 0.28): D nearly cancels near x = a
     sol = rect.solve_rect(PhysicalParams(energy_E=E), RectBarrier(4.0, a))
     t_roll = rect.rolling_time(sol)
-    traj = rect.classical_trajectory(sol, mode="exact")
-    assert traj.traversal_time(0.0, a) == pytest.approx(t_roll, rel=1e-8)
-    assert traj.ts[-1] - traj.ts[0] == pytest.approx(t_roll, rel=1e-8)
-    assert traj.position(0.0) == a / 2.0
-    assert np.all(np.diff(traj.xs) > 0)
+    assert rect.traversal_time(sol, 0.0, a) == pytest.approx(t_roll, rel=1e-8)
+
+
+@pytest.mark.parametrize("x_from, x_to", [
+    (-0.1, 0.5),         # starts before the barrier
+    (0.0, 1.1),          # ends past x = a
+    (0.6, 0.6),          # empty window
+    (0.7, 0.2),          # reversed
+    (math.nan, 0.5),
+    (0.0, math.nan),
+])
+def test_traversal_time_rejects_windows_outside_the_barrier(default_solution, x_from, x_to):
+    with pytest.raises(DomainError, match="traversal window"):
+        rect.traversal_time(default_solution, x_from, x_to)
 
 
 def test_potential_profile_regions(default_solution):

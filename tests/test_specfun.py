@@ -66,14 +66,14 @@ def test_log_gamma_keeps_the_shape():
 # --- hyp2f1 ---------------------------------------------------------------
 
 def test_hyp2f1_empty_series():
-    assert specfun.hyp2f1(0.3 + 1j, -2.0, 1.7, 0.0) == 1.0
+    assert specfun.hyp2f1_ex(0.3 + 1j, -2.0, 1.7, 0.0).value == 1.0
 
 
 def test_hyp2f1_log_case_value():
     # 2F1(1,1;2;z) = -ln(1-z)/z, so z = 1/2 gives 2 ln 2
     expected = 2.0 * math.log(2.0)
     assert complex(series_oracle(1, 1, 2, 0.5)).real == pytest.approx(expected, rel=1e-14)
-    assert specfun.hyp2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(expected, rel=1e-10)
+    assert specfun.hyp2f1_ex(1.0, 1.0, 2.0, 0.5).value == pytest.approx(expected, rel=1e-10)
 
 
 def test_hyp2f1_complex_parameters_z09():
@@ -81,7 +81,7 @@ def test_hyp2f1_complex_parameters_z09():
     expected = 0.84906703229542594 - 0.083615098169028495j
     a, b, c = 1 - 0.1j, -0.1j, 1 + 0.5j
     assert complex(series_oracle(a, b, c, 0.9, terms=600)) == pytest.approx(expected, rel=1e-14)
-    got = specfun.hyp2f1(a, b, c, 0.9)
+    got = specfun.hyp2f1_ex(a, b, c, 0.9).value
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -93,7 +93,7 @@ def test_hyp2f1_matches_oracle_random_sweep():
         c = complex(rng.uniform(0.5, 3), rng.uniform(-1, 1))
         z = rng.uniform(0.0, 0.95)
         ref = complex(mp.hyp2f1(a, b, c, mp.mpf(z)))
-        assert specfun.hyp2f1(a, b, c, z) == pytest.approx(ref, rel=1e-10)
+        assert specfun.hyp2f1_ex(a, b, c, z).value == pytest.approx(ref, rel=1e-10)
 
 
 def test_hyp2f1_contiguous_relation():
@@ -104,9 +104,9 @@ def test_hyp2f1_contiguous_relation():
         b = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         c = complex(rng.uniform(0.5, 3), rng.uniform(-1, 1))
         z = rng.uniform(0.0, 0.9)
-        f_m = specfun.hyp2f1(a, b, c - 1, z)
-        f_0 = specfun.hyp2f1(a, b, c, z)
-        f_p = specfun.hyp2f1(a, b, c + 1, z)
+        f_m = specfun.hyp2f1_ex(a, b, c - 1, z).value
+        f_0 = specfun.hyp2f1_ex(a, b, c, z).value
+        f_p = specfun.hyp2f1_ex(a, b, c + 1, z).value
         residual = (
             c * (c - 1) * (z - 1) * f_m
             + c * (c - 1 - (2 * c - a - b - 1) * z) * f_0
@@ -130,24 +130,24 @@ def test_hyp2f1_near_one_with_exact_complement():
     w = 1e-13
     a, b, c = 1 - 0.1j, -0.1j, 1 + 0.5j
     ref = complex(mp.hyp2f1(a, b, c, 1 - mp.mpf(w)))
-    got = specfun.hyp2f1(a, b, c, 1.0 - w, one_minus_z=w)
+    got = specfun.hyp2f1_ex(a, b, c, 1.0 - w, one_minus_z=w).value
     assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_hyp2f1_domain_and_pole_errors():
     with pytest.raises(DomainError):
-        specfun.hyp2f1(1.0, 1.0, 2.0, -0.1)
+        specfun.hyp2f1_ex(1.0, 1.0, 2.0, -0.1)
     with pytest.raises(DomainError):
-        specfun.hyp2f1(1.0, 1.0, 2.0, 1.0)
+        specfun.hyp2f1_ex(1.0, 1.0, 2.0, 1.0)
     with pytest.raises(DomainError):
-        specfun.hyp2f1(1.0, 1.0, -2.0, 0.3)
+        specfun.hyp2f1_ex(1.0, 1.0, -2.0, 0.3)
     with pytest.raises(DomainError):
-        specfun.hyp2f1(1.0, 1.0, 2.0, 0.9, one_minus_z=0.3)
+        specfun.hyp2f1_ex(1.0, 1.0, 2.0, 0.9, one_minus_z=0.3)
 
 
 def test_hyp2f1_convergence_error():
     with pytest.raises(ConvergenceError):
-        specfun.hyp2f1(5000.0, 5000.0, 1.0, 0.5)
+        specfun.hyp2f1_ex(5000.0, 5000.0, 1.0, 0.5)
 
 
 def test_convergence_error_behind_degenerate_set_names_its_caller():
@@ -196,7 +196,6 @@ def test_hyp2f1_array_equals_scalar_calls(a, b, c):
     assert [r.dz for r in scalars] == res.dz.tolist()
     assert sum(r.terms for r in scalars) == res.terms
     assert any(r.degraded for r in scalars) == res.degraded
-    assert np.all(specfun.hyp2f1(a, b, c, SEAM_Z, SEAM_W) == res.value)
 
 
 def test_hyp2f1_array_vanishing_parameter_is_exact():
@@ -208,15 +207,16 @@ def test_hyp2f1_array_vanishing_parameter_is_exact():
 
 def test_hyp2f1_array_errors():
     with pytest.raises(DomainError):
-        specfun.hyp2f1(1.0, 1.0, 2.0, np.array([0.1, -0.1, 0.3]))
+        specfun.hyp2f1_ex(1.0, 1.0, 2.0, np.array([0.1, -0.1, 0.3]))
     with pytest.raises(DomainError):
-        specfun.hyp2f1(1.0, 1.0, 2.0, np.array([0.1, 1.0]))
+        specfun.hyp2f1_ex(1.0, 1.0, 2.0, np.array([0.1, 1.0]))
     with pytest.raises(DomainError):
-        specfun.hyp2f1(1.0, 1.0, 2.0, np.array([0.2, 0.9]), one_minus_z=np.array([0.8, 0.3]))
+        specfun.hyp2f1_ex(1.0, 1.0, 2.0, np.array([0.2, 0.9]),
+                          one_minus_z=np.array([0.8, 0.3]))
     with pytest.raises(DomainError):
         specfun.hyp2f1_ex(1.0, 1.0, -2.0, np.array([0.1, 0.3]))
     with pytest.raises(ConvergenceError):
-        specfun.hyp2f1(5000.0, 5000.0, 1.0, np.array([0.1, 0.5]))
+        specfun.hyp2f1_ex(5000.0, 5000.0, 1.0, np.array([0.1, 0.5]))
 
 
 # --- several parameter sets in one call ---------------------------------------
@@ -379,7 +379,7 @@ def test_hyp2f1_overflowing_terms_raise_early():
         with pytest.raises(ConvergenceError,
                            match=r"^2F1 series terms overflow a double at \(a, b, c\) = "
                                  r"\(\(5000\+0j\), \(5000\+0j\), \(1\+0j\)\), z = 0\.1$"):
-            specfun.hyp2f1(5000.0, 5000.0, 1.0, np.array([0.1, 0.5]))
+            specfun.hyp2f1_ex(5000.0, 5000.0, 1.0, np.array([0.1, 0.5]))
 
 
 # --- chunks of the series loop ------------------------------------------------
