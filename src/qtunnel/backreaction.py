@@ -40,11 +40,12 @@ from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_d
                    solve_rect, transmission_probability)
 
 _EDGE_TRIM = 1e-3  # trajectory-velocity trim: x in [eps*a, (2-eps)*a]
+_EPSILONS = (0.02, 0.01, 0.005, 0.0025)  # 2 c a/(m rho^2) of the series extrapolation
 
 
 class QFactors(NamedTuple):
     """Back-reaction factors sampled against trajectory position; ``q1`` and
-    ``q2`` have one row per mode when the factors of several modes are taken."""
+    ``q2`` have one row per mode."""
 
     xs: np.ndarray
     q1: np.ndarray
@@ -82,24 +83,22 @@ class GaussianAverageResiduals(NamedTuple):
     cross_moment: float
 
 
-def q_factors(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction) -> QFactors:
-    """Q1(x), Q2(x) from the mode function on a time grid; a sequence of
-    modes (``mf`` from ``xi_analytic`` on it) gives one row per mode.
+def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction) -> QFactors:
+    """Q1(x), Q2(x) from ``mf = xi_analytic(modes, bg, t)``, one row per mode.
 
     Points where the trajectory velocity has effectively stalled
     (x outside [eps*a, (2-eps)*a], eps = 1e-3) are trimmed and flagged.
     """
-    ts = np.atleast_1d(mf.t)
-    xs = bg.position(ts)
+    xs = bg.position(mf.t)
     keep = (xs >= _EDGE_TRIM * bg.amplitude_a) & (
         xs <= (2.0 - _EDGE_TRIM) * bg.amplitude_a
     )
     trimmed = bool(np.any(~keep))
     if not np.any(keep):
         raise DomainError("trajectory entirely outside the usable window")
-    dln = np.atleast_1d(mf.dln)[..., keep]
-    d2ln = np.atleast_1d(log_derivative_2(mode, bg, mf))[..., keep]
-    denom = bg.velocity(ts[keep]) * dln.imag
+    dln = mf.dln[:, keep]
+    d2ln = log_derivative_2(modes, bg, mf)[:, keep]
+    denom = bg.velocity(mf.t[keep]) * dln.imag
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # C order: indexing the last axis leaves the rows strided, and numpy
         # would then sum them pairwise instead of in mode order
@@ -125,28 +124,19 @@ def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     return float(last), abs(float(last) - float(prev))
 
 
-def series_coefficients(
-    mass_m: float,
-    omega0: float,
-    amplitude_a: float,
-    epsilons: tuple[float, ...] = (0.02, 0.01, 0.005, 0.0025),
-) -> SeriesCoefficients:
+def series_coefficients(mass_m: float, omega0: float, amplitude_a: float) -> SeriesCoefficients:
     """Leading coefficients of Q1 and Q2 at the exit point for rho = omega0.
 
     For each epsilon = 2 c a/(m rho^2) the exact mode function is evaluated
     at the exit time, then Q1*a/eps and Q2*2a^2/eps^2 are Richardson
     (polynomial) extrapolated to eps -> 0.
     """
-    if all(e == 0.0 for e in epsilons):
-        return SeriesCoefficients(0.0, 0.0, 0.0, 0.0)
-    if any(e <= 0.0 for e in epsilons) or len(set(epsilons)) != len(epsilons):
-        raise DomainError("epsilons must be distinct and positive")
     rho = omega0
     bg = TanhBackground(amplitude_a=amplitude_a, rho=rho)
     modes = [EnvMode(mass_m=mass_m, omega0=omega0,
-                     coupling_c=eps * mass_m * rho**2 / (2.0 * amplitude_a)) for eps in epsilons]
+                     coupling_c=eps * mass_m * rho**2 / (2.0 * amplitude_a)) for eps in _EPSILONS]
     qf = q_factors(modes, bg, xi_analytic(modes, bg, [0.0]))
-    eps_arr = np.asarray(epsilons, dtype=float)
+    eps_arr = np.asarray(_EPSILONS, dtype=float)
     f1 = qf.q1[:, 0] * amplitude_a / eps_arr
     f2 = qf.q2[:, 0] * 2.0 * amplitude_a**2 / eps_arr**2
     c1, e1 = _neville_to_zero(eps_arr, f1)

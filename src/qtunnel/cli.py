@@ -138,13 +138,13 @@ def _run_mode_evolve(cfg: RunConfig) -> _Table:
         bg = rect_mod.TanhBackground(amplitude_a=bg.amplitude_a, rho=float(cfg["rho"]))
     # t_min..t_max are in units of 1/rho; the evolution starts in the vacuum
     ts = np.linspace(float(cfg["t_min"]), float(cfg["t_max"]), int(cfg["grid_points"])) / bg.rho
-    mode = cfg.env_modes()[0]
-    t0 = min(modes_mod.vacuum_start_time(bg), ts[0])
-    traj = modes_mod.evolve_gaussian(mode, bg, modes_mod.vacuum_state(mode, t0), t0, ts,
-                                     vacuum_start=True)
-    st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic(mode, bg, traj.t))
+    mode, *others = cfg.env_modes()
+    if others:
+        raise ConfigError(f"mode-evolve evolves one mode, got {1 + len(others)}")
+    traj = modes_mod.evolve_gaussian(mode, bg, ts)
+    st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, traj.t))
     return _csv_table(cfg, {"t": traj.t, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
-                            "alpha2_xi": st.alpha**2, "beta_xi": st.beta})
+                            "alpha2_xi": st.alpha[0]**2, "beta_xi": st.beta[0]})
 
 
 def _run_backreaction(cfg: RunConfig) -> _Table:

@@ -8,7 +8,8 @@ barrier at E = 1, everything else to the rectangular-barrier set E = 2,
 V0 = 4, a = 1, m = 1, omega0 = 1, c = 0.15 in hbar = M = 1 units).
 
 ``RunConfig`` rejects only the grid values no scenario checks itself
-(finite x and t ranges, t_min < t_max, rho > 0, 16 to 2^22 grid points).
+(finite x and t ranges, spans and max|t|/rho, t_min < t_max, rho > 0,
+16 to 2^22 grid points).
 Everything else is checked where it is used: the accessors raise
 ``ConfigError`` on values they cannot parse, and the physics raises its own
 errors, which ``validate`` finds by running the scenario.
@@ -95,6 +96,13 @@ class RunConfig:
         if (self["t_min"] is not None and self["t_max"] is not None
                 and float(self["t_min"]) >= float(self["t_max"])):
             raise ConfigError(f"t_min = {self['t_min']} must be below t_max = {self['t_max']}")
+        # numpy spaces each grid by its span, and mode-evolve divides t by rho
+        for lo, hi in (("x_min", "x_max"), ("t_min", "t_max")):
+            if None not in (self[lo], self[hi]) and math.isinf(float(self[hi]) - float(self[lo])):
+                raise ConfigError(f"{hi} - {lo} leaves double range ({self[lo]} to {self[hi]})")
+        t_abs = max(abs(float(self[key] or 0.0)) for key in ("t_min", "t_max"))
+        if self["rho"] is not None and math.isinf(t_abs / float(self["rho"])):
+            raise ConfigError(f"max|t|/rho = {t_abs}/{self['rho']} leaves double range")
         if int(self["grid_points"]) < 16:
             raise ConfigError("grid_points must be at least 16")
         if int(self["grid_points"]) > _MAX_GRID_POINTS:

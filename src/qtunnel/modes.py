@@ -9,16 +9,16 @@ and d ln(xi)/dt = (beta + i alpha^2)/m maps it onto a solution of the linear
 oscillator  xi'' + omega(t)^2 xi = 0.  Two independent routes give that
 solution:
 
-* ``evolve_gaussian`` steps y = (xi, xi') from any start state with
-  4th-order Magnus propagators, chained by a prefix product over the
-  caller's time grid and checked by step doubling;
+* ``evolve_gaussian`` steps y = (xi, xi') from the vacuum with 4th-order
+  Magnus propagators, chained by a prefix product over the caller's time
+  grid and checked by step doubling;
 * ``xi_analytic`` evaluates the exact mode function in terms of the Gauss
   hypergeometric function, vacuum-matched at early times.
 
 They share only omega(t) and the (alpha, beta) map.  ``xi_analytic``,
-``omega_t`` and ``log_derivative_2`` take one EnvMode, or a sequence of
-modes on one time grid; a sequence gives one row per mode, so every mode of
-a back-reaction run is evaluated in one pass.  The vacuum
+``omega_t`` and ``log_derivative_2`` take a sequence of modes and a 1-D
+time grid, and give one row per mode, so every mode of a back-reaction run
+is evaluated in one pass.  The vacuum
 (alpha^2 = m omega0, beta = 0) corresponds to xi ~ (2 omega0)^(-1/2)
 exp(i omega0 t).  The Wronskian xi xi*' - xi* xi' is conserved and equals -i
 for that normalization.
@@ -50,34 +50,25 @@ _MAX_STEPS = 2**26  # coarse plus fine steps of one evolution
 _BLOCK_STEPS = 2**16  # steps held in memory at once
 
 
-class GaussianModeState:
-    """Width/phase pair of one mode: wavefunction ~ exp[(-alpha^2 + i beta) y^2 / 2 hbar].
+class GaussianModeState(NamedTuple):
+    """Width/phase pair (alpha > 0, beta) of one mode on the time grid ``t``."""
 
-    Fields are scalars at one instant, or arrays over a time grid.
-    """
-
-    __slots__ = ("alpha", "beta", "t")
-
-    def __init__(self, alpha: float | np.ndarray, beta: float | np.ndarray, t: float | np.ndarray):
-        self.alpha, self.beta, self.t = alpha, beta, t
-        if not np.all(np.asarray(alpha) > 0.0):
-            raise DomainError(f"alpha must be positive, got {np.min(alpha)}")
+    alpha: np.ndarray
+    beta: np.ndarray
+    t: np.ndarray
 
 
 class ModeFunction(NamedTuple):
-    """Complex mode function and its time derivative on a time grid.
+    """Complex mode function, its time derivative and d ln xi/dt as each route
+    evaluates it, on a 1-D time grid ``t``: one row per mode from
+    ``xi_analytic``, the grid's shape from the Magnus route."""
 
-    Fields are arrays of the grid's shape, or scalars at one instant; for
-    several modes, ``xi``, ``xi_dot`` and ``dln`` gain a leading mode axis.
-    ``dln`` is d ln xi/dt as each route evaluates it.
-    """
+    xi: np.ndarray
+    xi_dot: np.ndarray
+    t: np.ndarray
+    dln: np.ndarray
 
-    xi: complex | np.ndarray
-    xi_dot: complex | np.ndarray
-    t: float | np.ndarray
-    dln: complex | np.ndarray
-
-    def wronskian(self) -> complex:
+    def wronskian(self) -> np.ndarray:
         return self.xi * self.xi_dot.conjugate() - self.xi.conjugate() * self.xi_dot
 
 
@@ -90,24 +81,21 @@ def _sigmoid_pair(u):
     return np.where(pos, large, small), np.where(pos, small, large), e
 
 
-def _omega2(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, t):
-    if isinstance(mode, EnvMode):
-        return mode.omega0**2 + 2.0 * mode.coupling_c * bg.position(t) / mode.mass_m
+def _omega2(modes: Sequence[EnvMode], bg: TanhBackground, t) -> np.ndarray:
     # one row per mode: each field as a column against t
-    om0_2, c2, m = np.array([(md.omega0**2, 2.0 * md.coupling_c, md.mass_m) for md in mode]
-                            ).T.reshape((3, -1) + (1,) * np.ndim(t))
+    om0_2, c2, m = np.array([(md.omega0**2, 2.0 * md.coupling_c, md.mass_m) for md in modes]
+                            ).T[:, :, None]
     return om0_2 + c2 * bg.position(t) / m
 
 
-def omega_t(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, t) -> float | np.ndarray:
-    """Instantaneous frequency omega(t) = sqrt(omega0^2 + 2 c x(t)/m); a
-    sequence of modes gives one row per mode."""
-    om2 = _omega2(mode, bg, t)
-    if np.any(np.asarray(om2) <= 0.0):
+def omega_t(modes: Sequence[EnvMode], bg: TanhBackground, t) -> np.ndarray:
+    """Instantaneous frequency sqrt(omega0^2 + 2 c x(t)/m), one row per mode."""
+    om2 = _omega2(modes, bg, t)
+    if np.any(om2 <= 0.0):
         raise TachyonicModeError(
             f"omega^2 = {np.min(om2)} <= 0 on the trajectory: coupling too negative"
         )
-    return np.sqrt(om2) if np.ndim(om2) else float(math.sqrt(om2))
+    return np.sqrt(om2)
 
 
 def omega_asymptotics(mode: EnvMode, bg: TanhBackground) -> tuple[float, float]:
@@ -124,58 +112,41 @@ def omega_pm(mode: EnvMode, bg: TanhBackground) -> tuple[float, float]:
     return 0.5 * (om_inf + om0), 0.5 * (om_inf - om0)
 
 
-def vacuum_state(mode: EnvMode, t: float) -> GaussianModeState:
-    """Ground state of the decoupled oscillator: alpha^2 = m omega0, beta = 0."""
-    return GaussianModeState(alpha=math.sqrt(mode.mass_m * mode.omega0), beta=0.0, t=t)
-
-
 def vacuum_start_time(bg: TanhBackground) -> float:
     """Earliest time needed for a vacuum start (tanh saturated to ~1e-10)."""
     return -_VACUUM_SATURATION / bg.rho
 
 
-def evolve_gaussian(
-    mode: EnvMode,
-    bg: TanhBackground,
-    state0: GaussianModeState,
-    t0: float,
-    ts,
-    vacuum_start: bool = False,
-) -> GaussianModeState:
-    """Evolve (alpha, beta) from ``state0`` at t0 by 4th-order Magnus steps.
+def evolve_gaussian(mode: EnvMode, bg: TanhBackground, ts) -> GaussianModeState:
+    """Evolve (alpha, beta) from the vacuum by 4th-order Magnus steps.
 
-    The state is carried as the linear oscillator y = (xi, xi') from
-    y(t0) = (1, (beta0 + i alpha0^2)/m) and read back through
-    d ln xi/dt = (beta + i alpha^2)/m.  Returns the state on ``ts``, a
-    strictly increasing grid with ts[0] >= t0, which is its ``t``.  Each
-    interval between samples is split into equal steps (``magnus_steps``);
+    The run starts at t0 = min(vacuum_start_time(bg), ts[0]), before the
+    background has moved, in the ground state alpha0^2 = m omega0, beta0 = 0,
+    carried as the linear oscillator y = (xi, xi') from y(t0) = (1, i alpha0^2/m)
+    and read back through d ln xi/dt = (beta + i alpha^2)/m.  Returns the
+    state on ``ts``, a finite, strictly increasing grid, which is its ``t``.
+    Each interval between samples is split into equal steps (``magnus_steps``);
     the run is repeated at half that step, and the half-step result is
     returned when the two agree to 1e-7 in alpha^2 (relative) and in beta
     (relative to max(|beta|, alpha^2)).
     Otherwise the step is halved again, until all runs together would take
     more than 2^26 steps: then StiffnessError is raised.
-
-    With ``vacuum_start`` the caller asserts state0 is the decoupled vacuum;
-    t0 must then lie deep enough in the past that the background has not yet
-    moved (|tanh(rho t0)| > 1 - 1e-8).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("ts must be a non-empty 1-D grid")
-    if not (math.isfinite(t0) and math.isfinite(ts[-1]) and t0 <= ts[0] and t0 < ts[-1]):
+    t0 = min(vacuum_start_time(bg), ts[0])
+    if not (math.isfinite(t0) and math.isfinite(ts[-1])):
         raise DomainError(f"need finite t0 <= ts[0] and t0 < ts[-1], got t0 = {t0}, "
                           f"ts[0] = {ts[0]}, ts[-1] = {ts[-1]}")
     if not np.all(np.diff(ts) > 0.0):
         raise DomainError("ts must be strictly increasing")
-    if vacuum_start and 1.0 + math.tanh(bg.rho * t0) > 1e-8:
-        # 1 + tanh(u) <= 1e-8 requires u <= -0.5 ln(2e8) ~ -9.6
-        raise DomainError(
-            f"vacuum start needs rho*t0 <= -9.6, got {bg.rho * t0:.3g}"
-        )
     edges = np.concatenate(([t0], ts))
     counts = magnus_steps(mode, bg, edges)
     spent = 3 * counts.sum()
-    y1 = (state0.beta + 1j * state0.alpha**2) / mode.mass_m
+    # alpha0^2 as sqrt(m omega0)^2, which can differ from m omega0 in the last
+    # bit: the *_ode columns are pinned to it
+    y1 = 1j * math.sqrt(mode.mass_m * mode.omega0) ** 2 / mode.mass_m
     fine = state_from_xi(mode, _magnus_mode_function(mode, bg, edges, counts, y1))
     while True:
         counts, coarse = 2 * counts, fine
@@ -199,8 +170,10 @@ def magnus_steps(mode: EnvMode, bg: TanhBackground, edges) -> np.ndarray:
     first run of ``evolve_gaussian``; StiffnessError past the 2^26-step budget."""
     om0, om_inf = omega_asymptotics(mode, bg)
     h = _MAGNUS_STEP / max(bg.rho, om0, om_inf)
-    counts = np.maximum(np.ceil(np.diff(edges) / h), 1.0)
-    n_steps = 3.0 * counts.sum()  # h and h/2 runs
+    # a span or count past double range reads inf, which fails the budget
+    with np.errstate(over="ignore"):
+        counts = np.maximum(np.ceil(np.diff(edges) / h), 1.0)
+        n_steps = 3.0 * counts.sum()  # h and h/2 runs
     if n_steps > _MAX_STEPS:
         raise StiffnessError(
             f"the Magnus route needs {n_steps:.3g} steps on [{edges[0]}, {edges[-1]}] "
@@ -231,8 +204,8 @@ def _magnus_mode_function(mode, bg, edges, counts, y1) -> ModeFunction:
         iv = np.searchsorted(ends, k, side="right")
         h = widths[iv]
         mid = edges[iv] + (k - ends[iv] + counts[iv] + 0.5) * h
-        w1 = _omega2(mode, bg, mid - _GAUSS_OFFSET * h)
-        w2 = _omega2(mode, bg, mid + _GAUSS_OFFSET * h)
+        w1, = _omega2([mode], bg, mid - _GAUSS_OFFSET * h)
+        w2, = _omega2([mode], bg, mid + _GAUSS_OFFSET * h)
         s = 0.5 * (w1 + w2)
         # Omega = [[d, h], [-h s, -d]]: (h/2)(A1 + A2) + (sqrt(3) h^2/12)[A2, A1]
         d = (math.sqrt(3.0) / 12.0) * h * h * (w2 - w1)
@@ -267,23 +240,20 @@ def _prefix_products(m: list) -> None:
         shift *= 2
 
 
-def xi_analytic(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction:
+def xi_analytic(modes: Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction:
     """Exact vacuum-matched mode function over the tanh background.
 
     xi(t) = (2 omega0)^(-1/2) exp[i omega_+ t + i omega_- ln(2 cosh rho t)/rho]
             * 2F1(1 - i w_-/rho, -i w_-/rho; 1 + i w_0/rho; z),
-    z = (1 + tanh rho t)/2.  ``t`` is one instant or a whole grid.  ``mode``
-    is one EnvMode, or a sequence of them, whose fields then gain a leading
-    mode axis (except ``t``); all modes take one 2F1 kernel call.  d ln xi/dt
-    follows from the chain rule through z with dF/dz from the same kernel;
-    the identity d^2 ln xi/dt^2 = -omega^2 - (d ln xi/dt)^2  is available to
-    callers through ``log_derivative_2``.
+    z = (1 + tanh rho t)/2, on the 1-D time grid ``t``.  ``xi``, ``xi_dot``
+    and ``dln`` have one row per mode; all modes take one 2F1 kernel call.
+    d ln xi/dt follows from the chain rule through z with dF/dz from the same
+    kernel; the identity d^2 ln xi/dt^2 = -omega^2 - (d ln xi/dt)^2  is
+    available to callers through ``log_derivative_2``.
     """
-    modes = [mode] if isinstance(mode, EnvMode) else list(mode)
     rho = bg.rho
     t = np.asarray(t, dtype=float)
-    grid = t.ravel()
-    u = rho * grid
+    u = rho * t
     z, w, e = _sigmoid_pair(u)
     if np.any(w <= 0.0):
         raise DomainError(f"trajectory argument saturated at t = {np.max(t)}")
@@ -297,18 +267,15 @@ def xi_analytic(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, t) -> Mod
     om0 = np.array([[m.omega0] for m in modes])
     # ln(2 cosh u) evaluated without overflow
     log2cosh = np.abs(u) + np.log1p(e)
-    phase = 1j * (om_p * grid + om_m * log2cosh / rho)
+    phase = 1j * (om_p * t + om_m * log2cosh / rho)
     xi = F * np.exp(phase) / np.sqrt(2.0 * om0)
     dln = 1j * om0 + 2j * om_m * z + 2.0 * rho * z * w * dF / F
-    shape = t.shape if isinstance(mode, EnvMode) else (len(modes),) + t.shape
-    xi, xi_dot, dln = (x.reshape(shape)[()] for x in (xi, xi * dln, dln))
-    return ModeFunction(xi=xi, xi_dot=xi_dot, t=t[()], dln=dln)
+    return ModeFunction(xi=xi, xi_dot=xi * dln, t=t, dln=dln)
 
 
-def log_derivative_2(mode: EnvMode | Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction):
-    """d^2 ln xi / dt^2 from the oscillator equation, avoiding second derivatives;
-    a sequence of modes (``mf`` from ``xi_analytic`` on it) gives one row per mode."""
-    om = omega_t(mode, bg, mf.t)
+def log_derivative_2(modes: Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction):
+    """d^2 ln xi/dt^2 from the oscillator equation, one row per mode of ``mf``."""
+    om = omega_t(modes, bg, mf.t)
     return -(om * om) - mf.dln * mf.dln
 
 

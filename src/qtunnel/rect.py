@@ -244,12 +244,12 @@ def potential_profile(sol: RectSolution, xs: np.ndarray) -> PotentialProfile:
     v = np.where(inside, sol.barrier.height_V0, 0.0)
     v_tot = np.empty_like(xs)
     v_tot[inside] = total_potential_region2(sol, xs[inside])
-    phi, dphi = _piecewise(sol, xs[~inside])
-    # exact curvature: phi'' = -k^2 phi outside the barrier
-    d2phi = -sol.k**2 * phi
-    # |phi|^2 ~ |A|^2 may overflow near the double-range edge: V_Q turns
-    # NaN there, and the CLI refuses to write it
+    # k x near the double limit, or |phi|^2 ~ |A|^2 near the double-range edge,
+    # may overflow: V_Q turns NaN there, and the CLI refuses to write it
     with np.errstate(over="ignore", invalid="ignore"):
+        phi, dphi = _piecewise(sol, xs[~inside])
+        # exact curvature: phi'' = -k^2 phi outside the barrier
+        d2phi = -sol.k**2 * phi
         r2 = np.abs(phi) ** 2
         r = np.sqrt(r2)
         dr = np.real(np.conj(phi) * dphi) / r

@@ -268,17 +268,13 @@ def wkb_total_potential(
     turning_points: TurningPoints,
     num_points: int = 2000,
     window_shrink: float = 1.0,
-    include_decaying_term: bool = True,
     domain: tuple[float, float] | None = None,
 ) -> WkbProfile:
     """Patched total-potential profile across one smooth barrier.
 
     ``turning_points`` come from ``find_turning_points``.  ``window_shrink``
     rescales the automatically chosen patch half-widths (for
-    patch-independence studies); ``include_decaying_term=False`` drops the
-    i/2-weighted decaying exponential under the barrier, which makes the
-    amplitude real and lets E - V_tot go non-positive: the construction the
-    connection formula forbids.  The scaled Airy argument gamma*w at each
+    patch-independence studies).  The scaled Airy argument gamma*w at each
     window edge is at least 0.8.
     """
     tps = turning_points
@@ -370,11 +366,8 @@ def wkb_total_potential(
     arg = theta_l + math.pi / 4.0
     big = 2.0 * math.exp(theta) * np.sin(arg)
     dbig = -2.0 * math.exp(theta) * np.cos(arg) * p_i
-    if include_decaying_term:
-        small = 0.5j * math.exp(-theta) * np.cos(arg)
-        dsmall = 0.5j * math.exp(-theta) * np.sin(arg) * p_i
-    else:
-        small = dsmall = 0.0
+    small = 0.5j * math.exp(-theta) * np.cos(arg)
+    dsmall = 0.5j * math.exp(-theta) * np.sin(arg) * p_i
     phi_i = (big + small) / np.sqrt(p_i)
     phi[:i_l0 + 1] = phi_i
     dphi[:i_l0 + 1] = (-amplitude_slope(xs_i, p_i, -1.0) * phi_i
@@ -384,22 +377,17 @@ def wkb_total_potential(
     # with s_r the action from x to the right turning point
     s_r = cum_ii[-1] - cum_ii + tail_r
     grow = np.exp(s_r)
-    decay = 0.5j * np.exp(-s_r) if include_decaying_term else 0.0
+    decay = 0.5j * np.exp(-s_r)
     phi_ii = (grow + decay) / np.sqrt(q_ii)
     phi[i_l1:i_r0 + 1] = phi_ii
     dphi[i_l1:i_r0 + 1] = (-amplitude_slope(xs_ii, q_ii, 1.0) * phi_ii
                            + np.sqrt(q_ii) * (-grow + decay))
 
-    # region III: the purely outgoing wave (its real part without the
-    # decaying term)
+    # region III: the purely outgoing wave
     arg = theta_r + math.pi / 4.0
     slope_iii = amplitude_slope(xs_iii, p_iii, -1.0)
-    if include_decaying_term:
-        phi_iii = np.exp(1j * arg) / np.sqrt(p_iii)
-        dphi[i_r1:] = (1j * p_iii - slope_iii) * phi_iii
-    else:
-        phi_iii = np.cos(arg) / np.sqrt(p_iii)
-        dphi[i_r1:] = -slope_iii * phi_iii - np.sqrt(p_iii) * np.sin(arg)
+    phi_iii = np.exp(1j * arg) / np.sqrt(p_iii)
+    dphi[i_r1:] = (1j * p_iii - slope_iii) * phi_iii
     phi[i_r1:] = phi_iii
 
     mismatch = 0.0

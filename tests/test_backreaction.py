@@ -29,7 +29,7 @@ def test_q_factors_vanish_when_decoupled():
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
     ts = np.linspace(-2.0, 1.0, 11)
-    qf = br.q_factors(free, bg, modes.xi_analytic(free, bg, ts))
+    qf = br.q_factors([free], bg, modes.xi_analytic([free], bg, ts))
     assert np.max(np.abs(qf.q1)) <= 1e-12
     assert np.max(np.abs(qf.q2)) <= 1e-12
 
@@ -39,7 +39,7 @@ def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
     # with no rounding, on both sides of the z = 1/2 seam
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
-    qf = br.q_factors(free, bg, modes.xi_analytic(free, bg, np.linspace(-1.5, 1.5, 31)))
+    qf = br.q_factors([free], bg, modes.xi_analytic([free], bg, np.linspace(-1.5, 1.5, 31)))
     assert not qf.trimmed
     assert np.all(qf.q1 == 0.0)
     assert np.all(qf.q2 == 0.0)
@@ -48,10 +48,10 @@ def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
 def test_q_factors_trim_flag():
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
     ts = np.array([-20.0, -1.0, 0.0, 20.0])  # edges stalled at both ends
-    qf = br.q_factors(FIG3_MODE, bg, modes.xi_analytic(FIG3_MODE, bg, ts))
+    qf = br.q_factors([FIG3_MODE], bg, modes.xi_analytic([FIG3_MODE], bg, ts))
     assert qf.trimmed
     assert len(qf.xs) == 2
-    qf2 = br.q_factors(FIG3_MODE, bg, modes.xi_analytic(FIG3_MODE, bg, [-1.0, 0.0]))
+    qf2 = br.q_factors([FIG3_MODE], bg, modes.xi_analytic([FIG3_MODE], bg, [-1.0, 0.0]))
     assert not qf2.trimmed
 
 
@@ -64,10 +64,10 @@ def test_q_factors_of_a_mode_sequence_equal_one_mode_calls():
     qf = br.q_factors(mode_set, bg, modes.xi_analytic(mode_set, bg, ts))
     assert qf.q1.shape == qf.q2.shape == (len(mode_set), len(ts))
     for mode, q1, q2 in zip(mode_set, qf.q1, qf.q2):
-        single = br.q_factors(mode, bg, modes.xi_analytic(mode, bg, ts))
-        assert single.q1.ndim == 1
-        assert q1.tobytes() == single.q1.tobytes()
-        assert q2.tobytes() == single.q2.tobytes()
+        single = br.q_factors([mode], bg, modes.xi_analytic([mode], bg, ts))
+        assert single.q1.shape == (1, len(ts))
+        assert q1.tobytes() == single.q1[0].tobytes()
+        assert q2.tobytes() == single.q2[0].tobytes()
         assert np.array_equal(qf.xs, single.xs) and qf.trimmed == single.trimmed
 
 
@@ -77,18 +77,6 @@ def test_series_coefficients_match_reference_values():
     assert sc.c2 == pytest.approx(0.14538, abs=1e-2)
     assert sc.c1_error < 1e-6
     assert sc.c2_error < 1e-6
-
-
-def test_series_coefficients_zero_passthrough():
-    sc = br.series_coefficients(1.0, 1.0, 1.0, epsilons=(0.0, 0.0))
-    assert sc.c1 == 0.0 and sc.c2 == 0.0
-
-
-def test_series_coefficients_bad_epsilons():
-    with pytest.raises(DomainError):
-        br.series_coefficients(1.0, 1.0, 1.0, epsilons=(0.01, -0.02))
-    with pytest.raises(DomainError):
-        br.series_coefficients(1.0, 1.0, 1.0, epsilons=(0.01, 0.01))
 
 
 def test_fig3_profile_signs(fig3_profile):
@@ -228,7 +216,7 @@ def test_superpose_identity(fig3_profile):
     sol = rect.solve_rect(PARAMS, BARRIER)
     bg = rect.classical_trajectory(sol)
     ts = bg.time_at(fig3_profile.xs)
-    qf = br.q_factors(FIG3_MODE, bg, modes.xi_analytic(FIG3_MODE, bg, ts))
+    qf = br.q_factors([FIG3_MODE], bg, modes.xi_analytic([FIG3_MODE], bg, ts))
     single = br.effective_potential(fig3_profile.xs, fig3_profile.v, fig3_profile.p0,
                                     qf.q1, qf.q2, PARAMS, width_a=1.0)
     for field in ("q1", "q2", "v_eff", "delta_v"):

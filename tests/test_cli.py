@@ -471,6 +471,10 @@ def test_sweep_base_value_of_swept_key_is_unused(tmp_path, capsys, lines):
     ["fig1a", "--grid-points", "1000000000000000000"],
     ["fig3", "--grid-points", "100000000000000000000"],
     ["mode-evolve", "--grid-points", "4194305"],
+    # t_max/rho = 1e311 is past the largest double
+    ["mode-evolve", "--rho", "1e-310"],
+    # mode-evolve evolves one mode; a second one is not ignored
+    ["mode-evolve", "--modes", "1:1:0.15;1:1:-5"],
 ])
 def test_bad_smooth_barrier_and_time_inputs_are_config_errors(tmp_path, capsys, flags):
     out = tmp_path / "bad.csv"

@@ -5,12 +5,14 @@ exit leaves no output file, and exit 0 leaves a complete CSV of finite
 values.  The inputs include NaN and infinite values, non-positive values,
 sweeps with bad points, reversed time ranges and brackets, smooth barriers
 with bad coefficients, barriers on both sides of the double-range edge
-(beta*a ~ 355), hbar, M, m or omega0 anywhere from 1e-200 to 1e200 and
-unwritable ``--out`` paths.  ``validate`` on a config file with a run's
+(beta*a ~ 355), hbar, M, m, omega0 or rho anywhere from 1e-200 to 1e200,
+x and t ranges whose ends come near the largest double, and unwritable
+``--out`` paths.  ``validate`` on a config file with a run's
 values passes exactly when that run exits 0.
 """
 
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,8 +29,11 @@ ONE_IN_THREE = st.integers(0, 2).map(lambda i: i == 0)
 # 10^u, u uniform in [-200, 200]: scales whose squares or exponentials
 # leave double range
 EXTREME = st.floats(min_value=-200.0, max_value=200.0).map(lambda u: 10.0**u)
+# magnitudes up to the largest double: a range from -x to x may span more
+# than a double holds, or overflow once divided by rho
+NEAR_MAX = st.floats(min_value=1e306, max_value=sys.float_info.max)
 SMOOTH = ["fig2", "wkb"]
-SCENARIOS = ["rect", "fig1a", "sweep", "fig3", "backreaction", "mode-evolve"] + SMOOTH
+SCENARIOS = ["rect", "fig1a", "fig1b", "sweep", "fig3", "backreaction", "mode-evolve"] + SMOOTH
 
 
 def text(value) -> str:
@@ -66,7 +71,10 @@ def runs(draw):
         # t_max sometimes at or below t_min
         values["t_min"] = draw(st.floats(-10.0, 0.0))
         values["t_max"] = draw(st.floats(-2.0, 10.0))
-        values["rho"] = draw(st.floats(0.5, 4.0))
+        values["rho"] = draw(st.floats(0.5, 4.0) | EXTREME)
+    if target in ("fig1a", "fig1b", "mode-evolve") and draw(ONE_IN_THREE):
+        lo, hi = ("t_min", "t_max") if target == "mode-evolve" else ("x_min", "x_max")
+        values[lo], values[hi] = -draw(NEAR_MAX), draw(NEAR_MAX)
     if draw(ONE_IN_THREE):
         key = draw(st.sampled_from(sorted(values)))
         if isinstance(values[key], tuple):

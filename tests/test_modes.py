@@ -28,16 +28,16 @@ def test_omega_asymptotics():
     assert om_inf == pytest.approx(math.sqrt(1.6), rel=1e-12)
     assert om_inf == pytest.approx(1.264911, abs=1e-6)
     # late and early times approach the asymptotes
-    assert modes.omega_t(FIG3_MODE, FIG3_BG, 40.0) == pytest.approx(om_inf, rel=1e-10)
-    assert modes.omega_t(FIG3_MODE, FIG3_BG, -40.0) == pytest.approx(om0, rel=1e-10)
+    late, early = modes.omega_t([FIG3_MODE], FIG3_BG, [40.0, -40.0])[0]
+    assert late == pytest.approx(om_inf, rel=1e-10)
+    assert early == pytest.approx(om0, rel=1e-10)
 
 
 def test_omega_decoupled_and_midpoint():
     free = EnvMode(mass_m=1.0, omega0=1.3, coupling_c=0.0)
-    for t in (-3.0, 0.0, 2.0):
-        assert modes.omega_t(free, FIG3_BG, t) == pytest.approx(1.3, rel=1e-14)
+    assert modes.omega_t([free], FIG3_BG, [-3.0, 0.0, 2.0]) == pytest.approx(1.3, rel=1e-14)
     # x(0) = a, so omega(0)^2 = omega0^2 + 2 c a/m
-    assert modes.omega_t(FIG3_MODE, FIG3_BG, 0.0) == pytest.approx(
+    assert modes.omega_t([FIG3_MODE], FIG3_BG, [0.0])[0, 0] == pytest.approx(
         math.sqrt(1.0 + 2 * 0.15), rel=1e-12
     )
 
@@ -57,73 +57,58 @@ def test_omega_pm_values():
 
 def test_decoupled_vacuum_is_static():
     free = EnvMode(mass_m=1.5, omega0=0.8, coupling_c=0.0)
-    t0 = modes.vacuum_start_time(FIG3_BG)
     ts = np.linspace(-3.0, 5.0, 21)
-    traj = modes.evolve_gaussian(
-        free, FIG3_BG, modes.vacuum_state(free, t0), t0, ts,
-        vacuum_start=True,
-    )
+    traj = modes.evolve_gaussian(free, FIG3_BG, ts)
     assert np.max(np.abs(traj.alpha**2 - 1.5 * 0.8)) <= 1e-9
     assert np.max(np.abs(traj.beta)) <= 1e-9
 
 
-def test_vacuum_start_precondition():
-    with pytest.raises(DomainError):
-        modes.evolve_gaussian(
-            FIG3_MODE, FIG3_BG, modes.vacuum_state(FIG3_MODE, -1.0), -1.0, [1.0],
-            vacuum_start=True,
-        )
-
-
 def test_xi_decoupled_mode():
     free = EnvMode(mass_m=1.0, omega0=0.7, coupling_c=0.0)
-    for t in (-4.0, 0.0, 3.0):
-        mf = modes.xi_analytic(free, FIG3_BG, t)
-        assert abs(mf.xi) == pytest.approx((2 * 0.7) ** -0.5, rel=1e-12)
-        state = modes.state_from_xi(free, mf)
-        assert state.alpha**2 == pytest.approx(0.7, rel=1e-12)
-        assert state.beta == pytest.approx(0.0, abs=1e-12)
+    mf = modes.xi_analytic([free], FIG3_BG, [-4.0, 0.0, 3.0])
+    assert np.abs(mf.xi) == pytest.approx((2 * 0.7) ** -0.5, rel=1e-12)
+    state = modes.state_from_xi(free, mf)
+    assert state.alpha**2 == pytest.approx(0.7, rel=1e-12)
+    assert state.beta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_xi_trajectory_matches_pointwise_calls():
-    # one kernel call over the grid, both 2F1 branches (z crosses 1/2 at t = 0)
+    # one kernel call over the grid, both 2F1 branches (z crosses 1/2 at t = 0),
+    # against one-point grids
     ts = np.linspace(-4.0, 4.0, 17)
-    grid = modes.xi_analytic(FIG3_MODE, FIG3_BG, ts)
+    grid = modes.xi_analytic([FIG3_MODE], FIG3_BG, ts)
     states = modes.state_from_xi(FIG3_MODE, grid)
     for i, t in enumerate(ts):
-        mf = modes.xi_analytic(FIG3_MODE, FIG3_BG, float(t))
-        assert grid.xi[i] == pytest.approx(mf.xi, rel=1e-14)
-        assert grid.xi_dot[i] == pytest.approx(mf.xi_dot, rel=1e-14)
+        mf = modes.xi_analytic([FIG3_MODE], FIG3_BG, [t])
+        assert grid.xi[0, i] == pytest.approx(mf.xi[0, 0], rel=1e-14)
+        assert grid.xi_dot[0, i] == pytest.approx(mf.xi_dot[0, 0], rel=1e-14)
         st = modes.state_from_xi(FIG3_MODE, mf)
-        assert states.alpha[i] == pytest.approx(st.alpha, rel=1e-14)
-        assert states.beta[i] == pytest.approx(st.beta, rel=1e-12, abs=1e-15)
+        assert states.alpha[0, i] == pytest.approx(st.alpha[0, 0], rel=1e-14)
+        assert states.beta[0, i] == pytest.approx(st.beta[0, 0], rel=1e-12, abs=1e-15)
 
 
 def test_xi_satisfies_oscillator_equation():
     # second time derivative by finite differences of the analytic xi
     h = 1e-4
     for t in (-2.0, -0.5, 0.0, 0.4, 1.5):
-        xi_m = modes.xi_analytic(FIG3_MODE, FIG3_BG, t - h).xi
-        xi_0 = modes.xi_analytic(FIG3_MODE, FIG3_BG, t).xi
-        xi_p = modes.xi_analytic(FIG3_MODE, FIG3_BG, t + h).xi
+        xi_m, xi_0, xi_p = modes.xi_analytic([FIG3_MODE], FIG3_BG, [t - h, t, t + h]).xi[0]
         d2 = (xi_p - 2 * xi_0 + xi_m) / h**2
-        om = modes.omega_t(FIG3_MODE, FIG3_BG, t)
+        om = modes.omega_t([FIG3_MODE], FIG3_BG, [t])[0, 0]
         assert abs(d2 + om**2 * xi_0) <= 1e-7
 
 
 def test_xi_derivative_consistent():
     h = 1e-6
     for t in (-1.2, 0.3, 2.2):
-        mf = modes.xi_analytic(FIG3_MODE, FIG3_BG, t)
-        fd = (modes.xi_analytic(FIG3_MODE, FIG3_BG, t + h).xi
-              - modes.xi_analytic(FIG3_MODE, FIG3_BG, t - h).xi) / (2 * h)
-        assert mf.xi_dot == pytest.approx(fd, rel=1e-8)
+        mf = modes.xi_analytic([FIG3_MODE], FIG3_BG, [t - h, t, t + h])
+        xi_m, _, xi_p = mf.xi[0]
+        fd = (xi_p - xi_m) / (2 * h)
+        assert mf.xi_dot[0, 1] == pytest.approx(fd, rel=1e-8)
 
 
 def test_wronskian_conserved():
     ts = np.linspace(-10.0 / FIG3_BG.rho, 10.0 / FIG3_BG.rho, 101)
-    ws = [modes.xi_analytic(FIG3_MODE, FIG3_BG, float(t)).wronskian() for t in ts]
-    drift = max(abs(w - (-1j)) for w in ws)
+    drift = np.max(np.abs(modes.xi_analytic([FIG3_MODE], FIG3_BG, ts).wronskian() + 1j))
     assert drift <= 1e-8
 
 
@@ -155,33 +140,23 @@ def test_xi_mapping_reproduces_width_phase_equations():
     h = 1e-5
     m = FIG3_MODE.mass_m
     for t in (-1.0, 0.0, 0.8):
-        sm = modes.state_from_xi(FIG3_MODE, modes.xi_analytic(FIG3_MODE, FIG3_BG, t - h))
-        s0 = modes.state_from_xi(FIG3_MODE, modes.xi_analytic(FIG3_MODE, FIG3_BG, t))
-        sp = modes.state_from_xi(FIG3_MODE, modes.xi_analytic(FIG3_MODE, FIG3_BG, t + h))
-        alpha_dot = (sp.alpha - sm.alpha) / (2 * h)
-        beta_dot = (sp.beta - sm.beta) / (2 * h)
-        om = modes.omega_t(FIG3_MODE, FIG3_BG, t)
-        assert alpha_dot == pytest.approx(-s0.alpha * s0.beta / m, abs=1e-8)
+        st = modes.state_from_xi(
+            FIG3_MODE, modes.xi_analytic([FIG3_MODE], FIG3_BG, [t - h, t, t + h]))
+        (alpha_m, alpha_0, alpha_p), (beta_m, beta_0, beta_p) = st.alpha[0], st.beta[0]
+        alpha_dot = (alpha_p - alpha_m) / (2 * h)
+        beta_dot = (beta_p - beta_m) / (2 * h)
+        om = modes.omega_t([FIG3_MODE], FIG3_BG, [t])[0, 0]
+        assert alpha_dot == pytest.approx(-alpha_0 * beta_0 / m, abs=1e-8)
         assert beta_dot == pytest.approx(
-            s0.alpha**4 / m - s0.beta**2 / m - m * om**2, abs=1e-7
+            alpha_0**4 / m - beta_0**2 / m - m * om**2, abs=1e-7
         )
 
 
 def test_ode_and_analytic_routes_agree():
     rho = FIG3_BG.rho
     ts = np.linspace(-10.0 / rho, 10.0 / rho, 101)
-    t0 = modes.vacuum_start_time(FIG3_BG)
-    traj = modes.evolve_gaussian(
-        FIG3_MODE, FIG3_BG, modes.vacuum_state(FIG3_MODE, t0), t0, ts,
-        vacuum_start=True,
-    )
-    worst_a2 = worst_b = 0.0
-    m_om0 = FIG3_MODE.mass_m * FIG3_MODE.omega0
-    for i, t in enumerate(ts):
-        st = modes.state_from_xi(FIG3_MODE, modes.xi_analytic(FIG3_MODE, FIG3_BG, float(t)))
-        worst_a2 = max(worst_a2, abs(traj.alpha[i] ** 2 - st.alpha**2) / st.alpha**2)
-        # beta crosses zero; normalize by the natural scale m*omega0 there
-        worst_b = max(worst_b, abs(traj.beta[i] - st.beta) / max(abs(st.beta), m_om0))
+    traj = modes.evolve_gaussian(FIG3_MODE, FIG3_BG, ts)
+    worst_a2, worst_b = route_deviations(FIG3_MODE, FIG3_BG, traj)
     assert worst_a2 <= 1e-6
     assert worst_b <= 1e-6
 
@@ -189,11 +164,11 @@ def test_ode_and_analytic_routes_agree():
 def route_deviations(mode, bg, traj):
     """Worst relative alpha^2 and beta deviations of a trajectory from the
     2F1 route; beta crosses zero, so it is scaled by max(|beta|, m omega0)."""
-    st_xi = modes.state_from_xi(mode, modes.xi_analytic(mode, bg, traj.t))
-    a2 = st_xi.alpha**2
-    scale = np.maximum(np.abs(st_xi.beta), mode.mass_m * mode.omega0)
+    st_xi = modes.state_from_xi(mode, modes.xi_analytic([mode], bg, traj.t))
+    a2, beta = st_xi.alpha[0] ** 2, st_xi.beta[0]
+    scale = np.maximum(np.abs(beta), mode.mass_m * mode.omega0)
     return (np.max(np.abs(traj.alpha**2 - a2) / a2),
-            np.max(np.abs(traj.beta - st_xi.beta) / scale))
+            np.max(np.abs(traj.beta - beta) / scale))
 
 
 # c is drawn through the frequency jump omega_inf^2/omega0^2 - 1 = 4 c a/(m omega0^2)
@@ -207,24 +182,34 @@ def test_routes_agree_across_modes(m, omega0, jump, log10_rho):
     mode = EnvMode(mass_m=m, omega0=omega0, coupling_c=jump * m * omega0**2 / 4.0)
     bg = TanhBackground(amplitude_a=1.0, rho=10.0**log10_rho)
     ts = np.linspace(-10.0, 10.0, 41) / bg.rho
-    t0 = modes.vacuum_start_time(bg)
-    traj = modes.evolve_gaussian(
-        mode, bg, modes.vacuum_state(mode, t0), t0, ts, vacuum_start=True,
-    )
+    traj = modes.evolve_gaussian(mode, bg, ts)
     worst_a2, worst_b = route_deviations(mode, bg, traj)
     assert worst_a2 <= 1e-6
     assert worst_b <= 1e-6
-    drift = np.max(np.abs(modes.xi_analytic(mode, bg, ts).wronskian() + 1j))
+    drift = np.max(np.abs(modes.xi_analytic([mode], bg, ts).wronskian() + 1j))
     assert drift <= 1e-8
 
 
-def test_evolve_from_a_squeezed_state():
-    # any (alpha, beta) start maps to xi = 1, xi' = (beta + i alpha^2)/m
-    start = modes.state_from_xi(FIG3_MODE, modes.xi_analytic(FIG3_MODE, FIG3_BG, -0.5))
+def test_evolve_on_a_grid_that_starts_after_the_vacuum_start():
+    # the run starts at vacuum_start_time(bg) = -6 and reaches ts[0] = -0.2
+    # through one lead-in interval
     ts = np.linspace(-0.2, 3.0, 33)
-    traj = modes.evolve_gaussian(FIG3_MODE, FIG3_BG, start, -0.5, ts)
+    traj = modes.evolve_gaussian(FIG3_MODE, FIG3_BG, ts)
     assert np.array_equal(traj.t, ts)
     worst_a2, worst_b = route_deviations(FIG3_MODE, FIG3_BG, traj)
+    assert worst_a2 <= 1e-9
+    assert worst_b <= 1e-9
+
+
+def test_evolve_on_a_grid_that_starts_before_the_vacuum_start():
+    # ts[0] = -9 < -12/rho = -6: the run starts at ts[0] itself, so the first
+    # sample is the vacuum as it was set, with no step taken
+    mode = EnvMode(mass_m=1.5, omega0=0.8, coupling_c=0.15)
+    ts = np.linspace(-9.0, 3.0, 49)
+    traj = modes.evolve_gaussian(mode, FIG3_BG, ts)
+    assert traj.beta[0] == 0.0
+    assert traj.alpha[0] ** 2 == pytest.approx(1.5 * 0.8, rel=1e-15)
+    worst_a2, worst_b = route_deviations(mode, FIG3_BG, traj)
     assert worst_a2 <= 1e-9
     assert worst_b <= 1e-9
 
@@ -232,20 +217,16 @@ def test_evolve_from_a_squeezed_state():
 @pytest.mark.parametrize("t_eval", [
     [-1.0, -2.0, 1.0],  # not sorted
     [-1.0, -1.0, 1.0],  # repeated point
-    [-7.0, 0.0],        # before t0
+    [-math.inf, 0.0],   # t0 = ts[0] not finite
     [0.0, math.nan, 1.0],
     [0.0, math.nan],
     [[0.0, 1.0]],       # not 1-D
     [],
-    [-7.0],             # ends before t0
+    [0.0, math.inf],
 ])
 def test_evolve_rejects_bad_t_eval(t_eval):
-    t0 = modes.vacuum_start_time(FIG3_BG)
     with pytest.raises(DomainError):
-        modes.evolve_gaussian(
-            FIG3_MODE, FIG3_BG, modes.vacuum_state(FIG3_MODE, t0), t0, t_eval,
-            vacuum_start=True,
-        )
+        modes.evolve_gaussian(FIG3_MODE, FIG3_BG, t_eval)
 
 
 def test_evolve_step_doubling_failure(monkeypatch):
@@ -259,8 +240,7 @@ def test_evolve_step_doubling_failure(monkeypatch):
     ts = np.linspace(-2.5, 2.5, 21)
 
     def evolve():
-        return modes.evolve_gaussian(mode, bg, modes.vacuum_state(mode, t0), t0, ts,
-                                     vacuum_start=True)
+        return modes.evolve_gaussian(mode, bg, ts)
 
     worst_a2, worst_b = route_deviations(mode, bg, evolve())
     assert worst_a2 <= 1e-6
@@ -276,10 +256,7 @@ def test_evolve_step_budget():
     slow = TanhBackground(amplitude_a=1.0, rho=1e-7)
     t0 = modes.vacuum_start_time(slow)
     with pytest.raises(StiffnessError, match="steps"):
-        modes.evolve_gaussian(
-            FIG3_MODE, slow, modes.vacuum_state(FIG3_MODE, t0), t0, [-t0],
-            vacuum_start=True,
-        )
+        modes.evolve_gaussian(FIG3_MODE, slow, [-t0])
 
 
 def test_adiabatic_limit_tracks_ground_state():
@@ -287,10 +264,7 @@ def test_adiabatic_limit_tracks_ground_state():
     # ground state alpha^2 = m omega_inf
     slow = TanhBackground(amplitude_a=1.0, rho=0.02)
     t0 = modes.vacuum_start_time(slow)
-    traj = modes.evolve_gaussian(
-        FIG3_MODE, slow, modes.vacuum_state(FIG3_MODE, t0), t0, [-t0],
-        vacuum_start=True,
-    )
+    traj = modes.evolve_gaussian(FIG3_MODE, slow, [-t0])
     _, om_inf = modes.omega_asymptotics(FIG3_MODE, slow)
     assert traj.alpha[-1] ** 2 == pytest.approx(FIG3_MODE.mass_m * om_inf, rel=1e-3)
 
@@ -302,11 +276,7 @@ def test_sudden_limit_beta_oscillates_at_doubled_frequency():
     fast = TanhBackground(amplitude_a=1.0, rho=50.0)
     _, om_inf = modes.omega_asymptotics(FIG3_MODE, fast)
     ts = np.linspace(0.5, 20.0, 8001)
-    t0 = modes.vacuum_start_time(fast)
-    traj = modes.evolve_gaussian(
-        FIG3_MODE, fast, modes.vacuum_state(FIG3_MODE, t0), t0, ts,
-        vacuum_start=True,
-    )
+    traj = modes.evolve_gaussian(FIG3_MODE, fast, ts)
     b = traj.beta
     crossings = ts[:-1][np.sign(b[:-1]) != np.sign(b[1:])]
     spacing = float(np.mean(np.diff(crossings)))
@@ -323,8 +293,3 @@ def test_gaussian_moments_by_quadrature():
         y4 = quad(lambda y: weight(y) * y**4, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-12)[0] / norm
         assert y2 == pytest.approx(hbar / (2 * alpha**2), rel=1e-8)
         assert y4 == pytest.approx(3 * hbar**2 / (4 * alpha**4), rel=1e-8)
-
-
-def test_mode_state_validation():
-    with pytest.raises(DomainError):
-        modes.GaussianModeState(alpha=0.0, beta=1.0, t=0.0)

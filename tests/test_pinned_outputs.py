@@ -3,7 +3,9 @@
 The rows below were written by the per-point scalar 2F1 implementation that
 preceded the whole-grid kernel.  The kernel sums the same series in another
 order, so values may move in the last digits only: 1e-10 relative, or 1e-13
-absolute for values below 1e-3 in magnitude.
+absolute for values below 1e-3 in magnitude.  The mode-evolve rows' Magnus
+columns (``alpha2_ode``, ``beta_ode``) are the 4th-order Magnus route's own
+output from its vacuum start, pinned at the same tolerance.
 """
 
 import numpy as np
@@ -30,11 +32,11 @@ TWO_MODE_ROWS = {
 }
 
 MODE_EVOLVE_ROWS = {
-    # row: t, alpha2_xi, beta_xi (the 2F1 route's columns)
-    0: [-5, 1.00000000012, -2.47338424978e-10],
-    200: [-2.5, 1.00000272396, -5.4478478287e-06],
-    400: [0, 1.04887614728, -0.0777060991824],
-    800: [5, 1.09426105806, -0.0202262919341],
+    # row: t, alpha2_ode, beta_ode, alpha2_xi, beta_xi
+    0: [-5, 1.00000000012, -2.51281575067e-10, 1.00000000012, -2.47338424978e-10],
+    200: [-2.5, 1.00000272396, -5.44784590166e-06, 1.00000272396, -5.4478478287e-06],
+    400: [0, 1.04887614728, -0.077706099176, 1.04887614728, -0.0777060991824],
+    800: [5, 1.09426105807, -0.0202262919276, 1.09426105806, -0.0202262919341],
 }
 
 
@@ -70,7 +72,8 @@ def test_two_mode_backreaction_rows_pinned(tmp_path):
 def test_mode_evolve_rows_pinned(tmp_path):
     columns, rows = run_csv(tmp_path, ["mode-evolve"])
     assert len(rows) == 801
-    cols = [columns.index(name) for name in ("t", "alpha2_xi", "beta_xi")]
+    cols = [columns.index(name)
+            for name in ("t", "alpha2_ode", "beta_ode", "alpha2_xi", "beta_xi")]
     for i, want in MODE_EVOLVE_ROWS.items():
         assert_pinned(rows[i, cols], want)
 

@@ -138,14 +138,6 @@ def test_profile_positive_everywhere(quadratic_profile):
     assert np.all(quadratic_profile.e_minus_vtot > 0.0)
 
 
-def test_dropping_decaying_term_breaks_positivity(quadratic_tps):
-    prof = wkb.wkb_total_potential(
-        QUADRATIC, 1.0, PARAMS_E1, turning_points=quadratic_tps,
-        include_decaying_term=False,
-    )
-    assert np.nanmin(prof.e_minus_vtot) < 0.0
-
-
 def test_patch_window_independence(quadratic_tps):
     domain = (-0.6, 1.6)
     full = wkb.wkb_total_potential(
