@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import specfun
 from .core import EnvMode, PhysicalParams, RectBarrier, cumulative_simpson, derivative_5pt
 from .errors import (
     AlignmentError,
@@ -183,8 +184,20 @@ def effective_potential(
         raise ResolutionError(f"Q1' oscillates at grid scale ({spikes} sign flips on "
                               "neighbouring intervals); refine the grid")
     hbar, M = params.hbar, params.mass_M
-    integral = cumulative_simpson(hbar * dq1 * p0 / (4.0 * M), h)
-    delta_v = 2.0 * hbar**2 * q1**2 / (32.0 * M) + hbar**2 * q2 / (4.0 * M) - integral
+    # in place, in the order of hbar Q1' p0/(4 M) and of
+    # 2 hbar^2 Q1^2/(32 M) + hbar^2 Q2/(4 M) - integral, so that at most three
+    # (mode, point) arrays are held at once
+    dq1 *= hbar
+    dq1 *= p0
+    dq1 /= 4.0 * M
+    integral = cumulative_simpson(dq1, h)
+    del dq1
+    delta_v = np.square(q1)
+    delta_v *= 2.0 * hbar**2
+    delta_v /= 32.0 * M
+    delta_v += hbar**2 * q2 / (4.0 * M)
+    delta_v -= integral
+    del integral
     # numpy adds C-contiguous rows in mode order; np.sum over the barrier
     # averages would add 8 or more of them pairwise
     delta_v_bar = sum((cumulative_simpson(delta_v, h)[:, -1] / width_a).tolist())
@@ -278,12 +291,17 @@ def rect_mode_backreaction(
 
     Builds the tanh trajectory of the solution and a uniform grid over
     [eps*a, a], with the unperturbed effective-classical momentum
-    p0 = sqrt(2 M (E - V_tot)).  One ``xi_analytic`` call evaluates every
-    mode's exact mode function along the trajectory, one ``q_factors`` call
-    gives their Q1, Q2 as (mode, point) arrays, and one
-    ``effective_potential`` call adds the modes' Q1, Q2, Delta V and barrier
-    averages in mode order, because completing the square on the effective
-    Hamiltonian cancels the Gaussian-average cross terms.
+    p0 = sqrt(2 M (E - V_tot)).  The grid is taken in consecutive blocks of
+    at most ``specfun._CHUNK_PAIRS // len(modes)`` points (8,192 for one
+    mode): per block, one ``xi_analytic`` call evaluates every mode's exact
+    mode function along the trajectory and one ``q_factors`` call gives
+    their Q1, Q2 as (mode, point) arrays, so the 2F1 working set stays the
+    size of one kernel chunk whatever the grid.  A pair's 2F1 bits depend
+    only on its own set and z, so the blocks give the bits of one call over
+    the whole grid.  One ``effective_potential`` call then adds the modes'
+    Q1, Q2, Delta V and barrier averages in mode order, because completing
+    the square on the effective Hamiltonian cancels the Gaussian-average
+    cross terms.
     """
     if not modes:
         raise DomainError("need at least one environment mode")
@@ -291,9 +309,14 @@ def rect_mode_backreaction(
     a = sol.barrier.width_a
     xs = np.linspace(_EDGE_TRIM * a, a, num_points)
     ts = bg.time_at(xs)
+    q = np.empty((2, len(modes), num_points))
+    step = max(specfun._CHUNK_PAIRS // len(modes), 1)
+    for lo in range(0, num_points, step):
+        qf = q_factors(modes, bg, xi_analytic(modes, bg, ts[lo:lo + step]))
+        if qf.trimmed:
+            raise DomainError("trajectory trim removed requested grid points")
+        q[:, :, lo:lo + step] = qf.q1, qf.q2
+    del ts
     p0 = np.sqrt(2.0 * sol.params.mass_M * kinetic_density_region2(sol, xs))
     v = np.full_like(xs, sol.barrier.height_V0)
-    qf = q_factors(modes, bg, xi_analytic(modes, bg, ts))
-    if len(qf.xs) != len(xs):
-        raise DomainError("trajectory trim removed requested grid points")
-    return effective_potential(xs, v, p0, qf.q1, qf.q2, sol.params, width_a=a)
+    return effective_potential(xs, v, p0, q[0], q[1], sol.params, width_a=a)

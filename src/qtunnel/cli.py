@@ -136,6 +136,7 @@ def _run_mode_evolve(cfg: RunConfig) -> _Table:
         rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier()))
     if cfg["rho"] is not None:
         bg = rect_mod.TanhBackground(amplitude_a=bg.amplitude_a, rho=float(cfg["rho"]))
+    cfg.check_time_scale(bg.rho)  # RunConfig checks only a configured rho
     # t_min..t_max are in units of 1/rho; the evolution starts in the vacuum
     ts = np.linspace(float(cfg["t_min"]), float(cfg["t_max"]), int(cfg["grid_points"])) / bg.rho
     mode, *others = cfg.env_modes()

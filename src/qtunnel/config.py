@@ -8,8 +8,8 @@ barrier at E = 1, everything else to the rectangular-barrier set E = 2,
 V0 = 4, a = 1, m = 1, omega0 = 1, c = 0.15 in hbar = M = 1 units).
 
 ``RunConfig`` rejects only the grid values no scenario checks itself
-(finite x and t ranges, spans and max|t|/rho, t_min < t_max, rho > 0,
-16 to 2^22 grid points).
+(finite x and t ranges, spans, max|t|/rho and the vacuum start 12/rho,
+t_min < t_max, rho > 0, 16 to 2^22 grid points).
 Everything else is checked where it is used: the accessors raise
 ``ConfigError`` on values they cannot parse, and the physics raises its own
 errors, which ``validate`` finds by running the scenario.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
+from .core import VACUUM_SATURATION, EnvMode, PhysicalParams, RectBarrier, SmoothPotential
 
 SCENARIOS = (
     "fig1a",
@@ -53,8 +53,9 @@ _BASE_DEFAULTS = {
     "sweep_values": "1,2,3,4,5",
 }
 
-# 16x the largest grid measured (262,144 points, ~290 B a point at peak):
-# ~1.2 GB, so larger grids are refused before any array is allocated
+# 16x the largest grid measured (262,144 points; mode-evolve, the largest,
+# ~320 B a point at peak): ~1.3 GB, so larger grids are refused before any
+# array is allocated
 _MAX_GRID_POINTS = 2**22
 
 _SCENARIO_DEFAULTS = {
@@ -100,9 +101,8 @@ class RunConfig:
         for lo, hi in (("x_min", "x_max"), ("t_min", "t_max")):
             if None not in (self[lo], self[hi]) and math.isinf(float(self[hi]) - float(self[lo])):
                 raise ConfigError(f"{hi} - {lo} leaves double range ({self[lo]} to {self[hi]})")
-        t_abs = max(abs(float(self[key] or 0.0)) for key in ("t_min", "t_max"))
-        if self["rho"] is not None and math.isinf(t_abs / float(self["rho"])):
-            raise ConfigError(f"max|t|/rho = {t_abs}/{self['rho']} leaves double range")
+        if self["rho"] is not None:
+            self.check_time_scale(float(self["rho"]))
         if int(self["grid_points"]) < 16:
             raise ConfigError("grid_points must be at least 16")
         if int(self["grid_points"]) > _MAX_GRID_POINTS:
@@ -111,6 +111,16 @@ class RunConfig:
 
     def __getitem__(self, key: str):
         return self.values.get(key)
+
+    def check_time_scale(self, rho: float) -> None:
+        """ConfigError unless mode-evolve's times at this rho, t/rho over the
+        t range and the vacuum start -12/rho, are finite doubles."""
+        t_abs = max(abs(float(self[key] or 0.0)) for key in ("t_min", "t_max"))
+        if rho == 0.0 or math.isinf(t_abs / rho):
+            raise ConfigError(f"max|t|/rho = {t_abs}/{rho} leaves double range")
+        if math.isinf(VACUUM_SATURATION / rho):
+            raise ConfigError(f"rho = {rho} puts the vacuum start -{VACUUM_SATURATION:g}/rho "
+                              "past double range")
 
     def physical_params(self) -> PhysicalParams:
         return PhysicalParams(

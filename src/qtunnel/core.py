@@ -21,6 +21,7 @@ from .errors import AboveBarrierError, DomainError
 # kernel allows relative to a value: one unit of the 12th printed digit
 DIGITS_TOL = 1e-11
 LOG_DOUBLE_MAX = math.log(np.finfo(float).max)  # e^x is a finite double up to here
+VACUUM_SATURATION = 12.0  # |rho t0| for vacuum starts: tanh saturated to ~1e-10
 
 
 def _require_positive(**values: float) -> None:
@@ -144,13 +145,15 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     """
     n = y.shape[-1]
     left, mid, right = y[..., 0:n - 2:2], y[..., 1:n - 1:2], y[..., 2::2]
-    pieces = np.empty(y.shape[:-1] + (n - 1,))
+    out = np.empty(y.shape)
+    out[..., 0] = 0.0
+    # the intervals' pieces, then their running sum, in place
+    pieces = out[..., 1:]
     pieces[..., :-1:2] = 5.0 * left + 8.0 * mid - right
     pieces[..., 1::2] = 5.0 * right + 8.0 * mid - left
     pieces[..., -1] = 5.0 * y[..., -1] + 8.0 * y[..., -2] - y[..., -3]
-    out = np.empty(y.shape)
-    out[..., 0] = 0.0
-    out[..., 1:] = np.cumsum(h / 12.0 * pieces, axis=-1)
+    pieces *= h / 12.0
+    np.cumsum(pieces, axis=-1, out=pieces)
     return out
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .core import EnvMode
+from .core import VACUUM_SATURATION, EnvMode
 from .errors import (
     DomainError,
     InconsistentBranchError,
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .rect import TanhBackground
 
-_VACUUM_SATURATION = 12.0  # |rho t0| for vacuum starts: tanh saturated to ~1e-10
 _MAGNUS_STEP = 0.03  # step h times max(rho, omega_max)
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0  # Gauss points at mid -/+ offset * h
 _STEP_DOUBLING_TOL = 1e-7
@@ -114,7 +113,7 @@ def omega_pm(mode: EnvMode, bg: TanhBackground) -> tuple[float, float]:
 
 def vacuum_start_time(bg: TanhBackground) -> float:
     """Earliest time needed for a vacuum start (tanh saturated to ~1e-10)."""
-    return -_VACUUM_SATURATION / bg.rho
+    return -VACUUM_SATURATION / bg.rho
 
 
 def evolve_gaussian(mode: EnvMode, bg: TanhBackground, ts) -> GaussianModeState:
@@ -137,8 +136,8 @@ def evolve_gaussian(mode: EnvMode, bg: TanhBackground, ts) -> GaussianModeState:
         raise DomainError("ts must be a non-empty 1-D grid")
     t0 = min(vacuum_start_time(bg), ts[0])
     if not (math.isfinite(t0) and math.isfinite(ts[-1])):
-        raise DomainError(f"need finite t0 <= ts[0] and t0 < ts[-1], got t0 = {t0}, "
-                          f"ts[0] = {ts[0]}, ts[-1] = {ts[-1]}")
+        raise DomainError(f"need a finite start t0 = min(-{VACUUM_SATURATION:g}/rho, ts[0]) "
+                          f"and a finite ts[-1], got t0 = {t0}, ts[-1] = {ts[-1]}")
     if not np.all(np.diff(ts) > 0.0):
         raise DomainError("ts must be strictly increasing")
     edges = np.concatenate(([t0], ts))

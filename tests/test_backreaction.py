@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
 from qtunnel.errors import AlignmentError, DomainError, OutOfRegimeError, ResolutionError
 from qtunnel import backreaction as br
-from qtunnel import modes, rect
+from qtunnel import modes, rect, specfun
 from qtunnel.rect import TanhBackground
 
 PARAMS = PhysicalParams(energy_E=2.0)
@@ -241,6 +241,36 @@ def test_superpose_two_identical_modes(fig3_profile):
     assert block - (2 * q) ** 2 / 16.0 == pytest.approx(
         2.0 * (2.0 * q**2) * 2.0 / 32.0, rel=1e-14
     )
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
+    # 20,000 points are 3, 5 and 10 blocks of 8,192 // count: the blocks give
+    # the bits, and the series lengths, of one 2F1 call over the whole grid
+    mode_set = [FIG3_MODE, EnvMode(mass_m=1.3, omega0=0.8, coupling_c=-0.1),
+                EnvMode(mass_m=0.7, omega0=1.6, coupling_c=0.05),
+                EnvMode(mass_m=2.0, omega0=0.7, coupling_c=0.2)][:count]
+    terms = []
+    kernel = specfun.hyp2f1_ex
+
+    def counted(*args, **kwargs):
+        res = kernel(*args, **kwargs)
+        terms.append(res.terms)
+        return res
+
+    monkeypatch.setattr(specfun, "hyp2f1_ex", counted)
+    sol = rect.solve_rect(PARAMS, BARRIER)
+    blocked = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
+    assert len(terms) == -(-20_000 // (specfun._CHUNK_PAIRS // count))
+    blocked_terms, terms[:] = sum(terms), []
+    bg = rect.classical_trajectory(sol)
+    xs = np.linspace(1e-3, 1.0, 20_000)
+    qf = br.q_factors(mode_set, bg, modes.xi_analytic(mode_set, bg, bg.time_at(xs)))
+    assert terms == [blocked_terms]
+    whole = br.effective_potential(xs, blocked.v, blocked.p0, qf.q1, qf.q2, PARAMS, width_a=1.0)
+    for field in ("xs", "q1", "q2", "delta_v", "v_eff"):
+        assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes()
+    assert blocked.delta_v_bar == whole.delta_v_bar
 
 
 def test_superpose_no_modes_rejected():
