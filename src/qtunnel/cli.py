@@ -143,9 +143,15 @@ def _run_mode_evolve(cfg: RunConfig) -> _Table:
     if others:
         raise ConfigError(f"mode-evolve evolves one mode, got {1 + len(others)}")
     traj = modes_mod.evolve_gaussian(mode, bg, ts)
-    st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, traj.t))
+    # the exact mode function in blocks of one 2F1 kernel chunk; a point's
+    # bits depend only on its own z, so the blocks give one call's bits
+    alpha2_xi, beta_xi = np.empty((2, traj.t.size))
+    step = modes_mod.specfun._CHUNK_PAIRS
+    for lo in range(0, traj.t.size, step):
+        st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, traj.t[lo:lo + step]))
+        alpha2_xi[lo:lo + step], beta_xi[lo:lo + step] = st.alpha[0]**2, st.beta[0]
     return _csv_table(cfg, {"t": traj.t, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
-                            "alpha2_xi": st.alpha[0]**2, "beta_xi": st.beta[0]})
+                            "alpha2_xi": alpha2_xi, "beta_xi": beta_xi})
 
 
 def _run_backreaction(cfg: RunConfig) -> _Table:

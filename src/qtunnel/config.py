@@ -17,8 +17,11 @@ errors, which ``validate`` finds by running the scenario.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .core import VACUUM_SATURATION, EnvMode, PhysicalParams, RectBarrier, SmoothPotential
 
@@ -164,14 +167,9 @@ class RunConfig:
         """The ``poly`` barrier sum(ci * x**i) and its derivative, elementwise
         on numpy arrays."""
         coeffs = self.polynomial()
-
-        def value(x):
-            return sum(ci * x**i for i, ci in enumerate(coeffs))
-
-        def derivative(x):
-            return sum(i * ci * x ** (i - 1) for i, ci in enumerate(coeffs) if i > 0)
-
-        return SmoothPotential(value, derivative)
+        slopes = [i * ci for i, ci in enumerate(coeffs) if i > 0]
+        return SmoothPotential(functools.partial(_power_sum, coeffs),
+                               functools.partial(_power_sum, slopes))
 
     def bracket(self) -> tuple[float, float]:
         ends = _numbers(self.values["bracket"], ",", "bracket must be 'lo,hi'")
@@ -180,6 +178,8 @@ class RunConfig:
         lo, hi = ends
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError(f"bracket must be finite with lo < hi, got {lo},{hi}")
+        if math.isinf(hi - lo):  # the root scans space their nodes by the span
+            raise ConfigError(f"bracket span leaves double range ({lo} to {hi})")
         return lo, hi
 
     def sweep(self) -> tuple[str, list[float]]:
@@ -201,6 +201,18 @@ class RunConfig:
             else:
                 parts.append(f"{key}={val}")
         return " ".join(parts)
+
+
+def _power_sum(coeffs: list[float], x: np.ndarray) -> np.ndarray:
+    """sum(ci * x**i for i, ci in enumerate(coeffs)) on an array x, to the bit:
+    the same terms added in the same order onto 0 + c0 (so a c0 of -0.0 reads
+    0.0), without the generator or the x**0 and x**1 passes."""
+    if len(coeffs) < 2:
+        return np.full(x.shape, 0.0 + (coeffs[0] if coeffs else 0.0))
+    total = (0.0 + coeffs[0]) + coeffs[1] * x
+    for i in range(2, len(coeffs)):
+        total += coeffs[i] * x**i
+    return total
 
 
 def _numbers(text, sep: str, what: str) -> list[float]:

@@ -166,10 +166,12 @@ def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes
 
 
-def gauss_legendre(f: Callable, lo: float, hi: float, n: int) -> float:
+def gauss_legendre(f: Callable, lo: float, hi: float,
+                   n: int | tuple[np.ndarray, np.ndarray]) -> float:
     """Integral of f over [lo, hi] by the n-node Gauss-Legendre rule (DLMF 3.5(v)),
-    exact up to degree 2n - 1; f is called once, on the array of nodes."""
-    u, w = _legendre_nodes(n)
+    exact up to degree 2n - 1; f is called once, on the array of nodes.  ``n``
+    is the node count, or the rule's own (nodes, weights) on [-1, 1]."""
+    u, w = _legendre_nodes(n) if isinstance(n, int) else n
     half = 0.5 * (hi - lo)
     return float(half * (w @ f(lo + half * (u + 1.0))))
 

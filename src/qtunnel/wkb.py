@@ -10,11 +10,13 @@ window sized by a linearization budget and a validity floor on the scaled
 Airy argument, with the exact solution of the locally linearized problem
 (Ai and Bi of the scaled distance to the turning point, DLMF 9.2),
 least-squares matched to the semiclassical wavefunction at both window
-edges.  ``airy`` evaluates Ai, Bi and their derivatives on numpy alone:
-Maclaurin series (DLMF 9.4) with a cancellation guard, and a Gauss-Hermite
-rule on Ai's integral (DLMF 9.5) where the series for Ai cancels.  The
-potential is only ever called on numpy arrays: grid segments, quadrature
-nodes and the scan nodes of the turning-point and width searches.
+edges; ``airy.airy`` evaluates Ai and Bi.  The whole profile runs on
+numpy's core alone, with no LAPACK call and no numpy.polynomial import: the
+4x2 window match is solved by a two-column Gram-Schmidt QR, and the action
+tails' 24-node Gauss-Legendre rule is a table with leggauss's bits.  The
+potential is only ever called on numpy arrays: the grid, quadrature nodes
+and the scan nodes of the turning-point and width searches.  A potential
+that leaves double range on any of them raises ``PrecisionError``.
 
 Also provides the tanh-trajectory steepness parameter for general barriers,
 built from the slope at the exit turning point and Gamma(1/3), Gamma(2/3).
@@ -28,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DIGITS_TOL, LOG_DOUBLE_MAX, PhysicalParams, SmoothPotential, cumulative_simpson,
-                   gauss_legendre)
+from .airy import airy
+from .core import LOG_DOUBLE_MAX, PhysicalParams, SmoothPotential, cumulative_simpson, gauss_legendre
 from .errors import (
     DegenerateTurningPointError,
     DomainError,
@@ -40,18 +42,22 @@ from .errors import (
 )
 from .rect import quantum_potential
 
-# the Airy series stops once its last term is below this share of the first
-_REL_EPS = 1e-16
 # each scan narrows the bracket (_SCAN_POINTS - 1)-fold: 63^9 > 2^53
 _SCAN_POINTS = 64
 _SCAN_ROUNDS = 9
 _LINEARIZATION_BUDGET = 0.05  # |V - V_lin| <= budget * |V'| * w at window edge
 _EDGE_ARGUMENT = 0.8  # least scaled Airy argument gamma*w at a window edge
-# Ai(0) and -Ai'(0) (DLMF 9.2.3, 9.2.4)
-_AI0, _AIP0 = 0.355028053887817239260, 0.258819403792806798405
-# the order-k term of f, g, f', g' is the order-(k - 1) term times z^3 over
-# (3k + s0)(3k + s1), with s0 and s1 the two rows below
-_AIRY_SHIFTS = np.array([[[-1], [0], [-3], [-2]], [[0], [1], [-1], [0]]])
+# the 12 positive nodes of numpy's leggauss(24) and their weights, to the bit;
+# the rule is symmetric to the bit.  A table, because leggauss computes its
+# nodes by a LAPACK eigensolve and imports numpy.polynomial
+_LEGENDRE_24 = (
+    (0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+     0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+     0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+    (0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+     0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+     0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869),
+)
 
 
 class TurningPoints(NamedTuple):
@@ -89,10 +95,11 @@ def find_turning_points(
     outside them; ``_last_before_positive`` narrows each to rounding level.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if hi <= lo:
-        raise DomainError("bracket must satisfy lo < hi")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise DomainError(f"bracket must satisfy lo < hi with a finite span, got {lo}, {hi}")
     xs = np.linspace(lo, hi, 512)
-    signs = np.sign(potential(xs) - E)
+    with np.errstate(all="ignore"):  # a non-finite V fails the check
+        signs = np.sign(_checked(potential(xs), xs) - E)
     starts = np.flatnonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0))
     if starts.size != 2:
         raise TurningPointTopologyError(
@@ -105,7 +112,8 @@ def find_turning_points(
     i, j = starts
     x0 = _last_before_positive(lambda x: potential(x) - E, xs[i], xs[i + 1])
     a = _last_before_positive(lambda x: E - potential(x), xs[j], xs[j + 1])
-    s0, sa = (float(s) for s in potential.derivative(np.array([x0, a])))
+    with np.errstate(all="ignore"):  # a non-finite slope fails the width scans
+        s0, sa = (float(s) for s in potential.derivative(np.array([x0, a])))
     scale = max(abs(s0), abs(sa), 1e-300)
     for x, s in ((x0, s0), (a, sa)):
         if abs(s) < 1e-8 * scale:
@@ -115,18 +123,43 @@ def find_turning_points(
     return TurningPoints(left_x0=x0, right_a=a, slope_left=s0, slope_right=sa)
 
 
+def _checked(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Values of V, or of a function of V, at xs; PrecisionError naming the
+    first x where one is not a finite double."""
+    if not np.isfinite(values).all():
+        x = xs[np.argmin(np.isfinite(values))]
+        raise PrecisionError(f"the barrier leaves double range near x = {x:.6g}")
+    return values
+
+
+def _scan_lattice(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, _SCAN_POINTS) to the bit, in linspace's own steps
+    (a subnormal span whose step rounds to 0 is scaled after the division)."""
+    xs = np.arange(float(_SCAN_POINTS))
+    step = (hi - lo) / (_SCAN_POINTS - 1)
+    if step == 0:
+        xs /= _SCAN_POINTS - 1
+        step = hi - lo
+    xs *= step
+    xs += lo
+    xs[-1] = hi
+    return xs
+
+
 def _last_before_positive(g, lo: float, hi: float) -> float:
     """The last x in [lo, hi] before g(x) first turns positive, or hi if it
     never does; g(lo) <= 0.  Each round calls g once on _SCAN_POINTS nodes and
-    narrows [lo, hi] to the step where g first turns positive.
+    narrows [lo, hi] to the step where g first turns positive.  A g that is
+    not a finite double on a node raises PrecisionError.
     """
-    for _ in range(_SCAN_ROUNDS):
-        xs = np.linspace(lo, hi, _SCAN_POINTS)
-        positive = g(xs) > 0
-        if not positive.any():
-            return float(hi)
-        i = int(np.argmax(positive))
-        lo, hi = xs[i - 1], xs[i]
+    with np.errstate(all="ignore"):  # a non-finite g fails the check
+        for _ in range(_SCAN_ROUNDS):
+            xs = _scan_lattice(lo, hi)
+            positive = _checked(g(xs), xs) > 0
+            i = int(positive.argmax())
+            if not positive[i]:
+                return float(hi)
+            lo, hi = xs[i - 1], xs[i]
     return float(lo)
 
 
@@ -157,10 +190,13 @@ def _window_width(potential: SmoothPotential, x_t: float, slope: float,
     """
     v_t = potential(np.full(1, x_t))[0]
 
+    budget = _LINEARIZATION_BUDGET * abs(slope)
+
     def excess(w: np.ndarray) -> np.ndarray:
         dv = potential(x_t + np.concatenate((w, -w))) - v_t
-        err = np.maximum(np.abs(dv[:w.size] - slope * w), np.abs(dv[w.size:] + slope * w))
-        return err - _LINEARIZATION_BUDGET * abs(slope) * w
+        sw = slope * w
+        err = np.maximum(np.abs(dv[:w.size] - sw), np.abs(dv[w.size:] + sw))
+        return err - budget * w
 
     w_lin = _last_before_positive(excess, 0.0, w_max)
     w_floor = _EDGE_ARGUMENT / abs(_airy_scale(params, slope))
@@ -184,63 +220,11 @@ def rho_general(params: PhysicalParams, turning_points: TurningPoints) -> float:
     return prefactor * params.hbar * beta ** (1.0 / 3.0) / (params.mass_M * a)
 
 
-# 80-node Gauss-Hermite nodes and weights, computed on first use
-_hermite_nodes = functools.cache(functools.partial(np.polynomial.hermite.hermgauss, 80))
-
-
-def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ai, Ai', Bi, Bi' on a 1-d real array z with |z| < 100.
-
-    The Maclaurin series Ai = c1 f - c2 g, Bi = sqrt(3) (c1 f + c2 g) and
-    their derivatives (DLMF 9.4.1-9.4.2) run in powers of z^3 until the last
-    term at the largest |z| is below _REL_EPS of the first.  Below z = -2 the
-    series cancel: the same series at |z| sum the |terms|, and where that
-    sum times the double epsilon passes DIGITS_TOL of max(|Ai|, |Bi|) (or
-    of max(|Ai'|, |Bi'|); neither pair has a common zero), PrecisionError is
-    raised.  On [-2, 0) the ratio stays below 10 (Bi(2)/0.34).  For z >= 2,
-    where c1 f - c2 g cancels, Ai is e^(-zeta)/pi int_0^inf exp(-sqrt(z) t^2)
-    cos(t^3/3) dt (DLMF 9.5.6, zeta = 2 z^(3/2)/3) by 80-node Gauss-Hermite,
-    and Ai' follows from the Wronskian Ai Bi' - Ai' Bi = 1/pi.
-    """
-    z = np.asarray(z, dtype=float)
-    top = float(np.max(np.abs(z), initial=0.0))
-    if not top < 100.0:  # Bi leaves double range past z = 104
-        raise PrecisionError(f"Airy argument |z| = {top:.6g}: the kernel needs |z| < 100")
-    n, low = z.size, z < -2.0
-    x = np.concatenate((z, -z[low]))  # the values, then the sums of |terms| below -2
-    x3 = x * x * x
-    # order-1 terms and sums of f, g, f', g'
-    term = np.array([x3, x3 * x, x * x, x3]) * [[1.0 / 6.0], [1.0 / 12.0], [0.5], [1.0 / 3.0]]
-    total = term + [[1.0], [0.0], [0.0], [1.0]]
-    total[1] += x
-    k, rel = 1, 1.0
-    while rel > _REL_EPS:  # the last order; f' converges last
-        k += 1
-        rel *= top**3 / ((3 * k - 3) * (3 * k - 1))
-    ks = 3.0 * np.arange(2, k + 1)[:, None, None]
-    for d in 1.0 / ((ks + _AIRY_SHIFTS[0]) * (ks + _AIRY_SHIFTS[1])):
-        term *= x3
-        term *= d
-        total += term
-    c1f, c2g = _AI0 * total[0::2], _AIP0 * total[1::2]
-    (ai, aip), (bi, bip) = c1f[:, :n] - c2g[:, :n], math.sqrt(3.0) * (c1f[:, :n] + c2g[:, :n])
-    # per point below -2, the larger ratio of Bi's sum of |terms| (sqrt(3)
-    # times Ai's) to max(|Ai|, |Bi|) and to max(|Ai'|, |Bi'|)
-    ratio = np.max(math.sqrt(3.0) * (c1f[:, n:] + c2g[:, n:]) / np.maximum(
-        np.abs([ai[low], aip[low]]), np.abs([bi[low], bip[low]])), axis=0)
-    bad = ~(ratio <= DIGITS_TOL / np.finfo(float).eps)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise PrecisionError(f"Airy series cancel at z = {z[low][i]:.6g}: the sum of |terms| "
-                             f"is {ratio[i]:.3g} times the value; fewer than 12 digits hold")
-    far = z >= 2.0
-    if far.any():
-        u, w = _hermite_nodes()
-        zf = z[far]
-        ai[far] = (np.exp(-2.0 / 3.0 * zf**1.5) * zf**-0.25 / (2.0 * math.pi)
-                   * (w @ np.cos(u[:, None] ** 3 / (3.0 * zf**0.75))))
-        aip[far] = (ai[far] * bip[far] - 1.0 / math.pi) / bi[far]
-    return ai, aip, bi, bip
+@functools.cache
+def _legendre_24() -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(24) nodes and weights, mirrored from _LEGENDRE_24."""
+    x, w = np.array(_LEGENDRE_24)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def _airy_window_basis(params: PhysicalParams, x_t: float, slope: float,
@@ -251,6 +235,28 @@ def _airy_window_basis(params: PhysicalParams, x_t: float, slope: float,
     s = _airy_scale(params, slope)
     ai, aip, bi, bip = airy(s * (xs - x_t))
     return np.array([ai, bi]), s * np.array([aip, bip]), abs(s)
+
+
+def _least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution c of A c = b for a real A of two columns and
+    a complex b, by modified Gram-Schmidt: A = QR with orthonormal q1, q2, then
+    R c = Q^T b back-substituted.  Elementwise sums, so the window match's 4x2
+    systems call neither LAPACK nor complex BLAS."""
+    a1, a2 = A.T
+    r11 = math.hypot(*a1)
+    q1 = a1 / r11
+    r12 = float((q1 * a2).sum())
+    v = a2 - r12 * q1
+    r22 = math.hypot(*v)
+    q2 = v / r22
+    y1 = (q1 * b).sum()
+    c2 = (q2 * (b - y1 * q1)).sum() / r22
+    return np.array([(y1 - r12 * c2) / r11, c2])
+
+
+def _combine(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """coeffs[0] rows[0] + coeffs[1] rows[1]: coeffs @ rows, elementwise."""
+    return coeffs[0] * rows[0] + coeffs[1] * rows[1]
 
 
 def _median(values: np.ndarray) -> float:
@@ -300,6 +306,8 @@ def wkb_total_potential(
             raise DomainError("domain must contain both patch windows")
     xs = np.linspace(lo, hi, num_points)
     h = xs[1] - xs[0]
+    with np.errstate(all="ignore"):  # a non-finite V fails the check
+        v_bare = _checked(potential(xs), xs)
 
     def snap(x):
         return int(round((x - lo) / h))
@@ -318,45 +326,48 @@ def wkb_total_potential(
 
     # action pieces: the middle by cumulative Simpson on the grid, each tail
     # from a turning point x_t to a seam x_t + L by 24-node Gauss-Legendre in
-    # u, x = x_t + L u^2 (smooth at the sqrt endpoint); q, p read 0 past x_t
+    # u, x = x_t + L u^2 (smooth at the sqrt endpoint); q, p read 0 past x_t.
+    # 2 M |V - E| may leave double range: wave numbers and tails are checked
     M, hbar = params.mass_M, params.hbar
 
-    def q_of(x):
-        return np.sqrt(np.maximum(2.0 * M * (potential(x) - E), 0.0)) / hbar
+    def q_of(v):
+        return np.sqrt(np.maximum(2.0 * M * (v - E), 0.0)) / hbar
 
-    def p_of(x):
-        return np.sqrt(np.maximum(2.0 * M * (E - potential(x)), 0.0)) / hbar
+    def p_of(v):
+        return np.sqrt(np.maximum(2.0 * M * (E - v), 0.0)) / hbar
 
     def tail(k_of, x_t, x_seam):
         L = x_seam - x_t
-        return abs(L) * gauss_legendre(lambda u: 2.0 * u * k_of(x_t + L * u * u), 0.0, 1.0, 24)
+        return abs(L) * gauss_legendre(lambda u: 2.0 * u * k_of(potential(x_t + L * u * u)),
+                                       0.0, 1.0, _legendre_24())
 
     def amplitude_slope(x, k, sign):
         """k'/(2k), the slope of ln sqrt(k), for k = q (sign 1) or p (sign -1)."""
         return sign * M * potential.derivative(x) / (hbar**2 * k) / (2.0 * k)
 
     xs_i, xs_ii, xs_iii = xs[:i_l0 + 1], xs[i_l1:i_r0 + 1], xs[i_r1:]
-    p_i, q_ii, p_iii = p_of(xs_i), q_of(xs_ii), p_of(xs_iii)
-    for xs_k, k in ((xs_i, p_i), (xs_ii, q_ii), (xs_iii, p_iii)):
-        flat = ~(k > 0.0)
-        if flat.any():
-            raise DomainError(
-                f"V - E changes sign inside a semiclassical region at x = "
-                f"{xs_k[np.argmax(flat)]}"
-            )
-    tail_l = tail(q_of, x0, xs[i_l1])
-    tail_r = tail(q_of, a, xs[i_r0])
+    with np.errstate(all="ignore"):
+        p_i, q_ii, p_iii = p_of(v_bare[:i_l0 + 1]), q_of(v_bare[i_l1:i_r0 + 1]), p_of(v_bare[i_r1:])
+        for xs_k, k in ((xs_i, p_i), (xs_ii, q_ii), (xs_iii, p_iii)):
+            flat = ~(_checked(k, xs_k) > 0.0)
+            if flat.any():
+                raise DomainError(
+                    f"V - E changes sign inside a semiclassical region at x = "
+                    f"{xs_k[np.argmax(flat)]}"
+                )
+        tail_l, tail_r = tail(q_of, x0, xs[i_l1]), tail(q_of, a, xs[i_r0])
+        tail_i, tail_iii = tail(p_of, x0, xs[i_l0]), tail(p_of, a, xs[i_r1])
     cum_ii = cumulative_simpson(q_ii, h)
     theta = tail_l + cum_ii[-1] + tail_r
-    if 2.0 * theta > LOG_DOUBLE_MAX:  # |phi|^2 grows like e^(2 theta)
+    if not 2.0 * theta <= LOG_DOUBLE_MAX:  # |phi|^2 grows like e^(2 theta)
         raise PrecisionError(f"barrier action {theta:.6g}: e^(2 theta) leaves double range")
+    if not math.isfinite(tail_i + tail_iii):
+        raise PrecisionError("the phase outside a turning point leaves double range")
 
     # oscillatory phases outside the barrier
     cum_i = cumulative_simpson(p_i, h)
-    tail_i = tail(p_of, x0, xs[i_l0])
     theta_l = tail_i + (cum_i[-1] - cum_i)
     cum_iii = cumulative_simpson(p_iii, h)
-    tail_iii = tail(p_of, a, xs[i_r1])
     theta_r = tail_iii + cum_iii
 
     phi = np.empty(num_points, dtype=complex)
@@ -397,16 +408,15 @@ def wkb_total_potential(
         (a, tps.slope_right, i_r0, i_r1),
     ):
         ys, dys, scale = _airy_window_basis(params, x_t, slope, xs[i0:i1 + 1])
-        A_mat = np.array([ys[:, 0], dys[:, 0] / scale, ys[:, -1], dys[:, -1] / scale],
-                         dtype=complex)
+        A_mat = np.array([ys[:, 0], dys[:, 0] / scale, ys[:, -1], dys[:, -1] / scale])
         b_vec = np.array([phi[i0], dphi[i0] / scale, phi[i1], dphi[i1] / scale])
-        coeffs, *_ = np.linalg.lstsq(A_mat, b_vec, rcond=None)
-        resid = A_mat @ coeffs - b_vec
+        coeffs = _least_squares(A_mat, b_vec)
+        resid = _combine(coeffs, A_mat.T) - b_vec
         mismatch = max(mismatch, float(np.max(np.abs(resid)) / np.max(np.abs(b_vec))))
         # patch solution over the whole window including the seam points; the
         # assembled profile keeps the seam values from the WKB side, but the
         # window's own finite differences must not see that jump
-        vals, dvals = coeffs @ ys, coeffs @ dys
+        vals, dvals = _combine(coeffs, ys), _combine(coeffs, dys)
         window_r[i0] = np.abs(vals)
         phi[i0 + 1:i1] = vals[1:-1]
         dphi[i0 + 1:i1] = dvals[1:-1]
@@ -417,7 +427,6 @@ def wkb_total_potential(
 
     # quantum potential per segment: no finite-difference stencil crosses a
     # seam, and window segments difference their own (patch) amplitude
-    v_bare = potential(xs)
     v_tot = np.empty(num_points)
     bounds = [0, i_l0, i_l1, i_r0, i_r1, num_points - 1]
     for seg in range(5):

@@ -257,11 +257,18 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     ("mode-evolve", "E = 1e-300\nt_min = -1e300\nt_max = 1e300", "ConfigError"),
     # t/rho stays finite, the vacuum start -12/rho does not
     ("mode-evolve", "rho = 6e-308", "ConfigError"),
+    # x^2 overflows on the root scan
+    ("fig2", "poly = -0.95,8,-8\nbracket = -1e160,1e160", "PrecisionError"),
+    # the scans' node spacing needs a finite span
+    ("wkb", "poly = -0.95,8,-8\nbracket = -1e308,1e308", "ConfigError"),
+    # 1e308 x^2 overflows inside the default bracket
+    ("fig2", "poly = 0,1e308,-1e308", "PrecisionError"),
 ], ids=["rect", "fig3", "sweep", "rect-M", "rect-hbar", "rect-E-a", "rect-t_roll",
         "fig2-hbar-small", "fig2-hbar-large", "fig2-E", "fig2-bracket", "wkb-grid",
         "fig3-omega0", "fig1a-thick", "mode-evolve-t_max", "backreaction-c",
         "fig3-wide", "backreaction-wide", "mode-evolve-wide", "mode-evolve-derived-rho",
-        "mode-evolve-vacuum-start"])
+        "mode-evolve-vacuum-start", "fig2-wide-bracket", "wkb-bracket-span",
+        "fig2-poly-overflow"])
 def test_validate_reports_what_the_run_rejects(tmp_path, capsys, scenario, lines, error):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"scenario = {scenario}\n{lines}\n")
@@ -385,10 +392,10 @@ def test_large_grid_peak_memory(tmp_path):
 
 
 def test_large_mode_evolve_peak_memory(tmp_path):
-    """mode-evolve on 131,072 points: the 2F1 kernel sizes the w-series work
-    rows to the z > 1/2 points and returns copies of the set rows, so it
-    neither allocates nor keeps rows over every point for its transformed
-    branch.  The traced peak is ~38 MB (48 MB with rows over every point)."""
+    """mode-evolve on 131,072 points: the exact mode function is evaluated in
+    blocks of one 2F1 kernel chunk, and the kernel sizes the w-series work
+    rows to the z > 1/2 points of a block.  The traced peak is ~22.6 MiB
+    (37.9 MiB with the mode function over every point in one call)."""
     assert main(["mode-evolve", "--out", str(tmp_path / "warm.csv")]) == 0
     tracemalloc.start()
     try:
@@ -397,7 +404,7 @@ def test_large_mode_evolve_peak_memory(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 43 * 2**20
+    assert peak < 28 * 2**20
 
 
 def test_multi_mode_config(tmp_path):
@@ -561,6 +568,26 @@ def test_config_polynomial_array_equals_scalar_calls():
             assert got.tolist() == [f(xs[i:i + 1])[0] for i in range(xs.size)]
             want = P.polyval(xs, c)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_config_polynomial_keeps_the_bits_of_the_sum(degree):
+    # the potential and its derivative skip the x**0 and x**1 passes of
+    # sum(ci * x**i) but must round the same, down to the sign of zero
+    rng = np.random.default_rng(degree)
+    xs = np.concatenate(([0.0, -0.0, 1.0, -1.0], rng.uniform(-3.0, 3.0, 60),
+                         rng.uniform(-1.0, 1.0, 6) * 10.0 ** rng.integers(-200, 60, 6)))
+    for trial in range(20):
+        coeffs = rng.normal(size=degree + 1) * 10.0 ** rng.integers(-3, 4, degree + 1)
+        coeffs[rng.random(degree + 1) < 0.3] = 0.0
+        coeffs = [math.copysign(c, -1.0) if c == 0.0 and trial % 2 else float(c) for c in coeffs]
+        pot = RunConfig(scenario="fig2", values={"poly": ",".join(map(repr, coeffs))}
+                        ).smooth_potential()
+        value = sum(ci * xs**i for i, ci in enumerate(coeffs))
+        slope = sum(i * ci * xs ** (i - 1) for i, ci in enumerate(coeffs) if i > 0)
+        for got, want in ((pot(xs), value), (pot.derivative(xs), slope)):
+            want = np.broadcast_to(np.asarray(want, dtype=float), xs.shape)
+            assert got.tobytes() == want.tobytes(), coeffs
 
 
 def test_successive_runs_in_one_process_match_fresh_processes(tmp_path, capsys):

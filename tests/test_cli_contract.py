@@ -4,7 +4,7 @@ For every input, ``main`` returns 0, 2 or 3 and never raises, a non-zero
 exit leaves no output file, and exit 0 leaves a complete CSV of finite
 values.  The inputs include NaN and infinite values, non-positive values,
 sweeps with bad points, reversed time ranges and brackets, smooth barriers
-with bad coefficients, barriers on both sides of the double-range edge
+with bad or huge coefficients and brackets near the largest double, barriers on both sides of the double-range edge
 (beta*a ~ 355), hbar, M, m, omega0 or rho anywhere from 1e-200 to 1e200,
 x and t ranges whose ends come near the largest double, and unwritable
 ``--out`` paths.  ``validate`` on a config file with a run's
@@ -57,6 +57,11 @@ def runs(draw):
                      draw(st.floats(-10.0, -6.0))),
             "bracket": (draw(st.floats(-1.0, -0.3)), draw(st.floats(1.3, 2.0))),
         }
+        if draw(ONE_IN_THREE):  # V or the bracket's span past double range
+            if draw(st.booleans()):
+                values["bracket"] = (-draw(NEAR_MAX | EXTREME), draw(NEAR_MAX | EXTREME))
+            else:
+                values["poly"] = (values["poly"][0], draw(EXTREME), -draw(EXTREME))
     else:
         values = {key: draw(POSITIVE) for key in ("E", "a", "m", "omega0")}
         if draw(ONE_IN_THREE):

@@ -3,24 +3,31 @@
 Every scenario, and validate, runs on numpy alone: the 2F1 kernel's
 log-Gamma prefactors and the WKB windows' Airy functions are in-house, and
 every quadrature is a fixed rule on numpy arrays.  scipy stays a test-only
-dependency (the oracle tests).  The scenarios whose modules the CLI imports
-lazily still run from a fresh interpreter.  These tests check which modules
-load, not how long they take, so host load does not move them.
+dependency (the oracle tests).  fig2 and wkb use numpy's core alone: no
+numpy.polynomial and no LAPACK routine.  The scenarios whose modules the CLI
+imports lazily still run from a fresh interpreter.  These tests check which
+modules load and which routines run, not how long they take, so host load
+does not move them.
 """
 
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qtunnel.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every scenario and validate, with any import of scipy failing.  After each
 # run neither numpy.ma (np.median's first call) nor dataclasses is loaded,
-# and numpy.polynomial (Gauss-Legendre and Gauss-Hermite nodes) only after
-# fig2, wkb and the traversal-time quadrature, so those run last
+# and numpy.polynomial (leggauss's 128- and 256-node rules) only after the
+# traversal-time quadrature, so that runs last
 RUNS_WITHOUT_SCIPY = """
 import sys
 
@@ -46,16 +53,13 @@ def traversal():
     return 0
 
 
-runs = [(s, lambda s=s: main([s, "--out", s + ".csv"]))
-        for s in SCENARIOS if s not in ("fig2", "wkb")]
+runs = [(s, lambda s=s: main([s, "--out", s + ".csv"])) for s in SCENARIOS]
 runs += [("validate", lambda: main(["validate", "--config", "run.cfg"])),
-         ("fig2", lambda: main(["fig2", "--out", "fig2.csv"])),
-         ("wkb", lambda: main(["wkb", "--out", "wkb.csv"])),
          ("traversal time", traversal)]
 for name, run in runs:
     assert run() == 0, name
     unused = ["numpy.ma", "dataclasses"]
-    if name not in ("fig2", "wkb", "traversal time"):
+    if name != "traversal time":
         unused.append("numpy.polynomial")
     loaded = [module for module in unused if module in sys.modules]
     assert not loaded, (name, loaded)
@@ -136,3 +140,36 @@ def test_scipy_scenarios_run_from_cold_interpreter(tmp_path, scenario):
     proc = fresh_python(["-m", "qtunnel", scenario, "--out", str(out)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith(f"# qtunnel v1, scenario={scenario}, params=")
+
+
+def _seeded_quadratic_polys(count: int, seed: int) -> list[list[str]]:
+    """CLI flags of quadratic barriers top - kappa (x - xc)^2 at energy E,
+    drawn as the benchmark's smooth-barrier ops draw them."""
+    rng = random.Random(seed)
+    flags = []
+    while len(flags) < count:
+        kappa, depth = rng.uniform(7.0, 9.0), rng.uniform(1.8, 2.4)
+        xc, E = rng.uniform(0.4, 0.6), rng.uniform(0.9, 1.1)
+        half = math.sqrt(depth / kappa)
+        if 1.6 / (4.0 * kappa * half) ** (1.0 / 3.0) >= 1.5 * half:
+            continue
+        poly = (E + depth - kappa * xc * xc, 2.0 * kappa * xc, -kappa)
+        flags.append([f"--E={E!r}", f"--poly={','.join(map(repr, poly))}",
+                      f"--bracket={xc - half - 0.5!r},{xc + half + 0.5!r}"])
+    return flags
+
+
+@pytest.mark.parametrize("scenario", ["fig2", "wkb"])
+def test_smooth_barrier_calls_no_lapack(tmp_path, monkeypatch, scenario):
+    # paging in LAPACK cost each smooth-barrier process ~2 MB of resident
+    # memory: the Airy window match is solved by QR and the 24-node
+    # Gauss-Legendre rule is a table
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK routine called")
+
+    for name in ("lstsq", "eigvalsh", "eigh", "eigvals", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    for flags in [[], *_seeded_quadratic_polys(8, seed=25)]:
+        for grid in ("2000", "8000"):
+            assert main([scenario, *flags, "--grid-points", grid,
+                         "--out", str(tmp_path / "out.csv")]) == 0, flags

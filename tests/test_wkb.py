@@ -335,3 +335,68 @@ def test_rho_general_orientation_error():
     tps = wkb.TurningPoints(left_x0=0.0, right_a=1.0, slope_left=8.0, slope_right=0.5)
     with pytest.raises(OrientationError):
         wkb.rho_general(PARAMS_E1, tps)
+
+
+def test_legendre_table_is_leggauss():
+    # the action tails' 24-node rule is a table; it must keep leggauss's bits
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    table = wkb._legendre_24()
+    assert [a.tobytes() for a in table] == [nodes.tobytes(), weights.tobytes()]
+
+
+def _brackets(seed: int):
+    """Seeded (lo, hi) brackets: O(1), wide, signed-zero ends, spans of a few
+    ulps, and subnormal spans that take linspace's step == 0 branch."""
+    rng = np.random.default_rng(seed)
+    out = [(0.0, 1.0), (-0.0, 2.5), (0.0, 5e-324), (-5e-324, 5e-324), (0.0, 1e-320),
+           (1.0, math.nextafter(1.0, 2.0))]
+    for _ in range(40):
+        lo = float(rng.uniform(-3.0, 3.0) * 10.0 ** rng.integers(-300, 300))
+        out.append((lo, lo + abs(lo) * float(rng.uniform(1e-6, 10.0))))
+        hi = lo
+        for _ in range(int(rng.integers(1, 6))):
+            hi = math.nextafter(hi, math.inf)
+        out.append((lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("lo, hi", _brackets(2025))
+def test_scan_lattice_is_linspace(lo, hi):
+    want = np.linspace(lo, hi, wkb._SCAN_POINTS)
+    for ends in ((lo, hi), (np.float64(lo), np.float64(hi))):  # later rounds pass numpy floats
+        assert wkb._scan_lattice(*ends).tobytes() == want.tobytes()
+
+
+def test_least_squares_matches_lstsq_on_seeded_systems():
+    # the window systems: Ai, Bi and their scaled slopes at both window edges
+    # (real), against the WKB wavefunction there (complex)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        A = rng.normal(size=(4, 2))
+        A[:, 1] *= 10.0 ** rng.uniform(-3.0, 3.0)  # columns of unlike scales, as Ai and Bi
+        if np.linalg.cond(A) > 1e3:
+            continue
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        want = np.linalg.lstsq(A, b, rcond=None)[0]
+        got = wkb._least_squares(A, b)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_window_match_matches_lstsq(case, monkeypatch):
+    """The closed-form solve of each Airy window's 4x2 match gives lstsq's
+    coefficients to 1e-13, on the default barrier and on seeded quadratic ones."""
+    if case == 0:
+        pot, E, bracket = QUADRATIC, 1.0, (-0.5, 1.5)
+    else:
+        pot, E, bracket = _seeded_quadratic_barriers(10, seed=2025)[case - 1]
+    seen = []
+    solve = wkb._least_squares
+    monkeypatch.setattr(wkb, "_least_squares", lambda A, b: seen.append((A, b)) or solve(A, b))
+    tps = wkb.find_turning_points(pot, E, bracket)
+    wkb.wkb_total_potential(pot, E, PhysicalParams(energy_E=E), turning_points=tps)
+    assert len(seen) == 2
+    for A, b in seen:
+        want = np.linalg.lstsq(A, b, rcond=None)[0]
+        got = solve(A, b)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
