@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import specfun
 from .core import EnvMode, PhysicalParams, RectBarrier, cumulative_simpson, derivative_5pt
 from .errors import (
     AlignmentError,
@@ -35,8 +34,9 @@ from .errors import (
     OutOfRegimeError,
     PrecisionError,
     ResolutionError,
+    TachyonicModeError,
 )
-from .modes import ModeFunction, log_derivative_2, xi_analytic
+from .modes import ModeFunction, _omega2, grid_blocks, xi_analytic
 from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_density_region2,
                    solve_rect, transmission_probability)
 
@@ -97,9 +97,18 @@ def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction) ->
     trimmed = bool(np.any(~keep))
     if not np.any(keep):
         raise DomainError("trajectory entirely outside the usable window")
-    dln = mf.dln[:, keep]
-    d2ln = log_derivative_2(modes, bg, mf)[:, keep]
-    denom = bg.velocity(mf.t[keep]) * dln.imag
+    om2 = _omega2(modes, xs)
+    if np.any(om2 <= 0.0):
+        raise TachyonicModeError(
+            f"omega^2 = {np.min(om2)} <= 0 on the trajectory: coupling too negative"
+        )
+    t, dln = mf.t, mf.dln
+    if trimmed:
+        xs, t, dln, om2 = xs[keep], t[keep], dln[:, keep], om2[:, keep]
+    # the oscillator equation, with omega^2 as sqrt(omega^2)^2: Q1, Q2 keep their bits
+    om = np.sqrt(om2)
+    d2ln = -(om * om) - dln * dln
+    denom = bg.velocity(t) * dln.imag
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # C order: indexing the last axis leaves the rows strided, and numpy
         # would then sum them pairwise instead of in mode order
@@ -107,7 +116,7 @@ def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction) ->
         q2 = np.ascontiguousarray((d2ln.imag / (2.0 * denom)) ** 2)
     if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
         raise PrecisionError("Q1 or Q2 leaves double range")
-    return QFactors(xs=xs[keep], q1=q1, q2=q2, trimmed=trimmed)
+    return QFactors(xs=xs, q1=q1, q2=q2, trimmed=trimmed)
 
 
 def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
@@ -291,14 +300,13 @@ def rect_mode_backreaction(
 
     Builds the tanh trajectory of the solution and a uniform grid over
     [eps*a, a], with the unperturbed effective-classical momentum
-    p0 = sqrt(2 M (E - V_tot)).  The grid is taken in consecutive blocks of
-    at most ``specfun._CHUNK_PAIRS // len(modes)`` points (8,192 for one
-    mode): per block, one ``xi_analytic`` call evaluates every mode's exact
-    mode function along the trajectory and one ``q_factors`` call gives
-    their Q1, Q2 as (mode, point) arrays, so the 2F1 working set stays the
-    size of one kernel chunk whatever the grid.  A pair's 2F1 bits depend
-    only on its own set and z, so the blocks give the bits of one call over
-    the whole grid.  One ``effective_potential`` call then adds the modes'
+    p0 = sqrt(2 M (E - V_tot)).  The grid is taken in the blocks of
+    ``modes.grid_blocks`` (8,192 points for one mode): per block, one
+    ``xi_analytic`` call evaluates every mode's exact mode function along
+    the trajectory and one ``q_factors`` call gives their Q1, Q2 as
+    (mode, point) arrays, so the 2F1 working set stays the size of one
+    kernel chunk whatever the grid, with the bits of one call over the
+    whole grid.  One ``effective_potential`` call then adds the modes'
     Q1, Q2, Delta V and barrier averages in mode order, because completing
     the square on the effective Hamiltonian cancels the Gaussian-average
     cross terms.
@@ -310,12 +318,11 @@ def rect_mode_backreaction(
     xs = np.linspace(_EDGE_TRIM * a, a, num_points)
     ts = bg.time_at(xs)
     q = np.empty((2, len(modes), num_points))
-    step = max(specfun._CHUNK_PAIRS // len(modes), 1)
-    for lo in range(0, num_points, step):
-        qf = q_factors(modes, bg, xi_analytic(modes, bg, ts[lo:lo + step]))
+    for blk in grid_blocks(len(modes), num_points):
+        qf = q_factors(modes, bg, xi_analytic(modes, bg, ts[blk]))
         if qf.trimmed:
             raise DomainError("trajectory trim removed requested grid points")
-        q[:, :, lo:lo + step] = qf.q1, qf.q2
+        q[:, :, blk] = qf.q1, qf.q2
     del ts
     p0 = np.sqrt(2.0 * sol.params.mass_M * kinetic_density_region2(sol, xs))
     v = np.full_like(xs, sol.barrier.height_V0)

@@ -34,7 +34,6 @@ import contextlib
 import functools
 import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -143,13 +142,11 @@ def _run_mode_evolve(cfg: RunConfig) -> _Table:
     if others:
         raise ConfigError(f"mode-evolve evolves one mode, got {1 + len(others)}")
     traj = modes_mod.evolve_gaussian(mode, bg, ts)
-    # the exact mode function in blocks of one 2F1 kernel chunk; a point's
-    # bits depend only on its own z, so the blocks give one call's bits
+    # the exact mode function in blocks of one 2F1 kernel chunk
     alpha2_xi, beta_xi = np.empty((2, traj.t.size))
-    step = modes_mod.specfun._CHUNK_PAIRS
-    for lo in range(0, traj.t.size, step):
-        st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, traj.t[lo:lo + step]))
-        alpha2_xi[lo:lo + step], beta_xi[lo:lo + step] = st.alpha[0]**2, st.beta[0]
+    for blk in modes_mod.grid_blocks(1, traj.t.size):
+        st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, traj.t[blk]))
+        alpha2_xi[blk], beta_xi[blk] = st.alpha[0]**2, st.beta[0]
     return _csv_table(cfg, {"t": traj.t, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
                             "alpha2_xi": alpha2_xi, "beta_xi": beta_xi})
 
@@ -189,7 +186,7 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, out_path: str | Path) -> None:
+def run(cfg: RunConfig, out_path: str | os.PathLike) -> None:
     """Execute one scenario and write its CSV atomically (all or nothing).
 
     The header and then each block of rows that ``csvfmt.csv_rows`` formats
@@ -200,8 +197,9 @@ def run(cfg: RunConfig, out_path: str | Path) -> None:
     header, cols = _RUNNERS[cfg.scenario](cfg)
     from .csvfmt import csv_rows  # builds its tables on first import
 
-    out_path = Path(out_path)
-    tmp = out_path.parent / f".{out_path.name}.{os.urandom(4).hex()}.tmp"
+    # split as text: pathlib drops a trailing separator, which open() keeps
+    head, name = os.path.split(os.fspath(out_path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(header.encode())

@@ -9,7 +9,7 @@ V0 = 4, a = 1, m = 1, omega0 = 1, c = 0.15 in hbar = M = 1 units).
 
 ``RunConfig`` rejects only the grid values no scenario checks itself
 (finite x and t ranges, spans, max|t|/rho and the vacuum start 12/rho,
-t_min < t_max, rho > 0, 16 to 2^22 grid points).
+x_min < x_max, t_min < t_max, rho > 0, 16 to 2^22 grid points).
 Everything else is checked where it is used: the accessors raise
 ``ConfigError`` on values they cannot parse, and the physics raises its own
 errors, which ``validate`` finds by running the scenario.
@@ -97,12 +97,13 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {self[key]}")
         if self["rho"] is not None and float(self["rho"]) <= 0:
             raise ConfigError(f"rho must be positive, got {self['rho']}")
-        if (self["t_min"] is not None and self["t_max"] is not None
-                and float(self["t_min"]) >= float(self["t_max"])):
-            raise ConfigError(f"t_min = {self['t_min']} must be below t_max = {self['t_max']}")
         # numpy spaces each grid by its span, and mode-evolve divides t by rho
         for lo, hi in (("x_min", "x_max"), ("t_min", "t_max")):
-            if None not in (self[lo], self[hi]) and math.isinf(float(self[hi]) - float(self[lo])):
+            if None in (self[lo], self[hi]):
+                continue
+            if float(self[lo]) >= float(self[hi]):
+                raise ConfigError(f"{lo} = {self[lo]} must be below {hi} = {self[hi]}")
+            if math.isinf(float(self[hi]) - float(self[lo])):
                 raise ConfigError(f"{hi} - {lo} leaves double range ({self[lo]} to {self[hi]})")
         if self["rho"] is not None:
             self.check_time_scale(float(self["rho"]))
@@ -259,7 +260,7 @@ def _convert(key: str, value: str, lineno: int, raw: str):
 
 def load_config(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no key
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc)) from exc
     return parse_config_text(text)

@@ -15,10 +15,10 @@ solution:
 * ``xi_analytic`` evaluates the exact mode function in terms of the Gauss
   hypergeometric function, vacuum-matched at early times.
 
-They share only omega(t) and the (alpha, beta) map.  ``xi_analytic``,
-``omega_t`` and ``log_derivative_2`` take a sequence of modes and a 1-D
-time grid, and give one row per mode, so every mode of a back-reaction run
-is evaluated in one pass.  The vacuum
+They share only omega(t) and the (alpha, beta) map.  ``xi_analytic``
+takes a sequence of modes and a 1-D time grid and gives one row per mode,
+so every mode of a back-reaction run is evaluated in one pass, block by
+block (``grid_blocks``).  The vacuum
 (alpha^2 = m omega0, beta = 0) corresponds to xi ~ (2 omega0)^(-1/2)
 exp(i omega0 t).  The Wronskian xi xi*' - xi* xi' is conserved and equals -i
 for that normalization.
@@ -27,7 +27,7 @@ for that normalization.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -80,21 +80,19 @@ def _sigmoid_pair(u):
     return np.where(pos, large, small), np.where(pos, small, large), e
 
 
-def _omega2(modes: Sequence[EnvMode], bg: TanhBackground, t) -> np.ndarray:
-    # one row per mode: each field as a column against t
+def _omega2(modes: Sequence[EnvMode], xs) -> np.ndarray:
+    # omega0^2 + 2 c x/m at the positions xs, one row per mode
     om0_2, c2, m = np.array([(md.omega0**2, 2.0 * md.coupling_c, md.mass_m) for md in modes]
                             ).T[:, :, None]
-    return om0_2 + c2 * bg.position(t) / m
+    return om0_2 + c2 * xs / m
 
 
-def omega_t(modes: Sequence[EnvMode], bg: TanhBackground, t) -> np.ndarray:
-    """Instantaneous frequency sqrt(omega0^2 + 2 c x(t)/m), one row per mode."""
-    om2 = _omega2(modes, bg, t)
-    if np.any(om2 <= 0.0):
-        raise TachyonicModeError(
-            f"omega^2 = {np.min(om2)} <= 0 on the trajectory: coupling too negative"
-        )
-    return np.sqrt(om2)
+def grid_blocks(n_modes: int, n_points: int) -> Iterator[slice]:
+    """Consecutive slices covering range(n_points), each of at most one 2F1
+    kernel chunk of ``n_modes`` sets.  A pair's 2F1 bits depend only on its
+    own set and z, so the blocks give the bits of one call over the grid."""
+    step = max(specfun._CHUNK_PAIRS // n_modes, 1)
+    return (slice(lo, min(lo + step, n_points)) for lo in range(0, n_points, step))
 
 
 def omega_asymptotics(mode: EnvMode, bg: TanhBackground) -> tuple[float, float]:
@@ -203,8 +201,8 @@ def _magnus_mode_function(mode, bg, edges, counts, y1) -> ModeFunction:
         iv = np.searchsorted(ends, k, side="right")
         h = widths[iv]
         mid = edges[iv] + (k - ends[iv] + counts[iv] + 0.5) * h
-        w1, = _omega2([mode], bg, mid - _GAUSS_OFFSET * h)
-        w2, = _omega2([mode], bg, mid + _GAUSS_OFFSET * h)
+        w1, = _omega2([mode], bg.position(mid - _GAUSS_OFFSET * h))
+        w2, = _omega2([mode], bg.position(mid + _GAUSS_OFFSET * h))
         s = 0.5 * (w1 + w2)
         # Omega = [[d, h], [-h s, -d]]: (h/2)(A1 + A2) + (sqrt(3) h^2/12)[A2, A1]
         d = (math.sqrt(3.0) / 12.0) * h * h * (w2 - w1)
@@ -247,8 +245,7 @@ def xi_analytic(modes: Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction
     z = (1 + tanh rho t)/2, on the 1-D time grid ``t``.  ``xi``, ``xi_dot``
     and ``dln`` have one row per mode; all modes take one 2F1 kernel call.
     d ln xi/dt follows from the chain rule through z with dF/dz from the same
-    kernel; the identity d^2 ln xi/dt^2 = -omega^2 - (d ln xi/dt)^2  is
-    available to callers through ``log_derivative_2``.
+    kernel.
     """
     rho = bg.rho
     t = np.asarray(t, dtype=float)
@@ -270,12 +267,6 @@ def xi_analytic(modes: Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction
     xi = F * np.exp(phase) / np.sqrt(2.0 * om0)
     dln = 1j * om0 + 2j * om_m * z + 2.0 * rho * z * w * dF / F
     return ModeFunction(xi=xi, xi_dot=xi * dln, t=t, dln=dln)
-
-
-def log_derivative_2(modes: Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction):
-    """d^2 ln xi/dt^2 from the oscillator equation, one row per mode of ``mf``."""
-    om = omega_t(modes, bg, mf.t)
-    return -(om * om) - mf.dln * mf.dln
 
 
 def state_from_xi(mode: EnvMode, mf: ModeFunction) -> GaussianModeState:

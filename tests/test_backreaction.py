@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
-from qtunnel.errors import AlignmentError, DomainError, OutOfRegimeError, ResolutionError
+from qtunnel.errors import (AlignmentError, DomainError, OutOfRegimeError, ResolutionError,
+                            TachyonicModeError)
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, specfun
 from qtunnel.rect import TanhBackground
@@ -53,6 +54,25 @@ def test_q_factors_trim_flag():
     assert len(qf.xs) == 2
     qf2 = br.q_factors([FIG3_MODE], bg, modes.xi_analytic([FIG3_MODE], bg, [-1.0, 0.0]))
     assert not qf2.trimmed
+
+
+@pytest.mark.parametrize("coupling, ts", [
+    (-0.5, [-1.0, 0.0]),  # omega^2 = 1 - x reaches 0 at x(0) = a
+    (-1.0, np.linspace(-1.0, 1.0, 9)),  # omega^2 = 1 - 2x dips below 0
+])
+def test_q_factors_refuse_a_tachyonic_mode_on_the_grid(coupling, ts):
+    # xi_analytic refuses these modes first (omega_infinity^2 < 0), so the
+    # mode function is built by hand: only a direct call reaches the check
+    bad = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=coupling)
+    bg = TanhBackground(amplitude_a=1.0, rho=2.0)
+    ts = np.asarray(ts)
+    ones = np.ones((1, ts.size), dtype=complex)
+    mf = modes.ModeFunction(xi=ones, xi_dot=1j * ones, t=ts, dln=1j * ones)
+    om2 = 1.0 + 2.0 * coupling * (1.0 + np.tanh(2.0 * ts))
+    with pytest.raises(TachyonicModeError) as err:
+        br.q_factors([bad], bg, mf)
+    assert str(err.value) == (f"omega^2 = {np.min(om2)} <= 0 on the trajectory: "
+                              "coupling too negative")
 
 
 def test_q_factors_of_a_mode_sequence_equal_one_mode_calls():

@@ -263,12 +263,15 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     ("wkb", "poly = -0.95,8,-8\nbracket = -1e308,1e308", "ConfigError"),
     # 1e308 x^2 overflows inside the default bracket
     ("fig2", "poly = 0,1e308,-1e308", "PrecisionError"),
+    # an empty and a reversed x range, refused like the t range
+    ("fig1a", "x_min = 0\nx_max = 0", "ConfigError"),
+    ("fig1b", "x_min = 1\nx_max = 0", "ConfigError"),
 ], ids=["rect", "fig3", "sweep", "rect-M", "rect-hbar", "rect-E-a", "rect-t_roll",
         "fig2-hbar-small", "fig2-hbar-large", "fig2-E", "fig2-bracket", "wkb-grid",
         "fig3-omega0", "fig1a-thick", "mode-evolve-t_max", "backreaction-c",
         "fig3-wide", "backreaction-wide", "mode-evolve-wide", "mode-evolve-derived-rho",
         "mode-evolve-vacuum-start", "fig2-wide-bracket", "wkb-bracket-span",
-        "fig2-poly-overflow"])
+        "fig2-poly-overflow", "fig1a-empty-x", "fig1b-reversed-x"])
 def test_validate_reports_what_the_run_rejects(tmp_path, capsys, scenario, lines, error):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"scenario = {scenario}\n{lines}\n")
@@ -439,6 +442,35 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
     # a directory as target: the temporary file is removed again
     assert main(["rect", "--out", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["missing", "directory"])
+def test_out_with_a_trailing_separator_is_output_error(tmp_path, capsys, exists):
+    # "new/" names a directory: no file "new" may appear in its place
+    target = tmp_path / "new"
+    if exists:
+        target.mkdir()
+    out = str(target) + os.sep
+    assert main(["rect", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"output error: cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == ([target] if exists else [])
+    if exists:
+        assert list(target.iterdir()) == []
+
+
+def test_config_with_a_utf8_bom_runs_as_without(tmp_path, capsys):
+    text = "E = 2.5\nscenario = fig1a\ngrid_points = 64\n"
+    outs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(prefix + text.encode())
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == "config clean\n"
+        outs.append(tmp_path / f"{name}.csv")
+        assert main(["fig1a", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "E=2.5 " in outs[0].read_text().splitlines()[0]
 
 
 def test_out_replaces_existing_file(tmp_path):

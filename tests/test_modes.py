@@ -15,11 +15,18 @@ from qtunnel.errors import (
     StiffnessError,
     TachyonicModeError,
 )
-from qtunnel import modes
+from qtunnel import modes, specfun
 from qtunnel.rect import TanhBackground
 
 FIG3_MODE = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.15)
 FIG3_BG = TanhBackground(amplitude_a=1.0, rho=2.0)
+
+
+def omega(mode, bg, t):
+    """omega(t) = sqrt(omega0^2 + 2 c a (1 + tanh rho t)/m), written out here
+    so that the checks below do not lean on the library's own omega^2."""
+    x = bg.amplitude_a * (1.0 + np.tanh(bg.rho * np.asarray(t, dtype=float)))
+    return np.sqrt(mode.omega0**2 + 2.0 * mode.coupling_c * x / mode.mass_m)
 
 
 def test_omega_asymptotics():
@@ -28,16 +35,16 @@ def test_omega_asymptotics():
     assert om_inf == pytest.approx(math.sqrt(1.6), rel=1e-12)
     assert om_inf == pytest.approx(1.264911, abs=1e-6)
     # late and early times approach the asymptotes
-    late, early = modes.omega_t([FIG3_MODE], FIG3_BG, [40.0, -40.0])[0]
+    late, early = omega(FIG3_MODE, FIG3_BG, [40.0, -40.0])
     assert late == pytest.approx(om_inf, rel=1e-10)
     assert early == pytest.approx(om0, rel=1e-10)
 
 
 def test_omega_decoupled_and_midpoint():
     free = EnvMode(mass_m=1.0, omega0=1.3, coupling_c=0.0)
-    assert modes.omega_t([free], FIG3_BG, [-3.0, 0.0, 2.0]) == pytest.approx(1.3, rel=1e-14)
+    assert omega(free, FIG3_BG, [-3.0, 0.0, 2.0]) == pytest.approx(1.3, rel=1e-14)
     # x(0) = a, so omega(0)^2 = omega0^2 + 2 c a/m
-    assert modes.omega_t([FIG3_MODE], FIG3_BG, [0.0])[0, 0] == pytest.approx(
+    assert omega(FIG3_MODE, FIG3_BG, 0.0) == pytest.approx(
         math.sqrt(1.0 + 2 * 0.15), rel=1e-12
     )
 
@@ -46,6 +53,19 @@ def test_omega_tachyonic_error():
     bad = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=-1.0)
     with pytest.raises(TachyonicModeError):
         modes.omega_asymptotics(bad, FIG3_BG)
+
+
+@pytest.mark.parametrize("n_modes, n_points", [
+    (1, 20_000), (3, 10_000),  # not a multiple of the step
+    (specfun._CHUNK_PAIRS + 5, 7),  # more modes than a chunk has pairs: step 1
+    (1, 1), (4, 1),  # a one-point grid
+])
+def test_grid_blocks_cover_the_grid_once_in_order(n_modes, n_points):
+    step = max(specfun._CHUNK_PAIRS // n_modes, 1)
+    blocks = list(modes.grid_blocks(n_modes, n_points))
+    assert [i for blk in blocks for i in range(n_points)[blk]] == list(range(n_points))
+    assert all(0 < blk.stop - blk.start <= step for blk in blocks)
+    assert len(blocks) == -(-n_points // step)
 
 
 def test_omega_pm_values():
@@ -93,7 +113,7 @@ def test_xi_satisfies_oscillator_equation():
     for t in (-2.0, -0.5, 0.0, 0.4, 1.5):
         xi_m, xi_0, xi_p = modes.xi_analytic([FIG3_MODE], FIG3_BG, [t - h, t, t + h]).xi[0]
         d2 = (xi_p - 2 * xi_0 + xi_m) / h**2
-        om = modes.omega_t([FIG3_MODE], FIG3_BG, [t])[0, 0]
+        om = omega(FIG3_MODE, FIG3_BG, t)
         assert abs(d2 + om**2 * xi_0) <= 1e-7
 
 
@@ -145,7 +165,7 @@ def test_xi_mapping_reproduces_width_phase_equations():
         (alpha_m, alpha_0, alpha_p), (beta_m, beta_0, beta_p) = st.alpha[0], st.beta[0]
         alpha_dot = (alpha_p - alpha_m) / (2 * h)
         beta_dot = (beta_p - beta_m) / (2 * h)
-        om = modes.omega_t([FIG3_MODE], FIG3_BG, [t])[0, 0]
+        om = omega(FIG3_MODE, FIG3_BG, t)
         assert alpha_dot == pytest.approx(-alpha_0 * beta_0 / m, abs=1e-8)
         assert beta_dot == pytest.approx(
             alpha_0**4 / m - beta_0**2 / m - m * om**2, abs=1e-7

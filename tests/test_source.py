@@ -1,0 +1,31 @@
+"""Static checks on the package source: compile cost and block-size owners."""
+
+import tokenize
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qtunnel"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# CPython's parser grows its token array in doublings, so a module past
+# 4,096 tokens costs ~240 KB more at each compile without a bytecode cache
+_TOKEN_LIMIT = 4096
+
+
+def parser_tokens(path: Path) -> int:
+    with path.open("rb") as fh:
+        return sum(tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                   for tok in tokenize.tokenize(fh.readline))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_stays_below_the_parser_token_doubling(path):
+    assert parser_tokens(path) < _TOKEN_LIMIT
+
+
+def test_only_specfun_and_modes_know_the_kernel_chunk():
+    # the 2F1 chunk is specfun's; modes.grid_blocks is the one block policy
+    # built on it, which the back-reaction and mode-evolve loops iterate
+    users = {p.name for p in MODULES if "_CHUNK_PAIRS" in p.read_text()}
+    assert users == {"specfun.py", "modes.py"}
