@@ -1,9 +1,9 @@
 """Airy functions Ai, Ai', Bi, Bi' on real arrays, on numpy alone.
 
 The exact solutions of the linearized problem in each WKB patch window
-(DLMF 9.2).  Maclaurin series (DLMF 9.4) with a cancellation guard, and a
-Gauss-Hermite rule on Ai's integral (DLMF 9.5) where the series for Ai
-cancels.
+(DLMF 9.2).  Maclaurin series (DLMF 9.4) with a cancellation guard, and
+``core``'s Gauss-Legendre rule on Ai's integral (DLMF 9.5) where the series
+for Ai cancels.
 
 Kept apart from ``wkb``: a run without cached bytecode compiles every module
 it imports, and CPython's parser allocates its token records in powers of
@@ -13,12 +13,11 @@ compile than two smaller ones.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .core import DIGITS_TOL
+from .core import DIGITS_TOL, gauss_legendre
 from .errors import PrecisionError
 
 # the Airy series stops once its last term is below this share of the first
@@ -28,15 +27,6 @@ _AI0, _AIP0 = 0.355028053887817239260, 0.258819403792806798405
 # the order-k term of f, g, f', g' is the order-(k - 1) term times z^3 over
 # (3k + s0)(3k + s1), with s0 and s1 the two rows below
 _AIRY_SHIFTS = np.array([[[-1], [0], [-3], [-2]], [[0], [1], [-1], [0]]])
-
-
-@functools.cache
-def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """80-node Gauss-Hermite nodes and weights; only Airy arguments z >= 2
-    need them, so numpy.polynomial loads on first use."""
-    from numpy.polynomial.hermite import hermgauss
-
-    return hermgauss(80)
 
 
 def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -49,9 +39,10 @@ def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     sum times the double epsilon passes DIGITS_TOL of max(|Ai|, |Bi|) (or
     of max(|Ai'|, |Bi'|); neither pair has a common zero), PrecisionError is
     raised.  On [-2, 0) the ratio stays below 10 (Bi(2)/0.34).  For z >= 2,
-    where c1 f - c2 g cancels, Ai is e^(-zeta)/pi int_0^inf exp(-sqrt(z) t^2)
-    cos(t^3/3) dt (DLMF 9.5.6, zeta = 2 z^(3/2)/3) by 80-node Gauss-Hermite,
-    and Ai' follows from the Wronskian Ai Bi' - Ai' Bi = 1/pi.
+    where c1 f - c2 g cancels, Ai is e^(-zeta) z^(-1/4)/pi int_0^inf exp(-u^2)
+    cos(u^3/(3 z^(3/4))) du (DLMF 9.5.6, zeta = 2 z^(3/2)/3, t = u z^(-1/4)),
+    by 24-node Gauss-Legendre on 4 panels of u in [0, 6.5] (e^(-6.5^2) =
+    4.5e-19), and Ai' follows from the Wronskian Ai Bi' - Ai' Bi = 1/pi.
     """
     z = np.asarray(z, dtype=float)
     top = float(np.max(np.abs(z), initial=0.0))
@@ -86,9 +77,9 @@ def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
                              f"is {ratio[i]:.3g} times the value; fewer than 12 digits hold")
     far = z >= 2.0
     if far.any():
-        u, w = _hermite_nodes()
         zf = z[far]
-        ai[far] = (np.exp(-2.0 / 3.0 * zf**1.5) * zf**-0.25 / (2.0 * math.pi)
-                   * (w @ np.cos(u[:, None] ** 3 / (3.0 * zf**0.75))))
+        ai[far] = np.exp(-2.0 / 3.0 * zf**1.5) * zf**-0.25 / math.pi * gauss_legendre(
+            lambda u: np.exp(-u * u)[:, None] * np.cos(u[:, None] ** 3 / (3.0 * zf**0.75)),
+            0.0, 6.5, panels=4)
         aip[far] = (ai[far] * bip[far] - 1.0 / math.pi) / bi[far]
     return ai, aip, bi, bip

@@ -139,7 +139,7 @@ def series_coefficients(mass_m: float, omega0: float, amplitude_a: float) -> Ser
 
     For each epsilon = 2 c a/(m rho^2) the exact mode function is evaluated
     at the exit time, then Q1*a/eps and Q2*2a^2/eps^2 are Richardson
-    (polynomial) extrapolated to eps -> 0.
+    extrapolated to eps -> 0.
     """
     rho = omega0
     bg = TanhBackground(amplitude_a=amplitude_a, rho=rho)
@@ -262,9 +262,10 @@ def gaussian_average_check(
     if not states:
         raise DomainError("need at least one (alpha, beta') state")
     res1 = res2 = 0.0
-    # y = x sqrt(hbar)/alpha turns the weight into exp(-x^2); 3-node
-    # Gauss-Hermite is exact for polynomials up to degree 5, so for x^2, x^4
-    x, w = np.polynomial.hermite.hermgauss(3)
+    # y = x sqrt(hbar)/alpha turns the weight into exp(-x^2); the 3-node
+    # Gauss-Hermite rule is exact up to degree 5, so for x^2, x^4
+    x = math.sqrt(1.5) * np.array((-1.0, 0.0, 1.0))
+    w = math.sqrt(math.pi) * np.array((1.0, 4.0, 1.0)) / 6.0
     x2, x4 = float(w @ x**2 / w.sum()), float(w @ x**4 / w.sum())
 
     cached = []

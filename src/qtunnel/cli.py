@@ -197,9 +197,11 @@ def run(cfg: RunConfig, out_path: str | os.PathLike) -> None:
     header, cols = _RUNNERS[cfg.scenario](cfg)
     from .csvfmt import csv_rows  # builds its tables on first import
 
-    # split as text: pathlib drops a trailing separator, which open() keeps
-    head, name = os.path.split(os.fspath(out_path))
-    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    if "\0" in os.fspath(out_path):  # open() would raise ValueError, not OSError
+        raise OSError("embedded null byte")
+    # a fixed-length name fits beside any target name; dirname of the text, as
+    # pathlib drops a trailing separator, which open() keeps
+    tmp = os.path.join(os.path.dirname(os.fspath(out_path)), f".qtunnel-{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(header.encode())
@@ -209,6 +211,22 @@ def run(cfg: RunConfig, out_path: str | os.PathLike) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+_VALUE_FLAGS = {"--config", *("--" + key.replace("_", "-") for key in cfgmod.KEY_TYPES)}
+
+
+def _glue_dash_values(argv: list[str]) -> list[str]:
+    """argv with each "--key -v" as "--key=-v": argparse reads a value that
+    starts with "-" as a flag unless it is a plain negative decimal (no flag
+    here but -h starts with a single "-")."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 @functools.cache
@@ -233,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     validate = args.scenario == "validate"
     # build_config drops the flags left unset (None)
     overrides = {key: getattr(args, key) for key in cfgmod.KEY_TYPES

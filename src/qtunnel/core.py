@@ -9,7 +9,6 @@ dimensional checks can vary them.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -105,8 +104,7 @@ def derivative_5pt(y: np.ndarray, h: float, order: int) -> np.ndarray:
 
     4th-order central stencil inside, one-sided closures of the same order at
     the first and last two points (5 samples for the first derivative, 6 for
-    the second): exact for polynomials up to degree 4.  Needs at least 6
-    samples.
+    the second): exact up to degree 4.  Needs at least 6 samples.
     """
     central, edges = _STENCILS[order]
     denom = 12.0 * h if order == 1 else 12.0 * h * h
@@ -157,23 +155,32 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n-node Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes = np.polynomial.legendre.leggauss(n)
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
+# the 12 positive nodes of the 24-node Gauss-Legendre rule on [-1, 1] and their
+# weights, to the bit of leggauss(24), which needs LAPACK; mirrored below
+_HALF_24 = np.array((
+    (0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+     0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+     0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+    (0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+     0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+     0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869),
+))
+_LEGENDRE_24 = np.hstack((_HALF_24[:, ::-1] * [[-1.0], [1.0]], _HALF_24))
 
 
-def gauss_legendre(f: Callable, lo: float, hi: float,
-                   n: int | tuple[np.ndarray, np.ndarray]) -> float:
-    """Integral of f over [lo, hi] by the n-node Gauss-Legendre rule (DLMF 3.5(v)),
-    exact up to degree 2n - 1; f is called once, on the array of nodes.  ``n``
-    is the node count, or the rule's own (nodes, weights) on [-1, 1]."""
-    u, w = _legendre_nodes(n) if isinstance(n, int) else n
-    half = 0.5 * (hi - lo)
-    return float(half * (w @ f(lo + half * (u + 1.0))))
+def gauss_legendre(f: Callable, lo: float, hi: float, panels: int = 1) -> float | np.ndarray:
+    """Integral of f over [lo, hi] by the 24-node Gauss-Legendre rule (DLMF
+    3.5(v)) on ``panels`` equal panels, exact up to degree 47 on each.
+
+    f is called once, on the flat array of all nodes, and returns a value or
+    a row of integrands' values per node.  The panels are summed node by node
+    before the weights apply: one panel is half * (w @ f(lo + half * (u + 1))).
+    """
+    u, w = _LEGENDRE_24
+    half = 0.5 * (hi - lo) / panels
+    # row i holds node i of every panel
+    y = f((lo + half * (u[:, None] + (2.0 * np.arange(panels) + 1.0))).ravel())
+    return half * (w @ y.reshape(u.size, panels, *y.shape[1:]).sum(axis=1))
 
 
 def wave_numbers(params: PhysicalParams, barrier: RectBarrier) -> tuple[float, float]:

@@ -270,12 +270,12 @@ def rolling_time(sol: RectSolution) -> float:
 
 def traversal_time(sol: RectSolution, x_from: float, x_to: float) -> float:
     """Time to roll from x_from to x_to inside the barrier: the integral of 1/v
-    by Gauss-Legendre at 128 nodes, checked against 256 to 1e-10."""
+    by 24-node Gauss-Legendre on 16 equal panels, checked against 32 to 1e-10."""
     if not (0.0 <= x_from < x_to <= sol.barrier.width_a):
         raise DomainError("traversal window must satisfy 0 <= x_from < x_to <= a")
     with np.errstate(over="ignore", invalid="ignore"):  # inf fails the check below
-        coarse, fine = (gauss_legendre(lambda x: _inverse_velocity(sol, x), x_from, x_to, n)
-                        for n in (128, 256))
+        coarse, fine = (gauss_legendre(lambda x: _inverse_velocity(sol, x), x_from, x_to, panels)
+                        for panels in (16, 32))
     if not abs(coarse - fine) <= 1e-10 * fine:
         raise PrecisionError(f"traversal-time rules disagree: {coarse!r} vs {fine!r}")
     return fine

@@ -11,11 +11,11 @@ Airy argument, with the exact solution of the locally linearized problem
 (Ai and Bi of the scaled distance to the turning point, DLMF 9.2),
 least-squares matched to the semiclassical wavefunction at both window
 edges; ``airy.airy`` evaluates Ai and Bi.  The whole profile runs on
-numpy's core alone, with no LAPACK call and no numpy.polynomial import: the
-4x2 window match is solved by a two-column Gram-Schmidt QR, and the action
-tails' 24-node Gauss-Legendre rule is a table with leggauss's bits.  The
-potential is only ever called on numpy arrays: the grid, quadrature nodes
-and the scan nodes of the turning-point and width searches.  A potential
+numpy's core alone, with no LAPACK call: the 4x2 window match is solved by a
+two-column Gram-Schmidt QR, and the action tails use ``core``'s 24-node
+Gauss-Legendre table.  The potential is only ever called on numpy arrays:
+the grid, quadrature nodes and the scan nodes of the turning-point and width
+searches.  A potential
 that leaves double range on any of them raises ``PrecisionError``.
 
 Also provides the tanh-trajectory steepness parameter for general barriers,
@@ -24,7 +24,6 @@ built from the slope at the exit turning point and Gamma(1/3), Gamma(2/3).
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -47,17 +46,6 @@ _SCAN_POINTS = 64
 _SCAN_ROUNDS = 9
 _LINEARIZATION_BUDGET = 0.05  # |V - V_lin| <= budget * |V'| * w at window edge
 _EDGE_ARGUMENT = 0.8  # least scaled Airy argument gamma*w at a window edge
-# the 12 positive nodes of numpy's leggauss(24) and their weights, to the bit;
-# the rule is symmetric to the bit.  A table, because leggauss computes its
-# nodes by a LAPACK eigensolve and imports numpy.polynomial
-_LEGENDRE_24 = (
-    (0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
-     0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
-     0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
-    (0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
-     0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
-     0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869),
-)
 
 
 class TurningPoints(NamedTuple):
@@ -220,13 +208,6 @@ def rho_general(params: PhysicalParams, turning_points: TurningPoints) -> float:
     return prefactor * params.hbar * beta ** (1.0 / 3.0) / (params.mass_M * a)
 
 
-@functools.cache
-def _legendre_24() -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(24) nodes and weights, mirrored from _LEGENDRE_24."""
-    x, w = np.array(_LEGENDRE_24)
-    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
-
-
 def _airy_window_basis(params: PhysicalParams, x_t: float, slope: float,
                        xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact solutions Ai, Bi of the linearized problem on the window grid
@@ -339,7 +320,7 @@ def wkb_total_potential(
     def tail(k_of, x_t, x_seam):
         L = x_seam - x_t
         return abs(L) * gauss_legendre(lambda u: 2.0 * u * k_of(potential(x_t + L * u * u)),
-                                       0.0, 1.0, _legendre_24())
+                                       0.0, 1.0)
 
     def amplitude_slope(x, k, sign):
         """k'/(2k), the slope of ln sqrt(k), for k = q (sign 1) or p (sign -1)."""

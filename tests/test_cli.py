@@ -459,6 +459,41 @@ def test_out_with_a_trailing_separator_is_output_error(tmp_path, capsys, exists)
         assert list(target.iterdir()) == []
 
 
+def test_out_name_of_255_bytes_is_written(tmp_path):
+    # the temporary file's name has a fixed length, so a target name at the
+    # 255-byte limit of common file systems still has room beside it
+    out = tmp_path / ("a" * 251 + ".csv")
+    assert main(["rect", "--out", str(out)]) == 0
+    assert out.read_text().startswith("# qtunnel v1, scenario=rect")
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_config_out_with_a_nul_byte_is_output_error(tmp_path, capsys):
+    # open() raises ValueError on a NUL, not OSError: still exit 2, one line
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_bytes(b"scenario = rect\nout = a\0b.csv\n")
+    assert main(["rect", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "output error: cannot write a\0b.csv: embedded null byte"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("flags", [
+    ["wkb", "--bracket", "-0.5,1.5"],
+    ["fig2", "--poly", "-1e0,4,-1", "--bracket", "-5e-1,4.5"],
+    ["fig1a", "--x-min", "-1e3", "--grid-points", "64"],
+    ["fig3", "--c", "-1e-3", "--grid-points", "64"],
+], ids=["list", "lists-and-exponent", "exponent", "small-exponent"])
+def test_values_with_a_leading_dash_take_either_flag_form(tmp_path, flags):
+    # argparse alone reads "-1e3" or "-0.5,1.5" after a flag as another flag
+    scenario, *pairs = flags
+    glued = [f"{flag}={value}" for flag, value in zip(pairs[::2], pairs[1::2])]
+    outs = [tmp_path / "split.csv", tmp_path / "glued.csv"]
+    for out, args in zip(outs, (pairs, glued)):
+        assert main([scenario, *args, "--out", str(out)]) == 0, args
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_config_with_a_utf8_bom_runs_as_without(tmp_path, capsys):
     text = "E = 2.5\nscenario = fig1a\ngrid_points = 64\n"
     outs = []

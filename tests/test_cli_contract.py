@@ -44,9 +44,10 @@ def text(value) -> str:
 @st.composite
 def runs(draw):
     """(scenario, flag values, optional sweep, writable --out, validated
-    scenario); at most one of hbar, M, m and omega0 takes an extreme size,
-    and at most one flag, one entry of ``poly`` or ``bracket``, and one
-    sweep point carry a special value, so clean runs are common."""
+    scenario, "--key value" flags); at most one of hbar, M, m and omega0
+    takes an extreme size, and at most one flag, one entry of ``poly`` or
+    ``bracket``, and one sweep point carry a special value, so clean runs
+    are common."""
     scenario = draw(st.sampled_from(SCENARIOS + ["validate"]))
     target = draw(st.sampled_from(SCENARIOS)) if scenario == "validate" else scenario
     if target in SMOOTH:
@@ -94,7 +95,7 @@ def runs(draw):
         if draw(ONE_IN_THREE):
             points[-1] = draw(SPECIAL)
         sweep = (draw(st.sampled_from(["a", "V0", "E"])), points)
-    return scenario, values, sweep, not draw(ONE_IN_THREE), target
+    return scenario, values, sweep, not draw(ONE_IN_THREE), target, draw(st.booleans())
 
 
 def write_config(path: Path, scenario: str, values: dict, sweep, points=None) -> Path:
@@ -113,7 +114,7 @@ def write_config(path: Path, scenario: str, values: dict, sweep, points=None) ->
           suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 def test_main_exit_codes_and_no_partial_output(run):
-    scenario, values, sweep, writable, target = run
+    scenario, values, sweep, writable, target, split = run
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         out = (tmp if writable else tmp / "missing") / "out.csv"
@@ -123,12 +124,13 @@ def test_main_exit_codes_and_no_partial_output(run):
             # the smooth-barrier windows need more than 32 points
             points = "200" if scenario in SMOOTH else "32"
             argv = [scenario, "--grid-points", points, "--out", str(out)]
-            # --key=value, so argparse reads "-inf" as a value, not a flag
-            argv += [f"--{key.replace('_', '-')}={text(value)}"
-                     for key, value in values.items()]
+            # "--key value" or "--key=value": "-inf" or "-1e+200" is a value either way
+            pairs = [(f"--{key.replace('_', '-')}", text(value)) for key, value in values.items()]
             if sweep:
-                argv += ["--sweep-key", sweep[0],
-                         "--sweep-values=" + ",".join(repr(v) for v in sweep[1])]
+                pairs += [("--sweep-key", sweep[0]),
+                          ("--sweep-values", ",".join(repr(v) for v in sweep[1]))]
+            argv += [arg for flag, value in pairs
+                     for arg in ((flag, value) if split else (f"{flag}={value}",))]
         code = main(argv)
         assert code in (0, 2, 3)
         if code != 0:

@@ -12,8 +12,10 @@ from qtunnel.core import (
     RectBarrier,
     cumulative_simpson,
     derivative_5pt,
+    gauss_legendre,
     wave_numbers,
 )
+from qtunnel import core
 from qtunnel.errors import AboveBarrierError, DomainError
 
 
@@ -88,6 +90,43 @@ def test_derivative_5pt_exact_on_quartic():
         batched = derivative_5pt(rows, h, order=order)
         for row, out in zip(rows, batched):
             assert out.tobytes() == derivative_5pt(row, h, order=order).tobytes()
+
+
+def test_legendre_table_is_leggauss():
+    # the one quadrature rule is a table; it must keep leggauss's bits
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert [a.tobytes() for a in core._LEGENDRE_24] == [nodes.tobytes(), weights.tobytes()]
+
+
+@pytest.mark.parametrize("panels", [1, 3, 16])
+def test_gauss_legendre_exact_to_degree_47_on_each_panel(panels):
+    # a different degree-47 polynomial on each panel, in the panel's own
+    # variable t in [-1, 1]: exact, so a node in the wrong panel shows.  The
+    # second column is t^48, one degree past the rule
+    lo, hi = -0.7, 2.3
+    width = (hi - lo) / panels
+    coeffs = np.random.default_rng(47).uniform(-1.0, 1.0, (panels, 48))
+
+    def f(x):
+        k = np.floor((x - lo) / width).astype(int)
+        t = (x - lo - (k + 0.5) * width) / (0.5 * width)
+        powers = t[:, None] ** np.arange(49)
+        return np.stack(((coeffs[k] * powers[:, :48]).sum(axis=1), powers[:, 48]), axis=1)
+
+    exact = 0.5 * width * (coeffs[:, ::2] * 2.0 / np.arange(1, 48, 2)).sum()
+    got = gauss_legendre(f, lo, hi, panels)
+    assert got.shape == (2,)
+    assert got[0] == pytest.approx(exact, rel=1e-13)
+    assert got[1] < panels * width / 49.0 * (1.0 - 1e-13)  # short by 2.1e-13
+
+
+def test_gauss_legendre_one_panel_keeps_the_rule_bits():
+    # the wkb action tails' bits: half * (w @ f(lo + half * (u + 1)))
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    for lo, hi in ((0.0, 1.0), (-3.25, 0.125), (1e-300, 3e-300)):
+        half = 0.5 * (hi - lo)
+        want = half * (weights @ np.exp(np.sin(lo + half * (nodes + 1.0))))
+        assert gauss_legendre(lambda x: np.exp(np.sin(x)), lo, hi).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", range(3, 13))

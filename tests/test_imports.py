@@ -3,8 +3,8 @@
 Every scenario, and validate, runs on numpy alone: the 2F1 kernel's
 log-Gamma prefactors and the WKB windows' Airy functions are in-house, and
 every quadrature is a fixed rule on numpy arrays.  scipy stays a test-only
-dependency (the oracle tests).  fig2 and wkb use numpy's core alone: no
-numpy.polynomial and no LAPACK routine.  The scenarios whose modules the CLI
+dependency (the oracle tests).  No run loads numpy.polynomial, and fig2
+and wkb call no LAPACK routine.  The scenarios whose modules the CLI
 imports lazily still run from a fresh interpreter.  These tests check which
 modules load and which routines run, not how long they take, so host load
 does not move them.
@@ -25,9 +25,10 @@ from qtunnel.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every scenario and validate, with any import of scipy failing.  After each
-# run neither numpy.ma (np.median's first call) nor dataclasses is loaded,
-# and numpy.polynomial (leggauss's 128- and 256-node rules) only after the
-# traversal-time quadrature, so that runs last
+# run none of numpy.ma (np.median's first call), dataclasses and
+# numpy.polynomial is loaded.  Every quadrature is core's 24-node table, the
+# traversal time's and the Airy kernel's past z = 2 (which fig2 reaches at
+# hbar = 0.01) included
 RUNS_WITHOUT_SCIPY = """
 import sys
 
@@ -55,12 +56,11 @@ def traversal():
 
 runs = [(s, lambda s=s: main([s, "--out", s + ".csv"])) for s in SCENARIOS]
 runs += [("validate", lambda: main(["validate", "--config", "run.cfg"])),
+         ("fig2 at hbar 0.01", lambda: main(["fig2", "--hbar", "0.01", "--out", "hbar.csv"])),
          ("traversal time", traversal)]
 for name, run in runs:
     assert run() == 0, name
-    unused = ["numpy.ma", "dataclasses"]
-    if name != "traversal time":
-        unused.append("numpy.polynomial")
+    unused = ["numpy.ma", "dataclasses", "numpy.polynomial"]
     loaded = [module for module in unused if module in sys.modules]
     assert not loaded, (name, loaded)
 gaussian_average_check([(1.0, 2.0), (0.8, -1.3)])

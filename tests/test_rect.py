@@ -228,9 +228,9 @@ def test_tanh_trajectory(default_solution):
 
 
 @pytest.mark.parametrize("E, a", [(2.0, 1.0), (2.0, 20.0), (2.0, 100.0), (2.0, 170.0),
-                                  (3.99, 1.0)])
+                                  (2.0, 177.0), (3.99, 1.0)])
 def test_exact_trajectory_thick_barriers(E, a):
-    # 2 beta a up to 680: E - V_tot underflows to 0 near x = 0 from a = 100
+    # 2 beta a up to 708: E - V_tot underflows to 0 near x = 0 from a = 100
     # on, while 1/v = M D/(2 hbar k beta^2) stays finite.  E = 3.99 on a thin
     # barrier (k >> beta, 2 beta a = 0.28): D nearly cancels near x = a
     sol = rect.solve_rect(PhysicalParams(energy_E=E), RectBarrier(4.0, a))

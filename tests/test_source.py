@@ -1,5 +1,7 @@
-"""Static checks on the package source: compile cost and block-size owners."""
+"""Static checks on the package source: compile cost, block-size owners and
+the numpy submodules it reaches."""
 
+import re
 import tokenize
 from pathlib import Path
 
@@ -29,3 +31,12 @@ def test_only_specfun_and_modes_know_the_kernel_chunk():
     # built on it, which the back-reaction and mode-evolve loops iterate
     users = {p.name for p in MODULES if "_CHUNK_PAIRS" in p.read_text()}
     assert users == {"specfun.py", "modes.py"}
+
+
+def test_no_module_mentions_numpy_polynomial_or_linalg():
+    # both page in LAPACK (leggauss and hermgauss solve for their nodes with
+    # it); core's 24-node Gauss-Legendre table is the package's one rule.
+    # RunConfig.polynomial, the smooth barrier's coefficients, is no use of them
+    for path in MODULES:
+        text = path.read_text().replace("def polynomial(", "").replace("self.polynomial()", "")
+        assert not re.search("polynomial|linalg", text), path.name

@@ -250,13 +250,18 @@ def test_quartic_cross_check_with_rect():
 def test_airy_matches_mpmath():
     # relative to the value on z >= 0; on z < 0, where Ai and Bi oscillate
     # and each has zeros, relative to the larger of the pair's magnitudes.
-    # Below -2 the Maclaurin series cancel, by up to ~1e4 at -6
-    z = np.linspace(-6.0, 8.0, 281)
+    # Below -2 the Maclaurin series cancel, by up to ~1e4 at -6.  Past z = 8
+    # the rounding of e^(-zeta) (zeta = 2 z^(3/2)/3 up to 666 at 99.9) and of
+    # the series' powers of z dominates: up to 1.27 zeta eps, in Ai'
+    z = np.concatenate((np.linspace(-6.0, 8.0, 281), np.linspace(8.5, 99.9, 184)))
     got = np.array(wkb.airy(z))
-    want = np.array([[float(f(mp.mpf(x), derivative=d)) for x in z]
-                     for f, d in ((mp.airyai, 0), (mp.airyai, 1), (mp.airybi, 0), (mp.airybi, 1))])
+    with mp.workdps(30):
+        want = np.array([[float(f(mp.mpf(x), derivative=d)) for x in z]
+                         for f, d in ((mp.airyai, 0), (mp.airyai, 1), (mp.airybi, 0),
+                                      (mp.airybi, 1))])
     scale = np.where(z < 0.0, np.maximum(np.abs(want), np.abs(want[[2, 3, 0, 1]])), np.abs(want))
-    tol = np.where(z < -2.0, 2e-12, 2e-14)
+    zeta = 2.0 / 3.0 * np.abs(z) ** 1.5
+    tol = np.where(z < -2.0, 2e-12, np.maximum(2e-14, 2.0 * zeta * np.finfo(float).eps))
     assert np.all(np.abs(got - want) <= tol * scale)
 
 
@@ -335,13 +340,6 @@ def test_rho_general_orientation_error():
     tps = wkb.TurningPoints(left_x0=0.0, right_a=1.0, slope_left=8.0, slope_right=0.5)
     with pytest.raises(OrientationError):
         wkb.rho_general(PARAMS_E1, tps)
-
-
-def test_legendre_table_is_leggauss():
-    # the action tails' 24-node rule is a table; it must keep leggauss's bits
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    table = wkb._legendre_24()
-    assert [a.tobytes() for a in table] == [nodes.tobytes(), weights.tobytes()]
 
 
 def _brackets(seed: int):
