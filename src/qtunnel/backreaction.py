@@ -14,9 +14,9 @@ whose positive shift Delta V = V_eff - V suppresses the transmission
 probability.  Multi-mode totals superpose linearly: completing the square on
 the effective Hamiltonian cancels the 1/16 cross terms of the Gaussian
 average, leaving a per-mode sum of squares.  So all modes run in one pass:
-``q_factors`` gives one row of Q1, Q2 per mode on a shared grid, and
-``effective_potential`` turns those (mode, point) arrays into each mode's
-Delta V and returns the sum over the modes.
+``q_factors`` gives one row of Q1, Q2 per mode on a shared grid of positions
+(no time grid), and ``effective_potential`` turns those (mode, point) arrays
+into each mode's Delta V and returns the sum over the modes.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from .errors import (
     OutOfRegimeError,
     PrecisionError,
     ResolutionError,
-    TachyonicModeError,
 )
-from .modes import ModeFunction, _omega2, grid_blocks, xi_analytic
+from .modes import _omega2, grid_blocks, log_derivative
 from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_density_region2,
                    solve_rect, transmission_probability)
 
@@ -84,39 +83,47 @@ class GaussianAverageResiduals(NamedTuple):
     cross_moment: float
 
 
-def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, mf: ModeFunction) -> QFactors:
-    """Q1(x), Q2(x) from ``mf = xi_analytic(modes, bg, t)``, one row per mode.
+def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
+    """Q1(x), Q2(x) at the trajectory positions ``xs``, one row per mode.
 
-    Points where the trajectory velocity has effectively stalled
-    (x outside [eps*a, (2-eps)*a], eps = 1e-3) are trimmed and flagged.
+    Positions where the trajectory velocity has effectively stalled
+    (x outside [eps*a, (2-eps)*a], eps = 1e-3) are trimmed and flagged.  On
+    x(t) = a(1 + tanh rho t) the 2F1 argument is z = x/2a and xdot = 4 a rho
+    z w, w = (2a - x)/2a; each block of ``grid_blocks`` takes one kernel call,
+    which keeps the bits of one call over the grid.  PrecisionError names
+    the first x, and its mode (from 1), where Q1 or Q2 is not a finite double.
     """
-    xs = bg.position(mf.t)
-    keep = (xs >= _EDGE_TRIM * bg.amplitude_a) & (
-        xs <= (2.0 - _EDGE_TRIM) * bg.amplitude_a
-    )
+    a = bg.amplitude_a
+    if not math.isfinite(bg.rho):  # rho = hbar k/(a M) of a rect solution can overflow
+        raise DomainError(f"trajectory rate rho = {bg.rho} is not a finite double")
+    xs = np.asarray(xs, dtype=float)
+    keep = (xs >= _EDGE_TRIM * a) & (xs <= (2.0 - _EDGE_TRIM) * a)
     trimmed = bool(np.any(~keep))
     if not np.any(keep):
         raise DomainError("trajectory entirely outside the usable window")
-    om2 = _omega2(modes, xs)
-    if np.any(om2 <= 0.0):
-        raise TachyonicModeError(
-            f"omega^2 = {np.min(om2)} <= 0 on the trajectory: coupling too negative"
-        )
-    t, dln = mf.t, mf.dln
     if trimmed:
-        xs, t, dln, om2 = xs[keep], t[keep], dln[:, keep], om2[:, keep]
-    # the oscillator equation, with omega^2 as sqrt(omega^2)^2: Q1, Q2 keep their bits
-    om = np.sqrt(om2)
-    d2ln = -(om * om) - dln * dln
-    denom = bg.velocity(t) * dln.imag
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # C order: indexing the last axis leaves the rows strided, and numpy
-        # would then sum them pairwise instead of in mode order
-        q1 = np.ascontiguousarray(d2ln.real / denom)
-        q2 = np.ascontiguousarray((d2ln.imag / (2.0 * denom)) ** 2)
-    if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
-        raise PrecisionError("Q1 or Q2 leaves double range")
-    return QFactors(xs=xs, q1=q1, q2=q2, trimmed=trimmed)
+        xs = xs[keep]
+    q = np.empty((2, len(modes), xs.size))
+    for blk in grid_blocks(len(modes), xs.size):
+        x = xs[blk]
+        z, w = x / (2.0 * a), (2.0 * a - x) / (2.0 * a)
+        _, dln = log_derivative(modes, bg, z, w)
+        # omega^2 > 0 once log_derivative has checked omega_infinity^2: it is
+        # linear in x.  The oscillator equation, omega^2 as sqrt(omega^2)^2
+        om = np.sqrt(_omega2(modes, x))
+        d2ln = -(om * om) - dln * dln
+        # xdot as a rho (4 z w), 4 z w <= 1: finite wherever a rho is
+        denom = (a * bg.rho) * (4.0 * z * w) * dln.imag
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # rows of the C-ordered q: numpy adds them in mode order later
+            q[0, :, blk] = d2ln.real / denom
+            q[1, :, blk] = (d2ln.imag / (2.0 * denom)) ** 2
+    bad = ~np.isfinite(q).all(axis=0)
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        raise PrecisionError(f"Q1 or Q2 leaves double range: mode {np.argmax(bad[:, j]) + 1} "
+                             f"at x = {xs[j]}")
+    return QFactors(xs=xs, q1=q[0], q2=q[1], trimmed=trimmed)
 
 
 def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
@@ -137,15 +144,15 @@ def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
 def series_coefficients(mass_m: float, omega0: float, amplitude_a: float) -> SeriesCoefficients:
     """Leading coefficients of Q1 and Q2 at the exit point for rho = omega0.
 
-    For each epsilon = 2 c a/(m rho^2) the exact mode function is evaluated
-    at the exit time, then Q1*a/eps and Q2*2a^2/eps^2 are Richardson
+    For each epsilon = 2 c a/(m rho^2) the factors are evaluated at the exit
+    point x = a, then Q1*a/eps and Q2*2a^2/eps^2 are Richardson
     extrapolated to eps -> 0.
     """
     rho = omega0
     bg = TanhBackground(amplitude_a=amplitude_a, rho=rho)
     modes = [EnvMode(mass_m=mass_m, omega0=omega0,
                      coupling_c=eps * mass_m * rho**2 / (2.0 * amplitude_a)) for eps in _EPSILONS]
-    qf = q_factors(modes, bg, xi_analytic(modes, bg, [0.0]))
+    qf = q_factors(modes, bg, [amplitude_a])
     eps_arr = np.asarray(_EPSILONS, dtype=float)
     f1 = qf.q1[:, 0] * amplitude_a / eps_arr
     f2 = qf.q2[:, 0] * 2.0 * amplitude_a**2 / eps_arr**2
@@ -301,30 +308,17 @@ def rect_mode_backreaction(
 
     Builds the tanh trajectory of the solution and a uniform grid over
     [eps*a, a], with the unperturbed effective-classical momentum
-    p0 = sqrt(2 M (E - V_tot)).  The grid is taken in the blocks of
-    ``modes.grid_blocks`` (8,192 points for one mode): per block, one
-    ``xi_analytic`` call evaluates every mode's exact mode function along
-    the trajectory and one ``q_factors`` call gives their Q1, Q2 as
-    (mode, point) arrays, so the 2F1 working set stays the size of one
-    kernel chunk whatever the grid, with the bits of one call over the
-    whole grid.  One ``effective_potential`` call then adds the modes'
-    Q1, Q2, Delta V and barrier averages in mode order, because completing
-    the square on the effective Hamiltonian cancels the Gaussian-average
-    cross terms.
+    p0 = sqrt(2 M (E - V_tot)).  One ``q_factors`` call gives every mode's
+    Q1, Q2 at those positions as (mode, point) arrays, and one
+    ``effective_potential`` call then adds the modes' Q1, Q2, Delta V and
+    barrier averages in mode order, because completing the square on the
+    effective Hamiltonian cancels the Gaussian-average cross terms.
     """
     if not modes:
         raise DomainError("need at least one environment mode")
-    bg = classical_trajectory(sol)
     a = sol.barrier.width_a
     xs = np.linspace(_EDGE_TRIM * a, a, num_points)
-    ts = bg.time_at(xs)
-    q = np.empty((2, len(modes), num_points))
-    for blk in grid_blocks(len(modes), num_points):
-        qf = q_factors(modes, bg, xi_analytic(modes, bg, ts[blk]))
-        if qf.trimmed:
-            raise DomainError("trajectory trim removed requested grid points")
-        q[:, :, blk] = qf.q1, qf.q2
-    del ts
+    qf = q_factors(modes, classical_trajectory(sol), xs)
     p0 = np.sqrt(2.0 * sol.params.mass_M * kinetic_density_region2(sol, xs))
     v = np.full_like(xs, sol.barrier.height_V0)
-    return effective_potential(xs, v, p0, q[0], q[1], sol.params, width_a=a)
+    return effective_potential(xs, v, p0, qf.q1, qf.q2, sol.params, width_a=a)

@@ -15,9 +15,10 @@ solution:
 * ``xi_analytic`` evaluates the exact mode function in terms of the Gauss
   hypergeometric function, vacuum-matched at early times.
 
-They share only omega(t) and the (alpha, beta) map.  ``xi_analytic``
-takes a sequence of modes and a 1-D time grid and gives one row per mode,
-so every mode of a back-reaction run is evaluated in one pass, block by
+They share only omega(t) and the (alpha, beta) map.  ``log_derivative``,
+the exact route's 2F1 call, takes z = (1 + tanh rho t)/2 = x/2a: from a time
+grid in ``xi_analytic``, from positions in ``backreaction.q_factors``.  Both
+take a sequence of modes on a 1-D grid and give one row per mode, block by
 block (``grid_blocks``).  The vacuum
 (alpha^2 = m omega0, beta = 0) corresponds to xi ~ (2 omega0)^(-1/2)
 exp(i omega0 t).  The Wronskian xi xi*' - xi* xi' is conserved and equals -i
@@ -237,15 +238,32 @@ def _prefix_products(m: list) -> None:
         shift *= 2
 
 
+def log_derivative(modes: Sequence[EnvMode], bg: TanhBackground, z, w
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(F, d ln xi/dt) of the exact mode function at the 2F1 arguments ``z``
+    and ``w`` = 1 - z, one row per mode, from one kernel call:
+    F = 2F1(1 - i omega_-/rho, -i omega_-/rho; 1 + i omega0/rho; z) and, as
+    dz/dt = 2 rho z w, d ln xi/dt = i omega0 + 2 i omega_- z + 2 rho z w F'/F.
+    TachyonicModeError (``omega_asymptotics``) for omega_infinity^2 <= 0.
+    """
+    rho = bg.rho
+    pm = [omega_pm(m, bg) for m in modes]
+    res = specfun.hyp2f1_ex([1.0 - 1j * om_m / rho for _, om_m in pm],
+                            [-1j * om_m / rho for _, om_m in pm],
+                            [1.0 + 1j * m.omega0 / rho for m in modes], z, one_minus_z=w)
+    F, dF = res.value, res.dz
+    # per-mode columns against the grid
+    om_m, om0 = np.array(pm)[:, 1:], np.array([[m.omega0] for m in modes])
+    return F, 1j * om0 + 2j * om_m * z + 2.0 * rho * z * w * dF / F
+
+
 def xi_analytic(modes: Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction:
     """Exact vacuum-matched mode function over the tanh background.
 
-    xi(t) = (2 omega0)^(-1/2) exp[i omega_+ t + i omega_- ln(2 cosh rho t)/rho]
-            * 2F1(1 - i w_-/rho, -i w_-/rho; 1 + i w_0/rho; z),
-    z = (1 + tanh rho t)/2, on the 1-D time grid ``t``.  ``xi``, ``xi_dot``
-    and ``dln`` have one row per mode; all modes take one 2F1 kernel call.
-    d ln xi/dt follows from the chain rule through z with dF/dz from the same
-    kernel.
+    xi(t) = (2 omega0)^(-1/2) exp[i omega_+ t + i omega_- ln(2 cosh rho t)/rho] F(z),
+    z = (1 + tanh rho t)/2, on the 1-D time grid ``t``, with F and d ln xi/dt
+    from ``log_derivative``.  ``xi``, ``xi_dot`` and ``dln`` have one row per
+    mode; all modes take one 2F1 kernel call.
     """
     rho = bg.rho
     t = np.asarray(t, dtype=float)
@@ -253,19 +271,13 @@ def xi_analytic(modes: Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction
     z, w, e = _sigmoid_pair(u)
     if np.any(w <= 0.0):
         raise DomainError(f"trajectory argument saturated at t = {np.max(t)}")
-    pm = [omega_pm(m, bg) for m in modes]
-    res = specfun.hyp2f1_ex([1.0 - 1j * om_m / rho for _, om_m in pm],
-                            [-1j * om_m / rho for _, om_m in pm],
-                            [1.0 + 1j * m.omega0 / rho for m in modes], z, one_minus_z=w)
-    F, dF = res.value, res.dz
-    # per-mode columns against the grid
-    om_p, om_m = np.array(pm).T[:, :, None]
+    F, dln = log_derivative(modes, bg, z, w)
+    om_p, om_m = np.array([omega_pm(m, bg) for m in modes]).T[:, :, None]
     om0 = np.array([[m.omega0] for m in modes])
     # ln(2 cosh u) evaluated without overflow
     log2cosh = np.abs(u) + np.log1p(e)
     phase = 1j * (om_p * t + om_m * log2cosh / rho)
     xi = F * np.exp(phase) / np.sqrt(2.0 * om0)
-    dln = 1j * om0 + 2j * om_m * z + 2.0 * rho * z * w * dF / F
     return ModeFunction(xi=xi, xi_dot=xi * dln, t=t, dln=dln)
 
 

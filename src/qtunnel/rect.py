@@ -4,7 +4,8 @@ Stationary scattering state with unit transmitted amplitude (C = 1), plus the
 observables built on it: transmission probability, total potential in the
 barrier region, quantum potential from amplitude samples, rolling (traversal)
 time in closed form and by quadrature of 1/v, and the tanh-approximated
-trajectory of the effective classical particle.
+trajectory x(t) of the effective classical particle (no inverse map:
+back-reaction code works on positions).
 
 All operations are pure functions over the immutable solution record.
 """
@@ -68,17 +69,6 @@ class TanhBackground(NamedTuple):
 
     def position(self, t):
         return self.amplitude_a * (1.0 + np.tanh(self.rho * np.asarray(t, dtype=float)))
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.amplitude_a * self.rho / np.cosh(self.rho * t) ** 2
-
-    def time_at(self, x):
-        """Inverse trajectory t(x) for x in (0, 2a)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0) or np.any(x >= 2.0 * self.amplitude_a):
-            raise DomainError("tanh trajectory covers 0 < x < 2a only")
-        return np.arctanh(x / self.amplitude_a - 1.0) / self.rho
 
 
 def check_thickness(beta: float, width_a: float) -> None:

@@ -161,7 +161,7 @@ def test_criterion_9_limits():
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     sol = rect.solve_rect(PARAMS, BARRIER)
     bg = rect.classical_trajectory(sol)
-    qf = br.q_factors([free], bg, modes.xi_analytic([free], bg, np.linspace(-2, 0, 9)))
+    qf = br.q_factors([free], bg, np.linspace(0.01, 1.0, 9))
     assert np.all(qf.q1 == 0.0)
     assert np.all(qf.q2 == 0.0)
     prof = br.rect_mode_backreaction(sol, free, num_points=400)

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
-from qtunnel.errors import (AlignmentError, DomainError, OutOfRegimeError, ResolutionError,
-                            TachyonicModeError)
+from qtunnel.errors import AlignmentError, DomainError, OutOfRegimeError, ResolutionError
 from qtunnel import backreaction as br
-from qtunnel import modes, rect, specfun
+from qtunnel import rect, specfun
 from qtunnel.rect import TanhBackground
 
 PARAMS = PhysicalParams(energy_E=2.0)
@@ -29,18 +28,17 @@ def fig3_profile():
 def test_q_factors_vanish_when_decoupled():
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
-    ts = np.linspace(-2.0, 1.0, 11)
-    qf = br.q_factors([free], bg, modes.xi_analytic([free], bg, ts))
+    qf = br.q_factors([free], bg, np.linspace(0.01, 1.9, 11))
     assert np.max(np.abs(qf.q1)) <= 1e-12
     assert np.max(np.abs(qf.q2)) <= 1e-12
 
 
 def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
     # b = 0 makes 2F1 exactly 1, so d ln xi/dt = i omega0 and Q1 = Q2 = 0
-    # with no rounding, on both sides of the z = 1/2 seam
+    # with no rounding, on both sides of the z = x/2a = 1/2 seam
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
-    qf = br.q_factors([free], bg, modes.xi_analytic([free], bg, np.linspace(-1.5, 1.5, 31)))
+    qf = br.q_factors([free], bg, np.linspace(0.005, 1.995, 31))
     assert not qf.trimmed
     assert np.all(qf.q1 == 0.0)
     assert np.all(qf.q2 == 0.0)
@@ -48,44 +46,25 @@ def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
 
 def test_q_factors_trim_flag():
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
-    ts = np.array([-20.0, -1.0, 0.0, 20.0])  # edges stalled at both ends
-    qf = br.q_factors([FIG3_MODE], bg, modes.xi_analytic([FIG3_MODE], bg, ts))
+    xs = np.array([1e-4, 0.5, 1.0, 1.9995])  # edges stalled at both ends
+    qf = br.q_factors([FIG3_MODE], bg, xs)
     assert qf.trimmed
-    assert len(qf.xs) == 2
-    qf2 = br.q_factors([FIG3_MODE], bg, modes.xi_analytic([FIG3_MODE], bg, [-1.0, 0.0]))
+    assert np.array_equal(qf.xs, [0.5, 1.0]) and qf.q1.shape == qf.q2.shape == (1, 2)
+    qf2 = br.q_factors([FIG3_MODE], bg, [1e-3, 0.5, 1.999])
     assert not qf2.trimmed
-
-
-@pytest.mark.parametrize("coupling, ts", [
-    (-0.5, [-1.0, 0.0]),  # omega^2 = 1 - x reaches 0 at x(0) = a
-    (-1.0, np.linspace(-1.0, 1.0, 9)),  # omega^2 = 1 - 2x dips below 0
-])
-def test_q_factors_refuse_a_tachyonic_mode_on_the_grid(coupling, ts):
-    # xi_analytic refuses these modes first (omega_infinity^2 < 0), so the
-    # mode function is built by hand: only a direct call reaches the check
-    bad = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=coupling)
-    bg = TanhBackground(amplitude_a=1.0, rho=2.0)
-    ts = np.asarray(ts)
-    ones = np.ones((1, ts.size), dtype=complex)
-    mf = modes.ModeFunction(xi=ones, xi_dot=1j * ones, t=ts, dln=1j * ones)
-    om2 = 1.0 + 2.0 * coupling * (1.0 + np.tanh(2.0 * ts))
-    with pytest.raises(TachyonicModeError) as err:
-        br.q_factors([bad], bg, mf)
-    assert str(err.value) == (f"omega^2 = {np.min(om2)} <= 0 on the trajectory: "
-                              "coupling too negative")
 
 
 def test_q_factors_of_a_mode_sequence_equal_one_mode_calls():
     # one row per mode, each bit for bit the factors of a one-mode call
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
-    ts = np.linspace(-1.5, 1.5, 41)  # both 2F1 branches
+    xs = np.linspace(0.005, 1.995, 41)  # both 2F1 branches
     mode_set = [FIG3_MODE, EnvMode(mass_m=1.3, omega0=0.8, coupling_c=-0.1),
                 EnvMode(mass_m=0.7, omega0=1.6, coupling_c=0.0), FIG3_MODE]
-    qf = br.q_factors(mode_set, bg, modes.xi_analytic(mode_set, bg, ts))
-    assert qf.q1.shape == qf.q2.shape == (len(mode_set), len(ts))
+    qf = br.q_factors(mode_set, bg, xs)
+    assert qf.q1.shape == qf.q2.shape == (len(mode_set), len(xs))
     for mode, q1, q2 in zip(mode_set, qf.q1, qf.q2):
-        single = br.q_factors([mode], bg, modes.xi_analytic([mode], bg, ts))
-        assert single.q1.shape == (1, len(ts))
+        single = br.q_factors([mode], bg, xs)
+        assert single.q1.shape == (1, len(xs))
         assert q1.tobytes() == single.q1[0].tobytes()
         assert q2.tobytes() == single.q2[0].tobytes()
         assert np.array_equal(qf.xs, single.xs) and qf.trimmed == single.trimmed
@@ -235,8 +214,7 @@ def test_superpose_identity(fig3_profile):
     # one mode: the driver returns that mode's effective potential unchanged
     sol = rect.solve_rect(PARAMS, BARRIER)
     bg = rect.classical_trajectory(sol)
-    ts = bg.time_at(fig3_profile.xs)
-    qf = br.q_factors([FIG3_MODE], bg, modes.xi_analytic([FIG3_MODE], bg, ts))
+    qf = br.q_factors([FIG3_MODE], bg, fig3_profile.xs)
     single = br.effective_potential(fig3_profile.xs, fig3_profile.v, fig3_profile.p0,
                                     qf.q1, qf.q2, PARAMS, width_a=1.0)
     for field in ("q1", "q2", "v_eff", "delta_v"):
@@ -266,7 +244,8 @@ def test_superpose_two_identical_modes(fig3_profile):
 @pytest.mark.parametrize("count", [1, 2, 4])
 def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
     # 20,000 points are 3, 5 and 10 blocks of 8,192 // count: the blocks give
-    # the bits, and the series lengths, of one 2F1 call over the whole grid
+    # the bits, and the series lengths, of one 2F1 call over the whole grid,
+    # which a chunk the size of the grid makes one block
     mode_set = [FIG3_MODE, EnvMode(mass_m=1.3, omega0=0.8, coupling_c=-0.1),
                 EnvMode(mass_m=0.7, omega0=1.6, coupling_c=0.05),
                 EnvMode(mass_m=2.0, omega0=0.7, coupling_c=0.2)][:count]
@@ -283,11 +262,9 @@ def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
     blocked = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
     assert len(terms) == -(-20_000 // (specfun._CHUNK_PAIRS // count))
     blocked_terms, terms[:] = sum(terms), []
-    bg = rect.classical_trajectory(sol)
-    xs = np.linspace(1e-3, 1.0, 20_000)
-    qf = br.q_factors(mode_set, bg, modes.xi_analytic(mode_set, bg, bg.time_at(xs)))
+    monkeypatch.setattr(specfun, "_CHUNK_PAIRS", 20_000 * count)
+    whole = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
     assert terms == [blocked_terms]
-    whole = br.effective_potential(xs, blocked.v, blocked.p0, qf.q1, qf.q2, PARAMS, width_a=1.0)
     for field in ("xs", "q1", "q2", "delta_v", "v_eff"):
         assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes()
     assert blocked.delta_v_bar == whole.delta_v_bar

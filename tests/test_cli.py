@@ -246,6 +246,10 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     ("wkb", "grid_points = 20", "DomainError"),
     ("fig3", "omega0 = 1e-150", "PrecisionError"),
     ("fig1a", "E = 50\nV0 = 51\na = 250.3", "PrecisionError"),
+    # omega_infinity^2 = 1 - 4 * 0.26 < 0
+    ("backreaction", "c = -0.26", "TachyonicModeError"),
+    # rho = hbar k/(a M) ~ 1.4e450 overflows
+    ("fig3", "E = 1e300\nV0 = 2e300\na = 1e-300", "DomainError"),
     # tanh(rho t) saturates
     ("mode-evolve", "t_max = 400", "DomainError"),
     ("backreaction", "c = 100", "OutOfRegimeError"),
@@ -268,7 +272,8 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     ("fig1b", "x_min = 1\nx_max = 0", "ConfigError"),
 ], ids=["rect", "fig3", "sweep", "rect-M", "rect-hbar", "rect-E-a", "rect-t_roll",
         "fig2-hbar-small", "fig2-hbar-large", "fig2-E", "fig2-bracket", "wkb-grid",
-        "fig3-omega0", "fig1a-thick", "mode-evolve-t_max", "backreaction-c",
+        "fig3-omega0", "fig1a-thick", "backreaction-tachyonic", "fig3-infinite-rho",
+        "mode-evolve-t_max", "backreaction-c",
         "fig3-wide", "backreaction-wide", "mode-evolve-wide", "mode-evolve-derived-rho",
         "mode-evolve-vacuum-start", "fig2-wide-bracket", "wkb-bracket-span",
         "fig2-poly-overflow", "fig1a-empty-x", "fig1b-reversed-x"])
@@ -338,7 +343,22 @@ def test_extreme_scales_fail_cleanly(tmp_path, capsys, flags):
     # omega0^2, hbar^2, e^(2 theta) or k^2 beta^2 leaves double range
     out = tmp_path / "extreme.csv"
     assert main([*flags, "--out", str(out)]) in (2, 3)
-    assert "Error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Error" in err
+    assert not out.exists()
+    if flags == ["fig3", "--omega0", "1e-150"]:
+        # the line names the mode and the first grid point that fails
+        assert err == ("fig3 failed: PrecisionError: Q1 or Q2 leaves double range: "
+                       "mode 1 at x = 0.0019994997498749374\n")
+
+
+def test_convergence_error_names_the_grid_point_z(tmp_path, capsys):
+    # the 2F1 argument of the first grid point x = 1e-3 a is x/2a, exactly
+    out = tmp_path / "light.csv"
+    assert main(["fig3", "--m", "1e-8", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fig3 failed: ConvergenceError: 2F1 series terms overflow a double ")
+    assert err.endswith(", z = 0.0005\n")
     assert not out.exists()
 
 

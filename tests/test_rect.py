@@ -221,10 +221,6 @@ def test_tanh_trajectory(default_solution):
     assert bg.position(0.0) == pytest.approx(1.0, rel=1e-14)
     assert bg.position(-50.0) < 1e-8
     assert bg.position(50.0) == pytest.approx(2.0, abs=1e-8)
-    xs = np.array([0.3, 1.0, 1.7])
-    assert bg.position(bg.time_at(xs)) == pytest.approx(xs, rel=1e-12)
-    with pytest.raises(DomainError):
-        bg.time_at(2.5)
 
 
 @pytest.mark.parametrize("E, a", [(2.0, 1.0), (2.0, 20.0), (2.0, 100.0), (2.0, 170.0),

@@ -1,5 +1,5 @@
-"""Static checks on the package source: compile cost, block-size owners and
-the numpy submodules it reaches."""
+"""Static checks on the package source: compile cost, block-size and 2F1
+kernel owners and the numpy submodules it reaches."""
 
 import re
 import tokenize
@@ -28,7 +28,7 @@ def test_module_stays_below_the_parser_token_doubling(path):
 
 def test_only_specfun_and_modes_know_the_kernel_chunk():
     # the 2F1 chunk is specfun's; modes.grid_blocks is the one block policy
-    # built on it, which the back-reaction and mode-evolve loops iterate
+    # built on it, which backreaction.q_factors and cli._run_mode_evolve iterate
     users = {p.name for p in MODULES if "_CHUNK_PAIRS" in p.read_text()}
     assert users == {"specfun.py", "modes.py"}
 
@@ -40,3 +40,9 @@ def test_no_module_mentions_numpy_polynomial_or_linalg():
     for path in MODULES:
         text = path.read_text().replace("def polynomial(", "").replace("self.polynomial()", "")
         assert not re.search("polynomial|linalg", text), path.name
+
+
+def test_only_specfun_and_modes_name_the_2f1_kernel():
+    # modes.log_derivative is the one map from a mode to its 2F1 parameters
+    users = {p.name for p in MODULES if "hyp2f1_ex" in p.read_text()}
+    assert users == {"specfun.py", "modes.py"}
