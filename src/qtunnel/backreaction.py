@@ -90,8 +90,9 @@ def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
     (x outside [eps*a, (2-eps)*a], eps = 1e-3) are trimmed and flagged.  On
     x(t) = a(1 + tanh rho t) the 2F1 argument is z = x/2a and xdot = 4 a rho
     z w, w = (2a - x)/2a; each block of ``grid_blocks`` takes one kernel call,
-    which keeps the bits of one call over the grid.  PrecisionError names
-    the first x, and its mode (from 1), where Q1 or Q2 is not a finite double.
+    which bounds the kernel's working set and keeps the bits of one call over
+    the grid.  PrecisionError names the first x, and its mode (from 1), where
+    Q1 or Q2 is not a finite double.
     """
     a = bg.amplitude_a
     if not math.isfinite(bg.rho):  # rho = hbar k/(a M) of a rect solution can overflow

@@ -142,7 +142,7 @@ def _run_mode_evolve(cfg: RunConfig) -> _Table:
     if others:
         raise ConfigError(f"mode-evolve evolves one mode, got {1 + len(others)}")
     traj = modes_mod.evolve_gaussian(mode, bg, ts)
-    # the exact mode function in blocks of one 2F1 kernel chunk
+    # the exact mode function in blocks of one 2F1 kernel call
     alpha2_xi, beta_xi = np.empty((2, traj.t.size))
     for blk in modes_mod.grid_blocks(1, traj.t.size):
         st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, traj.t[blk]))

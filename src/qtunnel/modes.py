@@ -18,9 +18,10 @@ solution:
 They share only omega(t) and the (alpha, beta) map.  ``log_derivative``,
 the exact route's 2F1 call, takes z = (1 + tanh rho t)/2 = x/2a: from a time
 grid in ``xi_analytic``, from positions in ``backreaction.q_factors``.  Both
-take a sequence of modes on a 1-D grid and give one row per mode, block by
-block (``grid_blocks``).  The vacuum
-(alpha^2 = m omega0, beta = 0) corresponds to xi ~ (2 omega0)^(-1/2)
+take a sequence of modes on a 1-D grid and give one row per mode.  Their
+callers split the grid by ``grid_blocks``, whose block size is the one
+bound on the 2F1 working set: the kernel sums each call in one pass.  The
+vacuum (alpha^2 = m omega0, beta = 0) corresponds to xi ~ (2 omega0)^(-1/2)
 exp(i omega0 t).  The Wronskian xi xi*' - xi* xi' is conserved and equals -i
 for that normalization.
 """
@@ -48,6 +49,10 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0  # Gauss points at mid -/+ offset * h
 _STEP_DOUBLING_TOL = 1e-7
 _MAX_STEPS = 2**26  # coarse plus fine steps of one evolution
 _BLOCK_STEPS = 2**16  # steps held in memory at once
+# (mode, point) pairs per 2F1 kernel call, which the kernel sums in one
+# pass: its Horner arrays (~64 bytes a series pair; a pair on z > 1/2 takes
+# two series, four if degraded) stay at 0.5-2 MB whatever the grid
+_BLOCK_PAIRS = 8192
 
 
 class GaussianModeState(NamedTuple):
@@ -89,10 +94,11 @@ def _omega2(modes: Sequence[EnvMode], xs) -> np.ndarray:
 
 
 def grid_blocks(n_modes: int, n_points: int) -> Iterator[slice]:
-    """Consecutive slices covering range(n_points), each of at most one 2F1
-    kernel chunk of ``n_modes`` sets.  A pair's 2F1 bits depend only on its
-    own set and z, so the blocks give the bits of one call over the grid."""
-    step = max(specfun._CHUNK_PAIRS // n_modes, 1)
+    """Consecutive slices covering range(n_points), each of at most
+    _BLOCK_PAIRS // ``n_modes`` points (at least one), one 2F1 kernel call's
+    worth.  A pair's 2F1 bits depend only on its own set and z, so the
+    blocks give the bits of one call over the grid."""
+    step = max(_BLOCK_PAIRS // n_modes, 1)
     return (slice(lo, min(lo + step, n_points)) for lo in range(0, n_points, step))
 
 
@@ -159,7 +165,7 @@ def evolve_gaussian(mode: EnvMode, bg: TanhBackground, ts) -> GaussianModeState:
             raise StiffnessError(
                 f"Magnus steps h and h/2 differ by {err:.3g} (tolerance "
                 f"{_STEP_DOUBLING_TOL}) at the smallest h that {_MAX_STEPS} "
-                "steps allow; use the mode-function route"
+                "steps allow"
             )
 
 
@@ -175,7 +181,7 @@ def magnus_steps(mode: EnvMode, bg: TanhBackground, edges) -> np.ndarray:
     if n_steps > _MAX_STEPS:
         raise StiffnessError(
             f"the Magnus route needs {n_steps:.3g} steps on [{edges[0]}, {edges[-1]}] "
-            f"(at most {_MAX_STEPS}); use the mode-function route"
+            f"(at most {_MAX_STEPS})"
         )
     return counts.astype(np.int64)
 
@@ -250,7 +256,7 @@ def log_derivative(modes: Sequence[EnvMode], bg: TanhBackground, z, w
     pm = [omega_pm(m, bg) for m in modes]
     res = specfun.hyp2f1_ex([1.0 - 1j * om_m / rho for _, om_m in pm],
                             [-1j * om_m / rho for _, om_m in pm],
-                            [1.0 + 1j * m.omega0 / rho for m in modes], z, one_minus_z=w)
+                            [1.0 + 1j * m.omega0 / rho for m in modes], z, w)
     F, dF = res.value, res.dz
     # per-mode columns against the grid
     om_m, om0 = np.array(pm)[:, 1:], np.array([[m.omega0] for m in modes])
@@ -270,7 +276,7 @@ def xi_analytic(modes: Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction
     u = rho * t
     z, w, e = _sigmoid_pair(u)
     if np.any(w <= 0.0):
-        raise DomainError(f"trajectory argument saturated at t = {np.max(t)}")
+        raise DomainError(f"trajectory argument saturated at t = {t[np.argmax(w <= 0.0)]}")
     F, dln = log_derivative(modes, bg, z, w)
     om_p, om_m = np.array([omega_pm(m, bg) for m in modes]).T[:, :, None]
     om0 = np.array([[m.omega0] for m in modes])

@@ -1,7 +1,7 @@
 """Gauss hypergeometric kernel for complex parameters, on numpy alone.
 
-* 2F1 on real z in [0, 1), for one or several parameter sets (a, b, c) over
-  one array of z, via the direct Gauss series for z <= 1/2 and the two-term
+* 2F1 on real z in [0, 1), for several parameter sets (a, b, c) over one
+  array of z, via the direct Gauss series for z <= 1/2 and the two-term
   z -> 1-z linear transformation for z > 1/2, so convergence stays geometric
   with ratio <= 1/2 (DLMF 15.2, 15.8),
 * its z-derivative, from the same Horner pass over the series,
@@ -12,10 +12,11 @@ All series of a call, the direct ones on z <= 1/2 and both w-series of the
 transformation on z > 1/2, are laid out as flattened (series, point) pairs.
 Each pair's length N is fixed before any sum, from its own set and z: every
 term of F past N, and of dF/dz relative to its first term, is below 1e-17.
-The pairs are sorted longest first and summed by Horner's rule in equal
-chunks of at most 8,192 pairs; a pair's bits depend neither on its chunk
-nor on the call's other points.  A pair whose cancellation bound
-sum|t_n|/|F| times the double epsilon passes 1e-11, or whose F or dF/dz is
+The pairs are sorted longest first and summed by Horner's rule in one
+pass; a pair's bits do not depend on the call's other points, so callers
+bound the working set by splitting the grid.  The result carries each
+pair's cancellation bounds sum|t_n|/|F| and sum|dt_n/dz|/|dF/dz|.  A pair
+whose bound times the double epsilon passes 1e-11, or whose F or dF/dz is
 not a finite double, raises ``PrecisionError``; a series whose
 coefficients overflow raises ``ConvergenceError``.
 
@@ -37,10 +38,6 @@ _MAX_TERMS = 10_000
 # a pair's series stops where every later term of F, and of dF/dz relative
 # to its first term, stays below this
 _TAIL = 1e-17
-# (series, point) pairs per Horner loop: the loop's working arrays for a
-# chunk (~64 bytes a pair, ~0.5 MB) stay in cache, and do not grow with
-# the call's grid
-_CHUNK_PAIRS = 8192
 # orders per step of the coefficient build
 _ORDERS = 64
 # |c-a-b| distance from an integer below which the z->1-z transformation is
@@ -91,24 +88,23 @@ def log_gamma(z) -> np.ndarray:
 class Hyp2F1Result(NamedTuple):
     """Value, z-derivative and diagnostics of a 2F1 evaluation.
 
-    For one (a, b, c), ``value`` and ``dz`` have the shape of z; for 1-D
-    a, b, c they have shape (sets,) + z.shape.  ``terms`` is the series
+    ``value`` and ``dz`` have shape (sets, points).  ``terms`` is the series
     length summed over the (set, point) pairs and ``degraded`` is true if
-    any pair is degraded.  ``bound`` is the largest sum|t_n| / |F| over the
-    pairs (on the z > 1/2 branch, over the terms of both series times their
-    prefactors) and ``dz_bound`` the same for dF/dz; times the double
+    any pair is degraded.  ``bounds``, of shape (2, sets, points), holds
+    each pair's sum|t_n| / |F| and sum|dt_n/dz| / |dF/dz| (on the z > 1/2
+    branch, over the terms of both series times their prefactors), and 1.0
+    on degraded pairs and where dF/dz is exactly 0; times the double
     epsilon, each estimates the relative rounding error on z <= 1/2.  On
     z > 1/2 the log-Gamma prefactors add rounding that the bounds omit, up
     to ~80 eps times the bound (x = 8, z = 0.99 for the mode sets
     (1 - ix, -ix; 1 + iy)).
     """
 
-    value: complex | np.ndarray
+    value: np.ndarray
     degraded: bool
     terms: int
-    dz: complex | np.ndarray
-    bound: float
-    dz_bound: float
+    dz: np.ndarray
+    bounds: np.ndarray
 
 
 def _coefficients(params: list, zmax: np.ndarray):
@@ -197,11 +193,10 @@ def _gauss_series(series: list, outs: tuple) -> int:
     (series, point) pair's length N is fixed before any sum from its own
     set and x alone (``_coefficients``, ``_thresholds``).
     The pairs are then sorted longest first and summed by Horner's rule in
-    equal chunks of at most _CHUNK_PAIRS pairs (``_sum_chunk``), in u = x / h
-    with the scaled coefficients; since h is a power of two, the sums have
-    the bits of unscaled ones.  Each pair's arithmetic is its own, so
-    neither the call's other points nor the chunks change a bit of its
-    results.  A series whose coefficients overflow, or whose tail is not
+    one pass (``_horner``), in u = x / h with the scaled coefficients; since
+    h is a power of two, the sums have the bits of unscaled ones.  Each
+    pair's arithmetic is its own, so the call's other points change no bit
+    of its results.  A series whose coefficients overflow, or whose tail is not
     bounded within _MAX_TERMS orders, raises ``ConvergenceError`` naming
     its caller's set and the z of its first point with the longest series
     on the coefficients built.  Returns the series length summed over the
@@ -223,30 +218,24 @@ def _gauss_series(series: list, outs: tuple) -> int:
     u = np.concatenate([x / h for (_, x, *_), h in zip(series, scales)])
     idx = np.concatenate([at for _, _, at, *_ in series])
     order = np.argsort(-lengths, kind="stable")
-    chunks = -(-u.size // _CHUNK_PAIRS)
-    edges = [k * u.size // chunks for k in range(chunks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        at = order[lo:hi]
-        sid = np.searchsorted(ends, at, side="right")
-        first, last = sid.min(), sid.max()
-        acc, dacc = _sum_chunk(np.ascontiguousarray(table[:, :, first:last + 1]),
-                               sid - first, u[at], lengths[at])
-        dacc /= scales[sid]
-        i = idx[at]
-        (outs[0].real[i], outs[0].imag[i], outs[2][i]), (outs[1].real[i], outs[1].imag[i],
-                                                          outs[3][i]) = acc, dacc
+    sid = np.searchsorted(ends, order, side="right")
+    acc, dacc = _horner(table, sid, u[order], lengths[order])
+    dacc /= scales[sid]
+    i = idx[order]
+    (outs[0].real[i], outs[0].imag[i], outs[2][i]), (outs[1].real[i], outs[1].imag[i],
+                                                      outs[3][i]) = acc, dacc
     return int(lengths.sum())
 
 
-def _sum_chunk(table: np.ndarray, sid: np.ndarray, u: np.ndarray, lengths: np.ndarray):
-    """Horner's rule on one chunk of ``_gauss_series``: the pairs at points
-    ``u`` of series ``sid``, sorted by their ``lengths`` N, longest first.
+def _horner(table: np.ndarray, sid: np.ndarray, u: np.ndarray, lengths: np.ndarray):
+    """Horner's rule for ``_gauss_series``: the pairs at points ``u`` of
+    series ``sid``, sorted by their ``lengths`` N, longest first.
 
     ``table[n]`` holds Re d_n, Im d_n and |d_n| of each series.  From order
     N down to 0, each pair takes p <- p u + d_n and dp <- dp u + p on the
     real and imaginary parts, and s <- s u + |d_n| and ds <- ds u + s, so
     that p ends as F, dp as dF/du, s as sum|t_n| and ds as sum|dt_n/du|.
-    The pairs still summing at order n are a prefix of the chunk.  Returns
+    The pairs still summing at order n are a prefix of the pairs.  Returns
     (Re F, Im F, s) and (Re dF/du, Im dF/du, ds) as two (3, pairs) arrays.
     """
     acc, dacc = np.zeros((2, 3, u.size))
@@ -285,27 +274,21 @@ def _transformed_terms(a, b, c) -> list:
     return terms
 
 
-def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
-    """2F1 and dF/dz with diagnostics, for one or several (a, b, c) over an array of z.
+def hyp2f1_ex(a, b, c, z, w) -> Hyp2F1Result:
+    """2F1 and dF/dz with diagnostics, for several (a, b, c) over a 1-D array of z.
 
-    a, b and c are complex scalars, or 1-D sequences of one length, one
-    parameter set per entry.  Points with z <= 1/2 use the Gauss series; the
-    rest use the z -> 1-z transformation.  ``one_minus_z`` lets callers who
-    know 1-z to full precision (e.g. from a stable sigmoid) avoid the
-    cancellation in computing it from z when z is close to 1.
+    a, b and c are 1-D sequences of one length, one parameter set per entry.
+    Points with z <= 1/2 use the Gauss series; the rest use the z -> 1-z
+    transformation, in ``w`` = 1 - z, which callers who know it to full
+    precision (e.g. from a stable sigmoid) pass so that it does not lose
+    digits to the cancellation in 1 - z when z is close to 1.
     """
-    batched = max(np.ndim(a), np.ndim(b), np.ndim(c)) > 0
-    sets = [tuple(map(complex, p)) for p in np.broadcast(*np.atleast_1d(a, b, c))]
-    shape = np.shape(z)
-    z = np.asarray(z, dtype=float).ravel()
-    if one_minus_z is None:
-        w = 1.0 - z
-    else:
-        w = np.broadcast_to(np.asarray(one_minus_z, dtype=float), shape).ravel()
-        bad = np.abs((1.0 - z) - w) > 1e-9
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DomainError(f"one_minus_z = {w[i]} inconsistent with z = {z[i]}")
+    sets = [tuple(map(complex, p)) for p in zip(a, b, c, strict=True)]
+    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
+    bad = np.abs((1.0 - z) - w) > 1e-9
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"w = {w[i]} inconsistent with z = {z[i]}")
     outside = ~((z >= 0.0) & (w > 0.0))
     if outside.any():
         raise DomainError(
@@ -374,18 +357,16 @@ def hyp2f1_ex(a, b, c, z, one_minus_z=None) -> Hyp2F1Result:
         i, j = np.unravel_index(np.argmin(finite), finite.shape)
         raise PrecisionError(f"2F1 overflows at (a, b, c) = {sets[i]}, z = {z[j]}: "
                              "F or dF/dz is not a finite double")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = np.stack([size / np.abs(value), dsize / np.abs(deriv)])
+    with np.errstate(divide="ignore"):
+        # dF/dz and all its terms are 0 exactly where a or b is 0
+        bounds = np.stack([size / np.abs(value), np.divide(
+            dsize, np.abs(deriv), out=np.ones_like(dsize), where=dsize > 0.0)])
     if degraded.any():
         # a degraded pair cancels by design, and its flag says so
         bounds[:, degraded[:, None] & (z > 0.5)] = 1.0
-    # dF/dz = 0 exactly where a or b is 0: fmax skips the NaN of 0/0
-    bound, dz_bound = np.fmax.reduce(bounds, axis=(1, 2), initial=1.0).tolist()
-    if max(bound, dz_bound) * np.finfo(float).eps > DIGITS_TOL:
-        k, i, j = np.unravel_index(np.nanargmax(bounds), bounds.shape)
+    if (bounds * np.finfo(float).eps > DIGITS_TOL).any():
+        k, i, j = np.unravel_index(np.argmax(bounds), bounds.shape)
         raise PrecisionError(f"2F1 series cancels: sum |t_n| is {bounds[k, i, j]:.3g} times "
                              f"|{('F', 'dF/dz')[k]}| at (a, b, c) = {sets[i]}, z = {z[j]}; "
                              "fewer than 12 significant digits hold")
-    shape = ((len(sets),) if batched else ()) + shape
-    return Hyp2F1Result(value.reshape(shape)[()], bool(degraded.any()), terms,
-                        deriv.reshape(shape)[()], bound, dz_bound)
+    return Hyp2F1Result(value, bool(degraded.any()), terms, deriv, bounds)

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
 from qtunnel.errors import AlignmentError, DomainError, OutOfRegimeError, ResolutionError
 from qtunnel import backreaction as br
-from qtunnel import rect, specfun
+from qtunnel import modes, rect, specfun
 from qtunnel.rect import TanhBackground
 
 PARAMS = PhysicalParams(energy_E=2.0)
@@ -245,7 +245,7 @@ def test_superpose_two_identical_modes(fig3_profile):
 def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
     # 20,000 points are 3, 5 and 10 blocks of 8,192 // count: the blocks give
     # the bits, and the series lengths, of one 2F1 call over the whole grid,
-    # which a chunk the size of the grid makes one block
+    # which a block size of the grid's pairs makes one block
     mode_set = [FIG3_MODE, EnvMode(mass_m=1.3, omega0=0.8, coupling_c=-0.1),
                 EnvMode(mass_m=0.7, omega0=1.6, coupling_c=0.05),
                 EnvMode(mass_m=2.0, omega0=0.7, coupling_c=0.2)][:count]
@@ -260,9 +260,9 @@ def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
     monkeypatch.setattr(specfun, "hyp2f1_ex", counted)
     sol = rect.solve_rect(PARAMS, BARRIER)
     blocked = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
-    assert len(terms) == -(-20_000 // (specfun._CHUNK_PAIRS // count))
+    assert len(terms) == -(-20_000 // (modes._BLOCK_PAIRS // count))
     blocked_terms, terms[:] = sum(terms), []
-    monkeypatch.setattr(specfun, "_CHUNK_PAIRS", 20_000 * count)
+    monkeypatch.setattr(modes, "_BLOCK_PAIRS", 20_000 * count)
     whole = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
     assert terms == [blocked_terms]
     for field in ("xs", "q1", "q2", "delta_v", "v_eff"):

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
-from qtunnel import errors
+from qtunnel import cli, errors, modes, specfun
 from qtunnel.cli import main
 from qtunnel.config import ConfigError, RunConfig, parse_config_text
 
@@ -296,14 +296,59 @@ def test_validate_reports_what_the_run_rejects(tmp_path, capsys, scenario, lines
 
 def test_validate_reports_step_budget_that_run_rejects(tmp_path, capsys):
     # rho = 1e-5 stretches the vacuum start to ~1e6 time units: 2.8e8 Magnus steps
+    line = ("mode-evolve failed: StiffnessError: the Magnus route needs 2.78e+08 steps "
+            "on [-1200000.0, 999999.9999999999] (at most 67108864)")
     cfg = tmp_path / "slow.cfg"
     cfg.write_text("scenario = mode-evolve\nrho = 1e-5\n")
     assert main(["validate", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().out.startswith("mode-evolve failed: StiffnessError: ")
+    assert capsys.readouterr().out.splitlines()[0] == line
     out = tmp_path / "slow.csv"
     assert main(["mode-evolve", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "StiffnessError" in capsys.readouterr().err
+    assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
+
+
+def test_saturation_names_the_first_saturated_time(tmp_path, capsys):
+    # 1 - z underflows to 0 from rho t = 372.84 on: the first such grid time
+    # is 186.41875, the grid's last 200
+    line = "mode-evolve failed: DomainError: trajectory argument saturated at t = 186.41875"
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text("scenario = mode-evolve\nt_max = 400\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == line
+    out = tmp_path / "late.csv"
+    assert main(["mode-evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values, degenerate", [
+    ({"grid_points": 20_000}, False),
+    # c - a - b = i omega_infinity/rho, 5e-8 i here, is within 1e-6 of 0: the
+    # z > 1/2 points take the perturb-and-average (degraded) route
+    ({"grid_points": 20_000, "omega0": 1e-7, "c": 1e-15}, True),
+], ids=["default", "degenerate"])
+def test_mode_evolve_blocks_match_one_call_over_the_grid(monkeypatch, values, degenerate):
+    # rho t from -10 to 10: 3 blocks of 8,192 points, the last two on the
+    # z > 1/2 branch, give the bits of one 2F1 call over the grid, which a
+    # block size of the grid's makes one block
+    cfg = RunConfig("mode-evolve", values)
+    degraded = []
+    kernel = specfun.hyp2f1_ex
+
+    def counted(*args):
+        res = kernel(*args)
+        degraded.append(res.degraded)
+        return res
+
+    monkeypatch.setattr(specfun, "hyp2f1_ex", counted)
+    _, blocked = cli._run_mode_evolve(cfg)
+    assert degraded == [False, degenerate, degenerate]
+    monkeypatch.setattr(modes, "_BLOCK_PAIRS", 20_000)
+    _, whole = cli._run_mode_evolve(cfg)
+    assert degraded[3:] == [degenerate]
+    for col_blocked, col_whole in zip(blocked, whole):
+        assert col_blocked.tobytes() == col_whole.tobytes()
 
 
 @pytest.mark.parametrize("a", [90.0, 125.0, 175.0])
@@ -416,9 +461,10 @@ def test_large_grid_peak_memory(tmp_path):
 
 def test_large_mode_evolve_peak_memory(tmp_path):
     """mode-evolve on 131,072 points: the exact mode function is evaluated in
-    blocks of one 2F1 kernel chunk, and the kernel sizes the w-series work
-    rows to the z > 1/2 points of a block.  The traced peak is ~22.6 MiB
-    (37.9 MiB with the mode function over every point in one call)."""
+    blocks of ``modes.grid_blocks``, one 2F1 kernel call each, which the
+    kernel sums in one pass, with the w-series work rows sized to the
+    z > 1/2 points of the block.  The traced peak is ~22.6 MiB (37.9 MiB
+    with the mode function over every point in one call)."""
     assert main(["mode-evolve", "--out", str(tmp_path / "warm.csv")]) == 0
     tracemalloc.start()
     try:

@@ -15,7 +15,7 @@ from qtunnel.errors import (
     StiffnessError,
     TachyonicModeError,
 )
-from qtunnel import modes, specfun
+from qtunnel import modes
 from qtunnel.rect import TanhBackground
 
 FIG3_MODE = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.15)
@@ -57,11 +57,11 @@ def test_omega_tachyonic_error():
 
 @pytest.mark.parametrize("n_modes, n_points", [
     (1, 20_000), (3, 10_000),  # not a multiple of the step
-    (specfun._CHUNK_PAIRS + 5, 7),  # more modes than a chunk has pairs: step 1
+    (modes._BLOCK_PAIRS + 5, 7),  # more modes than a block has pairs: step 1
     (1, 1), (4, 1),  # a one-point grid
 ])
 def test_grid_blocks_cover_the_grid_once_in_order(n_modes, n_points):
-    step = max(specfun._CHUNK_PAIRS // n_modes, 1)
+    step = max(modes._BLOCK_PAIRS // n_modes, 1)
     blocks = list(modes.grid_blocks(n_modes, n_points))
     assert [i for blk in blocks for i in range(n_points)[blk]] == list(range(n_points))
     assert all(0 < blk.stop - blk.start <= step for blk in blocks)

@@ -26,11 +26,13 @@ def test_module_stays_below_the_parser_token_doubling(path):
     assert parser_tokens(path) < _TOKEN_LIMIT
 
 
-def test_only_specfun_and_modes_know_the_kernel_chunk():
-    # the 2F1 chunk is specfun's; modes.grid_blocks is the one block policy
-    # built on it, which backreaction.q_factors and cli._run_mode_evolve iterate
-    users = {p.name for p in MODULES if "_CHUNK_PAIRS" in p.read_text()}
-    assert users == {"specfun.py", "modes.py"}
+def test_only_modes_names_the_block_size():
+    # the kernel sums a call in one pass; modes.grid_blocks, which
+    # backreaction.q_factors and cli._run_mode_evolve iterate, is the one
+    # bound on its working set
+    users = {p.name for p in MODULES if "_BLOCK_PAIRS" in p.read_text()}
+    assert users == {"modes.py"}
+    assert not re.search(r"^_\w*(CHUNK|BLOCK)\w* =", (PACKAGE / "specfun.py").read_text(), re.M)
 
 
 def test_no_module_mentions_numpy_polynomial_or_linalg():
