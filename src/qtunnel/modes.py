@@ -35,10 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .core import VACUUM_SATURATION, EnvMode
+from .core import DIGITS_TOL, VACUUM_SATURATION, EnvMode
 from .errors import (
     DomainError,
     InconsistentBranchError,
+    PrecisionError,
     StiffnessError,
     TachyonicModeError,
 )
@@ -105,6 +106,8 @@ def grid_blocks(n_modes: int, n_points: int) -> Iterator[slice]:
 def omega_asymptotics(mode: EnvMode, bg: TanhBackground) -> tuple[float, float]:
     """(omega0, omega_infinity) frequencies before and after the traversal."""
     om_inf2 = mode.omega0**2 + 4.0 * mode.coupling_c * bg.amplitude_a / mode.mass_m
+    if not math.isfinite(om_inf2):
+        raise DomainError(f"late-time omega^2 = {om_inf2} is not a finite double")
     if om_inf2 <= 0.0:
         raise TachyonicModeError(f"late-time omega^2 = {om_inf2} <= 0")
     return mode.omega0, math.sqrt(om_inf2)
@@ -250,14 +253,23 @@ def log_derivative(modes: Sequence[EnvMode], bg: TanhBackground, z, w
     and ``w`` = 1 - z, one row per mode, from one kernel call:
     F = 2F1(1 - i omega_-/rho, -i omega_-/rho; 1 + i omega0/rho; z) and, as
     dz/dt = 2 rho z w, d ln xi/dt = i omega0 + 2 i omega_- z + 2 rho z w F'/F.
-    TachyonicModeError (``omega_asymptotics``) for omega_infinity^2 <= 0.
+    PrecisionError at the first worst pair unless eps times every 2F1 ``bounds``
+    entry is at most DIGITS_TOL; DomainError (``omega_asymptotics``) for an
+    omega_infinity^2 that is <= 0 (TachyonicModeError) or not a finite double.
     """
     rho = bg.rho
     pm = [omega_pm(m, bg) for m in modes]
-    res = specfun.hyp2f1_ex([1.0 - 1j * om_m / rho for _, om_m in pm],
-                            [-1j * om_m / rho for _, om_m in pm],
-                            [1.0 + 1j * m.omega0 / rho for m in modes], z, w)
-    F, dF = res.value, res.dz
+    params = ([1.0 - 1j * om_m / rho for _, om_m in pm], [-1j * om_m / rho for _, om_m in pm],
+              [1.0 + 1j * m.omega0 / rho for m in modes])
+    res = specfun.hyp2f1_ex(*params, z, w)
+    F, dF, bounds = res.value, res.dz, res.bounds
+    k, i, j = np.unravel_index(np.argmax(bounds), bounds.shape)
+    if not bounds[k, i, j] * np.finfo(float).eps <= DIGITS_TOL:  # NaN fails
+        at = f"at (a, b, c) = {tuple(complex(p[i]) for p in params)}, z = {z[j]}"
+        if not np.isfinite([F[i, j], dF[i, j]]).all():
+            raise PrecisionError(f"2F1 overflows {at}: F or dF/dz is not a finite double")
+        raise PrecisionError(f"2F1 series cancels: sum |t_n| is {bounds[k, i, j]:.3g} times "
+                             f"|{('F', 'dF/dz')[k]}| {at}; fewer than 12 significant digits hold")
     # per-mode columns against the grid
     om_m, om0 = np.array(pm)[:, 1:], np.array([[m.omega0] for m in modes])
     return F, 1j * om0 + 2j * om_m * z + 2.0 * rho * z * w * dF / F
@@ -288,14 +300,18 @@ def xi_analytic(modes: Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction
 
 
 def state_from_xi(mode: EnvMode, mf: ModeFunction) -> GaussianModeState:
-    """Map the mode function to (alpha, beta): d ln xi/dt = (beta + i alpha^2)/m."""
-    dln = mf.dln
-    a2 = mode.mass_m * np.imag(dln)
-    bad = np.asarray(a2 <= 0.0)
+    """Map the mode function to (alpha, beta): d ln xi/dt = (beta + i alpha^2)/m.
+    At the first t where the map fails: PrecisionError if alpha^2 or beta is
+    not a finite double, else InconsistentBranchError (alpha^2 <= 0)."""
+    with np.errstate(over="ignore"):
+        a2, beta = mode.mass_m * np.imag(mf.dln), mode.mass_m * np.real(mf.dln)
+    finite = np.ravel(np.isfinite(a2) & np.isfinite(beta))
+    bad = ~finite | np.ravel(a2 <= 0.0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise InconsistentBranchError(
-            f"Im d ln xi/dt = {np.ravel(dln)[i].imag} <= 0 at t = {np.ravel(mf.t)[i]}: "
-            "not a normalizable Gaussian"
-        )
-    return GaussianModeState(alpha=np.sqrt(a2), beta=mode.mass_m * np.real(dln), t=mf.t)
+        at = f"at t = {np.ravel(mf.t)[i]}"
+        if not finite[i]:
+            raise PrecisionError(f"alpha^2 or beta is not a finite double {at}")
+        raise InconsistentBranchError(f"Im d ln xi/dt = {np.ravel(mf.dln)[i].imag} <= 0 {at}: "
+                                      "not a normalizable Gaussian")
+    return GaussianModeState(alpha=np.sqrt(a2), beta=beta, t=mf.t)

@@ -1,5 +1,6 @@
 """Back-reaction factors, effective potential, and the modified rate."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, derivative_5pt
-from qtunnel.errors import AlignmentError, DomainError, OutOfRegimeError, ResolutionError
+from qtunnel.core import DIGITS_TOL, EnvMode, PhysicalParams, RectBarrier, derivative_5pt
+from qtunnel.errors import (AlignmentError, DomainError, OutOfRegimeError, PrecisionError,
+                            ResolutionError)
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, specfun
 from qtunnel.rect import TanhBackground
@@ -241,6 +243,12 @@ def test_superpose_two_identical_modes(fig3_profile):
     )
 
 
+def keeps_12_digits(res):
+    """The 2F1 verdict that modes.log_derivative applies, per (mode, point)
+    pair of a kernel result: eps times both bounds at most DIGITS_TOL."""
+    return res.bounds.max(axis=0) * np.finfo(float).eps <= DIGITS_TOL
+
+
 @pytest.mark.parametrize("count", [1, 2, 4])
 def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
     # 20,000 points are 3, 5 and 10 blocks of 8,192 // count: the blocks give
@@ -249,18 +257,21 @@ def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
     mode_set = [FIG3_MODE, EnvMode(mass_m=1.3, omega0=0.8, coupling_c=-0.1),
                 EnvMode(mass_m=0.7, omega0=1.6, coupling_c=0.05),
                 EnvMode(mass_m=2.0, omega0=0.7, coupling_c=0.2)][:count]
-    terms = []
+    terms, verdicts = [], []
     kernel = specfun.hyp2f1_ex
 
     def counted(*args, **kwargs):
         res = kernel(*args, **kwargs)
         terms.append(res.terms)
+        verdicts.append(keeps_12_digits(res).all())
         return res
 
     monkeypatch.setattr(specfun, "hyp2f1_ex", counted)
     sol = rect.solve_rect(PARAMS, BARRIER)
     blocked = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
     assert len(terms) == -(-20_000 // (modes._BLOCK_PAIRS // count))
+    # log_derivative raised on no block, and no block's verdict fails
+    assert all(verdicts)
     blocked_terms, terms[:] = sum(terms), []
     monkeypatch.setattr(modes, "_BLOCK_PAIRS", 20_000 * count)
     whole = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
@@ -268,6 +279,44 @@ def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
     for field in ("xs", "q1", "q2", "delta_v", "v_eff"):
         assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes()
     assert blocked.delta_v_bar == whole.delta_v_bar
+
+
+@pytest.mark.parametrize("a, first, worst", [
+    (20, None, 6.0e-12), (21, 0.959, 1.6e-11), (25, 0.682, 1.3e-9), (30, 0.468, 8.3e-7),
+    (40, 0.253, 6.5), (60, 0.106, 6.1e2), (80, 0.058, 5.0e3), (100, 0.036, 8.5e2)])
+def test_2f1_verdict_on_the_fig3_grid(monkeypatch, a, first, worst):
+    # where the 2F1 guard trips: on the 2,000-point fig3 grid at width a, in
+    # one kernel call, the first point whose verdict fails, as x/a = 2z, and
+    # the worst eps x bound (README's list of the working range's edges)
+    calls = []
+    kernel = specfun.hyp2f1_ex
+
+    def recorded(*args):
+        calls.append((args[3], kernel(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(specfun, "hyp2f1_ex", recorded)
+    monkeypatch.setattr(modes, "_BLOCK_PAIRS", 2000)
+    sol = rect.solve_rect(PARAMS, RectBarrier(height_V0=4.0, width_a=float(a)))
+    with pytest.raises(PrecisionError) if first else contextlib.nullcontext():
+        br.rect_mode_backreaction(sol, FIG3_MODE)
+    (z, res), = calls
+    ok = keeps_12_digits(res)[0]
+    assert res.bounds.max() * np.finfo(float).eps == pytest.approx(worst, rel=0.05)
+    assert (None if ok.all() else round(2.0 * z[np.argmin(ok)], 3)) == first
+    if first is None:
+        return
+    # in blocks of 500 points, log_derivative raises in the block of that
+    # first point, naming the block's worst pair, and in no block before it
+    calls.clear()
+    monkeypatch.setattr(modes, "_BLOCK_PAIRS", 500)
+    with pytest.raises(PrecisionError) as err:
+        br.rect_mode_backreaction(sol, FIG3_MODE)
+    *before, (z, res) = calls
+    assert all(keeps_12_digits(r).all() for _, r in before)
+    assert 2.0 * z[np.argmin(keeps_12_digits(res)[0])] == pytest.approx(first, abs=5e-4)
+    j = np.unravel_index(np.argmax(res.bounds), res.bounds.shape)[2]
+    assert str(err.value).endswith(f", z = {z[j]}; fewer than 12 significant digits hold")
 
 
 def test_superpose_no_modes_rejected():

@@ -308,6 +308,33 @@ def test_validate_reports_step_budget_that_run_rejects(tmp_path, capsys):
     assert not out.exists()
 
 
+_OVERFLOWS = [
+    # omega_infinity^2 = omega0^2 + 4 c a/m overflows to inf
+    *[(flags, 2, f"{flags[0]} failed: DomainError: late-time omega^2 = inf is not a finite double")
+      for flags in (["fig3", "--c", "1e308"], ["backreaction", "--c", "1e308"],
+                    ["fig3", "--m", "5e-324"], ["mode-evolve", "--c", "1e308"],
+                    ["mode-evolve", "--m", "5e-324"])],
+    # alpha^2 = m Im(d ln xi/dt) overflows once Im(d ln xi/dt) passes 1
+    (["mode-evolve", "--m", "1.7976931348623157e308"], 3,
+     "mode-evolve failed: PrecisionError: alpha^2 or beta is not a finite double at t = -4.95"),
+]
+
+
+@pytest.mark.parametrize("flags, code, line", _OVERFLOWS, ids=[" ".join(f) for f, *_ in _OVERFLOWS])
+def test_mode_frequency_and_width_overflow_fail_in_one_line(tmp_path, capsys, flags, code, line):
+    scenario, *overrides = flags
+    cfg = tmp_path / "over.cfg"
+    cfg.write_text(f"scenario = {scenario}\n")
+    out = tmp_path / "over.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", str(cfg), *overrides]) == 2
+        assert capsys.readouterr().out == f"{line}\n1 invariant violation\n"
+        assert main([*flags, "--out", str(out)]) == code
+        assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 def test_saturation_names_the_first_saturated_time(tmp_path, capsys):
     # 1 - z underflows to 0 from rho t = 372.84 on: the first such grid time
     # is 186.41875, the grid's last 200

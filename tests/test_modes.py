@@ -1,6 +1,7 @@
 """Gaussian mode evolution: ODE route, analytic route, and their agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from qtunnel.core import EnvMode
 from qtunnel.errors import (
     DomainError,
     InconsistentBranchError,
+    PrecisionError,
     StiffnessError,
     TachyonicModeError,
 )
-from qtunnel import modes
+from qtunnel import modes, specfun
 from qtunnel.rect import TanhBackground
 
 FIG3_MODE = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.15)
@@ -55,6 +57,19 @@ def test_omega_tachyonic_error():
         modes.omega_asymptotics(bad, FIG3_BG)
 
 
+@pytest.mark.parametrize("mode, value", [
+    (EnvMode(mass_m=1.0, omega0=1.0, coupling_c=1e308), "inf"),
+    (EnvMode(mass_m=5e-324, omega0=1.0, coupling_c=0.15), "inf"),
+    (EnvMode(mass_m=1.0, omega0=1.0, coupling_c=-1e308), "-inf"),
+])
+def test_omega_infinity_squared_past_double_range_is_a_domain_error(mode, value):
+    # not tachyonic: omega_infinity^2 = omega0^2 + 4 c a/m is no double at all
+    with pytest.raises(DomainError) as err:
+        modes.omega_asymptotics(mode, FIG3_BG)
+    assert type(err.value) is DomainError
+    assert str(err.value) == f"late-time omega^2 = {value} is not a finite double"
+
+
 @pytest.mark.parametrize("n_modes, n_points", [
     (1, 20_000), (3, 10_000),  # not a multiple of the step
     (modes._BLOCK_PAIRS + 5, 7),  # more modes than a block has pairs: step 1
@@ -81,6 +96,33 @@ def test_decoupled_vacuum_is_static():
     traj = modes.evolve_gaussian(free, FIG3_BG, ts)
     assert np.max(np.abs(traj.alpha**2 - 1.5 * 0.8)) <= 1e-9
     assert np.max(np.abs(traj.beta)) <= 1e-9
+
+
+def test_log_derivative_raises_where_the_series_cancels():
+    # omega0/rho = 20 and omega_-/rho = 40, the set of a barrier of width 40:
+    # the terms of dF/dz reach ~1e16 |dF/dz| at z = 1/2
+    mode, bg = EnvMode(mass_m=1.0, omega0=20.0, coupling_c=2400.0), TanhBackground(1.0, 1.0)
+    z = np.array([0.1, 0.5])
+    with pytest.raises(PrecisionError, match=r"^2F1 series cancels: sum \|t_n\| is \S+ times "
+                       r"\|dF/dz\| at \(a, b, c\) = \(\(1-40j\), \S*40j\)?, \(1\+20j\)\), "
+                       r"z = 0\.5; fewer than 12 significant digits hold$"):
+        modes.log_derivative([mode], bg, z, 1.0 - z)
+
+
+@pytest.mark.parametrize("a, z", [(300.0, 0.7), (5000.0, 0.9)])
+def test_log_derivative_raises_where_the_2f1_overflows(monkeypatch, a, z):
+    # no mode set was seen to overflow before its series' coefficients do
+    # (ConvergenceError), so the kernel evaluates the set (a, a; 1.5) of
+    # test_hyp2f1_overflow_bounds_are_inf in place of the mode's own; the
+    # text names the pair by the set its caller passed
+    kernel = specfun.hyp2f1_ex
+    monkeypatch.setattr(specfun, "hyp2f1_ex", lambda *args: kernel([a], [a], [1.5], *args[3:]))
+    zs = np.array([0.0, z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=r"^2F1 overflows at \(a, b, c\) = \(\(1-\S+j\), "
+                           rf".*, z = {z}: F or dF/dz is not a finite double$"):
+            modes.log_derivative([FIG3_MODE], FIG3_BG, zs, 1.0 - zs)
 
 
 def test_xi_decoupled_mode():
@@ -152,6 +194,20 @@ def test_state_from_xi_vacuum_and_scale_invariance():
 def test_state_from_xi_inconsistent_branch():
     with pytest.raises(InconsistentBranchError):
         modes.state_from_xi(FIG3_MODE, mode_function(1.0, 1.0))
+
+
+def test_state_from_xi_overflow_names_the_first_time():
+    # alpha^2 = m Im(d ln xi/dt) passes the largest double at t = 1, where
+    # Im(d ln xi/dt) = 2: PrecisionError, with no warning, ahead of the
+    # alpha^2 <= 0 at t = 2
+    heavy = EnvMode(mass_m=1.7976931348623157e308, omega0=1.0, coupling_c=0.0)
+    dln = np.array([[1j, 2j, -1j]])
+    mf = modes.ModeFunction(xi=np.ones_like(dln), xi_dot=dln, t=np.arange(3.0), dln=dln)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError,
+                           match=r"^alpha\^2 or beta is not a finite double at t = 1\.0$"):
+            modes.state_from_xi(heavy, mf)
 
 
 def test_xi_mapping_reproduces_width_phase_equations():

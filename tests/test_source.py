@@ -48,3 +48,12 @@ def test_only_specfun_and_modes_name_the_2f1_kernel():
     # modes.log_derivative is the one map from a mode to its 2F1 parameters
     users = {p.name for p in MODULES if "hyp2f1_ex" in p.read_text()}
     assert users == {"specfun.py", "modes.py"}
+
+
+def test_the_2f1_digits_policy_lives_in_modes():
+    # the kernel returns per-pair bounds and decides nothing: modes.log_derivative
+    # reads the verdict and raises both 2F1 PrecisionError texts
+    kernel = (PACKAGE / "specfun.py").read_text()
+    assert "DIGITS_TOL" not in kernel and "PrecisionError" not in kernel
+    for text in ("2F1 overflows", "2F1 series cancels"):
+        assert {p.name for p in MODULES if text in p.read_text()} == {"modes.py"}
