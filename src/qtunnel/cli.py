@@ -3,6 +3,7 @@
 Usage:
     qtunnel <scenario> [--config FILE] [--key value ...] [--out PATH]
     qtunnel validate --config FILE [--key value ...]
+    qtunnel -h | --help
 
 Scenarios: fig1a, fig1b, fig2, fig3, rect, wkb, mode-evolve, backreaction,
 sweep.  Output is a CSV with one comment header line
@@ -14,24 +15,22 @@ each value exactly ``"%.12g" % v``.  Each runner returns the header lines
 and its checked columns; ``run`` streams them to the file, the header and
 then each block of rows that ``csvfmt`` formats from whole arrays.  Reruns
 with identical configs are byte-identical.  The output path is ``--out``,
-else the config file's ``out`` key.
+else the config file's ``out`` key.  ``config.parse_flags`` reads the flags.
 
 ``validate`` is a dry run: it runs the config's scenario up to its checked
 columns (formatting finite values cannot fail), then prints ``config
 clean``, or the line the run would print on failure followed by ``1
 invariant violation`` (exit 2).
 
-Exit codes follow the type of the first failure: 0 success; 2 for a
-``ConfigError``, a ``DomainError`` or an unwritable output path; 3 for any
-other ``QTunnelError`` (a numerical failure).  No failure leaves a partial
-output file behind.
+Exit codes follow the type of the first failure, which prints one line: 0
+success; 2 for a ``ConfigError`` (a malformed flag too), a ``DomainError``
+or an unwritable output path; 3 for any other ``QTunnelError`` (a numerical
+failure).  No failure raises out of ``main`` or leaves a partial output file.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -141,12 +140,15 @@ def _run_mode_evolve(cfg: RunConfig) -> _Table:
     mode, *others = cfg.env_modes()
     if others:
         raise ConfigError(f"mode-evolve evolves one mode, got {1 + len(others)}")
-    traj = modes_mod.evolve_gaussian(mode, bg, ts)
-    # the exact mode function in blocks of one 2F1 kernel call
-    alpha2_xi, beta_xi = np.empty((2, traj.t.size))
-    for blk in modes_mod.grid_blocks(1, traj.t.size):
-        st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, traj.t[blk]))
+    # the Magnus step budget, then the exact mode function in blocks of one 2F1
+    # kernel call, then the ODE: a run the budget or the 2F1 refuses costs no ODE
+    t0 = min(modes_mod.vacuum_start_time(bg), ts[0])  # as evolve_gaussian starts
+    modes_mod.magnus_steps(mode, bg, np.concatenate(([t0], ts)))
+    alpha2_xi, beta_xi = np.empty((2, ts.size))
+    for blk in modes_mod.grid_blocks(1, ts.size):
+        st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, ts[blk]))
         alpha2_xi[blk], beta_xi[blk] = st.alpha[0]**2, st.beta[0]
+    traj = modes_mod.evolve_gaussian(mode, bg, ts)
     return _csv_table(cfg, {"t": traj.t, "alpha2_ode": traj.alpha**2, "beta_ode": traj.beta,
                             "alpha2_xi": alpha2_xi, "beta_xi": beta_xi})
 
@@ -213,57 +215,23 @@ def run(cfg: RunConfig, out_path: str | os.PathLike) -> None:
         raise
 
 
-_VALUE_FLAGS = {"--config", *("--" + key.replace("_", "-") for key in cfgmod.KEY_TYPES)}
-
-
-def _glue_dash_values(argv: list[str]) -> list[str]:
-    """argv with each "--key -v" as "--key=-v": argparse reads a value that
-    starts with "-" as a flag unless it is a plain negative decimal (no flag
-    here but -h starts with a single "-")."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
-        prog="qtunnel",
-        description="Barrier tunneling in the quantum-potential picture, "
-        "with environment back reaction.",
-    )
-    parser.add_argument(
-        "scenario",
-        choices=list(cfgmod.SCENARIOS) + ["validate"],
-        help="scenario to run, or 'validate' to check a config file",
-    )
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--out", help="output CSV path (else the config's out key)")
-    for key, kind in cfgmod.KEY_TYPES.items():
-        if key not in ("scenario", "out"):
-            parser.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
-    validate = args.scenario == "validate"
-    # build_config drops the flags left unset (None)
-    overrides = {key: getattr(args, key) for key in cfgmod.KEY_TYPES
-                 if key not in ("scenario", "out")}
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__.split("\n\n")[1])
+        return 0
+    validate = argv[:1] == ["validate"]  # how a malformed flag is reported
     try:
-        if validate and not args.config:
+        word, flags = cfgmod.parse_flags(argv)
+        validate = word == "validate"
+        path = flags.pop("config", None)
+        if validate and not path:
             raise ConfigError("validate requires --config")
-        file_values = cfgmod.load_config(args.config) if args.config else {}
-        out = args.out or file_values.get("out")
+        file_values = cfgmod.load_config(path) if path else {}
+        out = flags.get("out") or file_values.get("out")
         if not (validate or out):
             raise ConfigError("--out is required")
-        cfg = cfgmod.build_config(None if validate else args.scenario, file_values, overrides)
+        cfg = cfgmod.build_config(None if validate else word, file_values, flags)
         if validate:
             _RUNNERS[cfg.scenario](cfg)
         else:

@@ -1,11 +1,12 @@
 """Run configuration: plain-text key=value files, defaults, value checks.
 
 A config file holds one ``key = value`` pair per line; ``#`` starts a
-comment.  CLI flags mirror the keys one-to-one and override file values.
-Unknown keys are rejected.  Scenario-specific defaults fill whatever the
-user leaves unset (the smooth-barrier scenarios default to the quadratic
-barrier at E = 1, everything else to the rectangular-barrier set E = 2,
-V0 = 4, a = 1, m = 1, omega0 = 1, c = 0.15 in hbar = M = 1 units).
+comment.  CLI flags (``parse_flags``) mirror the keys one-to-one, convert
+alike and override file values; unknown keys and flags are rejected.
+Scenario-specific defaults fill whatever the user leaves unset (the
+smooth-barrier scenarios default to the quadratic barrier at E = 1, everything
+else to the rectangular-barrier set E = 2, V0 = 4, a = 1, m = 1, omega0 = 1,
+c = 0.15 in hbar = M = 1 units).
 
 ``RunConfig`` rejects only the grid values no scenario checks itself
 (finite x and t ranges, spans, max|t|/rho and the vacuum start 12/rho,
@@ -45,6 +46,10 @@ KEY_TYPES = {
     **dict.fromkeys(("scenario", "poly", "bracket", "modes", "sweep_key", "sweep_values",
                      "out"), str),
 }
+
+# the command line's flags: --config, and one per key but scenario, "_" spelled "-"
+_FLAG_KEYS = {"--config": "config",
+              **{"--" + key.replace("_", "-"): key for key in KEY_TYPES if key != "scenario"}}
 
 _BASE_DEFAULTS = {
     "E": 2.0, "V0": 4.0, "a": 1.0, "hbar": 1.0, "M": 1.0,
@@ -244,18 +249,43 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}", line=lineno, column=col
             )
-        out[key] = _convert(key, value, lineno, raw)
+        out[key] = _convert(key, value, f"line {lineno}", lineno, raw)
     return out
 
 
-def _convert(key: str, value: str, lineno: int, raw: str):
+def parse_flags(argv: list[str]) -> tuple[str, dict]:
+    """The command line's one word (a scenario, or ``validate``) and its flags,
+    ``--key value`` or ``--key=value``, each value converted as a file line's
+    is (``--config``'s, a path, kept).  ConfigError names the flag it cannot read."""
+    words, flags = [], {}
+    args = iter(argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            words.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAG_KEYS:
+            raise ConfigError(f"unknown flag {flag!r}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"flag {flag}: no value")
+        key = _FLAG_KEYS[flag]
+        flags[key] = value if key == "config" else _convert(key, value, f"flag {flag}")
+    if len(words) != 1:
+        raise ConfigError(f"expected one scenario word ({', '.join(SCENARIOS)} or validate), "
+                          f"got {' '.join(words) or 'none'}")
+    return words[0], flags
+
+
+def _convert(key: str, value: str, where: str, line: int | None = None, raw: str = ""):
+    """``value`` read by its key's type; ConfigError "<where>: bad value ..."
+    if it does not convert, at its column of the file line ``raw``."""
     try:
         return KEY_TYPES[key](value)
     except ValueError:
         col = raw.index(value) + 1 if value and value in raw else 1
-        raise ConfigError(
-            f"line {lineno}: bad value {value!r} for {key}", line=lineno, column=col
-        ) from None
+        raise ConfigError(f"{where}: bad value {value!r} for {key}", line, col) from None
 
 
 def load_config(path: str | Path) -> dict:
@@ -268,8 +298,7 @@ def load_config(path: str | Path) -> dict:
 
 def build_config(scenario: str | None, file_values: dict, overrides: dict) -> RunConfig:
     """Merge file values and CLI overrides; CLI wins, then defaults fill in."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged = {**file_values, **overrides}
     scen = scenario or merged.pop("scenario", None)
     if scen is None:
         raise ConfigError("no scenario given (argument or scenario= key)")

@@ -490,8 +490,9 @@ def test_large_mode_evolve_peak_memory(tmp_path):
     """mode-evolve on 131,072 points: the exact mode function is evaluated in
     blocks of ``modes.grid_blocks``, one 2F1 kernel call each, which the
     kernel sums in one pass, with the w-series work rows sized to the
-    z > 1/2 points of the block.  The traced peak is ~22.6 MiB (37.9 MiB
-    with the mode function over every point in one call)."""
+    z > 1/2 points of the block.  The traced peak is ~24.8 MiB, the two 2F1
+    columns staying alive through the Magnus run (37.9 MiB with the mode
+    function over every point in one call)."""
     assert main(["mode-evolve", "--out", str(tmp_path / "warm.csv")]) == 0
     tracemalloc.start()
     try:
@@ -501,6 +502,24 @@ def test_large_mode_evolve_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 28 * 2**20
+
+
+def test_mode_evolve_refused_by_the_2f1_runs_no_ode(tmp_path, capsys, monkeypatch):
+    # the 2F1 blocks run before the Magnus ODE, so the refusal costs no ODE run
+    def no_ode(*args, **kwargs):
+        raise AssertionError("evolve_gaussian called")
+
+    monkeypatch.setattr(modes, "evolve_gaussian", no_ode)
+    out = tmp_path / "me.csv"
+    assert main(["mode-evolve", "--a", "40", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("mode-evolve failed: PrecisionError: 2F1 series cancels: ")
+    cfg = tmp_path / "me.cfg"
+    cfg.write_text("scenario = mode-evolve\na = 40\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out.splitlines() == [err[0], "1 invariant violation"]
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_multi_mode_config(tmp_path):
@@ -578,7 +597,7 @@ def test_config_out_with_a_nul_byte_is_output_error(tmp_path, capsys):
     ["fig3", "--c", "-1e-3", "--grid-points", "64"],
 ], ids=["list", "lists-and-exponent", "exponent", "small-exponent"])
 def test_values_with_a_leading_dash_take_either_flag_form(tmp_path, flags):
-    # argparse alone reads "-1e3" or "-0.5,1.5" after a flag as another flag
+    # a flag's value is the next word whatever its first character
     scenario, *pairs = flags
     glued = [f"{flag}={value}" for flag, value in zip(pairs[::2], pairs[1::2])]
     outs = [tmp_path / "split.csv", tmp_path / "glued.csv"]
@@ -672,6 +691,76 @@ def test_bad_smooth_barrier_and_time_inputs_are_config_errors(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
+# argv (the --out flag goes after the first word), the run's error and the
+# error of validate on a config of the same scenario word and flags
+_MALFORMED = [
+    (["rect", "--bogus-flag", "1"], "unknown flag '--bogus-flag'", "unknown flag '--bogus-flag'"),
+    (["rect", "--E", "abc"], "flag --E: bad value 'abc' for E", "flag --E: bad value 'abc' for E"),
+    (["rect", "--grid-points", "2.5"], "flag --grid-points: bad value '2.5' for grid_points",
+     "flag --grid-points: bad value '2.5' for grid_points"),
+    (["rect", "--E"], "flag --E: no value", "flag --E: no value"),
+    (["rect", "fig1a"], "expected one scenario word (", "expected one scenario word ("),
+    ([], "expected one scenario word (", "no scenario given"),
+    (["bogus"], "unknown scenario 'bogus'; choose from ", "unknown scenario 'bogus'; choose from "),
+    # argparse took a prefix of a flag: flag names are exact
+    (["rect", "--grid", "64"], "unknown flag '--grid'", "unknown flag '--grid'"),
+]
+
+
+@pytest.mark.parametrize("argv, error, validate_error", _MALFORMED,
+                         ids=["unknown-flag", "bad-float", "bad-int", "no-value",
+                              "second-word", "no-scenario", "unknown-scenario", "prefix"])
+def test_malformed_command_line_is_one_config_error_line(tmp_path, capsys, argv, error,
+                                                         validate_error):
+    out = tmp_path / "out.csv"
+    assert main([*argv[:1], "--out", str(out), *argv[1:]]) == 2  # returned, not raised
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {error}")
+    # validate prints its one line on stdout
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {argv[0]}\n" if argv else "")
+    assert main(["validate", "--config", str(cfg), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"config error: {validate_error}")
+    assert lines[1] == "1 invariant violation"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("key, value", [("E", "abc"), ("grid_points", "2.5"), ("x_min", "1e3x")])
+def test_bad_value_reads_alike_from_a_flag_and_a_file(tmp_path, capsys, key, value):
+    # one conversion: the same key and value text either way
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "out.csv"
+    assert main(["fig1a", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: flag {flag}: bad value {value!r} for {key}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = fig1a\n{key} = {value}\n")
+    assert main(["fig1a", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line 2: bad value {value!r} for {key} (line 2, ")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["rect", "--E", "2", "--help"],
+                                  ["--bogus", "-h"]])
+def test_help_prints_the_usage_lines(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "Usage:",
+        "    qtunnel <scenario> [--config FILE] [--key value ...] [--out PATH]",
+        "    qtunnel validate --config FILE [--key value ...]",
+        "    qtunnel -h | --help",
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text, error", [
     ("scenario = bogus\n", "unknown scenario 'bogus'; choose from "),
     ("E = 2\n", "no scenario given"),
@@ -751,21 +840,16 @@ def test_config_polynomial_keeps_the_bits_of_the_sum(degree):
 
 
 def test_successive_runs_in_one_process_match_fresh_processes(tmp_path, capsys):
-    """The parser is built once per process; later calls parse alike."""
+    """Runs in one process, each after the others, print and write what
+    fresh interpreters do, a refused flag among them."""
     (tmp_path / "run.cfg").write_text("scenario = rect\na = 2\n")
     runs = [
         ["fig1a", "--grid-points", "40", "--out", "{dir}/fig1a.csv"],
-        ["rect", "--bogus-flag", "1", "--out", "{dir}/bogus.csv"],  # argparse error
+        ["rect", "--bogus-flag", "1", "--out", "{dir}/bogus.csv"],  # unknown flag
         ["validate", "--config", str(tmp_path / "run.cfg")],
         ["rect", "--E", "5", "--out", "{dir}/above.csv"],  # E above V0
         ["sweep", "--out", "{dir}/sweep.csv"],
     ]
-
-    def in_process(argv):
-        try:
-            return main(argv)
-        except SystemExit as exc:
-            return exc.code
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -781,7 +865,7 @@ def test_successive_runs_in_one_process_match_fresh_processes(tmp_path, capsys):
                                       capture_output=True, text=True, timeout=120)
                 code, stdout = proc.returncode, proc.stdout
             else:
-                code, stdout = in_process(argv), capsys.readouterr().out
+                code, stdout = main(argv), capsys.readouterr().out
             outcomes.setdefault(side, []).append((code, stdout))
         outcomes[side].append({p.name: p.read_bytes() for p in out_dir.iterdir()})
     assert [code for code, _ in outcomes["fresh"][:-1]] == [0, 2, 0, 2, 0]

@@ -4,7 +4,8 @@ Every scenario, and validate, runs on numpy alone: the 2F1 kernel's
 log-Gamma prefactors and the WKB windows' Airy functions are in-house, and
 every quadrature is a fixed rule on numpy arrays.  scipy stays a test-only
 dependency (the oracle tests).  No run loads numpy.polynomial, and fig2
-and wkb call no LAPACK routine.  The scenarios whose modules the CLI
+and wkb call no LAPACK routine.  The CLI reads its flags without argparse
+(and so without gettext).  The scenarios whose modules the CLI
 imports lazily still run from a fresh interpreter.  These tests check which
 modules load and which routines run, not how long they take, so host load
 does not move them.
@@ -103,6 +104,17 @@ assert "qtunnel.backreaction" in sys.modules
 assert "qtunnel.csvfmt" not in sys.modules
 """
 
+# config.parse_flags reads the command line: argparse, and the gettext it
+# imports, stay unloaded
+NO_ARGPARSE_RUN = """
+import sys
+from qtunnel.cli import main
+
+assert main(sys.argv[1:]) == 0
+loaded = [name for name in ("argparse", "gettext") if name in sys.modules]
+assert not loaded, loaded
+"""
+
 
 def fresh_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -130,6 +142,14 @@ def test_smooth_barrier_and_exact_trajectory_load_no_scipy_integrate(tmp_path):
 def test_validate_loads_no_csv_writer(tmp_path):
     (tmp_path / "run.cfg").write_text("scenario = fig3\n")
     proc = fresh_python(["-c", VALIDATE_RUN], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["fig1a", "--out", "fig1a.csv"],
+                                  ["validate", "--config", "run.cfg"]], ids=["fig1a", "validate"])
+def test_cold_run_loads_no_argparse(tmp_path, argv):
+    (tmp_path / "run.cfg").write_text("scenario = fig3\n")
+    proc = fresh_python(["-c", NO_ARGPARSE_RUN, *argv], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,5 +1,5 @@
 """Static checks on the package source: compile cost, block-size and 2F1
-kernel owners and the numpy submodules it reaches."""
+kernel owners, the numpy submodules it reaches and the stdlib parser it does not."""
 
 import re
 import tokenize
@@ -57,3 +57,9 @@ def test_the_2f1_digits_policy_lives_in_modes():
     assert "DIGITS_TOL" not in kernel and "PrecisionError" not in kernel
     for text in ("2F1 overflows", "2F1 series cancels"):
         assert {p.name for p in MODULES if text in p.read_text()} == {"modes.py"}
+
+
+def test_no_module_imports_argparse():
+    # config.parse_flags reads the command line; argparse would load gettext
+    for path in MODULES:
+        assert not re.search(r"^\s*(import|from)\s+argparse\b", path.read_text(), re.M), path.name
