@@ -7,10 +7,12 @@ particle rolls through the barrier in real time; environment oscillators
 parametrically excited by that motion raise the effective potential and
 suppress the transmission probability.
 
-Subpackages: ``core`` (parameter records), ``specfun`` (complex-parameter
-hypergeometric kernel), ``rect`` (exact rectangular barrier), ``wkb``
-(patched semiclassical profiles), ``modes`` (Gaussian environment modes),
-``backreaction`` (effective potential and modified rate), ``cli`` (driver).
+Modules: ``core`` (parameter records), ``errors`` (exception hierarchy),
+``specfun`` (complex-parameter hypergeometric kernel), ``airy`` (Airy
+functions), ``rect`` (exact rectangular barrier), ``wkb`` (patched
+semiclassical profiles), ``modes`` (Gaussian environment modes),
+``backreaction`` (effective potential and modified rate), ``config`` (run
+configuration), ``csvfmt`` (CSV rows), ``cli`` (driver).
 """
 
 from .core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, wave_numbers

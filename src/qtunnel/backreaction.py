@@ -269,34 +269,27 @@ def gaussian_average_check(
     """
     if not states:
         raise DomainError("need at least one (alpha, beta') state")
-    res1 = res2 = 0.0
+    alpha, beta_p = np.array(states, dtype=float).T
+    bad = np.flatnonzero(alpha <= 0.0)  # a NaN alpha is not refused
+    if bad.size:
+        raise DomainError(f"alpha must be positive, got {states[bad[0]][0]}")
     # y = x sqrt(hbar)/alpha turns the weight into exp(-x^2); the 3-node
     # Gauss-Hermite rule is exact up to degree 5, so for x^2, x^4
     x = math.sqrt(1.5) * np.array((-1.0, 0.0, 1.0))
     w = math.sqrt(math.pi) * np.array((1.0, 4.0, 1.0)) / 6.0
     x2, x4 = float(w @ x**2 / w.sum()), float(w @ x**4 / w.sum())
 
-    cached = []
-    for alpha, beta_p in states:
-        if alpha <= 0.0:
-            raise DomainError(f"alpha must be positive, got {alpha}")
-        y2, y4 = x2 * hbar / alpha**2, x4 * (hbar / alpha**2) ** 2
-        w1 = beta_p * y2 / 2.0
-        w2 = beta_p**2 * y4 / 4.0
-        ref1 = hbar * beta_p / (4.0 * alpha**2)
-        ref2 = 3.0 * hbar**2 * beta_p**2 / (16.0 * alpha**4)
-        scale1 = max(abs(ref1), hbar)
-        scale2 = max(abs(ref2), hbar**2)
-        res1 = max(res1, abs(w1 - ref1) / scale1)
-        res2 = max(res2, abs(w2 - ref2) / scale2)
-        cached.append((w1, ref1))
-    resx = 0.0
-    for i in range(len(cached)):
-        for j in range(i + 1, len(cached)):
-            # product measure: <W_m' W_n'> = <W_m'><W_n'>, coefficient 1/16
-            cross = cached[i][0] * cached[j][0]
-            ref = cached[i][1] * cached[j][1]
-            resx = max(resx, abs(cross - ref) / max(abs(ref), hbar**2))
+    y2, y4 = x2 * hbar / alpha**2, x4 * (hbar / alpha**2) ** 2
+    w1 = beta_p * y2 / 2.0
+    w2 = beta_p**2 * y4 / 4.0
+    ref1 = hbar * beta_p / (4.0 * alpha**2)
+    ref2 = 3.0 * hbar**2 * beta_p**2 / (16.0 * alpha**4)
+    res1 = float(np.max(abs(w1 - ref1) / np.maximum(abs(ref1), hbar)))
+    res2 = float(np.max(abs(w2 - ref2) / np.maximum(abs(ref2), hbar**2)))
+    # product measure over each pair m < n: <W_m' W_n'> = <W_m'><W_n'>, coefficient 1/16
+    i, j = np.triu_indices(alpha.size, 1)
+    cross, ref = w1[i] * w1[j], ref1[i] * ref1[j]
+    resx = float(np.max(abs(cross - ref) / np.maximum(abs(ref), hbar**2), initial=0.0))
     return GaussianAverageResiduals(first_moment=res1, second_moment=res2, cross_moment=resx)
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,11 +40,6 @@ from . import config as cfgmod
 from . import rect as rect_mod
 from .config import ConfigError, RunConfig
 from .errors import DomainError, PrecisionError, QTunnelError
-
-# each runner imports wkb, modes or backreaction itself, so rect, sweep,
-# fig1a and fig1b (and validate on them) do not pay for importing them
-if TYPE_CHECKING:
-    from .backreaction import BackreactionProfile
 
 # what a runner returns: the CSV's header and column-name lines, then its columns
 _Table = tuple[str, list[np.ndarray]]
@@ -70,13 +64,13 @@ def _run_fig1(cfg: RunConfig) -> _Table:
     params = cfg.physical_params()
     barrier = cfg.rect_barrier()
     sol = rect_mod.solve_rect(params, barrier)
-    xs = np.linspace(float(cfg["x_min"]), float(cfg["x_max"]), int(cfg["grid_points"]))
+    xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
     prof = rect_mod.potential_profile(sol, xs)
     return _csv_table(cfg, {"x": prof.xs, "V": prof.v, "V_tot": prof.v_tot,
                             "E": params.energy_E})
 
 
-def _run_fig2(cfg: RunConfig, emit_rho: bool) -> _Table:
+def _run_fig2(cfg: RunConfig) -> _Table:
     from . import wkb as wkb_mod
 
     params = cfg.physical_params()
@@ -84,22 +78,22 @@ def _run_fig2(cfg: RunConfig, emit_rho: bool) -> _Table:
     E = params.energy_E
     tps = wkb_mod.find_turning_points(potential, E, cfg.bracket())
     prof = wkb_mod.wkb_total_potential(
-        potential, E, params, turning_points=tps, num_points=int(cfg["grid_points"])
+        potential, E, params, turning_points=tps, num_points=cfg["grid_points"]
     )
     columns = {"x": prof.xs, "V": potential(prof.xs),
                "V_tot": prof.v_tot, "E": E}
-    if emit_rho:
+    if cfg.scenario == "wkb":
         columns["rho_general"] = wkb_mod.rho_general(params, tps)
     return _csv_table(cfg, columns)
 
 
-def _mode_backreaction(cfg: RunConfig) -> tuple[rect_mod.RectSolution, BackreactionProfile]:
+def _mode_backreaction(cfg: RunConfig):
     """Rect solution and the back-reaction profile summed over the config's modes."""
     from . import backreaction as br
 
     sol = rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier())
     return sol, br.rect_mode_backreaction(sol, *cfg.env_modes(),
-                                          num_points=int(cfg["grid_points"]))
+                                          num_points=cfg["grid_points"])
 
 
 def _run_fig3(cfg: RunConfig) -> _Table:
@@ -109,22 +103,13 @@ def _run_fig3(cfg: RunConfig) -> _Table:
 
 
 def _run_rect(cfg: RunConfig) -> _Table:
-    params = cfg.physical_params()
-    sol = rect_mod.solve_rect(params, cfg.rect_barrier())
-    p = rect_mod.transmission_probability(sol).closed_form
-    t_roll = rect_mod.rolling_time(sol)
-    row = [
-        p, t_roll, sol.k, sol.beta,
-        sol.A.real, sol.A.imag, sol.B.real, sol.B.imag,
-        sol.C.real, sol.C.imag, sol.F.real, sol.F.imag,
-        sol.G.real, sol.G.imag,
-    ]
-    columns = [
-        "P", "t_roll", "k", "beta",
-        "A_re", "A_im", "B_re", "B_im", "C_re", "C_im",
-        "F_re", "F_im", "G_re", "G_im",
-    ]
-    return _csv_table(cfg, dict(zip(columns, row)))
+    sol = rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier())
+    columns = {"P": rect_mod.transmission_probability(sol).closed_form,
+               "t_roll": rect_mod.rolling_time(sol), "k": sol.k, "beta": sol.beta}
+    for name in "ABCFG":
+        amp = getattr(sol, name)
+        columns[f"{name}_re"], columns[f"{name}_im"] = amp.real, amp.imag
+    return _csv_table(cfg, columns)
 
 
 def _run_mode_evolve(cfg: RunConfig) -> _Table:
@@ -133,10 +118,10 @@ def _run_mode_evolve(cfg: RunConfig) -> _Table:
     bg = rect_mod.classical_trajectory(
         rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier()))
     if cfg["rho"] is not None:
-        bg = rect_mod.TanhBackground(amplitude_a=bg.amplitude_a, rho=float(cfg["rho"]))
+        bg = rect_mod.TanhBackground(amplitude_a=bg.amplitude_a, rho=cfg["rho"])
     cfg.check_time_scale(bg.rho)  # RunConfig checks only a configured rho
     # t_min..t_max are in units of 1/rho; the evolution starts in the vacuum
-    ts = np.linspace(float(cfg["t_min"]), float(cfg["t_max"]), int(cfg["grid_points"])) / bg.rho
+    ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["grid_points"]) / bg.rho
     mode, *others = cfg.env_modes()
     if others:
         raise ConfigError(f"mode-evolve evolves one mode, got {1 + len(others)}")
@@ -175,13 +160,15 @@ def _run_sweep(cfg: RunConfig) -> _Table:
     return _csv_table(cfg, {key: vals, "P": ps, "t_roll": t_rolls})
 
 
+# each runner imports wkb, modes or backreaction itself, so rect, sweep,
+# fig1a and fig1b (and validate on them) do not pay for importing them
 _RUNNERS = {
     "fig1a": _run_fig1,
     "fig1b": _run_fig1,
-    "fig2": lambda cfg: _run_fig2(cfg, emit_rho=False),
+    "fig2": _run_fig2,
     "fig3": _run_fig3,
     "rect": _run_rect,
-    "wkb": lambda cfg: _run_fig2(cfg, emit_rho=True),
+    "wkb": _run_fig2,
     "mode-evolve": _run_mode_evolve,
     "backreaction": _run_backreaction,
     "sweep": _run_sweep,
@@ -231,7 +218,12 @@ def main(argv: list[str] | None = None) -> int:
         out = flags.get("out") or file_values.get("out")
         if not (validate or out):
             raise ConfigError("--out is required")
-        cfg = cfgmod.build_config(None if validate else word, file_values, flags)
+        # the word names the scenario; validate, or an empty word, takes the file's key
+        file_scenario = file_values.pop("scenario", None)
+        scenario = word if word and not validate else file_scenario
+        if scenario is None:
+            raise ConfigError("no scenario given (argument or scenario= key)")
+        cfg = RunConfig(scenario, {**file_values, **flags})
         if validate:
             _RUNNERS[cfg.scenario](cfg)
         else:

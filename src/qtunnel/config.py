@@ -26,25 +26,25 @@ import numpy as np
 
 from .core import VACUUM_SATURATION, EnvMode, PhysicalParams, RectBarrier, SmoothPotential
 
-SCENARIOS = (
-    "fig1a",
-    "fig1b",
-    "fig2",
-    "fig3",
-    "rect",
-    "wkb",
-    "mode-evolve",
-    "backreaction",
-    "sweep",
-)
+
+def _header_text(value: str) -> str:
+    """``value``, if the CSV's one-line UTF-8 header can hold it; ValueError on
+    a line break (where ``str.splitlines`` splits) or on a character UTF-8
+    cannot encode (an undecodable argv byte arrives as a lone surrogate)."""
+    value.encode()  # UnicodeEncodeError is a ValueError
+    if "".join(value.splitlines()) != value:
+        raise ValueError(f"line break in {value!r}")
+    return value
+
 
 # keys a config file or the CLI may set, with the type that parses their values
 KEY_TYPES = {
     **dict.fromkeys(("E", "V0", "a", "hbar", "M", "m", "omega0", "c",
                      "x_min", "x_max", "t_min", "t_max", "rho"), float),
     "grid_points": int,
-    **dict.fromkeys(("scenario", "poly", "bracket", "modes", "sweep_key", "sweep_values",
-                     "out"), str),
+    "scenario": str,
+    "out": str,  # a path, which the header leaves out: it may hold a line break
+    **dict.fromkeys(("poly", "bracket", "modes", "sweep_key", "sweep_values"), _header_text),
 }
 
 # the command line's flags: --config, and one per key but scenario, "_" spelled "-"
@@ -66,13 +66,19 @@ _BASE_DEFAULTS = {
 # array is allocated
 _MAX_GRID_POINTS = 2**22
 
+# every scenario, in the order the "choose from" texts list them, with its defaults
 _SCENARIO_DEFAULTS = {
     "fig1a": {"x_min": -0.5, "x_max": 1.5},
     "fig1b": {"x_min": -6.0, "x_max": 3.0},
     "fig2": {"E": 1.0},
+    "fig3": {},
+    "rect": {},
     "wkb": {"E": 1.0},
     "mode-evolve": {"t_min": -10.0, "t_max": 10.0, "grid_points": 801},
+    "backreaction": {},
+    "sweep": {},
 }
+SCENARIOS = tuple(_SCENARIO_DEFAULTS)
 
 
 class ConfigError(Exception):
@@ -85,7 +91,12 @@ class ConfigError(Exception):
 
 
 class RunConfig:
-    """Scenario plus every tunable the scenarios consume."""
+    """Scenario plus every tunable the scenarios consume.
+
+    Each value holds its ``KEY_TYPES`` type as given: ``_convert`` types file
+    lines and flags, the default tables are typed, and a sweep passes the
+    floats of ``_numbers``; nothing here converts a value again.
+    """
 
     __slots__ = ("scenario", "values")
 
@@ -95,26 +106,26 @@ class RunConfig:
                 f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}"
             )
         self.scenario = scenario
-        self.values = {**_BASE_DEFAULTS, **_SCENARIO_DEFAULTS.get(scenario, {}), **(values or {})}
+        self.values = {**_BASE_DEFAULTS, **_SCENARIO_DEFAULTS[scenario], **(values or {})}
         # grid values no runner checks itself
         for key in ("x_min", "x_max", "t_min", "t_max", "rho"):
-            if self[key] is not None and not math.isfinite(float(self[key])):
+            if self[key] is not None and not math.isfinite(self[key]):
                 raise ConfigError(f"{key} must be finite, got {self[key]}")
-        if self["rho"] is not None and float(self["rho"]) <= 0:
+        if self["rho"] is not None and self["rho"] <= 0:
             raise ConfigError(f"rho must be positive, got {self['rho']}")
         # numpy spaces each grid by its span, and mode-evolve divides t by rho
         for lo, hi in (("x_min", "x_max"), ("t_min", "t_max")):
             if None in (self[lo], self[hi]):
                 continue
-            if float(self[lo]) >= float(self[hi]):
+            if self[lo] >= self[hi]:
                 raise ConfigError(f"{lo} = {self[lo]} must be below {hi} = {self[hi]}")
-            if math.isinf(float(self[hi]) - float(self[lo])):
+            if math.isinf(self[hi] - self[lo]):
                 raise ConfigError(f"{hi} - {lo} leaves double range ({self[lo]} to {self[hi]})")
         if self["rho"] is not None:
-            self.check_time_scale(float(self["rho"]))
-        if int(self["grid_points"]) < 16:
+            self.check_time_scale(self["rho"])
+        if self["grid_points"] < 16:
             raise ConfigError("grid_points must be at least 16")
-        if int(self["grid_points"]) > _MAX_GRID_POINTS:
+        if self["grid_points"] > _MAX_GRID_POINTS:
             raise ConfigError(f"grid_points must be at most 2^22 = {_MAX_GRID_POINTS}, "
                               f"got {self['grid_points']}")
 
@@ -124,7 +135,7 @@ class RunConfig:
     def check_time_scale(self, rho: float) -> None:
         """ConfigError unless mode-evolve's times at this rho, t/rho over the
         t range and the vacuum start -12/rho, are finite doubles."""
-        t_abs = max(abs(float(self[key] or 0.0)) for key in ("t_min", "t_max"))
+        t_abs = max(abs(self[key] or 0.0) for key in ("t_min", "t_max"))
         if rho == 0.0 or math.isinf(t_abs / rho):
             raise ConfigError(f"max|t|/rho = {t_abs}/{rho} leaves double range")
         if math.isinf(VACUUM_SATURATION / rho):
@@ -133,15 +144,11 @@ class RunConfig:
 
     def physical_params(self) -> PhysicalParams:
         return PhysicalParams(
-            energy_E=float(self.values["E"]),
-            hbar=float(self.values["hbar"]),
-            mass_M=float(self.values["M"]),
+            energy_E=self.values["E"], hbar=self.values["hbar"], mass_M=self.values["M"]
         )
 
     def rect_barrier(self) -> RectBarrier:
-        return RectBarrier(
-            height_V0=float(self.values["V0"]), width_a=float(self.values["a"])
-        )
+        return RectBarrier(height_V0=self.values["V0"], width_a=self.values["a"])
 
     def env_modes(self) -> list[EnvMode]:
         """Mode list: the ``modes`` key (semicolon-separated m:omega0:c
@@ -149,19 +156,14 @@ class RunConfig:
         spec = self.values.get("modes")
         if spec:
             out = []
-            for i, part in enumerate(str(spec).split(";")):
+            for i, part in enumerate(spec.split(";")):
                 if part.count(":") != 2:
                     raise ConfigError(f"modes entry {i + 1} must be m:omega0:c, got {part!r}")
                 m, om0, c = _numbers(part, ":", f"modes entry {i + 1}")
                 out.append(EnvMode(mass_m=m, omega0=om0, coupling_c=c))
             return out
-        return [
-            EnvMode(
-                mass_m=float(self.values["m"]),
-                omega0=float(self.values["omega0"]),
-                coupling_c=float(self.values["c"]),
-            )
-        ]
+        return [EnvMode(mass_m=self.values["m"], omega0=self.values["omega0"],
+                        coupling_c=self.values["c"])]
 
     def polynomial(self) -> list[float]:
         coeffs = _numbers(self.values["poly"], ",", "poly must be comma-separated numbers")
@@ -189,7 +191,7 @@ class RunConfig:
         return lo, hi
 
     def sweep(self) -> tuple[str, list[float]]:
-        key = str(self.values["sweep_key"])
+        key = self.values["sweep_key"]
         if key not in ("a", "V0", "E"):
             raise ConfigError(f"sweep_key must be one of a, V0, E; got {key!r}")
         return key, _numbers(self.values["sweep_values"], ",",
@@ -221,11 +223,11 @@ def _power_sum(coeffs: list[float], x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _numbers(text, sep: str, what: str) -> list[float]:
-    """The fields of ``str(text)`` split at ``sep``, as floats; an empty field
+def _numbers(text: str, sep: str, what: str) -> list[float]:
+    """The fields of ``text`` split at ``sep``, as floats; an empty field
     fails.  ConfigError "<what>: <reason>" names the first that is no number."""
     try:
-        return [float(v) for v in str(text).split(sep)]
+        return [float(v) for v in text.split(sep)]
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -295,12 +297,3 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(str(exc)) from exc
     return parse_config_text(text)
 
-
-def build_config(scenario: str | None, file_values: dict, overrides: dict) -> RunConfig:
-    """Merge file values and CLI overrides; CLI wins, then defaults fill in."""
-    merged = {**file_values, **overrides}
-    scen = scenario or merged.pop("scenario", None)
-    if scen is None:
-        raise ConfigError("no scenario given (argument or scenario= key)")
-    merged.pop("scenario", None)
-    return RunConfig(scenario=str(scen), values=merged)

@@ -763,7 +763,7 @@ def test_help_prints_the_usage_lines(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("text, error", [
     ("scenario = bogus\n", "unknown scenario 'bogus'; choose from "),
-    ("E = 2\n", "no scenario given"),
+    ("E = 2\n", "no scenario given (argument or scenario= key)"),
     (None, "validate requires --config"),
 ], ids=["unknown-scenario", "no-scenario", "no-config"])
 def test_validate_without_a_known_scenario_is_config_error(tmp_path, capsys, text, error):
@@ -776,6 +776,47 @@ def test_validate_without_a_known_scenario_is_config_error(tmp_path, capsys, tex
     assert len(lines) == 2 and lines[0].startswith(f"config error: {error}")
     assert lines[1] == "1 invariant violation"
     assert len(list(tmp_path.iterdir())) == (text is not None)
+
+
+def test_scenario_word_beats_the_file_key_and_validate_runs_the_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = fig2\npoly = x\n")  # a poly only fig2 parses
+    out = tmp_path / "out.csv"
+    assert main(["rect", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().startswith("# qtunnel v1, scenario=rect, ")
+    # an empty word falls back to the key, as validate does
+    assert main(["", "--config", str(cfg), "--out", str(out)]) == 2
+    line = ("config error: poly must be comma-separated numbers: "
+            "could not convert string to float: 'x'")
+    assert capsys.readouterr().err == line + "\n"
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == f"{line}\n1 invariant violation\n"
+
+
+# the one-line UTF-8 header copies string values verbatim, so a line break or
+# an undecodable argv byte (a lone surrogate) is a bad value, on a key the
+# scenario parses (fig2's poly) and on one it never reads (rect's modes)
+@pytest.mark.parametrize("value", ["1,8,-8\n", "1,8,-8\r", "1,8,-8\u2028", "\udcff"],
+                         ids=["LF", "CR", "LS", "surrogate"])
+@pytest.mark.parametrize("scenario, flag", [("fig2", "--poly"), ("rect", "--modes")])
+def test_string_value_the_header_cannot_hold_is_config_error(tmp_path, capsys, scenario, flag,
+                                                             value):
+    line = f"config error: flag {flag}: bad value {value!r} for {flag[2:]}"
+    out = tmp_path / "out.csv"
+    assert main([scenario, flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {scenario}\n")
+    assert main(["validate", "--config", str(cfg), flag, value]) == 2
+    assert capsys.readouterr() == (f"{line}\n1 invariant violation\n", "")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_tab_in_a_string_value_stays_on_the_header_line(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["fig2", "--poly", "1,\t8,-8", "--grid-points", "200", "--out", str(out)]) == 0
+    header, names, *_ = out.read_text().splitlines()
+    assert "poly=1,\t8,-8 " in header and names == "x,V,V_tot,E"
 
 
 # Q1' of these profiles changes sign 6 times on every grid from 16 to 8,000
