@@ -80,8 +80,7 @@ def _run_fig2(cfg: RunConfig) -> _Table:
     prof = wkb_mod.wkb_total_potential(
         potential, E, params, turning_points=tps, num_points=cfg["grid_points"]
     )
-    columns = {"x": prof.xs, "V": potential(prof.xs),
-               "V_tot": prof.v_tot, "E": E}
+    columns = {"x": prof.xs, "V": prof.v, "V_tot": prof.v_tot, "E": E}
     if cfg.scenario == "wkb":
         columns["rho_general"] = wkb_mod.rho_general(params, tps)
     return _csv_table(cfg, columns)
@@ -127,8 +126,7 @@ def _run_mode_evolve(cfg: RunConfig) -> _Table:
         raise ConfigError(f"mode-evolve evolves one mode, got {1 + len(others)}")
     # the Magnus step budget, then the exact mode function in blocks of one 2F1
     # kernel call, then the ODE: a run the budget or the 2F1 refuses costs no ODE
-    t0 = min(modes_mod.vacuum_start_time(bg), ts[0])  # as evolve_gaussian starts
-    modes_mod.magnus_steps(mode, bg, np.concatenate(([t0], ts)))
+    modes_mod.magnus_steps(mode, bg, ts)
     alpha2_xi, beta_xi = np.empty((2, ts.size))
     for blk in modes_mod.grid_blocks(1, ts.size):
         st = modes_mod.state_from_xi(mode, modes_mod.xi_analytic([mode], bg, ts[blk]))

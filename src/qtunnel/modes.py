@@ -142,14 +142,9 @@ def evolve_gaussian(mode: EnvMode, bg: TanhBackground, ts) -> GaussianModeState:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("ts must be a non-empty 1-D grid")
-    t0 = min(vacuum_start_time(bg), ts[0])
-    if not (math.isfinite(t0) and math.isfinite(ts[-1])):
-        raise DomainError(f"need a finite start t0 = min(-{VACUUM_SATURATION:g}/rho, ts[0]) "
-                          f"and a finite ts[-1], got t0 = {t0}, ts[-1] = {ts[-1]}")
     if not np.all(np.diff(ts) > 0.0):
         raise DomainError("ts must be strictly increasing")
-    edges = np.concatenate(([t0], ts))
-    counts = magnus_steps(mode, bg, edges)
+    edges, counts = magnus_steps(mode, bg, ts)
     spent = 3 * counts.sum()
     # alpha0^2 as sqrt(m omega0)^2, which can differ from m omega0 in the last
     # bit: the *_ode columns are pinned to it
@@ -172,9 +167,15 @@ def evolve_gaussian(mode: EnvMode, bg: TanhBackground, ts) -> GaussianModeState:
             )
 
 
-def magnus_steps(mode: EnvMode, bg: TanhBackground, edges) -> np.ndarray:
-    """Steps of at most 0.03/max(rho, omega_max) per interval of ``edges`` in the
-    first run of ``evolve_gaussian``; StiffnessError past the 2^26-step budget."""
+def magnus_steps(mode: EnvMode, bg: TanhBackground, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Edges [t0, *ts] and steps per interval, each of at most 0.03/max(rho,
+    omega_max), of the first run of ``evolve_gaussian``; DomainError unless t0
+    and ts[-1] are finite, StiffnessError past the 2^26-step budget."""
+    t0 = min(vacuum_start_time(bg), ts[0])
+    if not (math.isfinite(t0) and math.isfinite(ts[-1])):
+        raise DomainError(f"need a finite start t0 = min(-{VACUUM_SATURATION:g}/rho, ts[0]) "
+                          f"and a finite ts[-1], got t0 = {t0}, ts[-1] = {ts[-1]}")
+    edges = np.concatenate(([t0], ts))
     om0, om_inf = omega_asymptotics(mode, bg)
     h = _MAGNUS_STEP / max(bg.rho, om0, om_inf)
     # a span or count past double range reads inf, which fails the budget
@@ -186,7 +187,7 @@ def magnus_steps(mode: EnvMode, bg: TanhBackground, edges) -> np.ndarray:
             f"the Magnus route needs {n_steps:.3g} steps on [{edges[0]}, {edges[-1]}] "
             f"(at most {_MAX_STEPS})"
         )
-    return counts.astype(np.int64)
+    return edges, counts.astype(np.int64)
 
 
 def _magnus_mode_function(mode, bg, edges, counts, y1) -> ModeFunction:

@@ -5,17 +5,22 @@ fixes the under-barrier amplitude to carry BOTH the growing exponential and
 an i/2-weighted decaying exponential.  The cross term of the two cancels in
 |phi|^2, and the small imaginary part is what keeps the kinetic density
 E - V_tot of the effective classical system positive through the barrier.
-Near each turning point the semiclassical forms are replaced, inside a
-window sized by a linearization budget and a validity floor on the scaled
-Airy argument, with the exact solution of the locally linearized problem
-(Ai and Bi of the scaled distance to the turning point, DLMF 9.2),
-least-squares matched to the semiclassical wavefunction at both window
-edges; ``airy.airy`` evaluates Ai and Bi.  The whole profile runs on
-numpy's core alone, with no LAPACK call: the 4x2 window match is solved by a
-two-column Gram-Schmidt QR, and the action tails use ``core``'s 24-node
-Gauss-Legendre table.  The potential is only ever called on numpy arrays:
-the grid, quadrature nodes and the scan nodes of the turning-point and width
-searches.  A potential
+
+The grid is cut into five segments: region I, the left window, region II
+(under the barrier), the right window and region III.  Neighbouring
+segments share their seam point; phi keeps its semiclassical value there,
+and V_Q is that of the segment on the seam's left.  In each window, centred
+on a turning point and sized by a linearization budget and a validity floor
+on the scaled Airy argument, the semiclassical forms are replaced with the
+exact solution of the locally linearized problem (Ai and Bi of the scaled
+distance to the turning point, DLMF 9.2), least-squares matched to the
+semiclassical wavefunction at both window edges; ``airy.airy`` evaluates Ai
+and Bi.  The whole profile runs on numpy's core alone, with no LAPACK call:
+the 4x2 window match is solved by a two-column Gram-Schmidt QR, and the
+action tails use ``core``'s 24-node Gauss-Legendre table.  V and V' are
+each evaluated once on the grid; the profile's ``v`` is that V.  The
+potential is only ever called on numpy arrays: the grid, quadrature nodes
+and the scan nodes of the turning-point and width searches.  A potential
 that leaves double range on any of them raises ``PrecisionError``.
 
 Also provides the tanh-trajectory steepness parameter for general barriers,
@@ -45,7 +50,9 @@ from .rect import quantum_potential
 _SCAN_POINTS = 64
 _SCAN_ROUNDS = 9
 _LINEARIZATION_BUDGET = 0.05  # |V - V_lin| <= budget * |V'| * w at window edge
-_EDGE_ARGUMENT = 0.8  # least scaled Airy argument gamma*w at a window edge
+_EDGE_ARGUMENT = 0.8  # least scaled Airy argument |s| w at a window edge
+# the grid's segments, left to right; the windows are the odd ones
+_SEGMENTS = ("region I", "left window", "region II", "right window", "region III")
 
 
 class TurningPoints(NamedTuple):
@@ -61,6 +68,7 @@ class WkbProfile(NamedTuple):
     """Patched semiclassical amplitude, phase gradient, and total potential."""
 
     xs: np.ndarray
+    v: np.ndarray
     r: np.ndarray
     w_prime: np.ndarray
     v_tot: np.ndarray
@@ -164,17 +172,17 @@ def _airy_scale(params: PhysicalParams, slope: float) -> float:
 
 
 def _window_width(potential: SmoothPotential, x_t: float, slope: float,
-                  w_max: float, params: PhysicalParams) -> float:
+                  w_max: float, w_floor: float) -> float:
     """Patch half-width at one turning point.
 
     Two competing requirements: the linearized potential must stay within a
     5% budget of the slope term at the window edge (else the Airy model is
     unfaithful), and the semiclassical forms being matched at the edge must
-    be evaluated far enough from the turning point to be meaningful, i.e.
-    the scaled Airy argument gamma*w at the edge must not be small.  When
-    the two conflict (a deeply quantum barrier), the edge-validity floor
-    wins: matching against the semiclassical form at gamma*w << 1 produces
-    a spurious fluxless standing wave in the window.
+    be evaluated far enough from the turning point to be meaningful: the
+    scaled Airy argument |s| w at the edge must reach 0.8, w >= ``w_floor``.
+    When the two conflict (a deeply quantum barrier), the edge-validity
+    floor wins: matching against the semiclassical form at |s| w << 1
+    produces a spurious fluxless standing wave in the window.
     """
     v_t = potential(np.full(1, x_t))[0]
 
@@ -187,7 +195,6 @@ def _window_width(potential: SmoothPotential, x_t: float, slope: float,
         return err - budget * w
 
     w_lin = _last_before_positive(excess, 0.0, w_max)
-    w_floor = _EDGE_ARGUMENT / abs(_airy_scale(params, slope))
     return min(max(w_lin, w_floor), w_max)
 
 
@@ -206,16 +213,6 @@ def rho_general(params: PhysicalParams, turning_points: TurningPoints) -> float:
     beta = -slope
     prefactor = 3.0 ** (5.0 / 6.0) * math.gamma(2.0 / 3.0) / (2.0 * math.gamma(1.0 / 3.0))
     return prefactor * params.hbar * beta ** (1.0 / 3.0) / (params.mass_M * a)
-
-
-def _airy_window_basis(params: PhysicalParams, x_t: float, slope: float,
-                       xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact solutions Ai, Bi of the linearized problem on the window grid
-    (DLMF 9.2).  Returns their values and x-derivatives, each of shape
-    (2, len(xs)), and the scale |s|."""
-    s = _airy_scale(params, slope)
-    ai, aip, bi, bip = airy(s * (xs - x_t))
-    return np.array([ai, bi]), s * np.array([aip, bip]), abs(s)
 
 
 def _least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,22 +258,22 @@ def wkb_total_potential(
 
     ``turning_points`` come from ``find_turning_points``.  ``window_shrink``
     rescales the automatically chosen patch half-widths (for
-    patch-independence studies).  The scaled Airy argument gamma*w at each
+    patch-independence studies).  The scaled Airy argument |s| w at each
     window edge is at least 0.8.
     """
     tps = turning_points
     x0, a = tps.left_x0, tps.right_a
     gap = a - x0
 
-    gamma_l = abs(_airy_scale(params, tps.slope_left))
-    gamma_r = abs(_airy_scale(params, tps.slope_right))
-    if _EDGE_ARGUMENT * window_shrink * (1.0 / gamma_l + 1.0 / gamma_r) >= gap:
+    s_l, s_r = _airy_scale(params, tps.slope_left), _airy_scale(params, tps.slope_right)
+    floor_l, floor_r = _EDGE_ARGUMENT / abs(s_l), _EDGE_ARGUMENT / abs(s_r)
+    if window_shrink * (floor_l + floor_r) >= gap:
         raise ThinBarrierError(
             "patch windows overlap: barrier too thin for WKB; "
             "use the rectangular or exact treatment"
         )
-    w_l = _window_width(potential, x0, tps.slope_left, 0.45 * gap, params) * window_shrink
-    w_r = _window_width(potential, a, tps.slope_right, 0.45 * gap, params) * window_shrink
+    w_l = _window_width(potential, x0, tps.slope_left, 0.45 * gap, floor_l) * window_shrink
+    w_r = _window_width(potential, a, tps.slope_right, 0.45 * gap, floor_r) * window_shrink
 
     if domain is None:
         margin = 0.15 * gap + max(w_l, w_r)
@@ -290,20 +287,15 @@ def wkb_total_potential(
     with np.errstate(all="ignore"):  # a non-finite V fails the check
         v_bare = _checked(potential(xs), xs)
 
-    def snap(x):
-        return int(round((x - lo) / h))
-
-    i_l0, i_l1 = snap(x0 - w_l), snap(x0 + w_l)
-    i_r0, i_r1 = snap(a - w_r), snap(a + w_r)
-    for name, (i, j) in {
-        "region I": (0, i_l0), "left window": (i_l0, i_l1),
-        "region II": (i_l1, i_r0), "right window": (i_r0, i_r1),
-        "region III": (i_r1, num_points - 1),
-    }.items():
+    # segment k runs from cuts[k] to cuts[k + 1], both seam points included
+    cuts = [0, *(int(round((x - lo) / h)) for x in (x0 - w_l, x0 + w_l, a - w_r, a + w_r)),
+            num_points - 1]
+    for name, i, j in zip(_SEGMENTS, cuts, cuts[1:]):
         if j - i < 6:
-            raise DomainError(
-                f"{name} holds fewer than 6 grid points; increase num_points"
-            )
+            raise DomainError(f"{name} holds fewer than 6 grid points; increase num_points")
+    segs = [slice(i, j + 1) for i, j in zip(cuts, cuts[1:])]
+    seg_i, seg_ii, seg_iii = segs[::2]
+    seam = xs[cuts]
 
     # action pieces: the middle by cumulative Simpson on the grid, each tail
     # from a turning point x_t to a seam x_t + L by 24-node Gauss-Legendre in
@@ -322,22 +314,17 @@ def wkb_total_potential(
         return abs(L) * gauss_legendre(lambda u: 2.0 * u * k_of(potential(x_t + L * u * u)),
                                        0.0, 1.0)
 
-    def amplitude_slope(x, k, sign):
-        """k'/(2k), the slope of ln sqrt(k), for k = q (sign 1) or p (sign -1)."""
-        return sign * M * potential.derivative(x) / (hbar**2 * k) / (2.0 * k)
-
-    xs_i, xs_ii, xs_iii = xs[:i_l0 + 1], xs[i_l1:i_r0 + 1], xs[i_r1:]
     with np.errstate(all="ignore"):
-        p_i, q_ii, p_iii = p_of(v_bare[:i_l0 + 1]), q_of(v_bare[i_l1:i_r0 + 1]), p_of(v_bare[i_r1:])
-        for xs_k, k in ((xs_i, p_i), (xs_ii, q_ii), (xs_iii, p_iii)):
-            flat = ~(_checked(k, xs_k) > 0.0)
+        p_i, q_ii, p_iii = p_of(v_bare[seg_i]), q_of(v_bare[seg_ii]), p_of(v_bare[seg_iii])
+        for seg, k in ((seg_i, p_i), (seg_ii, q_ii), (seg_iii, p_iii)):
+            flat = ~(_checked(k, xs[seg]) > 0.0)
             if flat.any():
                 raise DomainError(
                     f"V - E changes sign inside a semiclassical region at x = "
-                    f"{xs_k[np.argmax(flat)]}"
+                    f"{xs[seg][np.argmax(flat)]}"
                 )
-        tail_l, tail_r = tail(q_of, x0, xs[i_l1]), tail(q_of, a, xs[i_r0])
-        tail_i, tail_iii = tail(p_of, x0, xs[i_l0]), tail(p_of, a, xs[i_r1])
+        tail_l, tail_r = tail(q_of, x0, seam[2]), tail(q_of, a, seam[3])
+        tail_i, tail_iii = tail(p_of, x0, seam[1]), tail(p_of, a, seam[4])
     cum_ii = cumulative_simpson(q_ii, h)
     theta = tail_l + cum_ii[-1] + tail_r
     if not 2.0 * theta <= LOG_DOUBLE_MAX:  # |phi|^2 grows like e^(2 theta)
@@ -351,6 +338,12 @@ def wkb_total_potential(
     cum_iii = cumulative_simpson(p_iii, h)
     theta_r = tail_iii + cum_iii
 
+    dv = potential.derivative(xs)
+
+    def amplitude_slope(seg, k, sign):
+        """k'/(2k) on a region, the slope of ln sqrt(k), for k = q (sign 1) or p (sign -1)."""
+        return sign * M * dv[seg] / (hbar**2 * k) / (2.0 * k)
+
     phi = np.empty(num_points, dtype=complex)
     dphi = np.empty(num_points, dtype=complex)
 
@@ -361,34 +354,33 @@ def wkb_total_potential(
     small = 0.5j * math.exp(-theta) * np.cos(arg)
     dsmall = 0.5j * math.exp(-theta) * np.sin(arg) * p_i
     phi_i = (big + small) / np.sqrt(p_i)
-    phi[:i_l0 + 1] = phi_i
-    dphi[:i_l0 + 1] = (-amplitude_slope(xs_i, p_i, -1.0) * phi_i
-                       + (dbig + dsmall) / np.sqrt(p_i))
+    phi[seg_i] = phi_i
+    dphi[seg_i] = (-amplitude_slope(seg_i, p_i, -1.0) * phi_i
+                   + (dbig + dsmall) / np.sqrt(p_i))
 
     # region II: growing exponential plus the i/2-weighted decaying one,
-    # with s_r the action from x to the right turning point
-    s_r = cum_ii[-1] - cum_ii + tail_r
-    grow = np.exp(s_r)
-    decay = 0.5j * np.exp(-s_r)
+    # with theta_x the action from x to the right turning point
+    theta_x = cum_ii[-1] - cum_ii + tail_r
+    grow = np.exp(theta_x)
+    decay = 0.5j * np.exp(-theta_x)
     phi_ii = (grow + decay) / np.sqrt(q_ii)
-    phi[i_l1:i_r0 + 1] = phi_ii
-    dphi[i_l1:i_r0 + 1] = (-amplitude_slope(xs_ii, q_ii, 1.0) * phi_ii
-                           + np.sqrt(q_ii) * (-grow + decay))
+    phi[seg_ii] = phi_ii
+    dphi[seg_ii] = (-amplitude_slope(seg_ii, q_ii, 1.0) * phi_ii
+                    + np.sqrt(q_ii) * (-grow + decay))
 
     # region III: the purely outgoing wave
     arg = theta_r + math.pi / 4.0
-    slope_iii = amplitude_slope(xs_iii, p_iii, -1.0)
     phi_iii = np.exp(1j * arg) / np.sqrt(p_iii)
-    dphi[i_r1:] = (1j * p_iii - slope_iii) * phi_iii
-    phi[i_r1:] = phi_iii
+    dphi[seg_iii] = (1j * p_iii - amplitude_slope(seg_iii, p_iii, -1.0)) * phi_iii
+    phi[seg_iii] = phi_iii
 
     mismatch = 0.0
-    window_r = {}
-    for (x_t, slope, i0, i1) in (
-        (x0, tps.slope_left, i_l0, i_l1),
-        (a, tps.slope_right, i_r0, i_r1),
-    ):
-        ys, dys, scale = _airy_window_basis(params, x_t, slope, xs[i0:i1 + 1])
+    patch_r = [None] * len(segs)  # |phi| of each window's own patch solution
+    for win, x_t, s in ((1, x0, s_l), (3, a, s_r)):
+        i0, i1 = cuts[win], cuts[win + 1]
+        # Ai, Bi of the linearized problem and their x-derivatives (DLMF 9.2)
+        ai, aip, bi, bip = airy(s * (xs[segs[win]] - x_t))
+        ys, dys, scale = np.array([ai, bi]), s * np.array([aip, bip]), abs(s)
         A_mat = np.array([ys[:, 0], dys[:, 0] / scale, ys[:, -1], dys[:, -1] / scale])
         b_vec = np.array([phi[i0], dphi[i0] / scale, phi[i1], dphi[i1] / scale])
         coeffs = _least_squares(A_mat, b_vec)
@@ -398,7 +390,7 @@ def wkb_total_potential(
         # assembled profile keeps the seam values from the WKB side, but the
         # window's own finite differences must not see that jump
         vals, dvals = _combine(coeffs, ys), _combine(coeffs, dys)
-        window_r[i0] = np.abs(vals)
+        patch_r[win] = np.abs(vals)
         phi[i0 + 1:i1] = vals[1:-1]
         dphi[i0 + 1:i1] = dvals[1:-1]
 
@@ -407,16 +399,11 @@ def wkb_total_potential(
         w_prime = hbar * np.imag(dphi / phi)
 
     # quantum potential per segment: no finite-difference stencil crosses a
-    # seam, and window segments difference their own (patch) amplitude
-    v_tot = np.empty(num_points)
-    bounds = [0, i_l0, i_l1, i_r0, i_r1, num_points - 1]
-    for seg in range(5):
-        s, e = bounds[seg], bounds[seg + 1]
-        r_seg = window_r[s] if seg in (1, 3) else r[s:e + 1]
-        vq = quantum_potential(r_seg, h, params, x0=xs[s])
-        sl = slice(s if seg == 0 else s + 1, e + 1)
-        off = 0 if seg == 0 else 1
-        v_tot[sl] = v_bare[sl] + vq[off:]
+    # seam, window segments difference their own (patch) amplitude, and a
+    # seam point keeps the value of the segment on its left
+    vq = [quantum_potential(r[seg] if r_seg is None else r_seg, h, params, x0=xs[seg.start])
+          for seg, r_seg in zip(segs, patch_r)]
+    v_tot = v_bare + np.concatenate([vq[0], *(v[1:] for v in vq[1:])])
 
     flux = hbar * np.imag(np.conj(phi) * dphi) / M
     flux_ref = _median(flux)
@@ -426,14 +413,8 @@ def wkb_total_potential(
     )
 
     return WkbProfile(
-        xs=xs,
-        r=r,
-        w_prime=w_prime,
-        v_tot=v_tot,
-        e_minus_vtot=E - v_tot,
-        turning_points=tps,
-        barrier_action=theta,
-        windows=((xs[i_l0], xs[i_l1]), (xs[i_r0], xs[i_r1])),
-        boundary_mismatch=mismatch,
-        flux_drift=flux_drift,
+        xs=xs, v=v_bare, r=r, w_prime=w_prime, v_tot=v_tot, e_minus_vtot=E - v_tot,
+        turning_points=tps, barrier_action=theta,
+        windows=((seam[1], seam[2]), (seam[3], seam[4])),
+        boundary_mismatch=mismatch, flux_drift=flux_drift,
     )

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtunnel.cli import main
 from qtunnel.core import PhysicalParams, SmoothPotential
 from qtunnel.errors import (
     DegenerateTurningPointError,
+    DomainError,
     OrientationError,
     PrecisionError,
     ThinBarrierError,
@@ -62,7 +64,7 @@ def test_window_width_set_by_linearization_budget(x_t, slope):
     params = PhysicalParams(energy_E=1.0, hbar=0.05)
     floor = 0.8 / abs(wkb._airy_scale(params, slope))
     assert floor == pytest.approx(0.0431, abs=1e-4)
-    assert wkb._window_width(QUADRATIC, x_t, slope, 0.45, params) == pytest.approx(
+    assert wkb._window_width(QUADRATIC, x_t, slope, 0.45, floor) == pytest.approx(
         0.05, abs=1e-12)
 
 
@@ -84,6 +86,37 @@ def test_potential_called_on_arrays_only(quadratic_profile):
     wkb.wkb_total_potential(pot, 1.0, PARAMS_E1, turning_points=tps, domain=domain,
                             window_shrink=0.5)
     assert np.array_equal(prof.v_tot, quadratic_profile.v_tot)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"num_points": 30, "domain": (-0.5, 1.5)},
+     "region I holds fewer than 6 grid points; increase num_points"),
+    ({"num_points": 300, "domain": (-20.0, 21.0)},
+     "left window holds fewer than 6 grid points; increase num_points"),
+    ({"num_points": 400, "domain": (-20.0, 1.5)},
+     "region III holds fewer than 6 grid points; increase num_points"),
+    ({"domain": (-0.2, 1.5)}, "domain must contain both patch windows"),
+], ids=["region-I", "left-window", "region-III", "window-containment"])
+def test_segment_guard(quadratic_tps, kwargs, message):
+    # a segment of fewer than 6 points, or a domain cutting a patch window
+    with pytest.raises(DomainError) as exc:
+        wkb.wkb_total_potential(QUADRATIC, 1.0, PARAMS_E1, turning_points=quadratic_tps,
+                                **kwargs)
+    assert str(exc.value) == message
+
+
+def test_potential_and_slope_each_evaluated_once_on_the_grid(tmp_path, monkeypatch):
+    # the V column is the profile's own V; V' on the grid is one call sliced
+    # per region; the only other V' call is the two turning-point slopes
+    value_sizes, slope_sizes = [], []
+    call, derivative = SmoothPotential.__call__, SmoothPotential.derivative
+    monkeypatch.setattr(SmoothPotential, "__call__",
+                        lambda self, x: value_sizes.append(np.size(x)) or call(self, x))
+    monkeypatch.setattr(SmoothPotential, "derivative",
+                        lambda self, x: slope_sizes.append(np.size(x)) or derivative(self, x))
+    assert main(["fig2", "--grid-points", "3000", "--out", str(tmp_path / "f.csv")]) == 0
+    assert value_sizes.count(3000) == 1
+    assert sorted(slope_sizes) == [2, 3000]
 
 
 def test_turning_points_topology_errors():
@@ -290,7 +323,9 @@ def test_window_basis_solves_linearized_problem(x_t, slope):
     half = 2.0 / abs(kappa) ** (1.0 / 3.0)
     xs = np.linspace(x_t - half, x_t + half, 2001)
     h = xs[1] - xs[0]
-    ys, dys, scale = wkb._airy_window_basis(params, x_t, slope, xs)
+    s = wkb._airy_scale(params, slope)
+    ai, aip, bi, bip = wkb.airy(s * (xs - x_t))
+    ys, dys, scale = np.array([ai, bi]), s * np.array([aip, bip]), abs(s)
     assert scale == pytest.approx(abs(kappa) ** (1.0 / 3.0), rel=1e-14)
     d2 = (-ys[:, :-4] + 16 * ys[:, 1:-3] - 30 * ys[:, 2:-2] + 16 * ys[:, 3:-1]
           - ys[:, 4:]) / (12 * h * h)

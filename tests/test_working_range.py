@@ -44,6 +44,15 @@ EDGES = [
     # the smooth barrier's e^(2 theta) leaves double range at small hbar
     (["fig2", "--hbar", "1e-2"], 0, None),
     (["fig2", "--hbar", "3e-3"], 3, "PrecisionError"),
+    # below 72 grid points region I holds fewer than 6 of them
+    (["fig2", "--grid-points", "72"], 0, None),
+    (["fig2", "--grid-points", "71"], 2, "DomainError"),
+    # the Airy windows, each reaching at least 0.8/|s| from its turning point,
+    # overlap on a thin barrier: at large hbar, or at a higher E
+    (["fig2", "--hbar", "1.5"], 0, None),
+    (["fig2", "--hbar", "2"], 3, "ThinBarrierError"),
+    (["wkb", "--E", "1.9"], 0, None),
+    (["wkb", "--E", "1.99"], 3, "ThinBarrierError"),
     # omega_infinity^2 = omega0^2 + 4 c a/m is not a finite double
     (["fig3", "--c", "1e308"], 2, "DomainError"),
     (["backreaction", "--c", "1e308"], 2, "DomainError"),
