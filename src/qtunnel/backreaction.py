@@ -75,14 +75,6 @@ class SeriesCoefficients(NamedTuple):
     c2_error: float
 
 
-class GaussianAverageResiduals(NamedTuple):
-    """Relative quadrature residuals of the Gaussian-averaging coefficients."""
-
-    first_moment: float
-    second_moment: float
-    cross_moment: float
-
-
 def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
     """Q1(x), Q2(x) at the trajectory positions ``xs``, one row per mode.
 
@@ -253,44 +245,6 @@ def modified_probability(sol: RectSolution, delta_v_bar: float) -> float:
 def _resolve_probability(sol: RectSolution, delta_v: float) -> float:
     shifted = RectBarrier(height_V0=sol.barrier.height_V0 + delta_v, width_a=sol.barrier.width_a)
     return transmission_probability(solve_rect(sol.params, shifted)).closed_form
-
-
-def gaussian_average_check(
-    states: list[tuple[float, float]],
-    hbar: float = 1.0,
-) -> GaussianAverageResiduals:
-    """Gauss-Hermite check of the Gaussian-averaging coefficients.
-
-    Each state is an (alpha, beta') pair.  The phase gradient W' = beta' y^2/2
-    averaged over |phi|^2 ~ exp(-alpha^2 y^2/hbar) must give
-    <W'> = hbar beta'/(4 alpha^2) and <W'^2> = 3 hbar^2 beta'^2/(16 alpha^4);
-    independent modes factorize, fixing the 1/16 cross coefficient.
-    Returns the worst relative residual per coefficient.
-    """
-    if not states:
-        raise DomainError("need at least one (alpha, beta') state")
-    alpha, beta_p = np.array(states, dtype=float).T
-    bad = np.flatnonzero(alpha <= 0.0)  # a NaN alpha is not refused
-    if bad.size:
-        raise DomainError(f"alpha must be positive, got {states[bad[0]][0]}")
-    # y = x sqrt(hbar)/alpha turns the weight into exp(-x^2); the 3-node
-    # Gauss-Hermite rule is exact up to degree 5, so for x^2, x^4
-    x = math.sqrt(1.5) * np.array((-1.0, 0.0, 1.0))
-    w = math.sqrt(math.pi) * np.array((1.0, 4.0, 1.0)) / 6.0
-    x2, x4 = float(w @ x**2 / w.sum()), float(w @ x**4 / w.sum())
-
-    y2, y4 = x2 * hbar / alpha**2, x4 * (hbar / alpha**2) ** 2
-    w1 = beta_p * y2 / 2.0
-    w2 = beta_p**2 * y4 / 4.0
-    ref1 = hbar * beta_p / (4.0 * alpha**2)
-    ref2 = 3.0 * hbar**2 * beta_p**2 / (16.0 * alpha**4)
-    res1 = float(np.max(abs(w1 - ref1) / np.maximum(abs(ref1), hbar)))
-    res2 = float(np.max(abs(w2 - ref2) / np.maximum(abs(ref2), hbar**2)))
-    # product measure over each pair m < n: <W_m' W_n'> = <W_m'><W_n'>, coefficient 1/16
-    i, j = np.triu_indices(alpha.size, 1)
-    cross, ref = w1[i] * w1[j], ref1[i] * ref1[j]
-    resx = float(np.max(abs(cross - ref) / np.maximum(abs(ref), hbar**2), initial=0.0))
-    return GaussianAverageResiduals(first_moment=res1, second_moment=res2, cross_moment=resx)
 
 
 def rect_mode_backreaction(

@@ -74,9 +74,6 @@ class ModeFunction(NamedTuple):
     t: np.ndarray
     dln: np.ndarray
 
-    def wronskian(self) -> np.ndarray:
-        return self.xi * self.xi_dot.conjugate() - self.xi.conjugate() * self.xi_dot
-
 
 def _sigmoid_pair(u):
     """(z, 1-z, e) with z = (1 + tanh u)/2, both to full relative precision,

@@ -3,9 +3,9 @@
 Stationary scattering state with unit transmitted amplitude (C = 1), plus the
 observables built on it: transmission probability, total potential in the
 barrier region, quantum potential from amplitude samples, rolling (traversal)
-time in closed form and by quadrature of 1/v, and the tanh-approximated
-trajectory x(t) of the effective classical particle (no inverse map:
-back-reaction code works on positions).
+time in closed form, and the tanh-approximated trajectory x(t) of the
+effective classical particle (no inverse map: back-reaction code works on
+positions).
 
 All operations are pure functions over the immutable solution record.
 """
@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (LOG_DOUBLE_MAX, PhysicalParams, RectBarrier, derivative_5pt,
-                   gauss_legendre, wave_numbers)
+from .core import LOG_DOUBLE_MAX, PhysicalParams, RectBarrier, derivative_5pt, wave_numbers
 from .errors import DomainError, NodeSingularityError, PrecisionError
 
 _REGION_I, _REGION_II, _REGION_III = 0, 1, 2
@@ -152,16 +151,6 @@ def _piecewise(sol: RectSolution, x):
     return (out[0], out[1]) if x.shape else (complex(out[0]), complex(out[1]))
 
 
-def wavefunction(sol: RectSolution, x):
-    """Stationary wavefunction at x, scalar or array."""
-    return _piecewise(sol, x)[0]
-
-
-def amplitude(sol: RectSolution, x):
-    """Polar amplitude R(x) = |phi(x)|."""
-    return np.abs(wavefunction(sol, x))
-
-
 def transmission_probability(sol: RectSolution) -> TransmissionProbability:
     """P = |C/A|^2, cross-checked against the closed form."""
     k, beta, a = sol.k, sol.beta, sol.barrier.width_a
@@ -256,24 +245,6 @@ def rolling_time(sol: RectSolution) -> float:
         (k**2 + beta**2) / beta * math.sinh(2.0 * beta * a)
         + 2.0 * a * (beta**2 - k**2)
     )
-
-
-def traversal_time(sol: RectSolution, x_from: float, x_to: float) -> float:
-    """Time to roll from x_from to x_to inside the barrier: the integral of 1/v
-    by 24-node Gauss-Legendre on 16 equal panels, checked against 32 to 1e-10."""
-    if not (0.0 <= x_from < x_to <= sol.barrier.width_a):
-        raise DomainError("traversal window must satisfy 0 <= x_from < x_to <= a")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf fails the check below
-        coarse, fine = (gauss_legendre(lambda x: _inverse_velocity(sol, x), x_from, x_to, panels)
-                        for panels in (16, 32))
-    if not abs(coarse - fine) <= 1e-10 * fine:
-        raise PrecisionError(f"traversal-time rules disagree: {coarse!r} vs {fine!r}")
-    return fine
-
-
-def _inverse_velocity(sol: RectSolution, x: np.ndarray) -> np.ndarray:
-    """1/v = M D/(2 hbar k beta^2), finite where E - V_tot = M v^2/2 underflows."""
-    return sol.params.mass_M * _denominator(sol, x) / (2.0 * sol.params.hbar * sol.k * sol.beta**2)
 
 
 def classical_trajectory(sol: RectSolution) -> TanhBackground:

@@ -1,5 +1,10 @@
-"""High-precision oracle for the back-reaction factors, from the paper's
-formulas in mpmath alone: it imports nothing from qtunnel.
+"""High-precision oracles from the paper's formulas in mpmath alone: it
+imports nothing from qtunnel.
+
+``traversal_time`` integrates the rectangular barrier's 1/v, and
+``gaussian_moments`` takes the moments of an environment mode's Gaussian
+weight, each by ``mpmath.quad``.  ``q_factors`` gives the back-reaction
+factors, as follows.
 
 The effective classical particle rolls along x(t) = a (1 + tanh rho t) with
 rho = hbar k/(a M), k = sqrt(2 M E)/hbar.  An environment mode of mass m,
@@ -47,3 +52,35 @@ def q_factors(xs, *, E, a, m, omega0, c, hbar=1.0, M=1.0, dps=40):
             q1s.append(d2ln.real / (xdot * dln.imag))
             q2s.append((d2ln.imag / (2 * xdot * dln.imag)) ** 2)
         return q1s, q2s
+
+
+def traversal_time(E, V0, a, hbar=1.0, M=1.0, dps=30):
+    """Time to roll across the rectangular barrier [0, a], as an mpf: the
+    integral of 1/v by ``mpmath.quad`` at ``dps`` digits.  Inside the barrier
+    E - V_tot = M v^2/2 = (hbar^2 beta^2/2M) 4 k^2 beta^2/D^2, so
+    1/v = M D/(2 hbar k beta^2) with D = (k^2 + beta^2) cosh(2 beta (a - x))
+    + beta^2 - k^2, k = sqrt(2 M E)/hbar and beta = sqrt(2 M (V0 - E))/hbar."""
+    with mpmath.workdps(dps):
+        E, V0, a, hbar, M = map(mpmath.mpf, (E, V0, a, hbar, M))
+        k, beta = mpmath.sqrt(2 * M * E) / hbar, mpmath.sqrt(2 * M * (V0 - E)) / hbar
+
+        def inverse_velocity(x):
+            D = (k**2 + beta**2) * mpmath.cosh(2 * beta * (a - x)) + beta**2 - k**2
+            return M * D / (2 * hbar * k * beta**2)
+
+        return mpmath.quad(inverse_velocity, [0, a])
+
+
+def gaussian_moments(alpha, hbar=1.0, dps=30):
+    """(<y^2>, <y^4>) as mpf under the mode's weight |phi|^2 ~ exp(-alpha^2 y^2/hbar),
+    each moment and the norm by ``mpmath.quad`` at ``dps`` digits.  The weight
+    is even, and below e^-144 past y = 12 sqrt(hbar)/alpha, so each integral
+    runs over [0, 12 sqrt(hbar)/alpha]."""
+    with mpmath.workdps(dps):
+        scale = mpmath.sqrt(hbar) / mpmath.mpf(alpha)
+
+        def moment(n):
+            return mpmath.quad(lambda y: y**n * mpmath.exp(-((y / scale) ** 2)), [0, 12 * scale])
+
+        norm = moment(0)
+        return moment(2) / norm, moment(4) / norm

@@ -5,12 +5,14 @@ lines as they complete.
 """
 
 import functools
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
+import oracle
 from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, derivative_5pt
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, wkb
@@ -71,7 +73,8 @@ def test_criterion_3_route_equivalence():
     a2, beta = st.alpha[0] ** 2, st.beta[0]
     worst_a2 = np.max(np.abs(traj.alpha**2 - a2) / a2)
     worst_b = np.max(np.abs(traj.beta - beta) / np.maximum(np.abs(beta), m_om0))
-    drift = np.max(np.abs(mf.wronskian() - (-1j)))
+    xi, xi_dot = mf.xi, mf.xi_dot
+    drift = np.max(np.abs(xi * xi_dot.conj() - xi.conj() * xi_dot + 1j))
     assert worst_a2 <= 1e-6, f"alpha^2 deviation {worst_a2}"
     assert worst_b <= 1e-6, f"beta deviation {worst_b}"
     assert drift <= 1e-8, f"Wronskian drift {drift}"
@@ -85,8 +88,8 @@ def test_criterion_4_rect_closed_forms():
     assert p.from_amplitudes == pytest.approx(p.closed_form, rel=1e-8)
     t_closed = rect.rolling_time(sol)
     assert t_closed == pytest.approx(math.sinh(4.0) / 8.0, rel=1e-12)
-    t_quad = rect.traversal_time(sol, 0.0, BARRIER.width_a)
-    assert t_quad == pytest.approx(t_closed, rel=1e-8)
+    t_quad = oracle.traversal_time(PARAMS.energy_E, BARRIER.height_V0, BARRIER.width_a)
+    assert t_closed == pytest.approx(float(t_quad), rel=1e-8)
 
 
 @criterion(5, "P * t_roll is width-independent at 0.1% and equals 0.25")
@@ -114,7 +117,7 @@ def test_criterion_6_total_potential_identity():
     a = BARRIER.width_a
     h = 0.9 * a / 300
     xs = np.linspace(0.05 * a - 2 * h, 0.95 * a + 2 * h, 305)
-    r = rect.amplitude(sol, xs)
+    r = np.abs(sol.F * np.exp(-sol.beta * xs) + sol.G * np.exp(sol.beta * xs))  # |phi| in [0, a]
     v_q = rect.quantum_potential(r, h, sol.params, x0=xs[0])
     inner = slice(2, -2)
     v_fd = BARRIER.height_V0 + v_q[inner]
@@ -149,10 +152,42 @@ def test_criterion_7_wkb_profile():
 
 @criterion(8, "Gaussian-averaging coefficients 3/16, 1/16, 1/4 reproduced at 1e-8")
 def test_criterion_8_averaging_coefficients():
-    res = br.gaussian_average_check([(1.0, 2.0), (0.8, -1.3), (1.4, 0.6)], hbar=1.0)
-    assert res.first_moment <= 1e-8   # the 1/4 of <W'> = hbar beta'/(4 alpha^2)
-    assert res.second_moment <= 1e-8  # the 3/16 of <W'^2>
-    assert res.cross_moment <= 1e-8   # the 1/16 of <W_m' W_n'>
+    # W' = beta' y^2/2 averaged over |phi|^2 ~ exp(-alpha^2 y^2/hbar), by
+    # quadrature; in units of hbar Q1 = hbar beta'/alpha^2, <W'> = c1 hbar Q1
+    # and <W'^2> = c2 (hbar Q1)^2
+    hbar = 1.0
+    states = [(1.0, 2.0), (0.8, -1.3), (1.4, 0.6)]
+    coefficients = []
+    for alpha, beta_p in states:
+        y2, y4 = (float(m) for m in oracle.gaussian_moments(alpha, hbar))
+        w1, w2 = beta_p * y2 / 2.0, beta_p**2 * y4 / 4.0
+        assert w1 == pytest.approx(hbar * beta_p / (4.0 * alpha**2), rel=1e-8)
+        assert w2 == pytest.approx(3.0 * hbar**2 * beta_p**2 / (16.0 * alpha**4), rel=1e-8)
+        q1 = beta_p / alpha**2
+        coefficients.append((w1 / (hbar * q1), w2 / (hbar * q1) ** 2))
+    # independent modes: the two-mode weight is the product of the one-mode
+    # weights, so <W_m' W_n'> = <W_m'><W_n'> = c1_m c1_n hbar^2 Q1_m Q1_n
+    for (c1_m, _), (c1_n, _) in itertools.combinations(coefficients, 2):
+        assert c1_m * c1_n == pytest.approx(1.0 / 16.0, rel=1e-8)
+    # Delta V from those coefficients, on polynomial Q1, Q2 and p0 for which
+    # effective_potential's stencil and running Simpson sum are exact.
+    # Completing the square on <(p0 + W')^2>/2M leaves the variance
+    # (c2 - c1^2) hbar^2 Q1^2/2M (the 1/16 cross terms cancel); the
+    # amplitude's x-gradient, d ln|phi|/dx = (alpha'/alpha)(1/2 - alpha^2 y^2/hbar),
+    # adds (hbar^2/2M) Q2 <(1/2 - alpha^2 y^2/hbar)^2> = (1/4 - 2 c1 + 4 c2) hbar^2 Q2/2M;
+    # the momentum-weighted term carries <W'>/M = c1 hbar Q1/M.  c1 and c2 are
+    # pure numbers, so they hold at this hbar too
+    P = np.polynomial.Polynomial
+    q1, q2, p0 = P([1.0, 1.0, -1.0]), P([0.0, 0.3]), P([2.0, 1.0])
+    hbar, M = 0.7, 1.3
+    xs = np.linspace(0.0, 1.0, 201)
+    prof = br.effective_potential(xs, np.full_like(xs, 4.0), p0(xs), q1(xs), q2(xs),
+                                  PhysicalParams(energy_E=2.0, hbar=hbar, mass_M=M), width_a=1.0)
+    for c1, c2 in coefficients:
+        delta_v = ((c2 - c1**2) * hbar**2 * q1**2 / (2.0 * M)
+                   + (0.25 - 2.0 * c1 + 4.0 * c2) * hbar**2 * q2 / (2.0 * M)
+                   - c1 * hbar / M * (q1.deriv() * p0).integ())(xs)
+        assert np.max(np.abs(prof.delta_v - delta_v)) <= 1e-8 * np.max(np.abs(delta_v))
 
 
 @criterion(9, "limits: c = 0 inert; adiabatic ground state at 1e-3; a -> 0 transmits")

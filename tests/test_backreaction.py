@@ -192,26 +192,6 @@ def test_modified_probability_first_order_match(energy):
     assert 50.0 < ratio < 150.0, f"expected ~100x shrink, got {ratio}"
 
 
-def test_gaussian_average_reference_case():
-    # alpha = 1, beta' = 2, hbar = 1: <W'> = 0.5 and <W'^2> = 0.75
-    assert 1.0 * 2.0 / 4.0 == pytest.approx(0.5)
-    assert 3.0 * 2.0**2 / 16.0 == pytest.approx(0.75)
-    res = br.gaussian_average_check([(1.0, 2.0)], hbar=1.0)
-    assert res.first_moment <= 1e-8
-    assert res.second_moment <= 1e-8
-
-
-def test_gaussian_average_zero_phase_gradient():
-    res = br.gaussian_average_check([(1.3, 0.0)], hbar=1.0)
-    assert res.first_moment == 0.0
-    assert res.second_moment == 0.0
-
-
-def test_gaussian_average_cross_coefficient():
-    res = br.gaussian_average_check([(1.0, 2.0), (0.7, -1.1)], hbar=0.9)
-    assert res.cross_moment <= 1e-8
-
-
 def test_superpose_identity(fig3_profile):
     # one mode: the driver returns that mode's effective potential unchanged
     sol = rect.solve_rect(PARAMS, BARRIER)

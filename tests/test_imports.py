@@ -28,8 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # every scenario and validate, with any import of scipy failing.  After each
 # run none of numpy.ma (np.median's first call), dataclasses and
 # numpy.polynomial is loaded.  Every quadrature is core's 24-node table, the
-# traversal time's and the Airy kernel's past z = 2 (which fig2 reaches at
-# hbar = 0.01) included
+# Airy kernel's past z = 2 (which fig2 reaches at hbar = 0.01) included
 RUNS_WITHOUT_SCIPY = """
 import sys
 
@@ -42,29 +41,17 @@ class NoScipy:
 
 
 sys.meta_path.insert(0, NoScipy())
-from qtunnel.backreaction import gaussian_average_check
 from qtunnel.cli import main
 from qtunnel.config import SCENARIOS
-from qtunnel.core import PhysicalParams, RectBarrier
-from qtunnel.rect import solve_rect, traversal_time
-
-
-def traversal():
-    sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
-    traversal_time(sol, 0.0, 20.0)
-    return 0
-
 
 runs = [(s, lambda s=s: main([s, "--out", s + ".csv"])) for s in SCENARIOS]
 runs += [("validate", lambda: main(["validate", "--config", "run.cfg"])),
-         ("fig2 at hbar 0.01", lambda: main(["fig2", "--hbar", "0.01", "--out", "hbar.csv"])),
-         ("traversal time", traversal)]
+         ("fig2 at hbar 0.01", lambda: main(["fig2", "--hbar", "0.01", "--out", "hbar.csv"]))]
 for name, run in runs:
     assert run() == 0, name
     unused = ["numpy.ma", "dataclasses", "numpy.polynomial"]
     loaded = [module for module in unused if module in sys.modules]
     assert not loaded, (name, loaded)
-gaussian_average_check([(1.0, 2.0), (0.8, -1.3)])
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
@@ -82,13 +69,14 @@ SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN = """
 import sys
 from qtunnel.cli import main
 from qtunnel.core import PhysicalParams, RectBarrier
-from qtunnel.rect import solve_rect, traversal_time
+from qtunnel.rect import classical_trajectory, rolling_time, solve_rect
 
 assert main(["fig2", "--out", "fig2.csv"]) == 0
 assert main(["wkb", "--out", "wkb.csv"]) == 0
 assert "qtunnel.specfun" not in sys.modules  # no 2F1 kernel
 sol = solve_rect(PhysicalParams(energy_E=2.0), RectBarrier(4.0, 20.0))
-traversal_time(sol, 0.0, 20.0)
+rolling_time(sol)
+classical_trajectory(sol).position([-1.0, 0.0, 1.0])
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """

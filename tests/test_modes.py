@@ -31,6 +31,11 @@ def omega(mode, bg, t):
     return np.sqrt(mode.omega0**2 + 2.0 * mode.coupling_c * x / mode.mass_m)
 
 
+def wronskian(mf):
+    """xi conj(xi') - conj(xi) xi' from the mode function's fields."""
+    return mf.xi * mf.xi_dot.conjugate() - mf.xi.conjugate() * mf.xi_dot
+
+
 def test_omega_asymptotics():
     om0, om_inf = modes.omega_asymptotics(FIG3_MODE, FIG3_BG)
     assert om0 == 1.0
@@ -170,7 +175,7 @@ def test_xi_derivative_consistent():
 
 def test_wronskian_conserved():
     ts = np.linspace(-10.0 / FIG3_BG.rho, 10.0 / FIG3_BG.rho, 101)
-    drift = np.max(np.abs(modes.xi_analytic([FIG3_MODE], FIG3_BG, ts).wronskian() + 1j))
+    drift = np.max(np.abs(wronskian(modes.xi_analytic([FIG3_MODE], FIG3_BG, ts)) + 1j))
     assert drift <= 1e-8
 
 
@@ -262,7 +267,7 @@ def test_routes_agree_across_modes(m, omega0, jump, log10_rho):
     worst_a2, worst_b = route_deviations(mode, bg, traj)
     assert worst_a2 <= 1e-6
     assert worst_b <= 1e-6
-    drift = np.max(np.abs(modes.xi_analytic([mode], bg, ts).wronskian() + 1j))
+    drift = np.max(np.abs(wronskian(modes.xi_analytic([mode], bg, ts)) + 1j))
     assert drift <= 1e-8
 
 

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracle
 from qtunnel.core import PhysicalParams, RectBarrier
 from qtunnel.errors import AboveBarrierError, DomainError, NodeSingularityError
 from qtunnel import rect
@@ -46,8 +47,8 @@ def test_wavefunction_continuity(default_solution):
     sol = default_solution
     a = sol.barrier.width_a
     for x in (0.0, a):
-        below = rect.wavefunction(sol, x - 1e-12)
-        above = rect.wavefunction(sol, x + 1e-12)
+        below = rect._piecewise(sol, x - 1e-12)[0]
+        above = rect._piecewise(sol, x + 1e-12)[0]
         assert abs(below - above) <= 1e-9 * abs(below)
 
 
@@ -125,20 +126,9 @@ def test_kinetic_density_positive_and_domain(default_solution):
         rect.total_potential_region2(default_solution, 1.5)
 
 
-def test_total_potential_identity_with_quantum_potential(default_solution):
-    # closed form vs V + V_Q from finite differences of the amplitude; the
-    # sample grid is padded by two points so every compared point uses the
-    # centered stencil
-    sol = default_solution
-    h = 0.9 / 300
-    xs = np.linspace(0.05 - 2 * h, 0.95 + 2 * h, 305)
-    r = rect.amplitude(sol, xs)
-    v_q = rect.quantum_potential(r, h, sol.params, x0=xs[0])
-    inner = slice(2, -2)
-    v_tot_fd = sol.barrier.height_V0 + v_q[inner]
-    v_tot_closed = rect.total_potential_region2(sol, xs[inner])
-    scale = np.max(np.abs(v_tot_closed))
-    assert np.max(np.abs(v_tot_fd - v_tot_closed)) <= 1e-8 * scale
+def barrier_amplitude(sol, xs):
+    """|phi| = |F e^(-beta x) + G e^(beta x)| at points xs in [0, a]."""
+    return np.abs(sol.F * np.exp(-sol.beta * xs) + sol.G * np.exp(sol.beta * xs))
 
 
 def test_quantum_potential_plane_wave_is_zero():
@@ -152,7 +142,7 @@ def test_quantum_potential_matches_exit_value(default_solution):
     # V + V_Q must hit 0 at the barrier exit (continuity with the outside)
     sol = default_solution
     xs = np.linspace(0.9, 1.0, 101)
-    r = rect.amplitude(sol, xs)
+    r = barrier_amplitude(sol, xs)
     v_q = rect.quantum_potential(r, xs[1] - xs[0], sol.params, x0=xs[0])
     assert sol.barrier.height_V0 + v_q[-1] == pytest.approx(0.0, abs=1e-7)
 
@@ -162,7 +152,7 @@ def test_quantum_potential_fourth_order_convergence(default_solution):
 
     def worst_error(n):
         xs = np.linspace(0.2, 0.8, n)
-        r = rect.amplitude(sol, xs)
+        r = barrier_amplitude(sol, xs)
         v_q = rect.quantum_potential(r, xs[1] - xs[0], sol.params, x0=xs[0])
         v_closed = rect.total_potential_region2(sol, xs) - sol.barrier.height_V0
         return np.max(np.abs(v_q - v_closed)[3:-3])
@@ -195,24 +185,8 @@ def test_rolling_time_closed_forms():
 
 
 def test_rolling_time_matches_quadrature(default_solution):
-    quad_route = rect.traversal_time(default_solution, 0.0, 1.0)
-    closed = rect.rolling_time(default_solution)
-    assert quad_route == pytest.approx(closed, rel=1e-8)
-
-
-def test_traversal_time_constant():
-    # P * t_roll approaches hbar sqrt(E)/(V0 sqrt(V0-E)) = 1/4 at E=2, V0=4;
-    # direct evaluation of the closed forms rejects the factor-1/4 variant
-    params = PhysicalParams(energy_E=2.0)
-    products = []
-    for a in (5.0, 10.0, 20.0):
-        sol = rect.solve_rect(params, RectBarrier(4.0, a))
-        products.append(
-            rect.transmission_probability(sol).closed_form * rect.rolling_time(sol)
-        )
-    for prod in products:
-        assert prod == pytest.approx(0.25, rel=1e-3)
-    assert max(products) - min(products) <= 1e-3 * 0.25
+    quad_route = float(oracle.traversal_time(2.0, 4.0, 1.0))
+    assert rect.rolling_time(default_solution) == pytest.approx(quad_route, rel=1e-8)
 
 
 def test_tanh_trajectory(default_solution):
@@ -226,25 +200,12 @@ def test_tanh_trajectory(default_solution):
 @pytest.mark.parametrize("E, a", [(2.0, 1.0), (2.0, 20.0), (2.0, 100.0), (2.0, 170.0),
                                   (2.0, 177.0), (3.99, 1.0)])
 def test_exact_trajectory_thick_barriers(E, a):
-    # 2 beta a up to 708: E - V_tot underflows to 0 near x = 0 from a = 100
-    # on, while 1/v = M D/(2 hbar k beta^2) stays finite.  E = 3.99 on a thin
-    # barrier (k >> beta, 2 beta a = 0.28): D nearly cancels near x = a
+    # the closed form against the oracle's quadrature of 1/v, for 2 beta a up
+    # to 708; E = 3.99 is a thin barrier (k >> beta, 2 beta a = 0.28), where
+    # 1/v's D nearly cancels near x = a
     sol = rect.solve_rect(PhysicalParams(energy_E=E), RectBarrier(4.0, a))
-    t_roll = rect.rolling_time(sol)
-    assert rect.traversal_time(sol, 0.0, a) == pytest.approx(t_roll, rel=1e-8)
-
-
-@pytest.mark.parametrize("x_from, x_to", [
-    (-0.1, 0.5),         # starts before the barrier
-    (0.0, 1.1),          # ends past x = a
-    (0.6, 0.6),          # empty window
-    (0.7, 0.2),          # reversed
-    (math.nan, 0.5),
-    (0.0, math.nan),
-])
-def test_traversal_time_rejects_windows_outside_the_barrier(default_solution, x_from, x_to):
-    with pytest.raises(DomainError, match="traversal window"):
-        rect.traversal_time(default_solution, x_from, x_to)
+    t_quad = float(oracle.traversal_time(E, 4.0, a))
+    assert rect.rolling_time(sol) == pytest.approx(t_quad, rel=1e-8)
 
 
 def test_potential_profile_regions(default_solution):

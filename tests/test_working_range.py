@@ -23,11 +23,17 @@ EDGES = [
     (["backreaction", "--a", "20"], 0, None),
     (["backreaction", "--a", "21"], 3, "PrecisionError"),
     (["backreaction", "--a", "40"], 3, "PrecisionError"),
+    (["backreaction", "--a", "100"], 3, "PrecisionError"),
     (["mode-evolve", "--a", "20"], 0, None),
     (["mode-evolve", "--a", "21"], 3, "PrecisionError"),
     (["mode-evolve", "--a", "40"], 3, "PrecisionError"),
+    (["mode-evolve", "--a", "100"], 3, "PrecisionError"),
     # the same cancellation on a thin barrier with a strong coupling
     (["fig3", "--a", "5", "--c", "5"], 3, "PrecisionError"),
+    # at omega_-/rho = 1936 the series terms overflow before they are summed
+    (["fig3", "--m", "1e-8"], 3, "ConvergenceError"),
+    # 1 - z of the exact mode function underflows to 0 past rho t ~ 372.6
+    (["mode-evolve", "--t-max", "400"], 2, "DomainError"),
     # e^(2 beta a) leaves double range past 2 beta a = 709.78 (beta = 2)
     (["rect", "--a", "177"], 0, None),
     (["rect", "--a", "178"], 3, "PrecisionError"),
