@@ -2,7 +2,7 @@
 
 The exact solutions of the linearized problem in each WKB patch window
 (DLMF 9.2).  Maclaurin series (DLMF 9.4) with a cancellation guard, and
-``core``'s Gauss-Legendre rule on Ai's integral (DLMF 9.5) where the series
+``grid``'s Gauss-Legendre rule on Ai's integral (DLMF 9.5) where the series
 for Ai cancels.
 
 Kept apart from ``wkb``: a run without cached bytecode compiles every module
@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-from .core import DIGITS_TOL, gauss_legendre
+from .core import DIGITS_TOL
 from .errors import PrecisionError
+from .grid import gauss_legendre
 
 # the Airy series stops once its last term is below this share of the first
 _REL_EPS = 1e-16

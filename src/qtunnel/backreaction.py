@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EnvMode, PhysicalParams, RectBarrier, cumulative_simpson, derivative_5pt
+from .core import EnvMode, PhysicalParams, RectBarrier
 from .errors import (
     AlignmentError,
     DomainError,
@@ -35,6 +35,7 @@ from .errors import (
     PrecisionError,
     ResolutionError,
 )
+from .grid import cumulative_simpson, derivative_5pt
 from .modes import _omega2, grid_blocks, log_derivative
 from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_density_region2,
                    solve_rect, transmission_probability)

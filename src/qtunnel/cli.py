@@ -13,9 +13,10 @@ sweep.  Output is a CSV with one comment header line
 followed by a column-name row and numeric rows at 12 significant digits,
 each value exactly ``"%.12g" % v``.  Each runner returns the header lines
 and its checked columns; ``run`` streams them to the file, the header and
-then each block of rows that ``csvfmt`` formats from whole arrays.  Reruns
-with identical configs are byte-identical.  The output path is ``--out``,
-else the config file's ``out`` key.  ``config.parse_flags`` reads the flags.
+then each block of rows that ``csvfmt`` formats from whole arrays, or rect's
+and sweep's Python floats by ``"%.12g"``, with no numpy.  Reruns with identical
+configs are byte-identical.  The output path is ``--out``, else the config
+file's ``out`` key.  ``config.parse_flags`` reads the flags.
 
 ``validate`` is a dry run: it runs the config's scenario up to its checked
 columns (formatting finite values cannot fail), then prints ``config
@@ -31,10 +32,9 @@ failure).  No failure raises out of ``main`` or leaves a partial output file.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import config as cfgmod
 from . import rect as rect_mod
@@ -42,18 +42,26 @@ from .config import ConfigError, RunConfig
 from .errors import DomainError, PrecisionError, QTunnelError
 
 # what a runner returns: the CSV's header and column-name lines, then its columns
-_Table = tuple[str, list[np.ndarray]]
+_Table = tuple[str, list]
 
 
 def _csv_table(cfg: RunConfig, columns: dict) -> _Table:
-    """The CSV's header and column-name lines, and its columns as equal-length
-    float arrays (scalar columns repeat over the grid).
+    """The CSV's header and column-name lines, and its columns: equal-length
+    lists of Python floats as given, else equal-length float arrays (scalar
+    columns repeat over the grid).
 
     Raises PrecisionError instead of returning a non-finite value.
     """
-    n = max(np.size(v) for v in columns.values())
-    cols = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in columns.values()]
-    bad = [name for name, col in zip(columns, cols) if not np.isfinite(col).all()]
+    cols = list(columns.values())
+    if all(isinstance(col, list) for col in cols):  # rect and sweep: no numpy
+        finite = [all(map(math.isfinite, col)) for col in cols]
+    else:
+        import numpy as np
+
+        n = max(np.size(v) for v in cols)
+        cols = [np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in cols]
+        finite = [np.isfinite(col).all() for col in cols]
+    bad = [name for name, ok in zip(columns, finite) if not ok]
     if bad:
         raise PrecisionError(f"non-finite values in {', '.join(bad)}")
     header = f"# qtunnel v1, scenario={cfg.scenario}, params={cfg.canonical()}"
@@ -61,6 +69,8 @@ def _csv_table(cfg: RunConfig, columns: dict) -> _Table:
 
 
 def _run_fig1(cfg: RunConfig) -> _Table:
+    import numpy as np
+
     params = cfg.physical_params()
     barrier = cfg.rect_barrier()
     sol = rect_mod.solve_rect(params, barrier)
@@ -103,15 +113,17 @@ def _run_fig3(cfg: RunConfig) -> _Table:
 
 def _run_rect(cfg: RunConfig) -> _Table:
     sol = rect_mod.solve_rect(cfg.physical_params(), cfg.rect_barrier())
-    columns = {"P": rect_mod.transmission_probability(sol).closed_form,
-               "t_roll": rect_mod.rolling_time(sol), "k": sol.k, "beta": sol.beta}
+    columns = {"P": [rect_mod.transmission_probability(sol).closed_form],
+               "t_roll": [rect_mod.rolling_time(sol)], "k": [sol.k], "beta": [sol.beta]}
     for name in "ABCFG":
         amp = getattr(sol, name)
-        columns[f"{name}_re"], columns[f"{name}_im"] = amp.real, amp.imag
+        columns[f"{name}_re"], columns[f"{name}_im"] = [amp.real], [amp.imag]
     return _csv_table(cfg, columns)
 
 
 def _run_mode_evolve(cfg: RunConfig) -> _Table:
+    import numpy as np
+
     from . import modes as modes_mod
 
     bg = rect_mod.classical_trajectory(
@@ -158,8 +170,8 @@ def _run_sweep(cfg: RunConfig) -> _Table:
     return _csv_table(cfg, {key: vals, "P": ps, "t_roll": t_rolls})
 
 
-# each runner imports wkb, modes or backreaction itself, so rect, sweep,
-# fig1a and fig1b (and validate on them) do not pay for importing them
+# each runner imports numpy, wkb, modes or backreaction itself, so rect and
+# sweep (and validate on them) import none of them, and fig1a and fig1b numpy only
 _RUNNERS = {
     "fig1a": _run_fig1,
     "fig1b": _run_fig1,
@@ -177,12 +189,17 @@ def run(cfg: RunConfig, out_path: str | os.PathLike) -> None:
     """Execute one scenario and write its CSV atomically (all or nothing).
 
     The header and then each block of rows that ``csvfmt.csv_rows`` formats
-    go, as bytes, to a temporary file in the target directory, which then
-    replaces the target; the whole text is never held in memory.  An
-    OSError propagates and leaves no file behind.
+    (rows of Python floats: ``"%.12g"``) go, as bytes, to a temporary file in
+    the target directory, which then replaces the target; the whole text is
+    never held in memory.  An OSError propagates and leaves no file behind.
     """
     header, cols = _RUNNERS[cfg.scenario](cfg)
-    from .csvfmt import csv_rows  # builds its tables on first import
+    if isinstance(cols[0], list):
+        rows = [(",".join(["%.12g"] * len(cols)) % row + "\n").encode() for row in zip(*cols)]
+    else:
+        from .csvfmt import csv_rows  # builds its tables on first import
+
+        rows = csv_rows(cols)
 
     if "\0" in os.fspath(out_path):  # open() would raise ValueError, not OSError
         raise OSError("embedded null byte")
@@ -192,7 +209,7 @@ def run(cfg: RunConfig, out_path: str | os.PathLike) -> None:
     try:
         with open(tmp, "xb") as fh:
             fh.write(header.encode())
-            fh.writelines(csv_rows(cols))
+            fh.writelines(rows)
         os.replace(tmp, out_path)
     except BaseException:
         with contextlib.suppress(OSError):

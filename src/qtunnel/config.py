@@ -21,10 +21,12 @@ from __future__ import annotations
 import functools
 import math
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import VACUUM_SATURATION, EnvMode, PhysicalParams, RectBarrier, SmoothPotential
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _header_text(value: str) -> str:
@@ -216,6 +218,8 @@ def _power_sum(coeffs: list[float], x: np.ndarray) -> np.ndarray:
     the same terms added in the same order onto 0 + c0 (so a c0 of -0.0 reads
     0.0), without the generator or the x**0 and x**1 passes."""
     if len(coeffs) < 2:
+        import numpy as np
+
         return np.full(x.shape, 0.0 + (coeffs[0] if coeffs else 0.0))
     total = (0.0 + coeffs[0]) + coeffs[1] * x
     for i in range(2, len(coeffs)):

@@ -286,7 +286,7 @@ def xi_analytic(modes: Sequence[EnvMode], bg: TanhBackground, t) -> ModeFunction
     u = rho * t
     z, w, e = _sigmoid_pair(u)
     if np.any(w <= 0.0):
-        raise DomainError(f"trajectory argument saturated at t = {t[np.argmax(w <= 0.0)]}")
+        raise PrecisionError(f"trajectory argument saturated at t = {t[np.argmax(w <= 0.0)]}")
     F, dln = log_derivative(modes, bg, z, w)
     om_p, om_m = np.array([omega_pm(m, bg) for m in modes]).T[:, :, None]
     om0 = np.array([[m.omega0] for m in modes])

@@ -7,19 +7,22 @@ time in closed form, and the tanh-approximated trajectory x(t) of the
 effective classical particle (no inverse map: back-reaction code works on
 positions).
 
-All operations are pure functions over the immutable solution record.
+All operations are pure functions over the immutable solution record.  The
+solution, P and the rolling time run on ``math`` and ``cmath``; only the
+functions on grids import numpy, so ``rect`` and ``sweep`` runs never load it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .core import LOG_DOUBLE_MAX, PhysicalParams, RectBarrier, derivative_5pt, wave_numbers
+from .core import LOG_DOUBLE_MAX, PhysicalParams, RectBarrier, wave_numbers
 from .errors import DomainError, NodeSingularityError, PrecisionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _REGION_I, _REGION_II, _REGION_III = 0, 1, 2
 
@@ -67,6 +70,8 @@ class TanhBackground(NamedTuple):
     rho: float
 
     def position(self, t):
+        import numpy as np
+
         return self.amplitude_a * (1.0 + np.tanh(self.rho * np.asarray(t, dtype=float)))
 
 
@@ -93,11 +98,15 @@ def solve_rect(params: PhysicalParams, barrier: RectBarrier) -> RectSolution:
     lam_p = complex(beta, k)
     lam_m = complex(beta, -k)
     C = 1.0 + 0.0j
-    phase = C * np.exp(1j * k * a)
-    F = phase * lam_m * math.exp(beta * a) / (2.0 * beta)
-    G = phase * lam_p * math.exp(-beta * a) / (2.0 * beta)
-    pre = -phase / (4j * k * beta)
-    A = pre * (lam_m**2 * math.exp(beta * a) - lam_p**2 * math.exp(-beta * a))
+    phase = C * cmath.exp(1j * k * a)
+    # products with reciprocals, as numpy divides by a real or imaginary number:
+    # A, B, F and G keep numpy's bits, signed zeros too.  pre = -phase/(4i k beta)
+    F = phase * lam_m * math.exp(beta * a) * (1.0 / (2.0 * beta))
+    G = phase * lam_p * math.exp(-beta * a) * (1.0 / (2.0 * beta))
+    s = 1.0 / (4.0 * k * beta)
+    pre = complex(-phase.imag * s, phase.real * s)
+    # lam * lam: a complex ** 2 raises OverflowError where one part overflows
+    A = pre * (lam_m * lam_m * math.exp(beta * a) - lam_p * lam_p * math.exp(-beta * a))
     B = pre * (lam_m * lam_p * (math.exp(-beta * a) - math.exp(beta * a)))
     sol = RectSolution(A=A, B=B, C=C, F=F, G=G, k=k, beta=beta,
                        lambda_plus=lam_p, lambda_minus=lam_m,
@@ -109,37 +118,38 @@ def solve_rect(params: PhysicalParams, barrier: RectBarrier) -> RectSolution:
 def _check_solution(sol: RectSolution) -> None:
     if not all(cmath.isfinite(c) for c in (sol.A, sol.B, sol.F, sol.G)):
         raise PrecisionError("scattering coefficients overflow double range")
-    # |A|^2 may overflow to inf near the double-range edge, making the defect
-    # NaN; the test is written so that a NaN defect fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        flux_defect = abs(abs(sol.A) ** 2 - abs(sol.B) ** 2 - abs(sol.C) ** 2)
-        in_balance = flux_defect <= 1e-12 * abs(sol.A) ** 2
-    if not in_balance:
+    # |A|^2 may overflow to inf near the double-range edge (a float's ** 2 would
+    # raise), making the defect NaN; the test is written so that NaN fails
+    a2, b2, c2 = (abs(z) * abs(z) for z in (sol.A, sol.B, sol.C))
+    flux_defect = abs(a2 - b2 - c2)
+    if not flux_defect <= 1e-12 * a2:
         raise PrecisionError(f"flux conservation violated by {flux_defect:.3e}")
     for x, region in ((0.0, _REGION_I), (sol.barrier.width_a, _REGION_II)):
-        left, dleft = _region_wave(sol, x, region)
-        right, dright = _region_wave(sol, x, region + 1)
+        left, dleft = _region_wave(sol, x, region, cmath.exp)
+        right, dright = _region_wave(sol, x, region + 1, cmath.exp)
         if abs(left - right) > 1e-10 * abs(left):
             raise PrecisionError(f"wavefunction discontinuous at x = {x}")
         if abs(dleft - dright) > 1e-10 * abs(dleft):
             raise PrecisionError(f"wavefunction slope discontinuous at x = {x}")
 
 
-def _region_wave(sol: RectSolution, x, region: int):
-    """phi and phi' at points x that all lie in ``region``."""
-    x = np.asarray(x, dtype=float)
+def _region_wave(sol: RectSolution, x, region: int, exp):
+    """phi and phi' at points x that all lie in ``region``: a float x with
+    ``cmath.exp``, a float array with ``np.exp``."""
     if region == _REGION_I:
-        e, e_back = np.exp(1j * sol.k * x), np.exp(-1j * sol.k * x)
+        e, e_back = exp(1j * sol.k * x), exp(-1j * sol.k * x)
         return sol.A * e + sol.B * e_back, 1j * sol.k * (sol.A * e - sol.B * e_back)
     if region == _REGION_II:
-        e_down, e_up = np.exp(-sol.beta * x), np.exp(sol.beta * x)
+        e_down, e_up = exp(-sol.beta * x), exp(sol.beta * x)
         return sol.F * e_down + sol.G * e_up, sol.beta * (-sol.F * e_down + sol.G * e_up)
-    e = np.exp(1j * sol.k * x)
+    e = exp(1j * sol.k * x)
     return sol.C * e, 1j * sol.k * sol.C * e
 
 
 def _piecewise(sol: RectSolution, x):
     """phi and phi' on the region each x falls in; scalar or array."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     regions = np.where(x < 0.0, _REGION_I,
                        np.where(x <= sol.barrier.width_a, _REGION_II, _REGION_III))
@@ -147,7 +157,7 @@ def _piecewise(sol: RectSolution, x):
     for region in (_REGION_I, _REGION_II, _REGION_III):
         mask = regions == region
         if np.any(mask):
-            out[:, mask] = _region_wave(sol, x[mask], region)
+            out[:, mask] = _region_wave(sol, x[mask], region, np.exp)
     return (out[0], out[1]) if x.shape else (complex(out[0]), complex(out[1]))
 
 
@@ -166,6 +176,8 @@ def transmission_probability(sol: RectSolution) -> TransmissionProbability:
 
 def kinetic_density_region2(sol: RectSolution, x):
     """Closed-form E - V_tot(x) inside the barrier, manifestly positive."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > sol.barrier.width_a):
         raise DomainError("region II closed form requires 0 <= x <= a")
@@ -173,14 +185,9 @@ def kinetic_density_region2(sol: RectSolution, x):
     hbar, M = sol.params.hbar, sol.params.mass_M
     # D (or D^2) overflows to inf where the true value underflows to 0
     with np.errstate(over="ignore"):
-        val = (hbar**2 * beta**2 / (2.0 * M)) * 4.0 * k**2 * beta**2 / _denominator(sol, x)**2
+        D = (k**2 + beta**2) * np.cosh(2.0 * beta * (sol.barrier.width_a - x)) + (beta**2 - k**2)
+        val = (hbar**2 * beta**2 / (2.0 * M)) * 4.0 * k**2 * beta**2 / D**2
     return val if val.shape else float(val)
-
-
-def _denominator(sol: RectSolution, x: np.ndarray) -> np.ndarray:
-    """D in E - V_tot = (hbar^2 beta^2/2M) 4 k^2 beta^2/D^2."""
-    k, beta = sol.k, sol.beta
-    return (k**2 + beta**2) * np.cosh(2.0 * beta * (sol.barrier.width_a - x)) + (beta**2 - k**2)
 
 
 def total_potential_region2(sol: RectSolution, x):
@@ -192,9 +199,13 @@ def quantum_potential(r: np.ndarray, dx: float, params: PhysicalParams,
                       x0: float = 0.0) -> np.ndarray:
     """V_Q = -(hbar^2/2M) R''/R from uniform amplitude samples.
 
-    R'' by ``core.derivative_5pt``.  The samples must be nodeless (R > 0
+    R'' by ``grid.derivative_5pt``.  The samples must be nodeless (R > 0
     throughout).
     """
+    import numpy as np
+
+    from .grid import derivative_5pt
+
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size < 6:
         raise DomainError("quantum_potential needs a 1-D array of at least 6 samples")
@@ -215,6 +226,8 @@ def potential_profile(sol: RectSolution, xs: np.ndarray) -> PotentialProfile:
     analytic amplitude curvature of the interference pattern (the wavefunction
     is known in closed form, so no finite differences are needed).
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     a = sol.barrier.width_a
     E = sol.params.energy_E

@@ -17,7 +17,7 @@ distance to the turning point, DLMF 9.2), least-squares matched to the
 semiclassical wavefunction at both window edges; ``airy.airy`` evaluates Ai
 and Bi.  The whole profile runs on numpy's core alone, with no LAPACK call:
 the 4x2 window match is solved by a two-column Gram-Schmidt QR, and the
-action tails use ``core``'s 24-node Gauss-Legendre table.  V and V' are
+action tails use ``grid``'s 24-node Gauss-Legendre table.  V and V' are
 each evaluated once on the grid; the profile's ``v`` is that V.  The
 potential is only ever called on numpy arrays: the grid, quadrature nodes
 and the scan nodes of the turning-point and width searches.  A potential
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .airy import airy
-from .core import LOG_DOUBLE_MAX, PhysicalParams, SmoothPotential, cumulative_simpson, gauss_legendre
+from .core import LOG_DOUBLE_MAX, PhysicalParams, SmoothPotential
 from .errors import (
     DegenerateTurningPointError,
     DomainError,
@@ -44,6 +44,7 @@ from .errors import (
     ThinBarrierError,
     TurningPointTopologyError,
 )
+from .grid import cumulative_simpson, gauss_legendre
 from .rect import quantum_potential
 
 # each scan narrows the bracket (_SCAN_POINTS - 1)-fold: 63^9 > 2^53

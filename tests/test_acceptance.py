@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import oracle
-from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential, derivative_5pt
+from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
+from qtunnel.grid import derivative_5pt
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, wkb
 

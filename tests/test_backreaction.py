@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from qtunnel.core import DIGITS_TOL, EnvMode, PhysicalParams, RectBarrier, derivative_5pt
+from qtunnel.core import DIGITS_TOL, EnvMode, PhysicalParams, RectBarrier
 from qtunnel.errors import (AlignmentError, DomainError, OutOfRegimeError, PrecisionError,
                             ResolutionError)
+from qtunnel.grid import derivative_5pt
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, specfun
 from qtunnel.rect import TanhBackground

@@ -251,7 +251,7 @@ def test_thick_barrier_is_numerical_error(tmp_path, capsys, flags):
     # rho = hbar k/(a M) ~ 1.4e450 overflows
     ("fig3", "E = 1e300\nV0 = 2e300\na = 1e-300", "DomainError"),
     # tanh(rho t) saturates
-    ("mode-evolve", "t_max = 400", "DomainError"),
+    ("mode-evolve", "t_max = 400", "PrecisionError"),
     ("backreaction", "c = 100", "OutOfRegimeError"),
     # the 2F1 series cancels: its terms reach ~1e16 |F| on a barrier this wide
     ("fig3", "a = 40", "PrecisionError"),
@@ -338,13 +338,13 @@ def test_mode_frequency_and_width_overflow_fail_in_one_line(tmp_path, capsys, fl
 def test_saturation_names_the_first_saturated_time(tmp_path, capsys):
     # 1 - z underflows to 0 from rho t = 372.84 on: the first such grid time
     # is 186.41875, the grid's last 200
-    line = "mode-evolve failed: DomainError: trajectory argument saturated at t = 186.41875"
+    line = "mode-evolve failed: PrecisionError: trajectory argument saturated at t = 186.41875"
     cfg = tmp_path / "late.cfg"
     cfg.write_text("scenario = mode-evolve\nt_max = 400\n")
     assert main(["validate", "--config", str(cfg)]) == 2
     assert capsys.readouterr().out.splitlines()[0] == line
     out = tmp_path / "late.csv"
-    assert main(["mode-evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["mode-evolve", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
 

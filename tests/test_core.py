@@ -1,4 +1,5 @@
-"""Parameter records, potential validation, and wave numbers."""
+"""Parameter records, potential validation, wave numbers, and the grid
+numerics (``grid``): stencils, running integrals and the quadrature rule."""
 
 import math
 import warnings
@@ -6,17 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qtunnel.core import (
-    EnvMode,
-    PhysicalParams,
-    RectBarrier,
-    cumulative_simpson,
-    derivative_5pt,
-    gauss_legendre,
-    wave_numbers,
-)
-from qtunnel import core
+from qtunnel import grid
+from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, wave_numbers
 from qtunnel.errors import AboveBarrierError, DomainError
+from qtunnel.grid import cumulative_simpson, derivative_5pt, gauss_legendre
 
 
 def test_wave_numbers_symmetric_point():
@@ -95,7 +89,7 @@ def test_derivative_5pt_exact_on_quartic():
 def test_legendre_table_is_leggauss():
     # the one quadrature rule is a table; it must keep leggauss's bits
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    assert [a.tobytes() for a in core._LEGENDRE_24] == [nodes.tobytes(), weights.tobytes()]
+    assert [a.tobytes() for a in grid._LEGENDRE_24] == [nodes.tobytes(), weights.tobytes()]
 
 
 @pytest.mark.parametrize("panels", [1, 3, 16])

@@ -5,7 +5,9 @@ reference below is the row formatter that the writer replaced; the tests
 compare bytes, over arbitrary doubles, rounding ties, mantissa roll-overs,
 powers of ten and their neighbours, the extremes of double range, the
 fixed/scientific seams and row blocks of every size around the writer's
-block length, and the streamed write that ``cli.run`` makes of them.
+block length, and the streamed write that ``cli.run`` makes of them.  rect
+and sweep rows, which ``cli.run`` formats with ``"%.12g"`` without the
+writer, must have the writer's bytes on the same columns.
 """
 
 import errno
@@ -122,29 +124,38 @@ def test_scalar_columns_broadcast_over_rows():
 
 
 @pytest.mark.parametrize("argv", [
-    ["rect"],  # one row of 14 columns
+    ["rect"],  # one row of 14 Python floats, formatted by "%.12g" without csvfmt
     ["fig1a", "--grid-points", "300"],  # zeros outside the barrier and a scalar E
-    ["sweep"],
+    ["sweep"],  # lists of Python floats, as rect
     ["mode-evolve", "--grid-points", "200"],
     ["fig3", "--grid-points", "20000"],  # 25 blocks streamed to the file
 ])
 def test_scenario_rows_match_reference(tmp_path, monkeypatch, argv):
-    calls = []
-    csv_rows = csvfmt.csv_rows
+    tables, calls = [], []
+    runner, csv_rows = cli._RUNNERS[argv[0]], csvfmt.csv_rows
+
+    def recording_runner(cfg):
+        tables.append(runner(cfg))
+        return tables[-1]
 
     def recording(cols):
-        calls.append(([np.array(c) for c in cols], list(csv_rows(cols))))
-        return iter(calls[-1][1])
+        calls.append(list(csv_rows(cols)))
+        return iter(calls[-1])
 
+    monkeypatch.setitem(cli._RUNNERS, argv[0], recording_runner)
     monkeypatch.setattr(csvfmt, "csv_rows", recording)
     out = tmp_path / "run.csv"
     assert main([*argv, "--out", str(out)]) == 0
-    [(cols, blocks)] = calls
-    rows = len(cols[0])
-    assert len(blocks) == -(-rows // (csvfmt._BLOCK_VALUES // len(cols)))
-    text = b"".join(blocks).decode("ascii")
-    assert text == reference_rows(cols)
+    [(_, cols)] = tables
+    arrays = [np.array(c, dtype=float) for c in cols]
+    text = b"".join(csv_rows(arrays)).decode("ascii")
+    assert text == reference_rows(arrays)
     assert out.read_text().split("\n", 2)[2] == text
+    if isinstance(cols[0], list):
+        assert calls == []
+    else:
+        [blocks] = calls
+        assert len(blocks) == -(-len(arrays[0]) // (csvfmt._BLOCK_VALUES // len(cols)))
 
 
 def test_write_error_after_first_block_leaves_no_file(tmp_path, monkeypatch, capsys):

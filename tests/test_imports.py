@@ -3,7 +3,9 @@
 Every scenario, and validate, runs on numpy alone: the 2F1 kernel's
 log-Gamma prefactors and the WKB windows' Airy functions are in-house, and
 every quadrature is a fixed rule on numpy arrays.  scipy stays a test-only
-dependency (the oracle tests).  No run loads numpy.polynomial, and fig2
+dependency (the oracle tests).  Runs that build no grid load no numpy at
+all: ``import qtunnel``, rect, sweep, validate of either, ``-h`` and the
+config and physics errors they report.  No run loads numpy.polynomial, and fig2
 and wkb call no LAPACK routine.  The CLI reads its flags without argparse
 (and so without gettext).  The scenarios whose modules the CLI
 imports lazily still run from a fresh interpreter.  These tests check which
@@ -27,7 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every scenario and validate, with any import of scipy failing.  After each
 # run none of numpy.ma (np.median's first call), dataclasses and
-# numpy.polynomial is loaded.  Every quadrature is core's 24-node table, the
+# numpy.polynomial is loaded.  Every quadrature is grid's 24-node table, the
 # Airy kernel's past z = 2 (which fig2 reaches at hbar = 0.01) included
 RUNS_WITHOUT_SCIPY = """
 import sys
@@ -92,6 +94,23 @@ assert "qtunnel.backreaction" in sys.modules
 assert "qtunnel.csvfmt" not in sys.modules
 """
 
+# rect and sweep compute a few scalars with math and cmath, and -h and a
+# config error stop before any scenario runs: none of them imports numpy
+RUNS_WITHOUT_NUMPY = """
+import sys
+
+import qtunnel
+from qtunnel.cli import main
+
+runs = [(["rect", "--out", "rect.csv"], 0), (["sweep", "--out", "sweep.csv"], 0),
+        (["validate", "--config", "rect.cfg"], 0), (["validate", "--config", "sweep.cfg"], 0),
+        (["-h"], 0), (["rect", "--grid-points", "many"], 2), (["rect", "--E", "nan"], 2),
+        (["rect", "--a", "178", "--out", "thick.csv"], 3)]
+for argv, code in runs:
+    assert main(argv) == code, argv
+assert "numpy" not in sys.modules
+"""
+
 # config.parse_flags reads the command line: argparse, and the gettext it
 # imports, stay unloaded
 NO_ARGPARSE_RUN = """
@@ -124,6 +143,13 @@ def test_mode_evolve_loads_no_scipy_integrate(tmp_path):
 
 def test_smooth_barrier_and_exact_trajectory_load_no_scipy_integrate(tmp_path):
     proc = fresh_python(["-c", SMOOTH_BARRIER_AND_EXACT_TRAJECTORY_RUN], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scalar_runs_load_no_numpy(tmp_path):
+    (tmp_path / "rect.cfg").write_text("scenario = rect\n")
+    (tmp_path / "sweep.cfg").write_text("scenario = sweep\n")
+    proc = fresh_python(["-c", RUNS_WITHOUT_NUMPY], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from qtunnel.core import EnvMode
 from qtunnel.errors import (
@@ -362,14 +361,3 @@ def test_sudden_limit_beta_oscillates_at_doubled_frequency():
     spacing = float(np.mean(np.diff(crossings)))
     assert spacing == pytest.approx(math.pi / (2 * om_inf), rel=2e-2)
 
-
-def test_gaussian_moments_by_quadrature():
-    # <y^2> = hbar/(2 alpha^2), <y^4> = 3 hbar^2/(4 alpha^4) under |phi|^2
-    hbar = 0.7
-    for alpha in (0.6, 1.0, 1.9):
-        weight = lambda y: math.exp(-(alpha**2) * y * y / hbar)
-        norm = quad(weight, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
-        y2 = quad(lambda y: weight(y) * y**2, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-12)[0] / norm
-        y4 = quad(lambda y: weight(y) * y**4, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-12)[0] / norm
-        assert y2 == pytest.approx(hbar / (2 * alpha**2), rel=1e-8)
-        assert y4 == pytest.approx(3 * hbar**2 / (4 * alpha**4), rel=1e-8)

@@ -6,10 +6,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from qtunnel.core import PhysicalParams, RectBarrier
-from qtunnel.errors import AboveBarrierError, DomainError, NodeSingularityError
+from qtunnel.errors import AboveBarrierError, DomainError, NodeSingularityError, PrecisionError
 from qtunnel import rect
 
 
@@ -27,6 +29,43 @@ def test_solve_rect_matching_coefficients(default_solution):
     assert sol.G == pytest.approx(phase * math.exp(-2.0) * (2 + 2j) / 4.0, rel=1e-13)
     assert sol.lambda_plus == pytest.approx(2 + 2j)
     assert sol.lambda_minus == pytest.approx(2 - 2j)
+
+
+def numpy_coefficients(k, beta, a):
+    """A, B, F and G by the formulas on numpy scalars that ``solve_rect``
+    replaced: np.exp, and numpy's complex quotients."""
+    lam_p, lam_m = complex(beta, k), complex(beta, -k)
+    with np.errstate(all="ignore"):
+        phase = (1.0 + 0.0j) * np.exp(1j * k * a)
+        F = phase * lam_m * math.exp(beta * a) / (2.0 * beta)
+        G = phase * lam_p * math.exp(-beta * a) / (2.0 * beta)
+        pre = -phase / (4j * k * beta)
+        A = pre * (lam_m**2 * math.exp(beta * a) - lam_p**2 * math.exp(-beta * a))
+        B = pre * (lam_m * lam_p * (math.exp(-beta * a) - math.exp(beta * a)))
+    return A, B, F, G
+
+
+def bits(z):
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(-200.0, 200.0), st.floats(-12.0, 6.0), st.floats(-320.0, 3.0),
+       st.floats(-150.0, 150.0))
+@example(-100.0, 0.0, -300.0, 0.0)  # k a underflows to 0: the phase is 1, B's real part -0
+@example(0.0, -15.0, -300.0, -308.0)  # 4 k beta overflows: a PrecisionError, as before
+def test_coefficients_keep_the_bits_of_numpy_quotients(log_E, log_gap, log_a, log_hbar):
+    # solve_rect runs on math and cmath; its A, B, F and G must keep every bit
+    # of the numpy forms, signed zeros included
+    E = 10.0**log_E
+    params = PhysicalParams(energy_E=E, hbar=10.0**log_hbar)
+    barrier = RectBarrier(E * (1.0 + 10.0**log_gap), 10.0**log_a)
+    try:
+        sol = rect.solve_rect(params, barrier)
+    except PrecisionError:
+        return
+    want = numpy_coefficients(sol.k, sol.beta, barrier.width_a)
+    assert [bits(z) for z in (sol.A, sol.B, sol.F, sol.G)] == [bits(z) for z in want]
 
 
 def test_flux_conservation_sweep():

@@ -37,7 +37,7 @@ def test_only_modes_names_the_block_size():
 
 def test_no_module_mentions_numpy_polynomial_or_linalg():
     # both page in LAPACK (leggauss and hermgauss solve for their nodes with
-    # it); core's 24-node Gauss-Legendre table is the package's one rule.
+    # it); grid's 24-node Gauss-Legendre table is the package's one rule.
     # RunConfig.polynomial, the smooth barrier's coefficients, is no use of them
     for path in MODULES:
         text = path.read_text().replace("def polynomial(", "").replace("self.polynomial()", "")

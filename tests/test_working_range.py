@@ -33,7 +33,7 @@ EDGES = [
     # at omega_-/rho = 1936 the series terms overflow before they are summed
     (["fig3", "--m", "1e-8"], 3, "ConvergenceError"),
     # 1 - z of the exact mode function underflows to 0 past rho t ~ 372.6
-    (["mode-evolve", "--t-max", "400"], 2, "DomainError"),
+    (["mode-evolve", "--t-max", "400"], 3, "PrecisionError"),
     # e^(2 beta a) leaves double range past 2 beta a = 709.78 (beta = 2)
     (["rect", "--a", "177"], 0, None),
     (["rect", "--a", "178"], 3, "PrecisionError"),
