@@ -41,7 +41,6 @@ from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_d
                    solve_rect, transmission_probability)
 
 _EDGE_TRIM = 1e-3  # trajectory-velocity trim: x in [eps*a, (2-eps)*a]
-_EPSILONS = (0.02, 0.01, 0.005, 0.0025)  # 2 c a/(m rho^2) of the series extrapolation
 
 
 class QFactors(NamedTuple):
@@ -65,15 +64,6 @@ class BackreactionProfile(NamedTuple):
     delta_v: np.ndarray
     p0: np.ndarray
     delta_v_bar: float
-
-
-class SeriesCoefficients(NamedTuple):
-    """Extrapolated leading series coefficients of Q1 and Q2 at the exit point."""
-
-    c1: float
-    c2: float
-    c1_error: float
-    c2_error: float
 
 
 def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
@@ -118,44 +108,6 @@ def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
         raise PrecisionError(f"Q1 or Q2 leaves double range: mode {np.argmax(bad[:, j]) + 1} "
                              f"at x = {xs[j]}")
     return QFactors(xs=xs, q1=q[0], q2=q[1], trimmed=trimmed)
-
-
-def _neville_to_zero(eps: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Polynomial extrapolation of vals(eps) to eps = 0, with error estimate."""
-    n = len(eps)
-    tbl = vals.astype(float).copy()
-    last = tbl[-1]
-    prev = None
-    for level in range(1, n):
-        for i in range(n - level):
-            tbl[i] = tbl[i + 1] + (tbl[i] - tbl[i + 1]) * (0.0 - eps[i + level]) / (
-                eps[i] - eps[i + level]
-            )
-        prev, last = last, tbl[0]
-    return float(last), abs(float(last) - float(prev))
-
-
-def series_coefficients(mass_m: float, omega0: float, amplitude_a: float) -> SeriesCoefficients:
-    """Leading coefficients of Q1 and Q2 at the exit point for rho = omega0.
-
-    For each epsilon = 2 c a/(m rho^2) the factors are evaluated at the exit
-    point x = a, then Q1*a/eps and Q2*2a^2/eps^2 are Richardson
-    extrapolated to eps -> 0.
-    """
-    rho = omega0
-    bg = TanhBackground(amplitude_a=amplitude_a, rho=rho)
-    modes = [EnvMode(mass_m=mass_m, omega0=omega0,
-                     coupling_c=eps * mass_m * rho**2 / (2.0 * amplitude_a)) for eps in _EPSILONS]
-    qf = q_factors(modes, bg, [amplitude_a])
-    eps_arr = np.asarray(_EPSILONS, dtype=float)
-    f1 = qf.q1[:, 0] * amplitude_a / eps_arr
-    f2 = qf.q2[:, 0] * 2.0 * amplitude_a**2 / eps_arr**2
-    c1, e1 = _neville_to_zero(eps_arr, f1)
-    c2, e2 = _neville_to_zero(eps_arr, f2)
-    spread1 = np.ptp(f1)
-    if e1 > max(abs(spread1), 1e-12) or not math.isfinite(c1) or not math.isfinite(c2):
-        raise PrecisionError("series extrapolation did not converge")
-    return SeriesCoefficients(c1=c1, c2=c2, c1_error=e1, c2_error=e2)
 
 
 def effective_potential(

@@ -37,19 +37,17 @@ class RectSolution(NamedTuple):
     G: complex
     k: float
     beta: float
-    lambda_plus: complex
-    lambda_minus: complex
     barrier: RectBarrier
     params: PhysicalParams
 
 
 class PotentialProfile(NamedTuple):
-    """Sampled bare potential, total potential, and kinetic density E - V_tot."""
+    """Sampled bare potential and total potential V_tot = V + V_Q; the
+    kinetic density is E - v_tot."""
 
     xs: np.ndarray
     v: np.ndarray
     v_tot: np.ndarray
-    e_minus_vtot: np.ndarray
 
 
 class TransmissionProbability(NamedTuple):
@@ -109,7 +107,6 @@ def solve_rect(params: PhysicalParams, barrier: RectBarrier) -> RectSolution:
     A = pre * (lam_m * lam_m * math.exp(beta * a) - lam_p * lam_p * math.exp(-beta * a))
     B = pre * (lam_m * lam_p * (math.exp(-beta * a) - math.exp(beta * a)))
     sol = RectSolution(A=A, B=B, C=C, F=F, G=G, k=k, beta=beta,
-                       lambda_plus=lam_p, lambda_minus=lam_m,
                        barrier=barrier, params=params)
     _check_solution(sol)
     return sol
@@ -146,11 +143,10 @@ def _region_wave(sol: RectSolution, x, region: int, exp):
     return sol.C * e, 1j * sol.k * sol.C * e
 
 
-def _piecewise(sol: RectSolution, x):
-    """phi and phi' on the region each x falls in; scalar or array."""
+def _piecewise(sol: RectSolution, x: np.ndarray):
+    """phi and phi' at the points of the float array x, each on its region."""
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
     regions = np.where(x < 0.0, _REGION_I,
                        np.where(x <= sol.barrier.width_a, _REGION_II, _REGION_III))
     out = np.empty((2,) + x.shape, dtype=complex)
@@ -158,7 +154,7 @@ def _piecewise(sol: RectSolution, x):
         mask = regions == region
         if np.any(mask):
             out[:, mask] = _region_wave(sol, x[mask], region, np.exp)
-    return (out[0], out[1]) if x.shape else (complex(out[0]), complex(out[1]))
+    return out[0], out[1]
 
 
 def transmission_probability(sol: RectSolution) -> TransmissionProbability:
@@ -220,7 +216,7 @@ def quantum_potential(r: np.ndarray, dx: float, params: PhysicalParams,
 
 
 def potential_profile(sol: RectSolution, xs: np.ndarray) -> PotentialProfile:
-    """V, V_tot, and E - V_tot on a grid spanning any of the three regions.
+    """V and V_tot on a grid spanning any of the three regions.
 
     Inside the barrier the closed form is used; outside, V_Q comes from the
     analytic amplitude curvature of the interference pattern (the wavefunction
@@ -230,7 +226,6 @@ def potential_profile(sol: RectSolution, xs: np.ndarray) -> PotentialProfile:
 
     xs = np.asarray(xs, dtype=float)
     a = sol.barrier.width_a
-    E = sol.params.energy_E
     hbar, M = sol.params.hbar, sol.params.mass_M
     inside = (xs >= 0.0) & (xs <= a)
     v = np.where(inside, sol.barrier.height_V0, 0.0)
@@ -247,7 +242,7 @@ def potential_profile(sol: RectSolution, xs: np.ndarray) -> PotentialProfile:
         dr = np.real(np.conj(phi) * dphi) / r
         d2r = (np.abs(dphi) ** 2 + np.real(np.conj(phi) * d2phi) - dr**2) / r
         v_tot[~inside] = -(hbar**2 / (2.0 * M)) * d2r / r
-    return PotentialProfile(xs=xs, v=v, v_tot=v_tot, e_minus_vtot=E - v_tot)
+    return PotentialProfile(xs=xs, v=v, v_tot=v_tot)
 
 
 def rolling_time(sol: RectSolution) -> float:

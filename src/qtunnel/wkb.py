@@ -66,14 +66,14 @@ class TurningPoints(NamedTuple):
 
 
 class WkbProfile(NamedTuple):
-    """Patched semiclassical amplitude, phase gradient, and total potential."""
+    """Patched semiclassical amplitude, phase gradient, and total potential
+    V_tot = V + V_Q; the kinetic density is E - v_tot."""
 
     xs: np.ndarray
     v: np.ndarray
     r: np.ndarray
     w_prime: np.ndarray
     v_tot: np.ndarray
-    e_minus_vtot: np.ndarray
     turning_points: TurningPoints
     barrier_action: float
     windows: tuple[tuple[float, float], tuple[float, float]]
@@ -414,7 +414,7 @@ def wkb_total_potential(
     )
 
     return WkbProfile(
-        xs=xs, v=v_bare, r=r, w_prime=w_prime, v_tot=v_tot, e_minus_vtot=E - v_tot,
+        xs=xs, v=v_bare, r=r, w_prime=w_prime, v_tot=v_tot,
         turning_points=tps, barrier_action=theta,
         windows=((seam[1], seam[2]), (seam[3], seam[4])),
         boundary_mismatch=mismatch, flux_drift=flux_drift,

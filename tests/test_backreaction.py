@@ -73,14 +73,6 @@ def test_q_factors_of_a_mode_sequence_equal_one_mode_calls():
         assert np.array_equal(qf.xs, single.xs) and qf.trimmed == single.trimmed
 
 
-def test_series_coefficients_match_reference_values():
-    sc = br.series_coefficients(1.0, 1.0, 1.0)
-    assert sc.c1 == pytest.approx(-0.272029, abs=1e-3)
-    assert sc.c2 == pytest.approx(0.14538, abs=1e-2)
-    assert sc.c1_error < 1e-6
-    assert sc.c2_error < 1e-6
-
-
 def test_fig3_profile_signs(fig3_profile):
     prof = fig3_profile
     assert np.all(prof.q1 < 0.0)

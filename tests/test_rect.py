@@ -21,14 +21,11 @@ def default_solution():
 
 
 def test_solve_rect_matching_coefficients(default_solution):
-    # k = beta = 2, lambda_pm = 2 -+ 2i, C = 1:
-    # F = e^{2i} e^{2} (2-2i)/4, G = e^{2i} e^{-2} (2+2i)/4
+    # k = beta = 2, C = 1: F = e^{2i} e^{2} (2-2i)/4, G = e^{2i} e^{-2} (2+2i)/4
     sol = default_solution
     phase = cmath.exp(2j)
     assert sol.F == pytest.approx(phase * math.exp(2.0) * (2 - 2j) / 4.0, rel=1e-13)
     assert sol.G == pytest.approx(phase * math.exp(-2.0) * (2 + 2j) / 4.0, rel=1e-13)
-    assert sol.lambda_plus == pytest.approx(2 + 2j)
-    assert sol.lambda_minus == pytest.approx(2 - 2j)
 
 
 def numpy_coefficients(k, beta, a):
@@ -86,8 +83,7 @@ def test_wavefunction_continuity(default_solution):
     sol = default_solution
     a = sol.barrier.width_a
     for x in (0.0, a):
-        below = rect._piecewise(sol, x - 1e-12)[0]
-        above = rect._piecewise(sol, x + 1e-12)[0]
+        below, above = rect._piecewise(sol, np.array([x - 1e-12, x + 1e-12]))[0]
         assert abs(below - above) <= 1e-9 * abs(below)
 
 
@@ -251,7 +247,7 @@ def test_potential_profile_regions(default_solution):
     xs = np.linspace(-2.0, 3.0, 1001)
     prof = rect.potential_profile(default_solution, xs)
     inside = (xs >= 0.0) & (xs <= 1.0)
-    assert np.all(prof.e_minus_vtot[inside] > 0.0)
+    assert np.all(default_solution.params.energy_E - prof.v_tot[inside] > 0.0)
     # region III: constant amplitude, V_tot = 0
     right = xs > 1.0
     assert np.max(np.abs(prof.v_tot[right])) <= 1e-10

@@ -137,9 +137,9 @@ def test_turning_points_degenerate():
 def test_profile_kinetic_density_positive(quadratic_profile):
     prof = quadratic_profile
     mask = (prof.xs >= 0.0) & (prof.xs <= 1.0)
-    assert np.all(prof.e_minus_vtot[mask] > 0.0)
+    assert np.all(1.0 - prof.v_tot[mask] > 0.0)
     # the dip inside the barrier is exponentially small against E = 1
-    assert prof.e_minus_vtot[mask].min() < 0.05
+    assert (1.0 - prof.v_tot[mask]).min() < 0.05
     assert prof.barrier_action == pytest.approx(math.pi / 2.0, rel=1e-9)
 
 
@@ -168,7 +168,7 @@ def test_barrier_action_of_quadratic_barriers(theta, log10_k, E, center, M, hbar
 
 
 def test_profile_positive_everywhere(quadratic_profile):
-    assert np.all(quadratic_profile.e_minus_vtot > 0.0)
+    assert np.all(1.0 - quadratic_profile.v_tot > 0.0)
 
 
 def test_patch_window_independence(quadratic_tps):
@@ -276,7 +276,7 @@ def test_quartic_cross_check_with_rect():
     mid = np.argmin(np.abs(prof.xs - 0.5 * width))
     sol = rect.solve_rect(params, RectBarrier(v0, width))
     rect_mid = rect.kinetic_density_region2(sol, width / 2.0)
-    ratio = prof.e_minus_vtot[mid] / rect_mid
+    ratio = (2.0 - prof.v_tot[mid]) / rect_mid
     assert 0.5 <= ratio <= 2.0
 
 
