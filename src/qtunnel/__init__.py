@@ -8,7 +8,7 @@ parametrically excited by that motion raise the effective potential and
 suppress the transmission probability.
 
 Modules: ``core`` (parameter records), ``errors`` (exception hierarchy),
-``grid`` (stencils and quadrature on numpy arrays), ``specfun`` (complex-parameter hypergeometric kernel), ``airy`` (Airy
+``grid`` (a stencil and quadrature on numpy arrays), ``specfun`` (complex-parameter hypergeometric kernel), ``airy`` (Airy
 functions), ``rect`` (exact rectangular barrier), ``wkb`` (patched
 semiclassical profiles), ``modes`` (Gaussian environment modes),
 ``backreaction`` (effective potential and modified rate), ``config`` (run

@@ -14,9 +14,9 @@ whose positive shift Delta V = V_eff - V suppresses the transmission
 probability.  Multi-mode totals superpose linearly: completing the square on
 the effective Hamiltonian cancels the 1/16 cross terms of the Gaussian
 average, leaving a per-mode sum of squares.  So all modes run in one pass:
-``q_factors`` gives one row of Q1, Q2 per mode on a shared grid of positions
-(no time grid), and ``effective_potential`` turns those (mode, point) arrays
-into each mode's Delta V and returns the sum over the modes.
+``q_factors`` gives one row of Q1, Q1', Q2 per mode on a shared grid of
+positions (no time grid), and ``effective_potential`` turns those (mode, point)
+arrays into each mode's Delta V and returns the sum over the modes.
 """
 
 from __future__ import annotations
@@ -35,21 +35,23 @@ from .errors import (
     PrecisionError,
     ResolutionError,
 )
-from .grid import cumulative_simpson, derivative_5pt
+from .grid import cumulative_simpson
 from .modes import _omega2, grid_blocks, log_derivative
 from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_density_region2,
                    solve_rect, transmission_probability)
 
 _EDGE_TRIM = 1e-3  # trajectory-velocity trim: x in [eps*a, (2-eps)*a]
+_RESOLUTION_TOL = 1e-3  # Delta V_bar's h-against-2h error over the average of |Delta V|
 
 
 class QFactors(NamedTuple):
-    """Back-reaction factors sampled against trajectory position; ``q1`` and
-    ``q2`` have one row per mode."""
+    """Back-reaction factors sampled against trajectory position; ``q1``,
+    ``q2`` and Q1' ``dq1`` have one row per mode."""
 
     xs: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
+    dq1: np.ndarray
     trimmed: bool
 
 
@@ -67,7 +69,7 @@ class BackreactionProfile(NamedTuple):
 
 
 def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
-    """Q1(x), Q2(x) at the trajectory positions ``xs``, one row per mode.
+    """Q1(x), Q2(x) and Q1'(x) at the trajectory positions ``xs``, one row per mode.
 
     Positions where the trajectory velocity has effectively stalled
     (x outside [eps*a, (2-eps)*a], eps = 1e-3) are trimmed and flagged.  On
@@ -75,7 +77,7 @@ def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
     z w, w = (2a - x)/2a; each block of ``grid_blocks`` takes one kernel call,
     which bounds the kernel's working set and keeps the bits of one call over
     the grid.  PrecisionError names the first x, and its mode (from 1), where
-    Q1 or Q2 is not a finite double.
+    Q1, Q1' or Q2 is not a finite double.
     """
     a = bg.amplitude_a
     if not math.isfinite(bg.rho):  # rho = hbar k/(a M) of a rect solution can overflow
@@ -87,83 +89,90 @@ def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
         raise DomainError("trajectory entirely outside the usable window")
     if trimmed:
         xs = xs[keep]
-    q = np.empty((2, len(modes), xs.size))
+    q = np.empty((3, len(modes), xs.size))
     for blk in grid_blocks(len(modes), xs.size):
         x = xs[blk]
         z, w = x / (2.0 * a), (2.0 * a - x) / (2.0 * a)
         _, dln = log_derivative(modes, bg, z, w)
         # omega^2 > 0 once log_derivative has checked omega_infinity^2: it is
         # linear in x.  The oscillator equation, omega^2 as sqrt(omega^2)^2
-        om = np.sqrt(_omega2(modes, x))
-        d2ln = -(om * om) - dln * dln
+        om2, slope = _omega2(modes, x)
+        d2ln = -np.square(np.sqrt(om2)) - dln * dln
         # xdot as a rho (4 z w), 4 z w <= 1: finite wherever a rho is
-        denom = (a * bg.rho) * (4.0 * z * w) * dln.imag
+        xdot = (a * bg.rho) * (4.0 * z * w)
+        denom = xdot * dln.imag
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # rows of the C-ordered q: numpy adds them in mode order later
             q[0, :, blk] = d2ln.real / denom
             q[1, :, blk] = (d2ln.imag / (2.0 * denom)) ** 2
+            # Q1' = (dQ1/dt)/xdot = (Re L'' - Q1 d denom/dt)/(xdot denom), L = d ln xi/dt:
+            # L'' = -(d omega^2/dx) xdot - 2 L L' and xddot = 2 rho (w - z) xdot
+            dq1 = -slope - 2.0 * (dln * d2ln).real / xdot  # Re L''/xdot
+            dq1 -= q[0, :, blk] * ((2.0 * bg.rho) * (w - z) * dln.imag + d2ln.imag)
+            q[2, :, blk] = dq1 / denom
     bad = ~np.isfinite(q).all(axis=0)
     if bad.any():
         j = int(np.argmax(bad.any(axis=0)))
-        raise PrecisionError(f"Q1 or Q2 leaves double range: mode {np.argmax(bad[:, j]) + 1} "
-                             f"at x = {xs[j]}")
-    return QFactors(xs=xs, q1=q[0], q2=q[1], trimmed=trimmed)
+        raise PrecisionError(f"Q1, Q1' or Q2 leaves double range: mode "
+                             f"{np.argmax(bad[:, j]) + 1} at x = {xs[j]}")
+    return QFactors(xs=xs, q1=q[0], q2=q[1], dq1=q[2], trimmed=trimmed)
 
 
-def effective_potential(
-    xs: np.ndarray,
-    v: np.ndarray,
-    p0: np.ndarray,
-    q1: np.ndarray,
-    q2: np.ndarray,
-    params: PhysicalParams,
-    width_a: float,
-) -> BackreactionProfile:
+def effective_potential(xs: np.ndarray, v: np.ndarray, p0: np.ndarray, q1: np.ndarray,
+                        q2: np.ndarray, dq1: np.ndarray, params: PhysicalParams,
+                        width_a: float) -> BackreactionProfile:
     """Assemble V_eff on the sample grid (uniform spacing required).
 
-    ``q1`` and ``q2`` have shape (n,) or (modes, n); the profile holds the
-    sums over the modes, added in mode order.  Q1' uses the 5-point interior
-    stencil with one-sided closures; the momentum-weighted integral uses
-    cumulative Simpson, and so does the barrier average of Delta V (its last
-    value), normalized by the nominal width ``width_a``.
+    ``q1``, ``q2`` and Q1' ``dq1`` have shape (n,) or (modes, n); the profile
+    holds the sums over the modes, added in mode order.  The momentum-weighted
+    integral uses cumulative Simpson, and so does the barrier average of
+    Delta V (its last value), normalized by the nominal width ``width_a``.
+    ResolutionError when that average's error estimate, from every other
+    sample at step 2h, exceeds _RESOLUTION_TOL times the average of |Delta V|;
+    the estimate holds only once the error falls as h^4.
     """
-    xs = np.asarray(xs, dtype=float)
-    v, p0 = np.asarray(v, dtype=float), np.asarray(p0, dtype=float)
-    q1, q2 = np.atleast_2d(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
-    if not (len(xs) == len(v) == len(p0) == q1.shape[-1] and q1.shape == q2.shape):
+    xs, v, p0 = (np.asarray(u, dtype=float) for u in (xs, v, p0))
+    q1, q2, dq1 = np.atleast_2d(*(np.asarray(q, dtype=float) for q in (q1, q2, dq1)))
+    if not (len(xs) == len(v) == len(p0) == q1.shape[-1] and q1.shape == q2.shape == dq1.shape):
         raise AlignmentError("profile inputs must share one grid")
     if len(xs) < 6:
         raise ResolutionError("need at least 6 grid points")
     h = xs[1] - xs[0]
     if np.max(np.abs(np.diff(xs) - h)) > 1e-9 * abs(h):
         raise DomainError("effective_potential requires a uniform grid")
-    dq1 = derivative_5pt(q1, h, order=1)
-    # a sample whose Q1' sign differs from both neighbours marks grid-scale
-    # oscillation; a resolved profile changes sign far apart, however often
-    flips = [np.diff(np.sign(d[d != 0])) != 0 for d in dq1]
-    spikes = max(int(np.sum(f[:-1] & f[1:])) for f in flips)
-    if spikes > len(xs) // 8:
-        raise ResolutionError(f"Q1' oscillates at grid scale ({spikes} sign flips on "
-                              "neighbouring intervals); refine the grid")
     hbar, M = params.hbar, params.mass_M
-    # in place, in the order of hbar Q1' p0/(4 M) and of
+    # in place: hbar Q1' p0/(4 M) and its running integrals at h and 2h, then
     # 2 hbar^2 Q1^2/(32 M) + hbar^2 Q2/(4 M) - integral, so that at most three
-    # (mode, point) arrays are held at once
-    dq1 *= hbar
-    dq1 *= p0
-    dq1 /= 4.0 * M
-    integral = cumulative_simpson(dq1, h)
-    del dq1
-    delta_v = np.square(q1)
+    # (mode, point) arrays and Delta V at step 2h (half of one) are held at once
+    work = hbar * dq1
+    work *= p0
+    work /= 4.0 * M
+    integral = cumulative_simpson(work, h)
+    coarse = cumulative_simpson(work[:, ::2], 2.0 * h)
+    delta_v = np.square(q1, out=work)  # work's rows take Delta V
+    del work
     delta_v *= 2.0 * hbar**2
     delta_v /= 32.0 * M
-    delta_v += hbar**2 * q2 / (4.0 * M)
+    q2_term = hbar**2 * q2
+    delta_v += np.divide(q2_term, 4.0 * M, out=q2_term)
+    del q2_term
+    np.subtract(delta_v[:, ::2], coarse, out=coarse)  # Delta V at step 2h
     delta_v -= integral
     del integral
+    k = (len(xs) - 1) // 4 * 4  # composite Simpson at h and at 2h, both to sample 4j
+    fine = cumulative_simpson(delta_v, h)[:, [k, -1]]
+    error = np.sum(cumulative_simpson(coarse, 2.0 * h)[:, k // 2] - fine[:, 0]) / 15.0
+    del coarse
     # numpy adds C-contiguous rows in mode order; np.sum over the barrier
     # averages would add 8 or more of them pairwise
-    delta_v_bar = sum((cumulative_simpson(delta_v, h)[:, -1] / width_a).tolist())
+    delta_v_bar = sum((fine[:, 1] / width_a).tolist())
     delta_v = delta_v.sum(axis=0)
+    if len(xs) % 2 == 0:  # the one-interval end piece against the cubic through 4 samples
+        error += h * np.diff(delta_v[-4:], 3)[0] / 24.0
+    scale = cumulative_simpson(np.abs(delta_v), h)[-1]
+    if abs(error) > _RESOLUTION_TOL * scale:
+        raise ResolutionError(f"Delta V_bar's error estimate is {abs(error) / scale:.2g} of the "
+                              "barrier average of |Delta V| (h against 2h); refine the grid")
     return BackreactionProfile(
         xs=xs, q1=q1.sum(axis=0), q2=q2.sum(axis=0), v=v, v_eff=v + delta_v,
         delta_v=delta_v, p0=p0, delta_v_bar=delta_v_bar,
@@ -210,7 +219,7 @@ def rect_mode_backreaction(
     Builds the tanh trajectory of the solution and a uniform grid over
     [eps*a, a], with the unperturbed effective-classical momentum
     p0 = sqrt(2 M (E - V_tot)).  One ``q_factors`` call gives every mode's
-    Q1, Q2 at those positions as (mode, point) arrays, and one
+    Q1, Q1', Q2 at those positions as (mode, point) arrays, and one
     ``effective_potential`` call then adds the modes' Q1, Q2, Delta V and
     barrier averages in mode order, because completing the square on the
     effective Hamiltonian cancels the Gaussian-average cross terms.
@@ -222,4 +231,4 @@ def rect_mode_backreaction(
     qf = q_factors(modes, classical_trajectory(sol), xs)
     p0 = np.sqrt(2.0 * sol.params.mass_M * kinetic_density_region2(sol, xs))
     v = np.full_like(xs, sol.barrier.height_V0)
-    return effective_potential(xs, v, p0, qf.q1, qf.q2, sol.params, width_a=a)
+    return effective_potential(xs, v, p0, qf.q1, qf.q2, qf.dq1, sol.params, width_a=a)

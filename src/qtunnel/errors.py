@@ -75,4 +75,4 @@ class OutOfRegimeError(QTunnelError):
 
 
 class ResolutionError(QTunnelError):
-    """Sample grid too coarse to resolve a derivative reliably."""
+    """Sample grid too coarse for the averaged potential shift a run writes."""

@@ -1,6 +1,6 @@
-"""The package's one 5-point stencil, running integral and quadrature rule,
-on numpy arrays: apart from ``core``, so that runs which build no grid
-(rect, sweep) never import numpy.
+"""The package's one 5-point stencil (a second derivative), running integral
+and quadrature rule, on numpy arrays: apart from ``core``, so that runs which
+build no grid (rect, sweep) never import numpy.
 """
 
 from __future__ import annotations
@@ -9,45 +9,36 @@ from typing import Callable
 
 import numpy as np
 
-# 5-point stencils over uniform samples, as coefficients of y[i-2..i+2] with
-# their common denominator 12 h^order; the first two points use one-sided
-# closures and the last two their mirror images (sign (-1)^order).
-_STENCILS = {
-    1: ((1.0, -8.0, 0.0, 8.0, -1.0),
-        ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0))),
-    2: ((-1.0, 16.0, -30.0, 16.0, -1.0),
-        ((45.0, -154.0, 214.0, -156.0, 61.0, -10.0), (10.0, -15.0, -4.0, 14.0, -6.0, 1.0))),
-}
+# the 5-point second-derivative stencil over uniform samples, as coefficients
+# of y[i-2..i+2] over 12 h^2; the first two points use one-sided closures and
+# the last two their mirror images.
+_CENTRAL = (-1.0, 16.0, -30.0, 16.0, -1.0)
+_EDGES = ((45.0, -154.0, 214.0, -156.0, 61.0, -10.0), (10.0, -15.0, -4.0, 14.0, -6.0, 1.0))
 
 
-def derivative_5pt(y: np.ndarray, h: float, order: int) -> np.ndarray:
-    """First or second derivative (``order`` 1 or 2) of samples spaced by h
-    along the last axis.
+def derivative_5pt(y: np.ndarray, h: float) -> np.ndarray:
+    """Second derivative of samples spaced by h along the last axis.
 
-    4th-order central stencil inside, one-sided closures of the same order at
-    the first and last two points (5 samples for the first derivative, 6 for
-    the second): exact up to degree 4.  Needs at least 6 samples.
+    4th-order central stencil inside, one-sided 6-sample closures of the same
+    order at the first and last two points: exact up to degree 4.  Needs at
+    least 6 samples.
     """
-    central, edges = _STENCILS[order]
-    denom = 12.0 * h if order == 1 else 12.0 * h * h
-    mirror = (-1.0) ** order
-    n = y.shape[-1]
+    denom = 12.0 * h * h
     out = np.empty_like(y)
     # sample axis first, so that y[j] is sample j of every row
     y, d = np.moveaxis(y, -1, 0), np.moveaxis(out, -1, 0)
-    d[2:-2] = _weighted_sum(central, [y[j:n - 4 + j] for j in range(5)]) / denom
-    for i, edge in enumerate(edges):
+    d[2:-2] = _weighted_sum(_CENTRAL, [y[j:len(y) - 4 + j] for j in range(5)]) / denom
+    for i, edge in enumerate(_EDGES):
         d[i] = _weighted_sum(edge, y) / denom
-        d[-1 - i] = _weighted_sum([mirror * c for c in edge], y[::-1]) / denom
+        d[-1 - i] = _weighted_sum(edge, y[::-1]) / denom
     return out
 
 
 def _weighted_sum(coefficients, terms):
-    """sum(c * t) left to right over the nonzero c (zip stops at the last c).
-    c * t is exact for c = +-1, so this rounds like the stencil written out."""
-    pairs = [(c, t) for c, t in zip(coefficients, terms) if c != 0.0]
-    total = pairs[0][0] * pairs[0][1]
-    for c, t in pairs[1:]:
+    """sum(c * t) left to right (zip stops at the last c).  c * t is exact for
+    c = +-1, so this rounds like the stencil written out."""
+    total = coefficients[0] * terms[0]
+    for c, t in zip(coefficients[1:], terms[1:]):
         total = total + c * t
     return total
 

@@ -84,11 +84,11 @@ def _sigmoid_pair(u):
     return np.where(pos, large, small), np.where(pos, small, large), e
 
 
-def _omega2(modes: Sequence[EnvMode], xs) -> np.ndarray:
-    # omega0^2 + 2 c x/m at the positions xs, one row per mode
+def _omega2(modes: Sequence[EnvMode], xs) -> tuple[np.ndarray, np.ndarray]:
+    # omega0^2 + 2 c x/m at the positions xs, one row per mode, and its slope 2 c/m
     om0_2, c2, m = np.array([(md.omega0**2, 2.0 * md.coupling_c, md.mass_m) for md in modes]
                             ).T[:, :, None]
-    return om0_2 + c2 * xs / m
+    return om0_2 + c2 * xs / m, c2 / m
 
 
 def grid_blocks(n_modes: int, n_points: int) -> Iterator[slice]:
@@ -209,8 +209,8 @@ def _magnus_mode_function(mode, bg, edges, counts, y1) -> ModeFunction:
         iv = np.searchsorted(ends, k, side="right")
         h = widths[iv]
         mid = edges[iv] + (k - ends[iv] + counts[iv] + 0.5) * h
-        w1, = _omega2([mode], bg.position(mid - _GAUSS_OFFSET * h))
-        w2, = _omega2([mode], bg.position(mid + _GAUSS_OFFSET * h))
+        (w1,), _ = _omega2([mode], bg.position(mid - _GAUSS_OFFSET * h))
+        (w2,), _ = _omega2([mode], bg.position(mid + _GAUSS_OFFSET * h))
         s = 0.5 * (w1 + w2)
         # Omega = [[d, h], [-h s, -d]]: (h/2)(A1 + A2) + (sqrt(3) h^2/12)[A2, A1]
         d = (math.sqrt(3.0) / 12.0) * h * h * (w2 - w1)

@@ -211,7 +211,7 @@ def quantum_potential(r: np.ndarray, dx: float, params: PhysicalParams,
             f"wavefunction node in evaluation window near x = {x0 + i * dx}",
             location=x0 + i * dx,
         )
-    d2 = derivative_5pt(r, dx, order=2)
+    d2 = derivative_5pt(r, dx)
     return -(params.hbar**2 / (2.0 * params.mass_M)) * d2 / r
 
 

@@ -4,7 +4,7 @@ imports nothing from qtunnel.
 ``traversal_time`` integrates the rectangular barrier's 1/v, and
 ``gaussian_moments`` takes the moments of an environment mode's Gaussian
 weight, each by ``mpmath.quad``.  ``q_factors`` gives the back-reaction
-factors, as follows.
+factors, as follows, and ``q1_derivative`` differentiates that Q1 in x.
 
 The effective classical particle rolls along x(t) = a (1 + tanh rho t) with
 rho = hbar k/(a M), k = sqrt(2 M E)/hbar.  An environment mode of mass m,
@@ -33,25 +33,42 @@ def q_factors(xs, *, E, a, m, omega0, c, hbar=1.0, M=1.0, dps=40):
     """(Q1, Q2) at each position of ``xs`` (doubles taken exactly) for one
     mode, as lists of mpf computed at ``dps`` digits."""
     with mpmath.workdps(dps):
-        E, a, m, omega0, c, hbar, M = map(mpmath.mpf, (E, a, m, omega0, c, hbar, M))
-        rho = hbar * (mpmath.sqrt(2 * M * E) / hbar) / (a * M)
-        om_inf = mpmath.sqrt(omega0**2 + 4 * c * a / m)
-        om_p, om_m = (om_inf + omega0) / 2, (om_inf - omega0) / 2
-        pa, pb, pc = 1 - 1j * om_m / rho, -1j * om_m / rho, 1 + 1j * omega0 / rho
-        q1s, q2s = [], []
-        for x in xs:
-            t = mpmath.atanh(mpmath.mpf(x) / a - 1) / rho
-            th, sech2 = mpmath.tanh(rho * t), mpmath.sech(rho * t) ** 2
-            z = (1 + th) / 2
-            F = mpmath.hyp2f1(pa, pb, pc, z)
-            dF = pa * pb / pc * mpmath.hyp2f1(pa + 1, pb + 1, pc + 1, z)
-            dln = 1j * om_p + 1j * om_m * th + dF / F * rho * sech2 / 2
-            om2 = omega0**2 + 2 * c * a * (1 + th) / m
-            d2ln = -om2 - dln**2
-            xdot = a * rho * sech2
-            q1s.append(d2ln.real / (xdot * dln.imag))
-            q2s.append((d2ln.imag / (2 * xdot * dln.imag)) ** 2)
-        return q1s, q2s
+        q = _factors_at(E, a, m, omega0, c, hbar, M)
+        pairs = [q(mpmath.mpf(x)) for x in xs]
+        return [q1 for q1, _ in pairs], [q2 for _, q2 in pairs]
+
+
+def q1_derivative(xs, *, E, a, m, omega0, c, hbar=1.0, M=1.0, dps=50):
+    """dQ1/dx at each position of ``xs`` for one mode, as a list of mpf: the
+    numerical derivative (``mpmath.diff``) of the Q1 of ``q_factors`` in x, at
+    ``dps`` digits."""
+    with mpmath.workdps(dps):
+        q = _factors_at(E, a, m, omega0, c, hbar, M)
+        return [mpmath.diff(lambda x: q(x)[0], mpmath.mpf(x)) for x in xs]
+
+
+def _factors_at(E, a, m, omega0, c, hbar, M):
+    """The function x -> (Q1, Q2) of one mode, its constants taken at the
+    working precision."""
+    E, a, m, omega0, c, hbar, M = map(mpmath.mpf, (E, a, m, omega0, c, hbar, M))
+    rho = hbar * (mpmath.sqrt(2 * M * E) / hbar) / (a * M)
+    om_inf = mpmath.sqrt(omega0**2 + 4 * c * a / m)
+    om_p, om_m = (om_inf + omega0) / 2, (om_inf - omega0) / 2
+    pa, pb, pc = 1 - 1j * om_m / rho, -1j * om_m / rho, 1 + 1j * omega0 / rho
+
+    def factors(x):
+        t = mpmath.atanh(x / a - 1) / rho
+        th, sech2 = mpmath.tanh(rho * t), mpmath.sech(rho * t) ** 2
+        z = (1 + th) / 2
+        F = mpmath.hyp2f1(pa, pb, pc, z)
+        dF = pa * pb / pc * mpmath.hyp2f1(pa + 1, pb + 1, pc + 1, z)
+        dln = 1j * om_p + 1j * om_m * th + dF / F * rho * sech2 / 2
+        om2 = omega0**2 + 2 * c * a * (1 + th) / m
+        d2ln = -om2 - dln**2
+        xdot = a * rho * sech2
+        return d2ln.real / (xdot * dln.imag), (d2ln.imag / (2 * xdot * dln.imag)) ** 2
+
+    return factors
 
 
 def traversal_time(E, V0, a, hbar=1.0, M=1.0, dps=30):

@@ -14,7 +14,6 @@ import pytest
 
 import oracle
 from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
-from qtunnel.grid import derivative_5pt
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, wkb
 
@@ -85,8 +84,8 @@ def test_criterion_2_fig3_profile():
     prof = br.rect_mode_backreaction(sol, FIG3_MODE, num_points=2000)
     elapsed = time.perf_counter() - start
     assert np.all(prof.q1 < 0.0)
-    dq1 = derivative_5pt(prof.q1, prof.xs[1] - prof.xs[0], order=1)
-    assert np.all(dq1 < 0.0)
+    # the Q1' that enters V_eff
+    assert np.all(br.q_factors([FIG3_MODE], rect.classical_trajectory(sol), prof.xs).dq1 < 0.0)
     assert np.all(prof.v_eff >= prof.v)
     assert elapsed < 60.0, f"took {elapsed:.1f} s"
 
@@ -200,8 +199,8 @@ def test_criterion_8_averaging_coefficients():
     # weights, so <W_m' W_n'> = <W_m'><W_n'> = c1_m c1_n hbar^2 Q1_m Q1_n
     for (c1_m, _), (c1_n, _) in itertools.combinations(coefficients, 2):
         assert c1_m * c1_n == pytest.approx(1.0 / 16.0, rel=1e-8)
-    # Delta V from those coefficients, on polynomial Q1, Q2 and p0 for which
-    # effective_potential's stencil and running Simpson sum are exact.
+    # Delta V from those coefficients, on polynomial Q1, Q1', Q2 and p0 for
+    # which effective_potential's running Simpson sum is exact.
     # Completing the square on <(p0 + W')^2>/2M leaves the variance
     # (c2 - c1^2) hbar^2 Q1^2/2M (the 1/16 cross terms cancel); the
     # amplitude's x-gradient, d ln|phi|/dx = (alpha'/alpha)(1/2 - alpha^2 y^2/hbar),
@@ -213,7 +212,8 @@ def test_criterion_8_averaging_coefficients():
     hbar, M = 0.7, 1.3
     xs = np.linspace(0.0, 1.0, 201)
     prof = br.effective_potential(xs, np.full_like(xs, 4.0), p0(xs), q1(xs), q2(xs),
-                                  PhysicalParams(energy_E=2.0, hbar=hbar, mass_M=M), width_a=1.0)
+                                  q1.deriv()(xs), PhysicalParams(energy_E=2.0, hbar=hbar, mass_M=M),
+                                  width_a=1.0)
     for c1, c2 in coefficients:
         delta_v = ((c2 - c1**2) * hbar**2 * q1**2 / (2.0 * M)
                    + (0.25 - 2.0 * c1 + 4.0 * c2) * hbar**2 * q2 / (2.0 * M)

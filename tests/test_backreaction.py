@@ -12,7 +12,6 @@ from scipy.integrate import solve_ivp
 from qtunnel.core import DIGITS_TOL, EnvMode, PhysicalParams, RectBarrier
 from qtunnel.errors import (AlignmentError, DomainError, OutOfRegimeError, PrecisionError,
                             ResolutionError)
-from qtunnel.grid import derivative_5pt
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, specfun
 from qtunnel.rect import TanhBackground
@@ -37,7 +36,7 @@ def test_q_factors_vanish_when_decoupled():
 
 
 def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
-    # b = 0 makes 2F1 exactly 1, so d ln xi/dt = i omega0 and Q1 = Q2 = 0
+    # b = 0 makes 2F1 exactly 1, so d ln xi/dt = i omega0 and Q1 = Q1' = Q2 = 0
     # with no rounding, on both sides of the z = x/2a = 1/2 seam
     free = EnvMode(mass_m=1.0, omega0=1.0, coupling_c=0.0)
     bg = TanhBackground(amplitude_a=1.0, rho=2.0)
@@ -45,6 +44,7 @@ def test_q_factors_exactly_zero_when_decoupled_on_both_branches():
     assert not qf.trimmed
     assert np.all(qf.q1 == 0.0)
     assert np.all(qf.q2 == 0.0)
+    assert np.all(qf.dq1 == 0.0)
 
 
 def test_q_factors_trim_flag():
@@ -55,6 +55,8 @@ def test_q_factors_trim_flag():
     assert np.array_equal(qf.xs, [0.5, 1.0]) and qf.q1.shape == qf.q2.shape == (1, 2)
     qf2 = br.q_factors([FIG3_MODE], bg, [1e-3, 0.5, 1.999])
     assert not qf2.trimmed
+    with pytest.raises(DomainError, match="entirely outside"):
+        br.q_factors([FIG3_MODE], bg, [1e-4, 1.9995])
 
 
 def test_q_factors_of_a_mode_sequence_equal_one_mode_calls():
@@ -64,20 +66,21 @@ def test_q_factors_of_a_mode_sequence_equal_one_mode_calls():
     mode_set = [FIG3_MODE, EnvMode(mass_m=1.3, omega0=0.8, coupling_c=-0.1),
                 EnvMode(mass_m=0.7, omega0=1.6, coupling_c=0.0), FIG3_MODE]
     qf = br.q_factors(mode_set, bg, xs)
-    assert qf.q1.shape == qf.q2.shape == (len(mode_set), len(xs))
-    for mode, q1, q2 in zip(mode_set, qf.q1, qf.q2):
+    assert qf.q1.shape == qf.q2.shape == qf.dq1.shape == (len(mode_set), len(xs))
+    for mode, q1, q2, dq1 in zip(mode_set, qf.q1, qf.q2, qf.dq1):
         single = br.q_factors([mode], bg, xs)
         assert single.q1.shape == (1, len(xs))
         assert q1.tobytes() == single.q1[0].tobytes()
         assert q2.tobytes() == single.q2[0].tobytes()
+        assert dq1.tobytes() == single.dq1[0].tobytes()
         assert np.array_equal(qf.xs, single.xs) and qf.trimmed == single.trimmed
 
 
 def test_fig3_profile_signs(fig3_profile):
     prof = fig3_profile
     assert np.all(prof.q1 < 0.0)
-    dq1 = derivative_5pt(prof.q1, prof.xs[1] - prof.xs[0], order=1)
-    assert np.all(dq1 < 0.0)
+    bg = rect.classical_trajectory(rect.solve_rect(PARAMS, BARRIER))
+    assert np.all(br.q_factors([FIG3_MODE], bg, prof.xs).dq1 < 0.0)
     assert np.all(prof.q2 >= 0.0)
     assert np.all(prof.v_eff >= prof.v)
     assert prof.delta_v_bar > 0.0
@@ -96,15 +99,15 @@ def test_effective_potential_decoupled_is_bare():
     v = np.full_like(xs, 4.0)
     p0 = np.full_like(xs, 0.3)
     zero = np.zeros_like(xs)
-    prof = br.effective_potential(xs, v, p0, zero, zero, PARAMS, width_a=1.0)
+    prof = br.effective_potential(xs, v, p0, zero, zero, zero, PARAMS, width_a=1.0)
     assert np.array_equal(prof.v_eff, v)
     assert prof.delta_v_bar == 0.0
 
 
 def test_effective_potential_matches_closed_form_on_polynomials():
     # Delta V = hbar^2 Q1^2/(16 M) + hbar^2 Q2/(4 M) - (hbar/4M) int_0^x Q1' p0:
-    # with quadratic Q1 and linear p0 the stencil and the running Simpson sum
-    # are exact, so each term is checked to rounding
+    # with linear Q1' and p0 the running Simpson sum is exact, so each term is
+    # checked to rounding
     P = np.polynomial.Polynomial
     q1, q2, p0 = P([1.0, 1.0, -1.0]), P([0.0, 0.3]), P([2.0, 1.0])
     hbar, M = 0.7, 1.3
@@ -113,7 +116,8 @@ def test_effective_potential_matches_closed_form_on_polynomials():
                - hbar / (4.0 * M) * (q1.deriv() * p0).integ())
     xs = np.linspace(0.0, 1.0, 201)
     v = np.full_like(xs, 4.0)
-    prof = br.effective_potential(xs, v, p0(xs), q1(xs), q2(xs), params, width_a=1.0)
+    prof = br.effective_potential(xs, v, p0(xs), q1(xs), q2(xs), q1.deriv()(xs), params,
+                                  width_a=1.0)
     np.testing.assert_allclose(prof.delta_v, delta_v(xs), rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(prof.v_eff, v + delta_v(xs), rtol=1e-14)
     # the quartic Q1^2 term leaves Simpson's h^4 error, ~2e-12, in the average
@@ -124,21 +128,39 @@ def test_effective_potential_input_validation():
     xs = np.linspace(0.0, 1.0, 50)
     v = np.zeros_like(xs)
     with pytest.raises(AlignmentError):
-        br.effective_potential(xs, v[:-1], v, v, v, PARAMS, width_a=1.0)
+        br.effective_potential(xs, v[:-1], v, v, v, v, PARAMS, width_a=1.0)
+    with pytest.raises(AlignmentError):
+        br.effective_potential(xs, v, v, v, v, v[:-1], PARAMS, width_a=1.0)
     with pytest.raises(ResolutionError):
-        br.effective_potential(xs[:4], v[:4], v[:4], v[:4], v[:4], PARAMS, width_a=1.0)
+        br.effective_potential(xs[:4], *[v[:4]] * 5, PARAMS, width_a=1.0)
     bad = np.concatenate([xs[:25], xs[25:] + 0.1])
     with pytest.raises(DomainError):
-        br.effective_potential(bad, v, v, v, v, PARAMS, width_a=1.0)
+        br.effective_potential(bad, v, v, v, v, v, PARAMS, width_a=1.0)
 
 
 def test_effective_potential_resolution_error():
     rng = np.random.default_rng(3)
     xs = np.linspace(0.0, 1.0, 64)
-    noise = rng.normal(0.0, 1.0, xs.size)  # grid-scale oscillation in Q1
+    noise = rng.normal(0.0, 1.0, xs.size)  # grid-scale oscillation in Q1'
     v = np.zeros_like(xs)
     with pytest.raises(ResolutionError):
-        br.effective_potential(xs, v, v, noise, v, PARAMS, width_a=1.0)
+        br.effective_potential(xs, v, np.ones_like(xs), v, v, noise, PARAMS, width_a=1.0)
+
+
+def test_resolution_error_counts_the_end_piece_of_an_even_grid():
+    # Delta V = hbar^2 Q2/(4 M) with Q2 cubic: composite Simpson is exact at h
+    # and at 2h, so only the one-interval end piece of an even number of points
+    # errs, by h^4/4 against Q2's integral 0.26, 1.5e-3 of it on 6 points
+    def profile(n):
+        xs = np.linspace(0.0, 1.0, n)
+        zero = np.zeros_like(xs)
+        return br.effective_potential(xs, zero, zero + 1.0, zero, xs**3 + 0.01, zero, PARAMS,
+                                      width_a=1.0)
+
+    with pytest.raises(ResolutionError):
+        profile(6)
+    assert profile(7).delta_v_bar == pytest.approx(
+        PARAMS.hbar**2 * 0.26 / (4.0 * PARAMS.mass_M), rel=1e-12)
 
 
 def test_modified_probability_zero_shift():
@@ -191,7 +213,7 @@ def test_superpose_identity(fig3_profile):
     bg = rect.classical_trajectory(sol)
     qf = br.q_factors([FIG3_MODE], bg, fig3_profile.xs)
     single = br.effective_potential(fig3_profile.xs, fig3_profile.v, fig3_profile.p0,
-                                    qf.q1, qf.q2, PARAMS, width_a=1.0)
+                                    qf.q1, qf.q2, qf.dq1, PARAMS, width_a=1.0)
     for field in ("q1", "q2", "v_eff", "delta_v"):
         assert np.array_equal(getattr(fig3_profile, field), getattr(single, field))
     assert fig3_profile.delta_v_bar == single.delta_v_bar

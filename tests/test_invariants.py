@@ -47,10 +47,10 @@ def test_rect_rate_times_rolling_time(E, gap, M, hbar, beta_a):
 
 
 def test_backreaction_grid_convergence():
-    """delta_V converges at 4th order in the grid spacing: the stencil of
-    dQ1/dx and the Simpson rule of the integral over it are both 4th order,
+    """delta_V converges at 4th order in the grid spacing: Q1' is exact at
+    each sample and the Simpson rule of the integral over it is 4th order,
     so each halving of the spacing shrinks the difference from the next
-    finer grid ~16x (4.95e-10, 3.10e-11, 1.94e-12 at the reference set).
+    finer grid ~16x (4.94e-10, 3.10e-11, 1.94e-12 at the reference set).
 
     delta_V is compared, not V_eff: V_eff's 12 printed digits floor near
     1e-11, delta_V's near 1e-14.

@@ -205,6 +205,8 @@ def test_quantum_potential_node_error():
     with pytest.raises(NodeSingularityError) as err:
         rect.quantum_potential(r, 0.1, params, x0=5.0)
     assert err.value.location == pytest.approx(6.0)
+    with pytest.raises(DomainError, match="at least 6 samples"):
+        rect.quantum_potential(r[:5], 0.1, params)
 
 
 def test_rolling_time_closed_forms():

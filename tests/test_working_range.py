@@ -67,6 +67,22 @@ EDGES = [
     (["mode-evolve", "--m", "5e-324"], 2, "DomainError"),
     # alpha^2 = m Im(d ln xi/dt) overflows
     (["mode-evolve", "--m", "1.7976931348623157e308"], 3, "PrecisionError"),
+    # Delta V_bar's error estimate (h against 2h) passes 1e-3 of the barrier
+    # integral of |Delta V|; each comment gives the estimate and, in brackets,
+    # the error against 64,001 points in the same unit
+    (["fig3", "--a", "3", "--omega0", "0.02", "--c", "0.5", "--m", "0.1", "--grid-points", "40"],
+     3, "ResolutionError"),  # 1.6e-3 (9.4e-3)
+    (["fig3", "--a", "3", "--omega0", "0.02", "--c", "0.5", "--m", "0.1",
+      "--grid-points", "2000"], 0, None),  # 8.3e-11 (2.1e-10)
+    (["fig3", "--grid-points", "16"], 0, None),  # 6.8e-5 (9.7e-5)
+    (["fig3", "--a", "10", "--omega0", "0.05", "--grid-points", "16"],
+     3, "ResolutionError"),  # 2.0e-2 (6.1e-2)
+    (["backreaction", "--a", "10", "--omega0", "0.05", "--grid-points", "16"],
+     3, "ResolutionError"),  # 2.0e-2 (6.1e-2)
+    (["fig3", "--a", "15", "--omega0", "0.2", "--c", "0.05", "--grid-points", "16"],
+     3, "ResolutionError"),  # 1.2e-2 (1.5e-2)
+    (["backreaction", "--a", "15", "--omega0", "0.2", "--c", "0.05", "--grid-points", "16"],
+     3, "ResolutionError"),  # 1.2e-2 (1.5e-2)
 ]
 
 
