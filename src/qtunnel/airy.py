@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import DIGITS_TOL
 from .errors import PrecisionError
-from .grid import gauss_legendre
+from .grid import legendre_nodes, legendre_sum
 
 # the Airy series stops once its last term is below this share of the first
 _REL_EPS = 1e-16
@@ -78,9 +78,8 @@ def airy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
                              f"is {ratio[i]:.3g} times the value; fewer than 12 digits hold")
     far = z >= 2.0
     if far.any():
-        zf = z[far]
-        ai[far] = np.exp(-2.0 / 3.0 * zf**1.5) * zf**-0.25 / math.pi * gauss_legendre(
-            lambda u: np.exp(-u * u)[:, None] * np.cos(u[:, None] ** 3 / (3.0 * zf**0.75)),
-            0.0, 6.5, panels=4)
+        zf, u = z[far], legendre_nodes(0.0, 6.5, panels=4)
+        ai[far] = np.exp(-2.0 / 3.0 * zf**1.5) * zf**-0.25 / math.pi * legendre_sum(
+            np.exp(-u * u)[:, None] * np.cos(u[:, None] ** 3 / (3.0 * zf**0.75)), 0.0, 6.5)
         aip[far] = (ai[far] * bip[far] - 1.0 / math.pi) / bi[far]
     return ai, aip, bi, bip

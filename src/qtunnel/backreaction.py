@@ -16,13 +16,15 @@ the effective Hamiltonian cancels the 1/16 cross terms of the Gaussian
 average, leaving a per-mode sum of squares.  So all modes run in one pass:
 ``q_factors`` gives one row of Q1, Q1', Q2 per mode on a shared grid of
 positions (no time grid), and ``effective_potential`` turns those (mode, point)
-arrays into each mode's Delta V and returns the sum over the modes.
+arrays into each mode's Delta V and returns the sum over the modes.  Each
+mode's barrier average of Delta V is one smooth integral, by parts, taken by
+Gauss-Legendre to convergence; the grid's own average misses it by its error.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +37,17 @@ from .errors import (
     PrecisionError,
     ResolutionError,
 )
-from .grid import cumulative_simpson
+from .grid import cumulative_simpson, legendre_nodes, legendre_sum
 from .modes import _omega2, grid_blocks, log_derivative
 from .rect import (RectSolution, TanhBackground, classical_trajectory, kinetic_density_region2,
                    solve_rect, transmission_probability)
 
 _EDGE_TRIM = 1e-3  # trajectory-velocity trim: x in [eps*a, (2-eps)*a]
-_RESOLUTION_TOL = 1e-3  # Delta V_bar's h-against-2h error over the average of |Delta V|
+_RESOLUTION_TOL = 1e-3  # the grid's Delta V_bar error over the average of |Delta V|
+# Gauss-Legendre on p and 2p panels agree within this share of the integral of
+# |A| + |(a - x) f|; the 2F1 scatters at ~1e-12, so not tighter
+_PANEL_TOL = 1e-11
+_MAX_PANELS = 128
 
 
 class QFactors(NamedTuple):
@@ -118,18 +124,66 @@ def q_factors(modes: Sequence[EnvMode], bg: TanhBackground, xs) -> QFactors:
     return QFactors(xs=xs, q1=q[0], q2=q[1], dq1=q[2], trimmed=trimmed)
 
 
+def _coefficients(q1, q2, dq1, p0, hbar: float, M: float):
+    """A = 2 hbar^2 Q1^2/(32 M) + hbar^2 Q2/(4 M) and f = hbar Q1' p0/(4 M), new
+    arrays of Q1's shape, so that Delta V(x) = A(x) - int_lo^x f."""
+    f = hbar * dq1
+    f *= p0
+    f /= 4.0 * M
+    shift = np.square(q1)
+    shift *= 2.0 * hbar**2
+    shift /= 32.0 * M
+    q2_term = hbar**2 * q2
+    shift += np.divide(q2_term, 4.0 * M, out=q2_term)
+    return shift, f
+
+
+def _barrier_integrals(at_nodes: Callable, count: int, lo: float, hi: float, hbar: float,
+                       M: float) -> list[float]:
+    """int_lo^hi Delta V dx of each of ``count`` modes, by parts
+    int_lo^hi [A - (hi - x) f] dx: one smooth integrand, by the Gauss-Legendre
+    rule on p and 2p panels from p = 1, each mode's p doubling until the two
+    agree within _PANEL_TOL of the integral of |A| + |(hi - x) f|.
+    ``at_nodes(panels, rows)`` gives Q1, Q2, Q1' (a row per mode of ``rows``)
+    and p0 at ``grid.legendre_nodes(lo, hi, panels)``.  ResolutionError past
+    _MAX_PANELS panels."""
+    def rule(panels, rows):
+        shift, f = _coefficients(*at_nodes(panels, rows), hbar, M)
+        f *= hi - legendre_nodes(lo, hi, panels)
+        return shift - f, np.abs(shift) + np.abs(f)
+
+    # each mode's sums take its own row, one at a time: a matrix product over
+    # the modes would round each sum by how many there are
+    (first, _), (second, scales) = rule(1, slice(None)), rule(2, slice(None))
+    out = []
+    for k in range(count):
+        last, value, scale, panels = (legendre_sum(first[k], lo, hi),
+                                      legendre_sum(second[k], lo, hi), scales[k], 2)
+        while abs(value - last) > _PANEL_TOL * legendre_sum(scale, lo, hi):
+            if panels == _MAX_PANELS:
+                raise ResolutionError(f"Delta V_bar of mode {k + 1} is not converged on "
+                                      f"{panels} Gauss-Legendre panels")
+            panels *= 2
+            (finer,), (scale,) = rule(panels, slice(k, k + 1))
+            last, value = value, legendre_sum(finer, lo, hi)
+        out.append(value)
+    return out
+
+
 def effective_potential(xs: np.ndarray, v: np.ndarray, p0: np.ndarray, q1: np.ndarray,
                         q2: np.ndarray, dq1: np.ndarray, params: PhysicalParams,
-                        width_a: float) -> BackreactionProfile:
+                        width_a: float, at_nodes: Callable) -> BackreactionProfile:
     """Assemble V_eff on the sample grid (uniform spacing required).
 
     ``q1``, ``q2`` and Q1' ``dq1`` have shape (n,) or (modes, n); the profile
     holds the sums over the modes, added in mode order.  The momentum-weighted
-    integral uses cumulative Simpson, and so does the barrier average of
-    Delta V (its last value), normalized by the nominal width ``width_a``.
-    ResolutionError when that average's error estimate, from every other
-    sample at step 2h, exceeds _RESOLUTION_TOL times the average of |Delta V|;
-    the estimate holds only once the error falls as h^4.
+    integral uses cumulative Simpson.  Delta V_bar is the sum of
+    ``_barrier_integrals`` over [xs[0], xs[-1]], with ``at_nodes``, over the
+    nominal width ``width_a``.  ResolutionError when composite Simpson of the
+    grid's Delta V misses that sum by more than _RESOLUTION_TOL of the grid's
+    integral of |Delta V|: the grid's measured error, 9.7e-5 of it for the
+    defaults on 16 points and 3.0e-3 for ``fig3 --a 3 --omega0 0.02 --c 0.5
+    --m 0.1 --grid-points 64``.
     """
     xs, v, p0 = (np.asarray(u, dtype=float) for u in (xs, v, p0))
     q1, q2, dq1 = np.atleast_2d(*(np.asarray(q, dtype=float) for q in (q1, q2, dq1)))
@@ -141,38 +195,18 @@ def effective_potential(xs: np.ndarray, v: np.ndarray, p0: np.ndarray, q1: np.nd
     if np.max(np.abs(np.diff(xs) - h)) > 1e-9 * abs(h):
         raise DomainError("effective_potential requires a uniform grid")
     hbar, M = params.hbar, params.mass_M
-    # in place: hbar Q1' p0/(4 M) and its running integrals at h and 2h, then
-    # 2 hbar^2 Q1^2/(32 M) + hbar^2 Q2/(4 M) - integral, so that at most three
-    # (mode, point) arrays and Delta V at step 2h (half of one) are held at once
-    work = hbar * dq1
-    work *= p0
-    work /= 4.0 * M
-    integral = cumulative_simpson(work, h)
-    coarse = cumulative_simpson(work[:, ::2], 2.0 * h)
-    delta_v = np.square(q1, out=work)  # work's rows take Delta V
-    del work
-    delta_v *= 2.0 * hbar**2
-    delta_v /= 32.0 * M
-    q2_term = hbar**2 * q2
-    delta_v += np.divide(q2_term, 4.0 * M, out=q2_term)
-    del q2_term
-    np.subtract(delta_v[:, ::2], coarse, out=coarse)  # Delta V at step 2h
-    delta_v -= integral
-    del integral
-    k = (len(xs) - 1) // 4 * 4  # composite Simpson at h and at 2h, both to sample 4j
-    fine = cumulative_simpson(delta_v, h)[:, [k, -1]]
-    error = np.sum(cumulative_simpson(coarse, 2.0 * h)[:, k // 2] - fine[:, 0]) / 15.0
-    del coarse
-    # numpy adds C-contiguous rows in mode order; np.sum over the barrier
-    # averages would add 8 or more of them pairwise
-    delta_v_bar = sum((fine[:, 1] / width_a).tolist())
+    delta_v, f = _coefficients(q1, q2, dq1, p0, hbar, M)
+    delta_v -= cumulative_simpson(f, h)
+    del f
+    integrals = _barrier_integrals(at_nodes, len(q1), xs[0], xs[-1], hbar, M)
+    # numpy adds C-contiguous rows in mode order, and so does Python's sum
+    delta_v_bar = sum(integral / width_a for integral in integrals)
     delta_v = delta_v.sum(axis=0)
-    if len(xs) % 2 == 0:  # the one-interval end piece against the cubic through 4 samples
-        error += h * np.diff(delta_v[-4:], 3)[0] / 24.0
+    error = cumulative_simpson(delta_v, h)[-1] - sum(integrals)
     scale = cumulative_simpson(np.abs(delta_v), h)[-1]
     if abs(error) > _RESOLUTION_TOL * scale:
-        raise ResolutionError(f"Delta V_bar's error estimate is {abs(error) / scale:.2g} of the "
-                              "barrier average of |Delta V| (h against 2h); refine the grid")
+        raise ResolutionError(f"Delta V_bar on the grid is off by {abs(error) / scale:.2g} of "
+                              "the barrier average of |Delta V|; refine the grid")
     return BackreactionProfile(
         xs=xs, q1=q1.sum(axis=0), q2=q2.sum(axis=0), v=v, v_eff=v + delta_v,
         delta_v=delta_v, p0=p0, delta_v_bar=delta_v_bar,
@@ -219,16 +253,33 @@ def rect_mode_backreaction(
     Builds the tanh trajectory of the solution and a uniform grid over
     [eps*a, a], with the unperturbed effective-classical momentum
     p0 = sqrt(2 M (E - V_tot)).  One ``q_factors`` call gives every mode's
-    Q1, Q1', Q2 at those positions as (mode, point) arrays, and one
-    ``effective_potential`` call then adds the modes' Q1, Q2, Delta V and
-    barrier averages in mode order, because completing the square on the
-    effective Hamiltonian cancels the Gaussian-average cross terms.
+    Q1, Q1', Q2 at those positions and at the 72 Gauss-Legendre nodes of 1
+    and 2 panels as (mode, point) arrays; a mode that needs more panels
+    takes a call of its own for each.  One ``effective_potential`` call then
+    adds the modes' Q1, Q2, Delta V and barrier averages in mode order,
+    because completing the square on the effective Hamiltonian cancels the
+    Gaussian-average cross terms.
     """
     if not modes:
         raise DomainError("need at least one environment mode")
-    a = sol.barrier.width_a
-    xs = np.linspace(_EDGE_TRIM * a, a, num_points)
-    qf = q_factors(modes, classical_trajectory(sol), xs)
-    p0 = np.sqrt(2.0 * sol.params.mass_M * kinetic_density_region2(sol, xs))
-    v = np.full_like(xs, sol.barrier.height_V0)
-    return effective_potential(xs, v, p0, qf.q1, qf.q2, qf.dq1, sol.params, width_a=a)
+    a, M, n = sol.barrier.width_a, sol.params.mass_M, num_points
+    lo, bg = _EDGE_TRIM * a, classical_trajectory(sol)
+
+    def factors(mode_set, x):
+        qf = q_factors(mode_set, bg, x)
+        return qf.q1, qf.q2, qf.dq1, np.sqrt(2.0 * M * kinetic_density_region2(sol, x))
+
+    # the grid, then the nodes of 1 and 2 Gauss-Legendre panels, in one
+    # q_factors call; the grid is a view of that one array
+    xs = np.concatenate((np.linspace(lo, a, n), legendre_nodes(lo, a), legendre_nodes(lo, a, 2)))
+    q1, q2, dq1, p0 = factors(modes, xs)
+
+    def at_nodes(panels, rows):
+        if panels > 2:
+            return factors(modes[rows], legendre_nodes(lo, a, panels))
+        nodes = slice(n + 24 * (panels - 1), n + 24 * (2 * panels - 1))
+        return q1[rows, nodes], q2[rows, nodes], dq1[rows, nodes], p0[nodes]
+
+    v = np.broadcast_to(sol.barrier.height_V0, n)  # one value, read-only, for the V column
+    return effective_potential(xs[:n], v, p0[:n], q1[:, :n], q2[:, :n], dq1[:, :n], sol.params,
+                               a, at_nodes)

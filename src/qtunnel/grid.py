@@ -5,8 +5,6 @@ build no grid (rect, sweep) never import numpy.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 # the 5-point second-derivative stencil over uniform samples, as coefficients
@@ -81,16 +79,19 @@ _HALF_24 = np.array((
 _LEGENDRE_24 = np.hstack((_HALF_24[:, ::-1] * [[-1.0], [1.0]], _HALF_24))
 
 
-def gauss_legendre(f: Callable, lo: float, hi: float, panels: int = 1) -> float | np.ndarray:
-    """Integral of f over [lo, hi] by the 24-node Gauss-Legendre rule (DLMF
-    3.5(v)) on ``panels`` equal panels, exact up to degree 47 on each.
-
-    f is called once, on the flat array of all nodes, and returns a value or
-    a row of integrands' values per node.  The panels are summed node by node
-    before the weights apply: one panel is half * (w @ f(lo + half * (u + 1))).
-    """
-    u, w = _LEGENDRE_24
+def legendre_nodes(lo: float, hi: float, panels: int = 1) -> np.ndarray:
+    """The nodes of the 24-node Gauss-Legendre rule (DLMF 3.5(v)) on ``panels``
+    equal panels of [lo, hi], node i of every panel before node i + 1."""
     half = 0.5 * (hi - lo) / panels
-    # row i holds node i of every panel
-    y = f((lo + half * (u[:, None] + (2.0 * np.arange(panels) + 1.0))).ravel())
-    return half * (w @ y.reshape(u.size, panels, *y.shape[1:]).sum(axis=1))
+    return (lo + half * (_LEGENDRE_24[0][:, None] + (2.0 * np.arange(panels) + 1.0))).ravel()
+
+
+def legendre_sum(y: np.ndarray, lo: float, hi: float) -> float | np.ndarray:
+    """Integral over [lo, hi] from the values ``y`` at ``legendre_nodes(lo, hi,
+    panels)``, a value or a row of integrands' values per node: exact up to
+    degree 47 on each panel.  The panels are summed node by node before the
+    weights apply: one panel is half * (w @ y)."""
+    w = _LEGENDRE_24[1]
+    panels = len(y) // w.size
+    half = 0.5 * (hi - lo) / panels
+    return half * (w @ y.reshape(w.size, panels, *y.shape[1:]).sum(axis=1))

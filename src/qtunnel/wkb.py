@@ -44,7 +44,7 @@ from .errors import (
     ThinBarrierError,
     TurningPointTopologyError,
 )
-from .grid import cumulative_simpson, gauss_legendre
+from .grid import cumulative_simpson, legendre_nodes, legendre_sum
 from .rect import quantum_potential
 
 # each scan narrows the bracket (_SCAN_POINTS - 1)-fold: 63^9 > 2^53
@@ -311,9 +311,8 @@ def wkb_total_potential(
         return np.sqrt(np.maximum(2.0 * M * (E - v), 0.0)) / hbar
 
     def tail(k_of, x_t, x_seam):
-        L = x_seam - x_t
-        return abs(L) * gauss_legendre(lambda u: 2.0 * u * k_of(potential(x_t + L * u * u)),
-                                       0.0, 1.0)
+        L, u = x_seam - x_t, legendre_nodes(0.0, 1.0)
+        return abs(L) * legendre_sum(2.0 * u * k_of(potential(x_t + L * u * u)), 0.0, 1.0)
 
     with np.errstate(all="ignore"):
         p_i, q_ii, p_iii = p_of(v_bare[seg_i]), q_of(v_bare[seg_ii]), p_of(v_bare[seg_iii])

@@ -4,7 +4,8 @@ imports nothing from qtunnel.
 ``traversal_time`` integrates the rectangular barrier's 1/v, and
 ``gaussian_moments`` takes the moments of an environment mode's Gaussian
 weight, each by ``mpmath.quad``.  ``q_factors`` gives the back-reaction
-factors, as follows, and ``q1_derivative`` differentiates that Q1 in x.
+factors, as follows, ``q1_derivative`` differentiates that Q1 in x, and
+``delta_v_bar`` integrates the potential shift they make over the barrier.
 
 The effective classical particle rolls along x(t) = a (1 + tanh rho t) with
 rho = hbar k/(a M), k = sqrt(2 M E)/hbar.  An environment mode of mass m,
@@ -45,6 +46,31 @@ def q1_derivative(xs, *, E, a, m, omega0, c, hbar=1.0, M=1.0, dps=50):
     with mpmath.workdps(dps):
         q = _factors_at(E, a, m, omega0, c, hbar, M)
         return [mpmath.diff(lambda x: q(x)[0], mpmath.mpf(x)) for x in xs]
+
+
+def delta_v_bar(*, E, V0, a, m, omega0, c, hbar=1.0, M=1.0, eps=1e-3, dps=20):
+    """The barrier average of one mode's Delta V over [eps a, a], taken over
+    the width a, as an mpf: by parts, Delta V = A(x) - int_{eps a}^x f gives
+
+        int_{eps a}^a Delta V dx = int_{eps a}^a [A(x) - (a - x) f(x)] dx,
+
+    A = hbar^2 Q1^2/(16 M) + hbar^2 Q2/(4 M) and f = hbar Q1' p0/(4 M), which
+    ``mpmath.quad`` takes at ``dps`` digits.  Q1 and Q2 are those of
+    ``q_factors``, Q1' is ``mpmath.diff`` of that Q1, and p0 = sqrt(2 M (E -
+    V_tot)) = 2 hbar k beta^2/D in closed form, with ``traversal_time``'s D."""
+    with mpmath.workdps(dps):
+        q = _factors_at(E, a, m, omega0, c, hbar, M)
+        E, V0, a, hbar, M = map(mpmath.mpf, (E, V0, a, hbar, M))
+        k, beta = mpmath.sqrt(2 * M * E) / hbar, mpmath.sqrt(2 * M * (V0 - E)) / hbar
+
+        def integrand(x):
+            q1, q2 = q(x)
+            dq1 = mpmath.diff(lambda u: q(u)[0], x)
+            D = (k**2 + beta**2) * mpmath.cosh(2 * beta * (a - x)) + beta**2 - k**2
+            f = hbar * dq1 * (2 * hbar * k * beta**2 / D) / (4 * M)
+            return hbar**2 * q1**2 / (16 * M) + hbar**2 * q2 / (4 * M) - (a - x) * f
+
+        return mpmath.quad(integrand, [mpmath.mpf(eps) * a, a]) / a
 
 
 def _factors_at(E, a, m, omega0, c, hbar, M):

@@ -16,6 +16,7 @@ import oracle
 from qtunnel.core import EnvMode, PhysicalParams, RectBarrier, SmoothPotential
 from qtunnel import backreaction as br
 from qtunnel import modes, rect, wkb
+from qtunnel.grid import legendre_nodes
 
 PARAMS = PhysicalParams(energy_E=2.0)
 BARRIER = RectBarrier(height_V0=4.0, width_a=1.0)
@@ -211,9 +212,14 @@ def test_criterion_8_averaging_coefficients():
     q1, q2, p0 = P([1.0, 1.0, -1.0]), P([0.0, 0.3]), P([2.0, 1.0])
     hbar, M = 0.7, 1.3
     xs = np.linspace(0.0, 1.0, 201)
+
+    def at_nodes(panels, rows):
+        x = legendre_nodes(0.0, 1.0, panels)
+        return q1(x)[None], q2(x)[None], q1.deriv()(x)[None], p0(x)
+
     prof = br.effective_potential(xs, np.full_like(xs, 4.0), p0(xs), q1(xs), q2(xs),
                                   q1.deriv()(xs), PhysicalParams(energy_E=2.0, hbar=hbar, mass_M=M),
-                                  width_a=1.0)
+                                  1.0, at_nodes)
     for c1, c2 in coefficients:
         delta_v = ((c2 - c1**2) * hbar**2 * q1**2 / (2.0 * M)
                    + (0.25 - 2.0 * c1 + 4.0 * c2) * hbar**2 * q2 / (2.0 * M)

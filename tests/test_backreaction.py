@@ -13,7 +13,7 @@ from qtunnel.core import DIGITS_TOL, EnvMode, PhysicalParams, RectBarrier
 from qtunnel.errors import (AlignmentError, DomainError, OutOfRegimeError, PrecisionError,
                             ResolutionError)
 from qtunnel import backreaction as br
-from qtunnel import modes, rect, specfun
+from qtunnel import grid, modes, rect, specfun
 from qtunnel.rect import TanhBackground
 
 PARAMS = PhysicalParams(energy_E=2.0)
@@ -94,12 +94,38 @@ def test_fig3_profile_grid_convergence(fig3_profile):
     assert rel.max() < 1e-5
 
 
+def on_nodes(q1, q2, dq1, p0, lo=0.0, hi=1.0):
+    """``at_nodes`` for effective_potential: one mode's Q1, Q2, Q1' and p0,
+    each a function of x, at the Gauss-Legendre nodes over [lo, hi]."""
+    def at_nodes(panels, rows):
+        x = grid.legendre_nodes(lo, hi, panels)
+        return q1(x)[None], q2(x)[None], dq1(x)[None], p0(x)
+
+    return at_nodes
+
+
+@pytest.mark.parametrize("a, mode", [
+    (1.0, FIG3_MODE), (20.0, FIG3_MODE),
+    (10.0, EnvMode(mass_m=1.0, omega0=0.05, coupling_c=0.15)),
+    (15.0, EnvMode(mass_m=1.0, omega0=0.2, coupling_c=0.05)),
+    (3.0, EnvMode(mass_m=0.1, omega0=0.02, coupling_c=0.5))])
+def test_delta_v_bar_matches_simpson_on_64001_points(a, mode):
+    # the Gauss-Legendre Delta V_bar, which no grid size changes, against
+    # composite Simpson of the grid's Delta V on 64,001 points: measured
+    # within 4.4e-13 (a = 20), and these modes need 2 to 128 panels
+    sol = rect.solve_rect(PARAMS, RectBarrier(height_V0=4.0, width_a=a))
+    prof = br.rect_mode_backreaction(sol, mode, num_points=64_001)
+    simpson = grid.cumulative_simpson(prof.delta_v, prof.xs[1] - prof.xs[0])[-1] / a
+    assert prof.delta_v_bar == pytest.approx(simpson, rel=1e-11, abs=0.0)
+
+
 def test_effective_potential_decoupled_is_bare():
     xs = np.linspace(0.001, 1.0, 200)
     v = np.full_like(xs, 4.0)
     p0 = np.full_like(xs, 0.3)
     zero = np.zeros_like(xs)
-    prof = br.effective_potential(xs, v, p0, zero, zero, zero, PARAMS, width_a=1.0)
+    nodes = on_nodes(*[np.zeros_like] * 3, lambda x: np.full_like(x, 0.3), lo=0.001)
+    prof = br.effective_potential(xs, v, p0, zero, zero, zero, PARAMS, 1.0, nodes)
     assert np.array_equal(prof.v_eff, v)
     assert prof.delta_v_bar == 0.0
 
@@ -107,7 +133,8 @@ def test_effective_potential_decoupled_is_bare():
 def test_effective_potential_matches_closed_form_on_polynomials():
     # Delta V = hbar^2 Q1^2/(16 M) + hbar^2 Q2/(4 M) - (hbar/4M) int_0^x Q1' p0:
     # with linear Q1' and p0 the running Simpson sum is exact, so each term is
-    # checked to rounding
+    # checked to rounding; Gauss-Legendre is exact on the quartic integrand of
+    # the barrier average
     P = np.polynomial.Polynomial
     q1, q2, p0 = P([1.0, 1.0, -1.0]), P([0.0, 0.3]), P([2.0, 1.0])
     hbar, M = 0.7, 1.3
@@ -116,46 +143,70 @@ def test_effective_potential_matches_closed_form_on_polynomials():
                - hbar / (4.0 * M) * (q1.deriv() * p0).integ())
     xs = np.linspace(0.0, 1.0, 201)
     v = np.full_like(xs, 4.0)
-    prof = br.effective_potential(xs, v, p0(xs), q1(xs), q2(xs), q1.deriv()(xs), params,
-                                  width_a=1.0)
+    prof = br.effective_potential(xs, v, p0(xs), q1(xs), q2(xs), q1.deriv()(xs), params, 1.0,
+                                  on_nodes(q1, q2, q1.deriv(), p0))
     np.testing.assert_allclose(prof.delta_v, delta_v(xs), rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(prof.v_eff, v + delta_v(xs), rtol=1e-14)
-    # the quartic Q1^2 term leaves Simpson's h^4 error, ~2e-12, in the average
-    assert prof.delta_v_bar == pytest.approx(delta_v.integ()(1.0), rel=0.0, abs=1e-11)
+    assert prof.delta_v_bar == pytest.approx(delta_v.integ()(1.0), rel=1e-14)
 
 
 def test_effective_potential_input_validation():
     xs = np.linspace(0.0, 1.0, 50)
     v = np.zeros_like(xs)
+    nodes = on_nodes(*[np.zeros_like] * 4)
     with pytest.raises(AlignmentError):
-        br.effective_potential(xs, v[:-1], v, v, v, v, PARAMS, width_a=1.0)
+        br.effective_potential(xs, v[:-1], v, v, v, v, PARAMS, 1.0, nodes)
     with pytest.raises(AlignmentError):
-        br.effective_potential(xs, v, v, v, v, v[:-1], PARAMS, width_a=1.0)
+        br.effective_potential(xs, v, v, v, v, v[:-1], PARAMS, 1.0, nodes)
     with pytest.raises(ResolutionError):
-        br.effective_potential(xs[:4], *[v[:4]] * 5, PARAMS, width_a=1.0)
+        br.effective_potential(xs[:4], *[v[:4]] * 5, PARAMS, 1.0, nodes)
     bad = np.concatenate([xs[:25], xs[25:] + 0.1])
     with pytest.raises(DomainError):
-        br.effective_potential(bad, v, v, v, v, v, PARAMS, width_a=1.0)
+        br.effective_potential(bad, v, v, v, v, v, PARAMS, 1.0, nodes)
 
 
 def test_effective_potential_resolution_error():
+    # grid-scale oscillation in the grid's Q1', against Q1' = 0 at the nodes
     rng = np.random.default_rng(3)
     xs = np.linspace(0.0, 1.0, 64)
-    noise = rng.normal(0.0, 1.0, xs.size)  # grid-scale oscillation in Q1'
+    noise = rng.normal(0.0, 1.0, xs.size)
     v = np.zeros_like(xs)
-    with pytest.raises(ResolutionError):
-        br.effective_potential(xs, v, np.ones_like(xs), v, v, noise, PARAMS, width_a=1.0)
+    nodes = on_nodes(*[np.zeros_like] * 3, np.ones_like)
+    with pytest.raises(ResolutionError, match="off by"):
+        br.effective_potential(xs, v, np.ones_like(xs), v, v, noise, PARAMS, 1.0, nodes)
+
+
+def test_barrier_integral_stops_at_128_panels():
+    # Q1' as noise at every node: p and 2p panels never agree, and the
+    # panels double from 1 to 128 before ResolutionError
+    rng = np.random.default_rng(5)
+    panels = []
+
+    def noisy(x):
+        panels.append(x.size // 24)
+        return rng.normal(0.0, 1.0, x.size)
+
+    xs = np.linspace(0.0, 1.0, 64)
+    zero = np.zeros_like(xs)
+    with pytest.raises(ResolutionError, match="mode 1 is not converged on 128 "):
+        br.effective_potential(xs, zero, zero + 1.0, zero, zero, zero, PARAMS, 1.0,
+                               on_nodes(np.zeros_like, np.zeros_like, noisy, np.ones_like))
+    assert panels == [2**j for j in range(8)]
 
 
 def test_resolution_error_counts_the_end_piece_of_an_even_grid():
-    # Delta V = hbar^2 Q2/(4 M) with Q2 cubic: composite Simpson is exact at h
-    # and at 2h, so only the one-interval end piece of an even number of points
-    # errs, by h^4/4 against Q2's integral 0.26, 1.5e-3 of it on 6 points
+    # Delta V = hbar^2 Q2/(4 M) with Q2 cubic: composite Simpson is exact, so
+    # only the one-interval end piece of an even number of points errs, by
+    # h^4/4 against Q2's integral 0.26, 1.5e-3 of it on 6 points, which the
+    # exact Gauss-Legendre value measures
+    def cubic(x):
+        return x**3 + 0.01
+
     def profile(n):
         xs = np.linspace(0.0, 1.0, n)
         zero = np.zeros_like(xs)
-        return br.effective_potential(xs, zero, zero + 1.0, zero, xs**3 + 0.01, zero, PARAMS,
-                                      width_a=1.0)
+        return br.effective_potential(xs, zero, zero + 1.0, zero, cubic(xs), zero, PARAMS, 1.0,
+                                      on_nodes(np.zeros_like, cubic, np.zeros_like, np.ones_like))
 
     with pytest.raises(ResolutionError):
         profile(6)
@@ -208,12 +259,20 @@ def test_modified_probability_first_order_match(energy):
 
 
 def test_superpose_identity(fig3_profile):
-    # one mode: the driver returns that mode's effective potential unchanged
+    # one mode: the driver returns that mode's effective potential unchanged,
+    # with the Gauss-Legendre nodes in q_factors calls of their own
     sol = rect.solve_rect(PARAMS, BARRIER)
     bg = rect.classical_trajectory(sol)
-    qf = br.q_factors([FIG3_MODE], bg, fig3_profile.xs)
-    single = br.effective_potential(fig3_profile.xs, fig3_profile.v, fig3_profile.p0,
-                                    qf.q1, qf.q2, qf.dq1, PARAMS, width_a=1.0)
+    xs = fig3_profile.xs
+    qf = br.q_factors([FIG3_MODE], bg, xs)
+
+    def at_nodes(panels, rows):
+        x = grid.legendre_nodes(xs[0], xs[-1], panels)
+        nodes = br.q_factors([FIG3_MODE], bg, x)
+        return nodes.q1, nodes.q2, nodes.dq1, np.sqrt(2.0 * rect.kinetic_density_region2(sol, x))
+
+    single = br.effective_potential(xs, fig3_profile.v, fig3_profile.p0, qf.q1, qf.q2, qf.dq1,
+                                    PARAMS, 1.0, at_nodes)
     for field in ("q1", "q2", "v_eff", "delta_v"):
         assert np.array_equal(getattr(fig3_profile, field), getattr(single, field))
     assert fig3_profile.delta_v_bar == single.delta_v_bar
@@ -246,9 +305,10 @@ def keeps_12_digits(res):
 
 @pytest.mark.parametrize("count", [1, 2, 4])
 def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
-    # 20,000 points are 3, 5 and 10 blocks of 8,192 // count: the blocks give
-    # the bits, and the series lengths, of one 2F1 call over the whole grid,
-    # which a block size of the grid's pairs makes one block
+    # 20,000 points and the 72 Gauss-Legendre nodes of 1 and 2 panels are 3, 5
+    # and 10 blocks of 8,192 // count: the blocks give the bits, and the series
+    # lengths, of one 2F1 call over them, which a block size of their pairs
+    # makes one block.  These modes need no more panels
     mode_set = [FIG3_MODE, EnvMode(mass_m=1.3, omega0=0.8, coupling_c=-0.1),
                 EnvMode(mass_m=0.7, omega0=1.6, coupling_c=0.05),
                 EnvMode(mass_m=2.0, omega0=0.7, coupling_c=0.2)][:count]
@@ -264,11 +324,11 @@ def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
     monkeypatch.setattr(specfun, "hyp2f1_ex", counted)
     sol = rect.solve_rect(PARAMS, BARRIER)
     blocked = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
-    assert len(terms) == -(-20_000 // (modes._BLOCK_PAIRS // count))
+    assert len(terms) == -(-20_072 // (modes._BLOCK_PAIRS // count))
     # log_derivative raised on no block, and no block's verdict fails
     assert all(verdicts)
     blocked_terms, terms[:] = sum(terms), []
-    monkeypatch.setattr(modes, "_BLOCK_PAIRS", 20_000 * count)
+    monkeypatch.setattr(modes, "_BLOCK_PAIRS", 20_072 * count)
     whole = br.rect_mode_backreaction(sol, *mode_set, num_points=20_000)
     assert terms == [blocked_terms]
     for field in ("xs", "q1", "q2", "delta_v", "v_eff"):
@@ -282,7 +342,8 @@ def test_blocks_match_one_call_over_the_grid(monkeypatch, count):
 def test_2f1_verdict_on_the_fig3_grid(monkeypatch, a, first, worst):
     # where the 2F1 guard trips: on the 2,000-point fig3 grid at width a, in
     # one kernel call, the first point whose verdict fails, as x/a = 2z, and
-    # the worst eps x bound (README's list of the working range's edges)
+    # the worst eps x bound (README's list of the working range's edges).  A
+    # block of 2,000 pairs is the grid's one call: the nodes come after it
     calls = []
     kernel = specfun.hyp2f1_ex
 
@@ -295,7 +356,8 @@ def test_2f1_verdict_on_the_fig3_grid(monkeypatch, a, first, worst):
     sol = rect.solve_rect(PARAMS, RectBarrier(height_V0=4.0, width_a=float(a)))
     with pytest.raises(PrecisionError) if first else contextlib.nullcontext():
         br.rect_mode_backreaction(sol, FIG3_MODE)
-    (z, res), = calls
+    z, res = calls[0]
+    assert z.size == 2000
     ok = keeps_12_digits(res)[0]
     assert res.bounds.max() * np.finfo(float).eps == pytest.approx(worst, rel=0.05)
     assert (None if ok.all() else round(2.0 * z[np.argmin(ok)], 3)) == first

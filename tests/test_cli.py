@@ -470,10 +470,11 @@ def test_large_grid_peak_memory(tmp_path):
     """fig3 and backreaction on 131,072 points hold neither their whole CSV
     text nor a mode-function or 2F1 working set over every point: the rows
     stream to the file block by block, and the mode function and Q factors
-    are evaluated in blocks of 8,192 points.  The traced peak is ~10.0 MiB,
-    set by the profile's own columns and the rows of Q1, Q2 and Q1' (22 MiB
-    with the mode function over every point, 38 MiB with the CSV text too);
-    allocations, unlike times, do not depend on the host's load."""
+    are evaluated in blocks of 8,192 points.  The traced peak is ~9.0 MiB,
+    set by the profile's own columns and the rows of Q1, Q2 and Q1' (10.0
+    MiB with the V column as a full array, 22 MiB with the mode function over
+    every point, 38 MiB with the CSV text too); allocations, unlike times, do
+    not depend on the host's load."""
     for scenario in ("fig3", "backreaction"):
         assert main([scenario, "--out", str(tmp_path / "warm.csv")]) == 0  # imports, tables
         tracemalloc.start()
